@@ -16,6 +16,10 @@ use std::time::Duration;
 
 use serde::Value;
 
+/// Bytes requested from the socket per read: a paper-scale result frame
+/// (~46 KB) arrives in one or two reads.
+const READ_CHUNK: usize = 64 * 1024;
+
 /// A connected protocol client.
 #[derive(Debug)]
 pub struct Client {
@@ -23,6 +27,8 @@ pub struct Client {
     /// Received bytes not yet consumed as a complete frame: short reads
     /// and timeouts leave their partial data here instead of dropping it.
     buf: Vec<u8>,
+    /// Prefix of `buf` already searched for a newline.
+    scanned: usize,
     /// Lifetime bytes written to the socket (per-worker transfer
     /// accounting for fleet coordinators, in the style of per-party
     /// channel statistics).
@@ -43,6 +49,7 @@ impl Client {
         Ok(Self {
             stream,
             buf: Vec::new(),
+            scanned: 0,
             bytes_sent: 0,
             bytes_received: 0,
         })
@@ -91,6 +98,7 @@ impl Client {
         Ok(Self {
             stream,
             buf: Vec::new(),
+            scanned: 0,
             bytes_sent: 0,
             bytes_received: 0,
         })
@@ -164,22 +172,29 @@ impl Client {
     /// Socket read failures, EOF mid-frame, or a response that is not
     /// valid JSON.
     pub fn recv(&mut self) -> std::io::Result<Option<Value>> {
-        let mut chunk = [0u8; 4096];
+        let mut chunk = [0u8; READ_CHUNK];
         loop {
-            if let Some(pos) = self.buf.iter().position(|&b| b == b'\n') {
-                let frame: Vec<u8> = self.buf.drain(..=pos).collect();
-                let text = String::from_utf8(frame).map_err(|e| {
-                    std::io::Error::new(ErrorKind::InvalidData, format!("non-UTF-8 response: {e}"))
-                })?;
-                return serde_json::from_str(text.trim_end())
-                    .map(Some)
-                    .map_err(|e| {
+            // Only bytes that arrived since the last scan can hold the
+            // newline, so a frame spread over many reads is scanned once.
+            if let Some(offset) = self.buf[self.scanned..].iter().position(|&b| b == b'\n') {
+                let end = self.scanned + offset;
+                let parsed = match std::str::from_utf8(&self.buf[..end]) {
+                    Ok(text) => serde_json::from_str(text.trim_end()).map_err(|e| {
                         std::io::Error::new(
                             ErrorKind::InvalidData,
                             format!("invalid response JSON: {e}"),
                         )
-                    });
+                    }),
+                    Err(e) => Err(std::io::Error::new(
+                        ErrorKind::InvalidData,
+                        format!("non-UTF-8 response: {e}"),
+                    )),
+                };
+                self.buf.drain(..=end);
+                self.scanned = 0;
+                return parsed.map(Some);
             }
+            self.scanned = self.buf.len();
             match self.stream.read(&mut chunk) {
                 Ok(0) => {
                     if self.buf.is_empty() {

@@ -37,6 +37,20 @@ pub enum Outcome {
     Shutdown,
 }
 
+/// Receives each encoded response line (compact JSON, no trailing
+/// newline); an error means the connection is gone.
+pub type Sink<'a> = dyn FnMut(&str) -> std::io::Result<()> + 'a;
+
+/// Encodes one response as its compact wire line (no trailing newline).
+pub(crate) fn encode(value: &Value) -> String {
+    // Encoding a `Value` cannot fail (every object key is a string); the
+    // fallback keeps the connection thread panic-free regardless.
+    serde_json::to_string(value).unwrap_or_else(|_| {
+        r#"{"ok":false,"error":{"code":"internal_error","message":"response encoding failed"}}"#
+            .to_string()
+    })
+}
+
 /// Builds `{"ok":true, ...fields}`.
 pub fn ok_response(fields: Vec<(String, Value)>) -> Value {
     let mut pairs = vec![("ok".to_string(), Value::Bool(true))];
@@ -118,9 +132,9 @@ fn u64_arg(request: &Value, key: &str) -> Result<u64, Value> {
         .ok_or_else(|| error_response("bad_request", format!("missing or invalid `{key}` field")))
 }
 
-/// Handles one request line, emitting every response line through `emit`.
+/// Handles one request line, passing every encoded response line to `sink`.
 ///
-/// `emit` returning an error (a dead connection) aborts the request; the
+/// `sink` returning an error (a dead connection) aborts the request; the
 /// error is propagated so the connection loop can drop the socket. Progress
 /// streaming for `{"cmd":"submit","wait":true}` emits one
 /// `{"ok":true,"event":"progress",...}` line whenever the completed-trial
@@ -128,8 +142,9 @@ fn u64_arg(request: &Value, key: &str) -> Result<u64, Value> {
 pub fn dispatch(
     service: &ServiceHandle,
     line: &str,
-    emit: &mut dyn FnMut(&Value) -> std::io::Result<()>,
+    sink: &mut Sink<'_>,
 ) -> std::io::Result<Outcome> {
+    let mut emit = |value: &Value| sink(&encode(value));
     let request = match serde_json::from_str(line) {
         Ok(v) => v,
         Err(e) => {
@@ -189,7 +204,7 @@ pub fn dispatch(
                 ("trials_total".into(), Value::UInt(outcome.trials_total)),
             ]))?;
             if wait {
-                stream_until_done(service, outcome.job, emit)?;
+                stream_until_done(service, outcome.job, sink)?;
             }
             Ok(Outcome::Continue)
         }
@@ -228,7 +243,7 @@ pub fn dispatch(
             } else {
                 service.result(job)
             };
-            emit(&result_payload(service, job, result))?;
+            sink(&result_line(service, job, result))?;
             Ok(Outcome::Continue)
         }
         "cancel" => {
@@ -399,41 +414,116 @@ pub fn dispatch(
     }
 }
 
-/// Builds the `result` response: the report is embedded as a JSON value
-/// (parsed from the stored byte-identical document).
-fn result_payload(
+/// Encodes the `result` line. The stored report is spliced in as text,
+/// compacted but otherwise verbatim, never parsed into a `Value`.
+fn result_line(
     service: &ServiceHandle,
     job: u64,
     result: Result<Arc<String>, ServiceError>,
-) -> Value {
+) -> String {
     match result {
         Ok(report_json) => {
-            // Stored reports are serialized by the engine and should always
-            // parse; a corrupt document (bit rot the store's integrity check
-            // could not catch, say) becomes a structured error for this one
-            // request rather than a panic in the connection thread.
-            let report = match serde_json::from_str(&report_json) {
-                Ok(report) => report,
-                Err(err) => {
-                    return error_response(
-                        "internal_error",
-                        format!("stored report for job {job} is not valid JSON: {err}"),
-                    );
-                }
-            };
             let cached = service
                 .job(job)
                 .map(|core| core.from_cache)
                 .unwrap_or(false);
-            ok_response(vec![
-                ("event".into(), Value::Str("result".into())),
-                ("job".into(), Value::UInt(job)),
-                ("cached".into(), Value::Bool(cached)),
-                ("report".into(), report),
-            ])
+            // Stored reports are written by the engine and always
+            // well-formed; a corrupt document (bit rot the store's
+            // integrity check could not catch, say) becomes a structured
+            // error for this one request rather than a malformed frame.
+            result_frame(job, cached, &report_json).unwrap_or_else(|err| {
+                encode(&error_response(
+                    "internal_error",
+                    format!("stored report for job {job} is not valid JSON: {err}"),
+                ))
+            })
         }
-        Err(e) => service_error(&e),
+        Err(e) => encode(&service_error(&e)),
     }
+}
+
+/// Builds `{"ok":true,"event":"result","job":N,"cached":B,"report":R}`
+/// where `R` is `report` with the whitespace between its tokens removed.
+/// For a document the `serde_json` writer produced, the line is identical to
+/// encoding the parsed report inside an [`ok_response`].
+///
+/// # Errors
+///
+/// A `report` that is not a single well-formed document (see
+/// `compact_into`).
+fn result_frame(job: u64, cached: bool, report: &str) -> Result<String, String> {
+    let mut line = encode(&ok_response(vec![
+        ("event".into(), Value::Str("result".into())),
+        ("job".into(), Value::UInt(job)),
+        ("cached".into(), Value::Bool(cached)),
+    ]));
+    line.pop(); // the closing `}`
+    line.reserve(report.len() + 12);
+    line.push_str(",\"report\":");
+    compact_into(report, &mut line)?;
+    line.push('}');
+    Ok(line)
+}
+
+/// Appends `doc` to `out` without the whitespace outside its strings, in
+/// one linear pass. Rejects what cannot be a single JSON document: an
+/// unterminated string, unbalanced or mismatched brackets, characters
+/// after the closing bracket, and a blank document.
+fn compact_into(doc: &str, out: &mut String) -> Result<(), String> {
+    let bytes = doc.as_bytes();
+    let mut open: Vec<u8> = Vec::new();
+    let mut closed = false;
+    let mut empty = true;
+    // Start of the pending run of non-whitespace bytes.
+    let mut run = 0;
+    let mut i = 0;
+    while i < bytes.len() {
+        let b = bytes[i];
+        if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
+            out.push_str(&doc[run..i]);
+            i += 1;
+            run = i;
+            continue;
+        }
+        if closed {
+            return Err(format!(
+                "at byte {i}: trailing characters after the document"
+            ));
+        }
+        empty = false;
+        match b {
+            b'"' => {
+                let start = i;
+                i += 1;
+                loop {
+                    match bytes.get(i) {
+                        None => return Err(format!("at byte {start}: unterminated string")),
+                        Some(b'"') => break,
+                        Some(b'\\') => i += 2,
+                        Some(_) => i += 1,
+                    }
+                }
+            }
+            b'{' | b'[' => open.push(b),
+            b'}' | b']' => {
+                let expected = if b == b'}' { b'{' } else { b'[' };
+                if open.pop() != Some(expected) {
+                    return Err(format!("at byte {i}: unbalanced `{}`", b as char));
+                }
+                closed = open.is_empty();
+            }
+            _ => {}
+        }
+        i += 1;
+    }
+    if empty {
+        return Err("empty document".into());
+    }
+    if let Some(&b) = open.last() {
+        return Err(format!("truncated document: unclosed `{}`", b as char));
+    }
+    out.push_str(&doc[run..]);
+    Ok(())
 }
 
 /// Streams progress events for `job` until it reaches a terminal state,
@@ -441,8 +531,9 @@ fn result_payload(
 fn stream_until_done(
     service: &ServiceHandle,
     job: u64,
-    emit: &mut dyn FnMut(&Value) -> std::io::Result<()>,
+    sink: &mut Sink<'_>,
 ) -> std::io::Result<()> {
+    let mut emit = |value: &Value| sink(&encode(value));
     if let Some(core) = service.job(job) {
         let mut last_done = u64::MAX;
         loop {
@@ -480,5 +571,75 @@ fn stream_until_done(
             }
         }
     }
-    emit(&result_payload(service, job, service.result(job)))
+    sink(&result_line(service, job, service.result(job)))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn compact(doc: &str) -> Result<String, String> {
+        let mut out = String::new();
+        compact_into(doc, &mut out).map(|()| out)
+    }
+
+    #[test]
+    fn compaction_strips_whitespace_outside_strings_only() {
+        let doc = "{\n  \"a b\": [1, 2.5],\n  \"c\": \"x \\\" y\\\\\",\t\"d\": {}\r\n}\n";
+        assert_eq!(
+            compact(doc).unwrap(),
+            r#"{"a b":[1,2.5],"c":"x \" y\\","d":{}}"#
+        );
+        // A pretty report compacts to exactly what parse + compact encode
+        // gives, the construction the splice replaces.
+        let value = serde_json::from_str(doc).unwrap();
+        assert_eq!(compact(doc).unwrap(), encode(&value));
+        assert_eq!(compact(" \"s p\" ").unwrap(), "\"s p\"");
+    }
+
+    #[test]
+    fn compaction_rejects_truncated_documents() {
+        let doc = serde_json::to_string_pretty(&ok_response(vec![(
+            "points".into(),
+            Value::Array(vec![Value::UInt(1), Value::Str("two".into())]),
+        )]))
+        .unwrap();
+        for cut in 1..doc.len() {
+            if doc[..cut].trim().is_empty() {
+                continue;
+            }
+            assert!(compact(&doc[..cut]).is_err(), "accepted {:?}", &doc[..cut]);
+        }
+        assert!(compact(&doc).is_ok());
+        assert_eq!(compact("").unwrap_err(), "empty document");
+        assert_eq!(compact(" \n ").unwrap_err(), "empty document");
+    }
+
+    #[test]
+    fn compaction_rejects_unterminated_strings() {
+        for doc in ["{\"a\": \"open}", "\"abc", "[\"x\\\"]", "{\"k\\"] {
+            let err = compact(doc).unwrap_err();
+            assert!(err.contains("unterminated string"), "{doc:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn compaction_rejects_unbalanced_brackets() {
+        for doc in ["{\"a\": [1, 2}", "[1]]", "}", "{\"a\": 1]", "[[]"] {
+            assert!(compact(doc).is_err(), "accepted {doc:?}");
+        }
+        let err = compact("{} {}").unwrap_err();
+        assert!(err.contains("trailing characters"), "{err}");
+        // Brackets inside strings are text, not structure.
+        assert_eq!(compact("[\"]\", \"{\"]").unwrap(), r#"["]","{"]"#);
+    }
+
+    #[test]
+    fn corrupt_stored_report_yields_no_frame() {
+        assert!(result_frame(3, true, "{\"points\": [1, 2").is_err());
+        assert_eq!(
+            result_frame(3, true, "{\"points\": [1, 2]}\n").unwrap(),
+            r#"{"ok":true,"event":"result","job":3,"cached":true,"report":{"points":[1,2]}}"#
+        );
+    }
 }

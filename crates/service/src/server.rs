@@ -7,7 +7,7 @@
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 
-use crate::protocol::{dispatch, error_response, Outcome, MAX_LINE_BYTES};
+use crate::protocol::{dispatch, encode, error_response, Outcome, MAX_LINE_BYTES};
 use crate::service::ServiceHandle;
 
 /// One request line read from a connection.
@@ -46,14 +46,13 @@ fn read_bounded_line<R: Read>(reader: &mut BufReader<R>, max: usize) -> std::io:
     }
 }
 
-fn write_line(stream: &mut TcpStream, value: &serde::Value) -> std::io::Result<()> {
-    // `Value` serialization is infallible in practice; if it ever fails,
-    // surface an I/O error on this connection instead of panicking the
-    // connection thread.
-    let mut text = serde_json::to_string(value)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-    text.push('\n');
-    stream.write_all(text.as_bytes())?;
+fn write_line(stream: &mut TcpStream, line: &str) -> std::io::Result<()> {
+    // One write per frame: a separate newline write could sit behind
+    // Nagle's algorithm waiting for the peer's delayed ACK.
+    let mut frame = Vec::with_capacity(line.len() + 1);
+    frame.extend_from_slice(line.as_bytes());
+    frame.push(b'\n');
+    stream.write_all(&frame)?;
     stream.flush()
 }
 
@@ -69,10 +68,10 @@ fn handle_connection(service: ServiceHandle, stream: TcpStream, self_addr: std::
             Ok(Line::TooLong) => {
                 let _ = write_line(
                     &mut writer,
-                    &error_response(
+                    &encode(&error_response(
                         "line_too_long",
                         format!("request lines are capped at {MAX_LINE_BYTES} bytes"),
-                    ),
+                    )),
                 );
                 break; // the rest of the oversized line is unrecoverable
             }
@@ -81,7 +80,7 @@ fn handle_connection(service: ServiceHandle, stream: TcpStream, self_addr: std::
                     continue;
                 }
                 let outcome =
-                    dispatch(&service, &line, &mut |value| write_line(&mut writer, value));
+                    dispatch(&service, &line, &mut |frame| write_line(&mut writer, frame));
                 match outcome {
                     Ok(Outcome::Continue) => {}
                     Ok(Outcome::Shutdown) => {

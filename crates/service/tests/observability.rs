@@ -21,8 +21,8 @@ fn tiny_plan(seed: u64) -> SweepPlan {
 /// code path the TCP server runs) and returns the response lines.
 fn roundtrip(service: &ServiceHandle, line: &str) -> Vec<Value> {
     let mut out = Vec::new();
-    let outcome = dispatch(service, line, &mut |v| {
-        out.push(v.clone());
+    let outcome = dispatch(service, line, &mut |frame| {
+        out.push(serde_json::from_str(frame).expect("response lines are JSON"));
         Ok(())
     })
     .expect("in-memory sink never fails");

@@ -603,3 +603,106 @@ fn overloaded_reply_carries_a_retry_hint() {
     assert!(saw_overloaded, "the bounded queue never reported overload");
     shutdown(&addr, daemon);
 }
+
+/// Runs `{"cmd":"submit","wait":true}` through `dispatch` (the connection
+/// loop's code path, minus the socket) and returns the final frame.
+fn submit_wait_frame(service: &ServiceHandle, plan: &str) -> String {
+    let line = format!(r#"{{"cmd":"submit","plan":{plan},"wait":true}}"#);
+    let mut frames = Vec::new();
+    nvpim_service::protocol::dispatch(service, &line, &mut |frame| {
+        frames.push(frame.to_string());
+        Ok(())
+    })
+    .expect("in-memory sink never fails");
+    frames.pop().expect("a result frame")
+}
+
+/// The `result` frame splices the stored report in as compacted text. It
+/// must be byte-identical to the frame built by parsing the stored report
+/// and encoding it inside an `ok_response`, for every report shape the
+/// daemon serves and for both cold and cached jobs.
+#[test]
+fn spliced_result_frames_match_the_parse_and_encode_construction() {
+    use nvpim_service::protocol::ok_response;
+
+    let service = ServiceHandle::start(ServiceConfig {
+        workers: 2,
+        ..Default::default()
+    });
+    // Two seeds per point keep the mnist inference trials cheap in debug
+    // builds; the report shape (schema_version 3, accuracy blocks) is the
+    // same at any seed count.
+    let mut accuracy = SweepPlan::accuracy_quick();
+    accuracy.seeds_per_point = 2;
+    for plan in [
+        "\"quick\"".to_string(),
+        "\"paper_scale\"".to_string(),
+        accuracy.canonical_json(),
+    ] {
+        for cached in [false, true] {
+            let frame = submit_wait_frame(&service, &plan);
+            let parsed: Value = serde_json::from_str(&frame).expect("frame is JSON");
+            assert_eq!(parsed.get("cached").and_then(Value::as_bool), Some(cached));
+            let job = parsed.get("job").and_then(Value::as_u64).expect("job id");
+            let stored = service.result(job).expect("stored report");
+            let expected = ok_response(vec![
+                ("event".into(), Value::Str("result".into())),
+                ("job".into(), Value::UInt(job)),
+                ("cached".into(), Value::Bool(cached)),
+                (
+                    "report".into(),
+                    serde_json::from_str(&stored).expect("stored report parses"),
+                ),
+            ]);
+            assert_eq!(
+                frame,
+                serde_json::to_string(&expected).expect("encode"),
+                "frame for plan {plan} (cached: {cached})"
+            );
+        }
+    }
+    service.shutdown();
+}
+
+/// `Client::recv` frames by newline only: a large frame dribbled in one
+/// byte per write decodes whole, two frames in one write decode as two,
+/// and the byte counter sees exactly what the peer wrote.
+#[test]
+fn client_recv_reassembles_dribbled_and_coalesced_frames() {
+    use std::io::Write;
+
+    let big = format!(
+        r#"{{"ok":true,"blob":"{}","tail":[1,2,3]}}"#,
+        "x\u{e9}".repeat(200_000 / 3)
+    ) + "\n";
+    let pair = "{\"ok\":true,\"n\":1}\n{\"ok\":false,\"n\":2}\n".to_string();
+    let written = (big.len() + pair.len()) as u64;
+    assert!(big.len() > 195_000);
+
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let addr = listener.local_addr().expect("local addr").to_string();
+    let peer = {
+        let (big, pair) = (big.clone(), pair.clone());
+        std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().expect("accept");
+            stream.set_nodelay(true).expect("nodelay");
+            for byte in big.as_bytes() {
+                stream
+                    .write_all(std::slice::from_ref(byte))
+                    .expect("write byte");
+            }
+            stream.write_all(pair.as_bytes()).expect("write pair");
+        })
+    };
+
+    let mut client = Client::connect(&addr).expect("connect");
+    let first = client.recv().expect("recv").expect("big frame");
+    assert_eq!(first, serde_json::from_str(big.trim_end()).unwrap());
+    let second = client.recv().expect("recv").expect("first of pair");
+    assert_eq!(second.get("n").and_then(Value::as_u64), Some(1));
+    let third = client.recv().expect("recv").expect("second of pair");
+    assert_eq!(third.get("n").and_then(Value::as_u64), Some(2));
+    peer.join().expect("peer thread");
+    assert!(client.recv().expect("clean eof").is_none());
+    assert_eq!(client.bytes_received(), written);
+}

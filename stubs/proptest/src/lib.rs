@@ -90,7 +90,7 @@ impl Strategy for Range<f64> {
 #[derive(Debug, Clone, Copy)]
 pub struct AnyStrategy<T>(PhantomData<T>);
 
-/// Generates arbitrary values of `T` (bools and small integers here).
+/// Generates arbitrary values of `T` (bools, integers and chars here).
 pub fn any<T>() -> AnyStrategy<T> {
     AnyStrategy(PhantomData)
 }
@@ -99,6 +99,24 @@ impl Strategy for AnyStrategy<bool> {
     type Value = bool;
     fn generate(&self, rng: &mut TestRng) -> bool {
         rng.next_u64() & 1 == 1
+    }
+}
+
+impl Strategy for AnyStrategy<char> {
+    type Value = char;
+    /// Draws evenly from the four UTF-8 encoding widths, so ASCII control
+    /// characters and 2-, 3- and 4-byte scalars all turn up often.
+    fn generate(&self, rng: &mut TestRng) -> char {
+        let bits = rng.next_u64();
+        let (lo, hi) = match bits & 3 {
+            0 => (0, 0x80),
+            1 => (0x80, 0x800),
+            2 => (0x800, 0x1_0000),
+            _ => (0x1_0000, 0x11_0000),
+        };
+        let code = (lo + (bits >> 2) % (hi - lo)) as u32;
+        // Surrogate code points are not chars.
+        char::from_u32(code).unwrap_or('\u{fffd}')
     }
 }
 

@@ -262,14 +262,19 @@ impl Parser<'_> {
                     return Err(Error::parse(self.pos, "control character in string"))
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so the
-                    // byte sequence is valid UTF-8 by construction).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| Error::parse(self.pos, "invalid UTF-8"))?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Consume the maximal run of plain bytes in one step.
+                    // The run ends at an ASCII byte (or the end of input),
+                    // never inside a multi-byte scalar, so the run of a
+                    // valid &str is itself valid UTF-8.
+                    let start = self.pos;
+                    let run = self.bytes[start..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                        .unwrap_or(self.bytes.len() - start);
+                    self.pos += run;
+                    let text = std::str::from_utf8(&self.bytes[start..self.pos])
+                        .map_err(|_| Error::parse(start, "invalid UTF-8"))?;
+                    out.push_str(text);
                 }
             }
         }
