@@ -4,7 +4,7 @@
 //! nvpim-serviced [--addr HOST:PORT] [--workers N] [--queue-capacity N] [--chunk-trials N]
 //!                [--backend scalar|sliced] [--log-json PATH] [--state-dir DIR]
 //!                [--max-job-retries N] [--retry-backoff-ms N] [--journal-fsync-every N]
-//!                [--shutdown-grace-ms N]
+//!                [--shutdown-grace-ms N] [--max-trials-per-job N]
 //! ```
 //!
 //! Binds the address (default `127.0.0.1:7171`; use port `0` for an
@@ -36,12 +36,14 @@ fn main() {
             "nvpim-serviced [--addr HOST:PORT] [--workers N] [--queue-capacity N] \
              [--chunk-trials N] [--backend scalar|sliced] [--log-json PATH] \
              [--state-dir DIR] [--max-job-retries N] [--retry-backoff-ms N] \
-             [--journal-fsync-every N] [--shutdown-grace-ms N]\n\n  \
+             [--journal-fsync-every N] [--shutdown-grace-ms N] [--max-trials-per-job N]\n\n  \
              --log-json PATH         append one NDJSON event per job transition/chunk to PATH\n  \
              --state-dir DIR         durable journal + report store; recover jobs on restart\n  \
              --max-job-retries N     re-run a panicking campaign up to N times (default 2)\n  \
              --retry-backoff-ms N    base delay before a retry, doubled each attempt (default 50)\n  \
              --journal-fsync-every N fsync the journal every N records; 0 = never (default 1)\n  \
+             --max-trials-per-job N  reject plans (and shard ranges) over N trials with\n                          \
+             `plan_too_large` (default 10000000000)\n  \
              --shutdown-grace-ms N   graceful drain: shutdown checkpoints in-flight jobs at a\n                          \
              chunk boundary and exits within ~N ms, leaving queued and\n                          \
              in-flight jobs in the journal for restart resume (default:\n                          \
@@ -64,6 +66,11 @@ fn main() {
         workers: numeric_arg(&args, "--workers", defaults.workers),
         queue_capacity: numeric_arg(&args, "--queue-capacity", defaults.queue_capacity),
         chunk_trials: numeric_arg(&args, "--chunk-trials", defaults.chunk_trials),
+        max_trials_per_job: numeric_arg(
+            &args,
+            "--max-trials-per-job",
+            defaults.max_trials_per_job as usize,
+        ) as u64,
         backend,
         log_json,
         state_dir,

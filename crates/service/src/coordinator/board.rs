@@ -1,61 +1,58 @@
 //! The shard board: the coordinator's single source of truth for which
-//! trial ranges are pending, running, finished, or abandoned.
+//! trial ranges are pending, running, finished, or abandoned — and for the
+//! merged per-point tallies of every trial streamed so far.
 //!
-//! Worker agents *claim* pending shards, *complete* them with their full
-//! outcome list, or *requeue* them (carrying the outcome prefix already
-//! streamed, so the next owner resumes instead of recomputing). The board
-//! is a plain `Mutex` + `Condvar` pair: claims block until a shard is
-//! schedulable, a backoff deadline passes, or the fleet aborts.
+//! Worker agents *claim* pending shards, *checkpoint* every streamed
+//! chunk's tallies into the board, and *complete* or *requeue* their
+//! shard. Tallies merge in any order, so a checkpoint is final the moment
+//! it lands: a requeued shard keeps its checkpointed prefix, and its next
+//! owner runs only the rest of the range. The board is a plain `Mutex` +
+//! `Condvar` pair: claims block until a shard is schedulable, a backoff
+//! deadline passes, or the fleet aborts.
 
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use nvpim_sweep::TrialOutcome;
+use nvpim_sweep::Tallies;
 
-/// One contiguous shard of the flat plan-ordered trial list.
+/// One contiguous shard of the plan-ordered trial list.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardSpec {
-    /// Shard index (its position in [`nvpim_sweep::shard_ranges`] order —
-    /// also the splice position at merge time).
+    /// Shard index (its position in [`nvpim_sweep::shard_ranges`] order).
     pub index: usize,
-    /// First trial (inclusive) in the flat trial list.
+    /// First trial (inclusive) in the plan-ordered trial list.
     pub start: u64,
     /// One past the last trial of the shard.
     pub end: u64,
 }
 
-impl ShardSpec {
-    /// Number of trials in the shard (`shard_ranges` never produces an
-    /// empty one).
-    pub fn len(&self) -> u64 {
-        self.end - self.start
-    }
-}
-
-/// A claimed shard: the range plus the outcome prefix earlier attempts
-/// already computed (possibly empty) and how many times the shard has
-/// been re-assigned so far.
+/// A claimed shard: the range, how many of its leading trials earlier
+/// attempts already checkpointed (possibly zero), and how many times the
+/// shard has been re-assigned so far.
 #[derive(Debug)]
 pub(crate) struct Claim {
     pub spec: ShardSpec,
-    pub resume: Vec<TrialOutcome>,
+    pub done: u64,
     pub attempts: u32,
+}
+
+impl Claim {
+    /// The trials still to run: the shard's range past its checkpointed
+    /// prefix.
+    pub fn remaining(&self) -> (u64, u64) {
+        (self.spec.start + self.done, self.spec.end)
+    }
 }
 
 /// Scheduling state of one shard.
 enum Slot {
-    /// Waiting for a worker. Carries the durable outcome prefix so a
-    /// re-assignment never recomputes checkpointed chunks, and a
-    /// `not_before` deadline implementing jittered re-try backoff.
-    Pending {
-        resume: Vec<TrialOutcome>,
-        attempts: u32,
-        not_before: Instant,
-    },
+    /// Waiting for a worker, not before a deadline implementing jittered
+    /// re-try backoff.
+    Pending { attempts: u32, not_before: Instant },
     /// Claimed by a live worker agent.
     Running,
-    /// All `end - start` outcomes collected.
-    Done(Vec<TrialOutcome>),
+    /// Every trial of the shard is checkpointed.
+    Done,
 }
 
 /// Why the fleet gave up before every shard completed.
@@ -73,6 +70,11 @@ pub(crate) enum Abort {
 
 struct State {
     slots: Vec<Slot>,
+    /// Trials of each shard whose tallies are merged: its checkpointed
+    /// prefix.
+    done: Vec<u64>,
+    /// Tallies of every checkpointed chunk, all shards merged.
+    tallies: Tallies,
     /// Worker agents still scheduling; when this reaches zero with
     /// unfinished shards the fleet aborts rather than hanging.
     live_workers: usize,
@@ -83,31 +85,42 @@ struct State {
 
 pub(crate) struct Board {
     specs: Vec<ShardSpec>,
+    seeds_per_point: u64,
     state: Mutex<State>,
     wake: Condvar,
 }
 
 impl Board {
-    pub fn new(specs: Vec<ShardSpec>, workers: usize) -> Self {
+    /// A board over `specs` of a campaign with `seeds_per_point` trials per
+    /// point, served by `workers` agents.
+    pub fn new(specs: Vec<ShardSpec>, workers: usize, seeds_per_point: u64) -> Self {
         let now = Instant::now();
         let slots = specs
             .iter()
             .map(|_| Slot::Pending {
-                resume: Vec::new(),
                 attempts: 0,
                 not_before: now,
             })
             .collect();
         Self {
-            specs,
             state: Mutex::new(State {
                 slots,
+                done: vec![0; specs.len()],
+                tallies: Tallies::new(),
                 live_workers: workers,
                 reassigned: 0,
                 abort: None,
             }),
+            specs,
+            seeds_per_point,
             wake: Condvar::new(),
         }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
     /// Blocks until a shard is claimable and claims it, or returns `None`
@@ -115,15 +128,12 @@ impl Board {
     /// fleet aborted). Shards whose backoff deadline is in the future are
     /// waited out, not skipped forever.
     pub fn claim(&self) -> Option<Claim> {
-        let mut state = self
-            .state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut state = self.lock();
         loop {
             if state.abort.is_some() {
                 return None;
             }
-            if state.slots.iter().all(|slot| matches!(slot, Slot::Done(_))) {
+            if state.slots.iter().all(|slot| matches!(slot, Slot::Done)) {
                 return None;
             }
             let now = Instant::now();
@@ -143,15 +153,12 @@ impl Board {
             }
             if let Some(index) = claimable {
                 let slot = std::mem::replace(&mut state.slots[index], Slot::Running);
-                let Slot::Pending {
-                    resume, attempts, ..
-                } = slot
-                else {
+                let Slot::Pending { attempts, .. } = slot else {
                     unreachable!("claimable slot is pending by construction");
                 };
                 return Some(Claim {
                     spec: self.specs[index],
-                    resume,
+                    done: state.done[index],
                     attempts,
                 });
             }
@@ -176,19 +183,41 @@ impl Board {
         }
     }
 
-    /// Records a finished shard.
-    pub fn complete(&self, index: usize, outcomes: Vec<TrialOutcome>) {
-        let mut state = self
-            .state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        state.slots[index] = Slot::Done(outcomes);
+    /// Merges one streamed chunk of shard `index`: `tallies` must hold
+    /// exactly the shard's next trials after its checkpointed prefix.
+    ///
+    /// # Errors
+    ///
+    /// A description of the mismatch; nothing is merged then.
+    pub fn checkpoint(&self, index: usize, tallies: &Tallies) -> Result<(), String> {
+        let spec = self.specs[index];
+        let mut state = self.lock();
+        let start = spec.start + state.done[index];
+        let end = start.saturating_add(tallies.trials());
+        if end > spec.end || !tallies.covers_range(start, end, self.seeds_per_point) {
+            return Err(format!(
+                "chunk tallies are not those of shard trials {start}..{end}"
+            ));
+        }
+        state.tallies.merge(tallies);
+        state.done[index] = end - spec.start;
+        Ok(())
+    }
+
+    /// Records a finished shard: every trial of it is checkpointed.
+    pub fn complete(&self, index: usize) {
+        let mut state = self.lock();
+        debug_assert_eq!(
+            state.done[index],
+            self.specs[index].end - self.specs[index].start
+        );
+        state.slots[index] = Slot::Done;
         drop(state);
         self.wake.notify_all();
     }
 
     /// Returns a claimed shard to the pending pool so another worker can
-    /// pick it up, keeping the durable outcome prefix. `attempts` is the
+    /// pick it up; its checkpointed prefix stays merged. `attempts` is the
     /// shard's new attempt count; exceeding `max_attempts` aborts the
     /// whole fleet (the shard is failing everywhere). Every successful
     /// requeue counts as one re-assignment; returns whether the shard was
@@ -196,16 +225,12 @@ impl Board {
     pub fn requeue(
         &self,
         index: usize,
-        resume: Vec<TrialOutcome>,
         attempts: u32,
         max_attempts: u32,
         backoff: Duration,
         last_error: &str,
     ) -> bool {
-        let mut state = self
-            .state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut state = self.lock();
         let requeued = if attempts > max_attempts {
             if state.abort.is_none() {
                 state.abort = Some(Abort::ShardExhausted {
@@ -217,7 +242,6 @@ impl Board {
             false
         } else {
             state.slots[index] = Slot::Pending {
-                resume,
                 attempts,
                 not_before: Instant::now() + backoff,
             };
@@ -233,16 +257,13 @@ impl Board {
     /// of work). If it was the last one and shards are still unfinished,
     /// the fleet aborts instead of waiting forever.
     pub fn worker_gone(&self) {
-        let mut state = self
-            .state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut state = self.lock();
         state.live_workers = state.live_workers.saturating_sub(1);
         if state.live_workers == 0 && state.abort.is_none() {
             let unfinished = state
                 .slots
                 .iter()
-                .filter(|slot| !matches!(slot, Slot::Done(_)))
+                .filter(|slot| !matches!(slot, Slot::Done))
                 .count();
             if unfinished > 0 {
                 state.abort = Some(Abort::WorkersExhausted { unfinished });
@@ -254,15 +275,12 @@ impl Board {
 
     /// Lifetime re-assignment count.
     pub fn reassigned(&self) -> u64 {
-        self.state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .reassigned
+        self.lock().reassigned
     }
 
-    /// Consumes the board: every shard's outcomes in shard order, or the
-    /// abort reason.
-    pub fn finish(self) -> Result<Vec<Vec<TrialOutcome>>, Abort> {
+    /// Consumes the board: the merged tallies of every shard, or the abort
+    /// reason.
+    pub fn finish(self) -> Result<Tallies, Abort> {
         let state = self
             .state
             .into_inner()
@@ -270,26 +288,27 @@ impl Board {
         if let Some(abort) = state.abort {
             return Err(abort);
         }
-        let mut shards = Vec::with_capacity(state.slots.len());
-        for (index, slot) in state.slots.into_iter().enumerate() {
-            match slot {
-                Slot::Done(outcomes) => shards.push(outcomes),
-                _ => {
-                    // Workers only exit after `claim` returns `None`,
-                    // which requires all-done or an abort.
-                    return Err(Abort::WorkersExhausted {
-                        unfinished: index + 1,
-                    });
-                }
-            }
+        let unfinished = state
+            .slots
+            .iter()
+            .filter(|slot| !matches!(slot, Slot::Done))
+            .count();
+        if unfinished > 0 {
+            // Workers only exit after `claim` returns `None`, which
+            // requires all-done or an abort.
+            return Err(Abort::WorkersExhausted { unfinished });
         }
-        Ok(shards)
+        Ok(state.tallies)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nvpim_sweep::PointTally;
+
+    /// Three trials per point in every test board.
+    const SPP: u64 = 3;
 
     fn specs(ranges: &[(u64, u64)]) -> Vec<ShardSpec> {
         ranges
@@ -299,42 +318,47 @@ mod tests {
             .collect()
     }
 
-    fn outcome() -> TrialOutcome {
-        TrialOutcome {
-            faults_injected: 1,
-            checks: 2,
-            errors_detected: 0,
-            corrections_written_back: 0,
-            uncorrectable: 0,
-            wrong_output_bits: 0,
-            exec_error: None,
-            correct: None,
+    /// Tallies of the plan-ordered trials `start .. end`, one fault each.
+    fn range(start: u64, end: u64) -> Tallies {
+        let mut tallies = Tallies::new();
+        for trial in start..end {
+            tallies.add(
+                (trial / SPP) as usize,
+                &PointTally {
+                    trials: 1,
+                    faults_injected: 1,
+                    ..PointTally::default()
+                },
+            );
         }
+        tallies
     }
 
     #[test]
     fn claims_serve_shards_once_and_finish_in_order() {
-        let board = Board::new(specs(&[(0, 3), (3, 5)]), 1);
+        let board = Board::new(specs(&[(0, 3), (3, 5)]), 1, SPP);
         let first = board.claim().expect("first shard claimable");
         assert_eq!(first.spec.start, 0);
         assert_eq!(first.attempts, 0);
         let second = board.claim().expect("second shard claimable");
         assert_eq!(second.spec.start, 3);
-        board.complete(second.spec.index, vec![outcome(), outcome()]);
-        board.complete(first.spec.index, vec![outcome(); 3]);
+        board.checkpoint(1, &range(3, 5)).unwrap();
+        board.complete(second.spec.index);
+        board.checkpoint(0, &range(0, 3)).unwrap();
+        board.complete(first.spec.index);
         assert!(board.claim().is_none(), "no third shard");
-        let shards = board.finish().expect("no abort");
-        assert_eq!(shards[0].len(), 3);
-        assert_eq!(shards[1].len(), 2);
+        let merged = board.finish().expect("no abort");
+        assert_eq!(merged, range(0, 5));
+        assert!(merged.covers_range(0, 5, SPP));
     }
 
     #[test]
     fn requeue_preserves_the_resume_prefix_and_counts_reassignments() {
-        let board = Board::new(specs(&[(0, 4)]), 2);
+        let board = Board::new(specs(&[(0, 4)]), 2, SPP);
         let claim = board.claim().expect("claimable");
+        board.checkpoint(0, &range(0, 2)).unwrap();
         board.requeue(
             claim.spec.index,
-            vec![outcome(), outcome()],
             claim.attempts + 1,
             8,
             Duration::ZERO,
@@ -342,24 +366,33 @@ mod tests {
         );
         assert_eq!(board.reassigned(), 1);
         let again = board.claim().expect("requeued shard claimable");
-        assert_eq!(again.resume.len(), 2, "durable prefix survives hand-off");
+        assert_eq!(again.done, 2, "durable prefix survives hand-off");
+        assert_eq!(again.remaining(), (2, 4));
         assert_eq!(again.attempts, 1);
-        board.complete(0, vec![outcome(); 4]);
-        assert!(board.finish().is_ok());
+        board.checkpoint(0, &range(2, 4)).unwrap();
+        board.complete(0);
+        assert_eq!(board.finish().unwrap(), range(0, 4));
+    }
+
+    #[test]
+    fn checkpoints_out_of_sequence_are_refused() {
+        let board = Board::new(specs(&[(0, 4), (4, 6)]), 1, SPP);
+        board.claim().expect("claimable");
+        // Skips the shard's first two trials (into the next point).
+        assert!(board.checkpoint(0, &range(2, 4)).is_err());
+        // Runs past the shard's end.
+        assert!(board.checkpoint(0, &range(0, 5)).is_err());
+        board.checkpoint(0, &range(0, 2)).unwrap();
+        // A replay of the same chunk no longer lines up.
+        assert!(board.checkpoint(0, &range(0, 2)).is_err());
+        board.checkpoint(0, &range(2, 4)).unwrap();
     }
 
     #[test]
     fn exceeding_the_reassignment_budget_aborts_the_fleet() {
-        let board = Board::new(specs(&[(0, 2)]), 1);
+        let board = Board::new(specs(&[(0, 2)]), 1, SPP);
         let claim = board.claim().expect("claimable");
-        board.requeue(
-            claim.spec.index,
-            Vec::new(),
-            3,
-            2,
-            Duration::ZERO,
-            "persistent failure",
-        );
+        board.requeue(claim.spec.index, 3, 2, Duration::ZERO, "persistent failure");
         assert!(board.claim().is_none(), "abort stops scheduling");
         match board.finish() {
             Err(Abort::ShardExhausted {
@@ -377,8 +410,9 @@ mod tests {
 
     #[test]
     fn last_worker_leaving_with_unfinished_shards_aborts() {
-        let board = Board::new(specs(&[(0, 2), (2, 4)]), 2);
-        board.complete(0, vec![outcome(); 2]);
+        let board = Board::new(specs(&[(0, 2), (2, 4)]), 2, SPP);
+        board.checkpoint(0, &range(0, 2)).unwrap();
+        board.complete(0);
         board.worker_gone();
         board.worker_gone();
         assert!(board.claim().is_none());
@@ -390,11 +424,10 @@ mod tests {
 
     #[test]
     fn backoff_deadline_delays_but_does_not_drop_a_shard() {
-        let board = Board::new(specs(&[(0, 1)]), 1);
+        let board = Board::new(specs(&[(0, 1)]), 1, SPP);
         let claim = board.claim().expect("claimable");
         board.requeue(
             claim.spec.index,
-            Vec::new(),
             1,
             8,
             Duration::from_millis(30),

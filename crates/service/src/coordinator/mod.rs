@@ -1,13 +1,14 @@
 //! The fleet coordinator: one campaign, many daemons, zero recompute on
 //! failure.
 //!
-//! [`run_fleet`] cuts a plan's flat plan-ordered trial list into
-//! contiguous shards ([`nvpim_sweep::shard_ranges`]) and drives them
-//! across a fleet of `nvpim-serviced` workers over the NDJSON protocol's
-//! `ping`/`run_shard` commands. Chunk-invariance makes this legal: every
-//! trial outcome is a pure function of `(point, campaign seed, trial
-//! index)`, so outcomes computed anywhere splice back into one list whose
-//! aggregated report is byte-identical to a single-daemon run.
+//! [`run_fleet`] cuts a plan's plan-ordered trial list into contiguous
+//! shards ([`nvpim_sweep::shard_ranges`]) and drives them across a fleet of
+//! `nvpim-serviced` workers over the NDJSON protocol's `ping`/`run_shard`
+//! commands. Chunk-invariance makes this legal: every trial outcome is a
+//! pure function of `(point, campaign seed, trial index)`, and workers
+//! stream per-point tallies, which merge in any order into the tallies of
+//! the whole campaign — whose report is byte-identical to a single-daemon
+//! run.
 //!
 //! The failure model (see `docs/robustness.md`):
 //!
@@ -17,15 +18,16 @@
 //!   wedged daemon surfaces as a timeout, not a hang.
 //! * **Shard leases.** A claimed shard belongs to its worker until the
 //!   worker completes it, misses its deadline, disconnects, or drains.
-//!   On failure the shard returns to the pending pool carrying every
-//!   outcome already streamed, so the next owner resumes from the last
-//!   chunk checkpoint instead of recomputing.
+//!   Every streamed chunk's tallies are merged as they arrive; on failure
+//!   the shard returns to the pending pool and its next owner runs only
+//!   the trials after the last chunk checkpoint.
 //! * **Bounded retry.** Re-assignments back off with jittered exponential
 //!   delay and are bounded per shard; a shard failing everywhere aborts
 //!   the fleet rather than looping forever.
 //! * **Degraded merge.** Losing workers shrinks throughput, never
-//!   correctness: the merge re-aggregates the spliced outcome list
-//!   locally, and fails loudly if any trial is missing.
+//!   correctness: every chunk is checked against the trials it must cover
+//!   before it is merged, the merged tallies are aggregated locally, and
+//!   the merge fails loudly if any trial is missing.
 
 mod board;
 mod worker;
@@ -102,8 +104,8 @@ pub enum FleetError {
         /// Shards not yet completed when the last worker left.
         unfinished: usize,
     },
-    /// The spliced outcome list failed to merge (a coordinator bug —
-    /// chunk-invariance means a complete splice always aggregates).
+    /// The merged tallies failed to aggregate (a coordinator bug —
+    /// chunk-invariance means complete tallies always aggregate).
     Merge(SweepError),
 }
 
@@ -138,8 +140,8 @@ pub struct WorkerStats {
     pub addr: String,
     /// Shards this worker ran to completion.
     pub shards_completed: u64,
-    /// Newly computed trials streamed by this worker (resume prefixes and
-    /// recomputed work excluded — these are trials it actually ran).
+    /// Trials whose tallies this worker streamed and the coordinator
+    /// merged (trials other attempts checkpointed are never re-run).
     pub trials_computed: u64,
     /// Bytes written to this worker across all connections.
     pub bytes_sent: u64,
@@ -250,7 +252,7 @@ pub fn run_fleet(
         .map(|(index, (start, end))| ShardSpec { index, start, end })
         .collect();
     let shards_total = specs.len() as u64;
-    let board = Board::new(specs, cfg.workers.len());
+    let board = Board::new(specs, cfg.workers.len(), plan.seeds_per_point);
     let plan_json = plan.to_json();
 
     let worker_stats: Vec<WorkerStats> = std::thread::scope(|scope| {
@@ -297,7 +299,7 @@ pub fn run_fleet(
         );
     }
 
-    let shards = board.finish().map_err(|abort| match abort {
+    let tallies = board.finish().map_err(|abort| match abort {
         Abort::ShardExhausted {
             shard,
             attempts,
@@ -309,12 +311,8 @@ pub fn run_fleet(
         },
         Abort::WorkersExhausted { unfinished } => FleetError::WorkersExhausted { unfinished },
     })?;
-    let mut all = Vec::with_capacity(prepared.trial_count() as usize);
-    for shard in shards {
-        all.extend(shard);
-    }
     let report = prepared
-        .report_from_outcomes(&all)
+        .report_from_tallies(&tallies)
         .map_err(FleetError::Merge)?;
     Ok(FleetOutcome { report, stats })
 }
@@ -360,82 +358,70 @@ fn worker_loop(
         };
         let spec = claim.spec;
         let attempts = claim.attempts;
-        let resumed = claim.resume.len() as u64;
         let started = Instant::now();
-        let end = link.run_shard(plan_json, spec, cfg.chunk_trials, claim.resume);
+        let end = link.run_shard(
+            plan_json,
+            claim.remaining(),
+            cfg.chunk_trials,
+            &mut |tallies| {
+                board.checkpoint(spec.index, tallies)?;
+                stats.trials_computed += tallies.trials();
+                Ok(())
+            },
+        );
         busy += started.elapsed();
-        match end {
-            AttemptEnd::Completed(outcomes) => {
-                stats.trials_computed += outcomes.len() as u64 - resumed;
+        let (next_attempts, backoff, why) = match end {
+            AttemptEnd::Completed => {
                 stats.shards_completed += 1;
-                board.complete(spec.index, outcomes);
+                board.complete(spec.index);
+                continue;
             }
-            AttemptEnd::Draining(prefix) => {
-                // Unschedulable, not dead: hand the shard off with its
-                // checkpointed prefix and stop scheduling here, without
-                // an eviction or a retry penalty.
-                stats.trials_computed += prefix.len() as u64 - resumed;
+            // Unschedulable, not dead: hand the shard off and stop
+            // scheduling here, without an eviction or a retry penalty.
+            AttemptEnd::Draining => {
                 stats.drained = true;
-                if board.requeue(
-                    spec.index,
-                    prefix,
-                    attempts,
-                    cfg.max_shard_reassignments,
-                    Duration::ZERO,
-                    "worker draining",
-                ) {
-                    telemetry.add(Counter::ShardsReassigned, 1);
-                }
-                break;
+                (attempts, Duration::ZERO, "worker draining".to_string())
             }
-            AttemptEnd::HeartbeatMiss(prefix) => {
-                stats.trials_computed += prefix.len() as u64 - resumed;
+            AttemptEnd::HeartbeatMiss => {
                 stats.heartbeat_misses += 1;
                 telemetry.add(Counter::HeartbeatMisses, 1);
                 evict(&mut stats, telemetry);
-                if board.requeue(
-                    spec.index,
-                    prefix,
+                let why = "heartbeat deadline missed".to_string();
+                (
                     attempts + 1,
-                    cfg.max_shard_reassignments,
                     jittered_backoff(cfg.retry_backoff_ms, attempts),
-                    "heartbeat deadline missed",
-                ) {
-                    telemetry.add(Counter::ShardsReassigned, 1);
-                }
-                break;
+                    why,
+                )
             }
-            AttemptEnd::Disconnect(prefix) => {
-                stats.trials_computed += prefix.len() as u64 - resumed;
+            AttemptEnd::Disconnect => {
                 evict(&mut stats, telemetry);
-                if board.requeue(
-                    spec.index,
-                    prefix,
+                let why = "worker disconnected".to_string();
+                (
                     attempts + 1,
-                    cfg.max_shard_reassignments,
                     jittered_backoff(cfg.retry_backoff_ms, attempts),
-                    "worker disconnected",
-                ) {
-                    telemetry.add(Counter::ShardsReassigned, 1);
-                }
-                break;
+                    why,
+                )
             }
-            AttemptEnd::Rejected(prefix, why) => {
-                // The worker answered coherently — the shard request
-                // itself failed. Requeue with a penalty but keep the
-                // worker in the pool.
-                stats.trials_computed += prefix.len() as u64 - resumed;
-                if board.requeue(
-                    spec.index,
-                    prefix,
-                    attempts + 1,
-                    cfg.max_shard_reassignments,
-                    jittered_backoff(cfg.retry_backoff_ms, attempts),
-                    &why,
-                ) {
-                    telemetry.add(Counter::ShardsReassigned, 1);
-                }
-            }
+            // The worker answered coherently — the shard request itself
+            // failed. Requeue with a penalty but keep the worker in the
+            // pool.
+            AttemptEnd::Rejected(why) => (
+                attempts + 1,
+                jittered_backoff(cfg.retry_backoff_ms, attempts),
+                why,
+            ),
+        };
+        if board.requeue(
+            spec.index,
+            next_attempts,
+            cfg.max_shard_reassignments,
+            backoff,
+            &why,
+        ) {
+            telemetry.add(Counter::ShardsReassigned, 1);
+        }
+        if stats.drained || stats.evicted {
+            break;
         }
     }
     board.worker_gone();

@@ -11,12 +11,11 @@
 use std::io::ErrorKind;
 use std::time::Duration;
 
-use serde::{Serialize, Value};
+use serde::Value;
 
-use super::board::ShardSpec;
 use crate::client::{request, Client};
 
-use nvpim_sweep::TrialOutcome;
+use nvpim_sweep::Tallies;
 
 /// Result of a health-check ping.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,21 +30,21 @@ pub(crate) enum Ping {
     Unreachable,
 }
 
-/// How one shard attempt ended. Every variant carries the outcomes
-/// accumulated so far (the resume prefix plus every streamed chunk), so a
-/// failed attempt hands its durable progress to the next owner.
+/// How one shard attempt ended. Every chunk streamed before the end is
+/// already checkpointed through the attempt's chunk callback, so a failed
+/// attempt loses nothing it reported.
 #[derive(Debug)]
 pub(crate) enum AttemptEnd {
-    /// `shard_done` observed with a complete outcome list.
-    Completed(Vec<TrialOutcome>),
+    /// `shard_done` observed after every trial of the range streamed.
+    Completed,
     /// The daemon began draining mid-shard: it checkpointed and bowed out.
-    Draining(Vec<TrialOutcome>),
+    Draining,
     /// No chunk arrived within the heartbeat deadline.
-    HeartbeatMiss(Vec<TrialOutcome>),
+    HeartbeatMiss,
     /// The connection died mid-stream (or could not be established).
-    Disconnect(Vec<TrialOutcome>),
+    Disconnect,
     /// The daemon answered with a structured error or a malformed stream.
-    Rejected(Vec<TrialOutcome>, String),
+    Rejected(String),
 }
 
 /// A lazily connected client for one worker address, with lifetime byte
@@ -133,53 +132,51 @@ impl WorkerLink {
         }
     }
 
-    /// Runs one shard attempt, streaming chunk checkpoints into the
-    /// returned outcome list. `resume` is the durable prefix from earlier
-    /// attempts; the daemon computes only the remainder.
+    /// Runs trials `start .. end` as one shard attempt, handing every
+    /// streamed chunk's tallies to `on_chunk` (the checkpoint). A chunk
+    /// `on_chunk` refuses ends the attempt as a rejection.
     pub fn run_shard(
         &mut self,
         plan_json: &Value,
-        spec: ShardSpec,
+        (start, end): (u64, u64),
         chunk_trials: usize,
-        resume: Vec<TrialOutcome>,
+        on_chunk: &mut dyn FnMut(&Tallies) -> Result<(), String>,
     ) -> AttemptEnd {
-        let resume_json: Vec<Value> = resume.iter().map(|o| o.to_json()).collect();
         let req = request(
             "run_shard",
             vec![
                 ("plan".into(), plan_json.clone()),
-                ("start".into(), Value::UInt(spec.start)),
-                ("end".into(), Value::UInt(spec.end)),
+                ("start".into(), Value::UInt(start)),
+                ("end".into(), Value::UInt(end)),
                 ("chunk_trials".into(), Value::UInt(chunk_trials as u64)),
-                ("resume".into(), Value::Array(resume_json)),
             ],
         );
-        let mut collected = resume;
         let client = match self.client() {
             Ok(client) => client,
             Err(_) => {
                 self.drop_client();
-                return AttemptEnd::Disconnect(collected);
+                return AttemptEnd::Disconnect;
             }
         };
         if client.send(&req).is_err() {
             self.drop_client();
-            return AttemptEnd::Disconnect(collected);
+            return AttemptEnd::Disconnect;
         }
+        let mut streamed = 0u64;
         loop {
             let line = match client.recv() {
                 Ok(Some(line)) => line,
                 Ok(None) => {
                     self.drop_client();
-                    return AttemptEnd::Disconnect(collected);
+                    return AttemptEnd::Disconnect;
                 }
                 Err(err) if is_timeout(&err) => {
                     self.drop_client();
-                    return AttemptEnd::HeartbeatMiss(collected);
+                    return AttemptEnd::HeartbeatMiss;
                 }
                 Err(_) => {
                     self.drop_client();
-                    return AttemptEnd::Disconnect(collected);
+                    return AttemptEnd::Disconnect;
                 }
             };
             if line.get("ok").and_then(Value::as_bool) == Some(false) {
@@ -187,49 +184,44 @@ impl WorkerLink {
                 // A drained worker checkpoints the shard and reports
                 // `shutting_down`; everything else is a rejection.
                 if code == "shutting_down" {
-                    return AttemptEnd::Draining(collected);
+                    return AttemptEnd::Draining;
                 }
-                return AttemptEnd::Rejected(collected, code.to_string());
+                return AttemptEnd::Rejected(code.to_string());
             }
-            match line.get("event").and_then(Value::as_str) {
-                Some("shard_accepted") => {}
-                Some("shard_chunk") => {
-                    let Some(items) = line.get("outcomes").and_then(Value::as_array) else {
-                        return AttemptEnd::Rejected(
-                            collected,
-                            "shard_chunk without outcomes".to_string(),
-                        );
-                    };
-                    for item in items {
-                        match TrialOutcome::from_json_value(item) {
-                            Ok(outcome) => collected.push(outcome),
-                            Err(err) => {
-                                return AttemptEnd::Rejected(
-                                    collected,
-                                    format!("undecodable chunk outcome: {err}"),
-                                )
-                            }
-                        }
-                    }
-                }
-                Some("shard_done") => {
-                    if collected.len() as u64 == spec.len() {
-                        return AttemptEnd::Completed(collected);
-                    }
-                    return AttemptEnd::Rejected(
-                        collected,
-                        "shard_done before all outcomes streamed".to_string(),
-                    );
-                }
-                _ => {
-                    return AttemptEnd::Rejected(
-                        collected,
-                        "unexpected response event mid-shard".to_string(),
-                    )
-                }
-            }
+            let rejection = match line.get("event").and_then(Value::as_str) {
+                Some("shard_accepted") => continue,
+                Some("shard_chunk") => match accept_chunk(&line, &mut streamed, on_chunk) {
+                    Ok(()) => continue,
+                    Err(why) => why,
+                },
+                Some("shard_done") if streamed == end - start => return AttemptEnd::Completed,
+                Some("shard_done") => "shard_done before every trial streamed".to_string(),
+                _ => "unexpected response event mid-shard".to_string(),
+            };
+            // The stream is still flowing: drop the connection so its
+            // unread lines never reach the next request.
+            self.drop_client();
+            return AttemptEnd::Rejected(rejection);
         }
     }
+}
+
+/// Decodes one `shard_chunk` line, checks its cumulative `trials_done`
+/// against the trials streamed so far, and hands its tallies to
+/// `on_chunk`.
+fn accept_chunk(
+    line: &Value,
+    streamed: &mut u64,
+    on_chunk: &mut dyn FnMut(&Tallies) -> Result<(), String>,
+) -> Result<(), String> {
+    let tallies =
+        Tallies::from_json_value(line.get("tallies").ok_or("shard_chunk without tallies")?)
+            .map_err(|err| format!("undecodable chunk tallies: {err}"))?;
+    *streamed = streamed.saturating_add(tallies.trials());
+    if line.get("trials_done").and_then(Value::as_u64) != Some(*streamed) {
+        return Err("shard_chunk progress disagrees with its tallies".to_string());
+    }
+    on_chunk(&tallies)
 }
 
 fn is_timeout(err: &std::io::Error) -> bool {
@@ -241,4 +233,70 @@ fn error_code(line: &Value) -> &str {
         .and_then(|e| e.get("code"))
         .and_then(Value::as_str)
         .unwrap_or("unknown_error")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::{BufRead, BufReader, Write};
+    use std::net::TcpListener;
+
+    /// A worker that answers `ping` as healthy, but answers `run_shard`
+    /// with a chunk whose tallies are refused, followed by a line that
+    /// would read as a draining `pong` if it were taken for the reply to
+    /// the next request.
+    fn spawn_rogue_worker() -> String {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("local addr").to_string();
+        std::thread::spawn(move || {
+            for stream in listener.incoming().flatten() {
+                std::thread::spawn(move || {
+                    let mut writer = stream.try_clone().expect("clone stream");
+                    for line in BufReader::new(stream).lines().map_while(Result::ok) {
+                        let reply = if line.contains(r#""cmd":"ping""#) {
+                            concat!(
+                                r#"{"ok":true,"event":"pong","draining":false,"shutting_down":false}"#,
+                                "\n"
+                            )
+                        } else {
+                            concat!(
+                                r#"{"ok":true,"event":"shard_accepted","start":0,"end":4}"#,
+                                "\n",
+                                r#"{"ok":true,"event":"shard_chunk","trials_done":0,"trials_total":4,"tallies":[]}"#,
+                                "\n",
+                                r#"{"ok":true,"event":"pong","draining":true,"shutting_down":false}"#,
+                                "\n"
+                            )
+                        };
+                        if writer.write_all(reply.as_bytes()).is_err() {
+                            break;
+                        }
+                    }
+                });
+            }
+        });
+        addr
+    }
+
+    #[test]
+    fn a_refused_chunk_drops_the_connection_with_its_unread_stream() {
+        let addr = spawn_rogue_worker();
+        let timeout = Duration::from_secs(5);
+        let mut link = WorkerLink::new(&addr, timeout, timeout);
+        assert_eq!(link.ping(), Ping::Healthy);
+        let end = link.run_shard(&Value::Null, (0, 4), 4, &mut |_| {
+            Err("tallies do not line up".to_string())
+        });
+        assert!(
+            matches!(&end, AttemptEnd::Rejected(why) if why == "tallies do not line up"),
+            "{end:?}"
+        );
+        // The rest of the refused stream must not answer the next ping.
+        assert_eq!(link.ping(), Ping::Healthy);
+        let (sent, received) = link.bytes();
+        assert!(
+            sent > 0 && received > 0,
+            "dropped connections stay accounted"
+        );
+    }
 }

@@ -5,8 +5,8 @@
 //! object per line, fsync'd every `fsync_every` records. On startup the
 //! daemon [replays](replay) the journal to reconstruct its job table:
 //! terminal jobs are restored as queryable records, and in-flight jobs are
-//! re-queued with the trial outcomes from their checkpointed chunks
-//! spliced back in, so only the un-checkpointed suffix is recomputed.
+//! re-queued with the per-point tallies of their checkpointed chunks
+//! merged back in, so only the un-checkpointed suffix is recomputed.
 //! Chunk-boundary invariance (report bytes do not depend on chunk size or
 //! boundaries) makes the resumed report byte-identical to an
 //! uninterrupted run.
@@ -17,24 +17,31 @@
 //! |-------------|-------------------------------------------------------|
 //! | `submit`    | `job`, `digest`, `priority`, `trials_total`, `plan_json` |
 //! | `start`     | `job`                                                 |
-//! | `chunk`     | `job`, `trials_done` (cumulative), `outcomes` (array) |
+//! | `chunk`     | `job`, `trials_done` (cumulative), `tallies` (array)  |
 //! | `done`      | `job`                                                 |
 //! | `failed`    | `job`, `error`                                        |
 //! | `cancelled` | `job`                                                 |
 //!
-//! A `chunk` record is accepted during replay only when its cumulative
-//! `trials_done` equals the outcomes already accumulated plus the record's
-//! own outcome count — anything else (a duplicated or reordered chunk)
-//! is discarded and those trials recompute, which determinism makes
-//! harmless. Replay stops at the first unparseable line: an append-only
-//! journal can only be torn at its tail, so everything before the tear is
-//! trusted and the torn tail is dropped.
+//! A `chunk` record's `tallies` hold one entry per campaign point the chunk
+//! touched (see [`Tallies`]), so its size depends on the points a chunk
+//! spans, never on how many trials it ran. It is accepted during replay
+//! only when its cumulative `trials_done` equals the trials already
+//! accumulated plus the record's own — anything else (a duplicated or
+//! reordered chunk) is discarded and those trials recompute, which
+//! determinism makes harmless.
+//!
+//! Replay stops at the first line that is not JSON: an append-only journal
+//! can only be torn at its tail, so everything before the tear is trusted
+//! and the torn tail is dropped. A line that is JSON but not a record this
+//! version understands — such as a `chunk` record written before tallies
+//! replaced per-trial `outcomes` arrays — is discarded on its own and
+//! replay continues.
 
 use std::fs::{File, OpenOptions};
 use std::io::{self, BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
 
-use nvpim_sweep::TrialOutcome;
+use nvpim_sweep::Tallies;
 use serde::{Serialize, Value};
 
 /// File name of the job journal under the daemon's state directory.
@@ -61,15 +68,15 @@ pub enum JournalRecord {
         /// Job id.
         job: u64,
     },
-    /// A chunk of trials completed; `outcomes` are the chunk's results and
+    /// A chunk of trials completed; `tallies` sum the chunk's results and
     /// `trials_done` is the cumulative count including this chunk.
     Chunk {
         /// Job id.
         job: u64,
         /// Cumulative trials completed after this chunk.
         trials_done: u64,
-        /// The chunk's newly computed outcomes, in trial order.
-        outcomes: Vec<TrialOutcome>,
+        /// Per-point tallies of the chunk's newly computed trials.
+        tallies: Tallies,
     },
     /// The job finished successfully (its report is in the store).
     Done {
@@ -115,15 +122,12 @@ impl JournalRecord {
             JournalRecord::Chunk {
                 job,
                 trials_done,
-                outcomes,
+                tallies,
             } => Value::Object(vec![
                 ("rec".into(), Value::Str("chunk".into())),
                 ("job".into(), Value::UInt(*job)),
                 ("trials_done".into(), Value::UInt(*trials_done)),
-                (
-                    "outcomes".into(),
-                    Value::Array(outcomes.iter().map(|o| o.to_json()).collect()),
-                ),
+                ("tallies".into(), tallies.to_json()),
             ]),
             JournalRecord::Done { job } => Value::Object(vec![
                 ("rec".into(), Value::Str("done".into())),
@@ -146,6 +150,15 @@ impl JournalRecord {
     /// line is unusable (torn tail, unknown record type, missing field).
     pub fn from_line(line: &str) -> Result<Self, String> {
         let value = serde_json::from_str(line).map_err(|e| format!("unparseable JSON: {e}"))?;
+        Self::from_value(&value)
+    }
+
+    /// Decodes one parsed journal line (see [`Self::from_line`]).
+    ///
+    /// # Errors
+    ///
+    /// Unknown record types and missing or mistyped fields.
+    pub fn from_value(value: &Value) -> Result<Self, String> {
         let str_field = |key: &str| -> Result<String, String> {
             value
                 .get(key)
@@ -171,21 +184,15 @@ impl JournalRecord {
             "start" => Ok(JournalRecord::Start {
                 job: u64_field("job")?,
             }),
-            "chunk" => {
-                let outcomes_value = value
-                    .get("outcomes")
-                    .and_then(Value::as_array)
-                    .ok_or("journal chunk record missing `outcomes` array")?;
-                let mut outcomes = Vec::with_capacity(outcomes_value.len());
-                for entry in outcomes_value {
-                    outcomes.push(TrialOutcome::from_json_value(entry)?);
-                }
-                Ok(JournalRecord::Chunk {
-                    job: u64_field("job")?,
-                    trials_done: u64_field("trials_done")?,
-                    outcomes,
-                })
-            }
+            "chunk" => Ok(JournalRecord::Chunk {
+                job: u64_field("job")?,
+                trials_done: u64_field("trials_done")?,
+                tallies: Tallies::from_json_value(
+                    value
+                        .get("tallies")
+                        .ok_or("journal chunk record missing `tallies`")?,
+                )?,
+            }),
             "done" => Ok(JournalRecord::Done {
                 job: u64_field("job")?,
             }),
@@ -303,11 +310,12 @@ pub struct ReplayedJob {
     pub plan_json: String,
     /// Whether a `start` record was seen.
     pub started: bool,
-    /// Outcomes accumulated from accepted `chunk` records, in trial order.
-    pub outcomes: Vec<TrialOutcome>,
+    /// Tallies merged from accepted `chunk` records: the trials before the
+    /// job's resume cursor, `tallies.trials()`.
+    pub tallies: Tallies,
     /// Terminal state, if any terminal record was seen (first one wins).
     pub terminal: Option<ReplayedTerminal>,
-    /// Number of `chunk` records whose outcomes were accepted.
+    /// Number of `chunk` records whose tallies were accepted.
     pub chunks_accepted: u64,
 }
 
@@ -320,18 +328,18 @@ pub struct Replay {
     pub next_id: u64,
     /// Records successfully applied.
     pub records_replayed: u64,
-    /// Records dropped (torn tail, unknown type, inconsistent chunk,
-    /// reference to an unknown job, or duplicate terminal).
+    /// Records dropped (torn tail, unknown or outdated record, inconsistent
+    /// chunk, reference to an unknown job, or duplicate terminal).
     pub records_discarded: u64,
 }
 
 /// Replays the journal at `path`, tolerating a torn tail.
 ///
 /// A missing file replays to an empty state. Replay stops at the first
-/// line that fails to parse (only the tail of an append-only file can be
-/// torn); structurally valid records that are semantically inconsistent
-/// (chunk count mismatch, unknown job id, duplicate terminal) are
-/// discarded individually and replay continues.
+/// line that is not JSON (only the tail of an append-only file can be
+/// torn); JSON lines that are not usable records (unknown or outdated
+/// record shape, chunk count mismatch, unknown job id, duplicate terminal)
+/// are discarded individually and replay continues.
 pub fn replay(path: &Path) -> io::Result<Replay> {
     let mut out = Replay {
         jobs: Vec::new(),
@@ -350,16 +358,16 @@ pub fn replay(path: &Path) -> io::Result<Replay> {
         if line.trim().is_empty() {
             continue;
         }
-        let record = match JournalRecord::from_line(&line) {
-            Ok(r) => r,
-            Err(_) => {
-                // Torn tail: everything after the first bad line is
-                // untrustworthy in an append-only file.
-                out.records_discarded += 1;
-                break;
-            }
+        let Ok(value) = serde_json::from_str(&line) else {
+            // Torn tail: everything after the first bad line is
+            // untrustworthy in an append-only file.
+            out.records_discarded += 1;
+            break;
         };
-        let applied = apply(&mut out.jobs, record);
+        let applied = match JournalRecord::from_value(&value) {
+            Ok(record) => apply(&mut out.jobs, record),
+            Err(_) => false,
+        };
         if applied {
             out.records_replayed += 1;
         } else {
@@ -391,7 +399,7 @@ fn apply(jobs: &mut Vec<ReplayedJob>, record: JournalRecord) -> bool {
                 trials_total,
                 plan_json,
                 started: false,
-                outcomes: Vec::new(),
+                tallies: Tallies::new(),
                 terminal: None,
                 chunks_accepted: 0,
             });
@@ -407,16 +415,16 @@ fn apply(jobs: &mut Vec<ReplayedJob>, record: JournalRecord) -> bool {
         JournalRecord::Chunk {
             job,
             trials_done,
-            outcomes,
+            tallies,
         } => {
             let Some(j) = jobs.iter_mut().find(|j| j.id == job) else {
                 return false;
             };
-            let expected = j.outcomes.len() as u64 + outcomes.len() as u64;
+            let expected = j.tallies.trials().saturating_add(tallies.trials());
             if j.terminal.is_some() || trials_done != expected || expected > j.trials_total {
                 return false; // duplicated/reordered chunk — recompute instead
             }
-            j.outcomes.extend(outcomes);
+            j.tallies.merge(&tallies);
             j.chunks_accepted += 1;
             true
         }
@@ -442,17 +450,21 @@ fn set_terminal(jobs: &mut [ReplayedJob], job: u64, terminal: ReplayedTerminal) 
 mod tests {
     use super::*;
 
-    fn outcome(faults: u64) -> TrialOutcome {
-        TrialOutcome {
-            faults_injected: faults,
-            checks: 2,
-            errors_detected: 1,
-            corrections_written_back: 1,
-            uncorrectable: 0,
-            wrong_output_bits: 0,
-            exec_error: None,
-            correct: None,
-        }
+    use nvpim_sweep::PointTally;
+
+    /// Tallies of `trials` trials of point 0.
+    fn tallies(trials: u64) -> Tallies {
+        let mut tallies = Tallies::new();
+        tallies.add(
+            0,
+            &PointTally {
+                trials,
+                faults_injected: trials,
+                checks: 2 * trials,
+                ..PointTally::default()
+            },
+        );
+        tallies
     }
 
     #[test]
@@ -469,7 +481,7 @@ mod tests {
             JournalRecord::Chunk {
                 job: 3,
                 trials_done: 2,
-                outcomes: vec![outcome(0), outcome(3)],
+                tallies: tallies(2),
             },
             JournalRecord::Done { job: 3 },
             JournalRecord::Failed {
@@ -504,7 +516,7 @@ mod tests {
                 JournalRecord::Chunk {
                     job: 1,
                     trials_done: 2,
-                    outcomes: vec![outcome(0), outcome(1)],
+                    tallies: tallies(2),
                 },
                 JournalRecord::Submit {
                     job: 2,
@@ -525,7 +537,7 @@ mod tests {
         assert_eq!(replay.jobs.len(), 2);
         let j1 = &replay.jobs[0];
         assert!(j1.started && j1.terminal.is_none());
-        assert_eq!(j1.outcomes.len(), 2);
+        assert_eq!(j1.tallies.trials(), 2);
         assert_eq!(replay.jobs[1].terminal, Some(ReplayedTerminal::Done));
         std::fs::remove_file(&path).unwrap();
     }
@@ -549,17 +561,17 @@ mod tests {
             JournalRecord::Chunk {
                 job: 1,
                 trials_done: 3,
-                outcomes: vec![outcome(0)],
+                tallies: tallies(1),
             },
         ));
-        assert!(jobs[0].outcomes.is_empty());
+        assert!(jobs[0].tallies.is_empty());
         // Chunk for an unknown job: rejected.
         assert!(!apply(
             &mut jobs,
             JournalRecord::Chunk {
                 job: 9,
                 trials_done: 1,
-                outcomes: vec![outcome(0)],
+                tallies: tallies(1),
             },
         ));
         // First terminal wins; the conflicting duplicate is dropped.
@@ -609,5 +621,60 @@ mod tests {
         assert_eq!(replay.records_replayed, 2);
         assert_eq!(replay.jobs[0].terminal, Some(ReplayedTerminal::Done));
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn legacy_outcome_chunks_are_discarded_and_replay_continues() {
+        let dir = std::env::temp_dir().join(format!("nvpim-journal-legacy-{}", std::process::id()));
+        let path = dir.join(JOURNAL_FILE);
+        let _ = std::fs::remove_file(&path);
+        std::fs::create_dir_all(&dir).unwrap();
+        let submit = |job: u64| JournalRecord::Submit {
+            job,
+            digest: "c".repeat(64),
+            priority: 0,
+            trials_total: 4,
+            plan_json: "{}".into(),
+        };
+        // A journal written before tallies: chunk records carry per-trial
+        // `outcomes` arrays.
+        let legacy_chunk = r#"{"rec":"chunk","job":1,"trials_done":1,"outcomes":[{"faults_injected":0,"checks":2,"errors_detected":0,"corrections_written_back":0,"uncorrectable":0,"wrong_output_bits":0,"exec_error":null}]}"#;
+        let lines = [
+            submit(1).to_line(),
+            JournalRecord::Start { job: 1 }.to_line(),
+            legacy_chunk.to_string(),
+            submit(2).to_line(),
+            JournalRecord::Done { job: 2 }.to_line(),
+        ];
+        std::fs::write(&path, lines.join("\n") + "\n").unwrap();
+        let replay = replay(&path).unwrap();
+        assert_eq!(replay.records_discarded, 1, "only the legacy chunk");
+        assert_eq!(replay.records_replayed, 4, "records after it still apply");
+        let j1 = &replay.jobs[0];
+        assert!(j1.started && j1.terminal.is_none());
+        assert!(j1.tallies.is_empty(), "job 1 recomputes from trial 0");
+        assert_eq!(replay.jobs[1].terminal, Some(ReplayedTerminal::Done));
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn chunk_record_size_does_not_grow_with_its_trial_count() {
+        let line = |trials: u64| {
+            JournalRecord::Chunk {
+                job: 1,
+                trials_done: trials,
+                tallies: tallies(trials),
+            }
+            .to_line()
+            .len()
+        };
+        // Only the counters' digits grow: 4 trials and 4 million trials of
+        // one point cost about the same journal bytes.
+        assert!(
+            line(4_000_000) < line(4) + 64,
+            "{} vs {}",
+            line(4_000_000),
+            line(4)
+        );
     }
 }

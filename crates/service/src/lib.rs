@@ -22,7 +22,10 @@
 //!   binary: shards one campaign's trial grid across several daemons,
 //!   health-checks them over the protocol, and re-assigns shards away
 //!   from dead, stalled, or draining workers without recomputing their
-//!   checkpointed chunks. See `docs/robustness.md`.
+//!   checkpointed chunks. Checkpoints everywhere — journal records, shard
+//!   streams, the fleet merge — are mergeable per-point tallies
+//!   ([`nvpim_sweep::Tallies`]), never per-trial outcomes. See
+//!   `docs/robustness.md`.
 //!
 //! The implementation is std-only (threads + channels/condvars, no async
 //! runtime): the build environment is offline and the workspace's external
@@ -88,7 +91,15 @@ pub enum ServiceError {
     UnknownJob(u64),
     /// The submitted plan failed validation or decoding.
     InvalidPlan(nvpim_sweep::SweepError),
-    /// A `run_shard` request carried an invalid range or resume prefix.
+    /// The plan (or `run_shard` range) runs more trials than the daemon's
+    /// admission budget (`--max-trials-per-job`) allows.
+    PlanTooLarge {
+        /// Trials the request would run.
+        trials: u64,
+        /// The daemon's per-job trial budget.
+        limit: u64,
+    },
+    /// A `run_shard` request carried an invalid range.
     BadShard(String),
     /// The job's campaign failed to run (carries the description).
     JobFailed(String),
@@ -107,6 +118,10 @@ impl std::fmt::Display for ServiceError {
             ServiceError::ShuttingDown => write!(f, "service is shutting down"),
             ServiceError::UnknownJob(id) => write!(f, "no job with id {id}"),
             ServiceError::InvalidPlan(e) => write!(f, "invalid plan: {e}"),
+            ServiceError::PlanTooLarge { trials, limit } => write!(
+                f,
+                "plan runs {trials} trials, over this daemon's budget of {limit} per job"
+            ),
             ServiceError::BadShard(detail) => write!(f, "invalid shard request: {detail}"),
             ServiceError::JobFailed(e) => write!(f, "job failed: {e}"),
             ServiceError::JobCancelled => write!(f, "job was cancelled"),

@@ -18,7 +18,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use nvpim_sweep::{CampaignControl, SweepPlan, TrialOutcome};
+use nvpim_sweep::{CampaignControl, SweepPlan};
 use serde::{Serialize, Value};
 
 use crate::service::ServiceHandle;
@@ -79,6 +79,7 @@ fn error_code(err: &ServiceError) -> &'static str {
         ServiceError::ShuttingDown => "shutting_down",
         ServiceError::UnknownJob(_) => "unknown_job",
         ServiceError::InvalidPlan(_) => "invalid_plan",
+        ServiceError::PlanTooLarge { .. } => "plan_too_large",
         ServiceError::BadShard(_) => "bad_shard",
         ServiceError::JobFailed(_) => "job_failed",
         ServiceError::JobCancelled => "job_cancelled",
@@ -317,37 +318,12 @@ pub fn dispatch(
                 .get("chunk_trials")
                 .and_then(Value::as_u64)
                 .unwrap_or(64) as usize;
-            // The shard's previously checkpointed outcome prefix, encoded
-            // exactly like journal chunk records.
-            let resume: Vec<TrialOutcome> = match request.get("resume") {
-                None => Vec::new(),
-                Some(Value::Array(items)) => {
-                    match items.iter().map(TrialOutcome::from_json_value).collect() {
-                        Ok(outcomes) => outcomes,
-                        Err(msg) => {
-                            emit(&error_response(
-                                "bad_request",
-                                format!("invalid `resume` outcome: {msg}"),
-                            ))?;
-                            return Ok(Outcome::Continue);
-                        }
-                    }
-                }
-                Some(_) => {
-                    emit(&error_response(
-                        "bad_request",
-                        "`resume` must be an array of trial outcomes",
-                    ))?;
-                    return Ok(Outcome::Continue);
-                }
-            };
-            let resumed = resume.len() as u64;
             // Structural range checks happen before acceptance; bounds
             // against the plan's trial count surface from the service as
             // a later `bad_shard` line.
-            if start > end || resumed > end - start {
+            if start > end {
                 emit(&service_error(&ServiceError::BadShard(format!(
-                    "range {start}..{end} with {resumed} resumed outcome(s) is malformed"
+                    "range {start}..{end} is inverted"
                 ))))?;
                 return Ok(Outcome::Continue);
             }
@@ -355,21 +331,19 @@ pub fn dispatch(
                 ("event".into(), Value::Str("shard_accepted".into())),
                 ("start".into(), Value::UInt(start)),
                 ("end".into(), Value::UInt(end)),
-                ("resumed".into(), Value::UInt(resumed)),
             ]))?;
-            // Stream every chunk's newly computed outcomes: the
-            // coordinator's checkpoint. If the coordinator goes away the
-            // failed emit cancels the shard; if this daemon starts
-            // draining, the shard stops at the next chunk boundary and
-            // the coordinator re-assigns the remainder elsewhere.
+            // Stream every chunk's per-point tallies: the coordinator's
+            // checkpoint. If the coordinator goes away the failed emit
+            // cancels the shard; if this daemon starts draining, the shard
+            // stops at the next chunk boundary and the coordinator
+            // re-assigns the remainder elsewhere.
             let mut io_err: Option<std::io::Error> = None;
-            let result = service.run_shard(&plan, start, end, chunk_trials, resume, |cp| {
-                let outcomes: Vec<Value> = cp.new_outcomes.iter().map(|o| o.to_json()).collect();
+            let result = service.run_shard(&plan, start, end, chunk_trials, |cp| {
                 let line = ok_response(vec![
                     ("event".into(), Value::Str("shard_chunk".into())),
                     ("trials_done".into(), Value::UInt(cp.progress.trials_done)),
                     ("trials_total".into(), Value::UInt(cp.progress.trials_total)),
-                    ("outcomes".into(), Value::Array(outcomes)),
+                    ("tallies".into(), cp.new_tallies.to_json()),
                 ]);
                 if let Err(err) = emit(&line) {
                     io_err = Some(err);
@@ -384,11 +358,11 @@ pub fn dispatch(
                 return Err(err);
             }
             match result {
-                Ok(outcomes) => emit(&ok_response(vec![
+                Ok(tallies) => emit(&ok_response(vec![
                     ("event".into(), Value::Str("shard_done".into())),
                     ("start".into(), Value::UInt(start)),
                     ("end".into(), Value::UInt(end)),
-                    ("trials".into(), Value::UInt(outcomes.len() as u64)),
+                    ("trials".into(), Value::UInt(tallies.trials())),
                 ]))?,
                 Err(ServiceError::JobCancelled) if service.is_draining() => {
                     emit(&service_error(&ServiceError::ShuttingDown))?;

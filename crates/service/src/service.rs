@@ -14,7 +14,7 @@ use std::time::Duration;
 use nvpim_sweep::{
     execution_backend, prepare_campaign_with_telemetry, CampaignControl, CampaignKind,
     ChunkCheckpoint, EstimatorMode, ExecutionBackend, ScheduleCache, SimBackend, SweepError,
-    SweepPlan, TrialOutcome,
+    SweepPlan, Tallies,
 };
 use nvpim_telemetry::{Counter as TelemetryCounter, EventLog, Phase, Telemetry};
 use serde::{Serialize, Value};
@@ -43,6 +43,11 @@ pub struct ServiceConfig {
     /// Trials per execution chunk — the granularity of progress events and
     /// cancellation checks. Chunking never affects report bytes.
     pub chunk_trials: usize,
+    /// Admission budget: a submission (or a `run_shard` range) with more
+    /// trials than this is rejected with `plan_too_large` instead of
+    /// queued, and a journaled job over it fails on replay instead of
+    /// re-running.
+    pub max_trials_per_job: u64,
     /// Soft cap on tracked job records. When exceeded, the oldest
     /// *terminal* jobs are evicted (their ids then answer `unknown_job`);
     /// queued/running jobs are never evicted. Bounds daemon memory under
@@ -105,6 +110,7 @@ impl Default for ServiceConfig {
             workers: 2,
             queue_capacity: 64,
             chunk_trials: 64,
+            max_trials_per_job: DEFAULT_MAX_TRIALS_PER_JOB,
             max_tracked_jobs: 4096,
             max_cached_reports: crate::store::DEFAULT_REPORT_CAPACITY,
             backend: SimBackend::default(),
@@ -118,6 +124,10 @@ impl Default for ServiceConfig {
         }
     }
 }
+
+/// Default [`ServiceConfig::max_trials_per_job`]: ten billion trials, hours
+/// of compute on one daemon and far beyond the paper's campaigns.
+pub const DEFAULT_MAX_TRIALS_PER_JOB: u64 = 10_000_000_000;
 
 /// What `submit` tells the client about its new job.
 #[derive(Debug, Clone, Serialize)]
@@ -197,7 +207,7 @@ pub struct ServiceStats {
     /// Jobs restored from the durable journal at startup (terminal and
     /// resumed in-flight jobs alike).
     pub recovered_jobs: u64,
-    /// Checkpointed chunks whose outcomes were resumed — not recomputed —
+    /// Checkpointed chunks whose tallies were resumed — not recomputed —
     /// when in-flight campaigns were restarted from the journal.
     pub resumed_chunks: u64,
     /// Journal records successfully replayed at startup.
@@ -282,9 +292,9 @@ impl LatencySummary {
 struct WorkItem {
     core: Arc<JobCore>,
     plan: SweepPlan,
-    /// Outcomes restored from journal checkpoints: the campaign resumes
+    /// Tallies restored from journal checkpoints: the campaign resumes
     /// after this prefix instead of recomputing it. Empty for fresh jobs.
-    resume: Vec<TrialOutcome>,
+    resume: Tallies,
 }
 
 #[derive(Default)]
@@ -402,6 +412,15 @@ impl Inner {
     }
 }
 
+/// Checks a plan (or shard) against the admission budget.
+fn admit(inner: &Inner, trials: u64) -> Result<(), ServiceError> {
+    let limit = inner.cfg.max_trials_per_job;
+    if trials > limit {
+        return Err(ServiceError::PlanTooLarge { trials, limit });
+    }
+    Ok(())
+}
+
 /// Cloneable handle to a running service (see module docs).
 #[derive(Clone)]
 pub struct ServiceHandle {
@@ -423,8 +442,8 @@ impl ServiceHandle {
     /// With [`ServiceConfig::state_dir`] set, startup first replays the
     /// write-ahead journal: terminal jobs are restored as queryable
     /// records (completed reports re-verified out of the durable store),
-    /// and in-flight jobs are re-queued with their checkpointed outcome
-    /// prefixes so only un-checkpointed trials recompute.
+    /// and in-flight jobs are re-queued with their checkpointed tallies so
+    /// only un-checkpointed trials recompute.
     pub fn start(cfg: ServiceConfig) -> Self {
         let workers = cfg.workers.max(1);
         let event_log = cfg.log_json.as_deref().and_then(|path| {
@@ -507,14 +526,16 @@ impl ServiceHandle {
     ///
     /// # Errors
     ///
-    /// [`ServiceError::ShuttingDown`], [`ServiceError::InvalidPlan`] and —
-    /// the backpressure signal — [`ServiceError::Overloaded`].
+    /// [`ServiceError::ShuttingDown`], [`ServiceError::InvalidPlan`],
+    /// [`ServiceError::PlanTooLarge`] and — the backpressure signal —
+    /// [`ServiceError::Overloaded`].
     pub fn submit(&self, plan: SweepPlan, priority: u8) -> Result<SubmitOutcome, ServiceError> {
         let inner = &self.inner;
         if inner.shutting_down.load(Ordering::SeqCst) || inner.draining.load(Ordering::SeqCst) {
             return Err(ServiceError::ShuttingDown);
         }
         plan.validate().map_err(ServiceError::InvalidPlan)?;
+        admit(inner, plan.trial_count())?;
         if plan.estimator != EstimatorMode::Exact {
             inner
                 .counters
@@ -607,7 +628,7 @@ impl ServiceHandle {
             let item = WorkItem {
                 core: Arc::clone(&core),
                 plan,
-                resume: Vec::new(),
+                resume: Tallies::new(),
             };
             // Backpressure on overflow. (Lock order is `active` → queue
             // mutex; workers only take `active` after `pop` has released
@@ -910,9 +931,9 @@ impl ServiceHandle {
     }
 
     /// Runs one shard of a campaign synchronously on the calling thread:
-    /// trials `start .. end` of the plan's flat trial list, resumed past
-    /// the `resume` outcome prefix, invoking `observer` after every chunk
-    /// (the streaming seam `run_shard` connections checkpoint through).
+    /// trials `start .. end` of the plan's trial list, invoking `observer`
+    /// with every chunk's tallies (the streaming seam `run_shard`
+    /// connections checkpoint through), and returns the shard's tallies.
     ///
     /// Shards bypass the job queue — they are driven by a fleet
     /// coordinator that owns scheduling — but share the process-wide
@@ -922,54 +943,46 @@ impl ServiceHandle {
     /// # Errors
     ///
     /// [`ServiceError::ShuttingDown`] while draining or shutting down,
-    /// [`ServiceError::InvalidPlan`], [`ServiceError::BadShard`] for bad
-    /// ranges/prefixes, and [`ServiceError::JobCancelled`] when the
-    /// observer cancels.
+    /// [`ServiceError::InvalidPlan`], [`ServiceError::PlanTooLarge`] for a
+    /// range over the admission budget, [`ServiceError::BadShard`] for bad
+    /// ranges, and [`ServiceError::JobCancelled`] when the observer cancels.
     pub fn run_shard(
         &self,
         plan: &SweepPlan,
         start: u64,
         end: u64,
         chunk_trials: usize,
-        resume: Vec<TrialOutcome>,
         observer: impl FnMut(ChunkCheckpoint<'_>) -> CampaignControl,
-    ) -> Result<Vec<TrialOutcome>, ServiceError> {
+    ) -> Result<Tallies, ServiceError> {
         let inner = &self.inner;
         if inner.shutting_down.load(Ordering::SeqCst) || inner.draining.load(Ordering::SeqCst) {
             return Err(ServiceError::ShuttingDown);
         }
         plan.validate().map_err(ServiceError::InvalidPlan)?;
+        admit(inner, end.saturating_sub(start))?;
         let prepared = {
             let mut cache = lock_unpoisoned(&inner.schedule_cache);
             prepare_campaign_with_telemetry(plan, &mut cache, inner.telemetry.clone())
                 .map_err(ServiceError::InvalidPlan)?
         };
-        let resumed = resume.len() as u64;
         let run_started = std::time::Instant::now();
-        let result = prepared.run_shard_resumable(
-            inner.backend(),
-            start,
-            end,
-            chunk_trials.max(1),
-            resume,
-            observer,
-        );
+        let result = prepared.run_shard(inner.backend(), start, end, chunk_trials, observer);
         let run_nanos = run_started.elapsed().as_nanos() as u64;
         inner
             .counters
             .busy_nanos
             .fetch_add(run_nanos, Ordering::Relaxed);
         match result {
-            Ok(outcomes) => {
-                inner.counters.trials_executed.fetch_add(
-                    (outcomes.len() as u64).saturating_sub(resumed),
-                    Ordering::Relaxed,
-                );
+            Ok(tallies) => {
+                inner
+                    .counters
+                    .trials_executed
+                    .fetch_add(tallies.trials(), Ordering::Relaxed);
                 inner
                     .counters
                     .shards_executed
                     .fetch_add(1, Ordering::Relaxed);
-                Ok(outcomes)
+                Ok(tallies)
             }
             Err(SweepError::Cancelled) => Err(ServiceError::JobCancelled),
             Err(SweepError::BadCheckpoint(detail)) => Err(ServiceError::BadShard(detail)),
@@ -1139,7 +1152,7 @@ fn credit_labeled_trials(inner: &Inner, plan: &SweepPlan, trials: u64) {
 
 /// Applies a journal replay to a freshly constructed (not yet serving)
 /// service: terminal jobs become queryable records, in-flight jobs
-/// re-queue with their checkpointed outcome prefixes.
+/// re-queue with their checkpointed tallies.
 fn restore_replayed_jobs(inner: &Arc<Inner>, replay: journal::Replay) {
     let records = replay.records_replayed;
     inner
@@ -1152,7 +1165,7 @@ fn restore_replayed_jobs(inner: &Arc<Inner>, replay: journal::Replay) {
     for job in replay.jobs {
         let id = job.id;
         let digest = job.digest.clone();
-        let trials_done = job.outcomes.len() as u64;
+        let trials_done = job.tallies.trials();
         // A `done` record is only journaled after its report reached the
         // durable store, so a verified store hit restores the report; a
         // missing or corrupt store file demotes the job to an in-flight
@@ -1203,13 +1216,24 @@ fn restore_replayed_jobs(inner: &Arc<Inner>, replay: journal::Replay) {
     }
 }
 
-/// Re-queues one replayed in-flight job, splicing its checkpointed
-/// outcomes back in so only the un-checkpointed suffix recomputes.
+/// Re-queues one replayed in-flight job, merging its checkpointed tallies
+/// back in so only the un-checkpointed suffix recomputes. A job whose
+/// journaled plan no longer decodes, validates or fits the admission
+/// budget fails terminally instead: it is never re-queued, so one bad
+/// record cannot crash-loop the daemon.
 fn restore_in_flight(inner: &Arc<Inner>, job: &journal::ReplayedJob) -> Arc<JobCore> {
-    let plan = match SweepPlan::from_json_str(&job.plan_json) {
+    let admitted = SweepPlan::from_json_str(&job.plan_json)
+        .map_err(|err| format!("recovered job's journaled plan failed to decode: {err}"))
+        .and_then(|plan| {
+            plan.validate()
+                .map_err(ServiceError::InvalidPlan)
+                .and_then(|()| admit(inner, plan.trial_count()))
+                .map(|()| plan)
+                .map_err(|err| format!("recovered job's journaled plan was refused: {err}"))
+        });
+    let plan = match admitted {
         Ok(plan) => plan,
-        Err(err) => {
-            let error = format!("recovered job's journaled plan failed to decode: {err}");
+        Err(error) => {
             inner.journal_append(&JournalRecord::Failed {
                 job: job.id,
                 error: error.clone(),
@@ -1225,18 +1249,18 @@ fn restore_in_flight(inner: &Arc<Inner>, job: &journal::ReplayedJob) -> Arc<JobC
         }
     };
     let core = JobCore::new(job.id, job.digest.clone(), job.trials_total);
-    core.note_progress(job.outcomes.len() as u64);
+    core.note_progress(job.tallies.trials());
     // Re-seed the job's accuracy progress from the checkpointed prefix so
     // streamed progress stays cumulative across the restart (the service's
-    // executed-work counters deliberately skip resumed outcomes).
-    let (correct, evaluated) = count_accuracy(&job.outcomes);
-    if evaluated > 0 {
-        core.note_accuracy(correct, evaluated);
+    // executed-work counters deliberately skip resumed tallies).
+    let resumed = job.tallies.total();
+    if resumed.evaluated_trials > 0 {
+        core.note_accuracy(resumed.correct_trials, resumed.evaluated_trials);
     }
     let item = WorkItem {
         core: Arc::clone(&core),
         plan,
-        resume: job.outcomes.clone(),
+        resume: job.tallies.clone(),
     };
     if inner
         .queue
@@ -1260,15 +1284,6 @@ fn restore_in_flight(inner: &Arc<Inner>, job: &journal::ReplayedJob) -> Arc<JobC
         .add(TelemetryCounter::ResumedChunks, job.chunks_accepted);
     lock_unpoisoned(&inner.active).insert(job.digest.clone(), Arc::clone(&core));
     core
-}
-
-/// `(correct, evaluated)` over the outcomes that produced a prediction
-/// (accuracy-campaign trials; error-campaign outcomes carry none).
-fn count_accuracy(outcomes: &[TrialOutcome]) -> (u64, u64) {
-    outcomes
-        .iter()
-        .filter_map(|o| o.correct)
-        .fold((0, 0), |(c, n), correct| (c + u64::from(correct), n + 1))
 }
 
 /// Best-effort text of a caught panic payload (`&str` and `String`
@@ -1314,9 +1329,9 @@ fn worker_loop(inner: &Inner) {
 /// backoff) or fails it terminally with the panic payload captured.
 fn run_job(inner: &Inner, item: WorkItem) {
     let WorkItem { core, plan, resume } = item;
-    // The checkpoint outlives attempts: outcomes accumulated (and
+    // The checkpoint outlives attempts: tallies accumulated (and
     // journaled) by a panicking attempt are not recomputed by its retry.
-    let checkpoint: Mutex<Vec<TrialOutcome>> = Mutex::new(resume);
+    let checkpoint: Mutex<Tallies> = Mutex::new(resume);
     let mut attempt: u32 = 0;
     loop {
         let outcome = catch_unwind(AssertUnwindSafe(|| {
@@ -1369,12 +1384,7 @@ fn run_job(inner: &Inner, item: WorkItem) {
 /// One execution attempt: prepare through the shared schedule cache, run
 /// resumably from the shared checkpoint (journaling every chunk), and
 /// drive the job to its terminal state. Panics propagate to [`run_job`].
-fn run_attempt(
-    inner: &Inner,
-    core: &Arc<JobCore>,
-    plan: &SweepPlan,
-    checkpoint: &Mutex<Vec<TrialOutcome>>,
-) {
+fn run_attempt(inner: &Inner, core: &Arc<JobCore>, plan: &SweepPlan, checkpoint: &Mutex<Tallies>) {
     // Compile through the process-wide shared cache; the lock is held
     // only for preparation, never while trials run. The campaign runs
     // with the service-wide telemetry sink attached, so every phase
@@ -1405,23 +1415,22 @@ fn run_attempt(
         }
     };
     let resume = lock_unpoisoned(checkpoint).clone();
-    let resumed_trials = resume.len() as u64;
+    let resumed_trials = resume.trials();
     let run_started = std::time::Instant::now();
     let outcome =
         prepared.run_chunked_resumable(inner.backend(), inner.cfg.chunk_trials, resume, |chunk| {
             let trials_done = chunk.progress.trials_done;
-            if !chunk.new_outcomes.is_empty() {
-                // Journal before extending the in-memory checkpoint: a
-                // crash between the two merely recomputes one chunk.
-                inner.journal_append(&JournalRecord::Chunk {
-                    job: core.id,
-                    trials_done,
-                    outcomes: chunk.new_outcomes.to_vec(),
-                });
-                lock_unpoisoned(checkpoint).extend_from_slice(chunk.new_outcomes);
-            }
+            // Journal before merging into the in-memory checkpoint: a
+            // crash between the two merely recomputes one chunk.
+            inner.journal_append(&JournalRecord::Chunk {
+                job: core.id,
+                trials_done,
+                tallies: chunk.new_tallies.clone(),
+            });
+            lock_unpoisoned(checkpoint).merge(chunk.new_tallies);
             core.note_progress(trials_done);
-            let (correct, evaluated) = count_accuracy(chunk.new_outcomes);
+            let new = chunk.new_tallies.total();
+            let (correct, evaluated) = (new.correct_trials, new.evaluated_trials);
             if evaluated > 0 {
                 core.note_accuracy(correct, evaluated);
                 inner
@@ -1673,28 +1682,34 @@ mod tests {
         let plan = tiny_plan(60);
         let total = plan.trial_count();
         // Whole-campaign shard through the service == direct engine run.
-        let mut streamed = 0u64;
-        let outcomes = service
-            .run_shard(&plan, 0, total, 4, Vec::new(), |cp| {
-                streamed += cp.new_outcomes.len() as u64;
+        let mut streamed = Tallies::new();
+        let tallies = service
+            .run_shard(&plan, 0, total, 4, |cp| {
+                streamed.merge(cp.new_tallies);
                 CampaignControl::Continue
             })
             .unwrap();
-        assert_eq!(outcomes.len() as u64, total);
-        assert_eq!(streamed, total);
+        assert_eq!(tallies, streamed);
+        let mut cache = ScheduleCache::new();
+        let report = nvpim_sweep::prepare_campaign(&plan, &mut cache)
+            .unwrap()
+            .report_from_tallies(&tallies)
+            .unwrap();
+        assert_eq!(
+            report.to_json(),
+            nvpim_sweep::run_campaign(&plan).unwrap().to_json()
+        );
         let stats = service.stats();
         assert_eq!(stats.shards_executed, 1);
         assert_eq!(stats.trials_executed, total);
         // Bad ranges are structured errors, not panics.
         assert!(matches!(
-            service.run_shard(&plan, 3, 2, 4, Vec::new(), |_| CampaignControl::Continue),
+            service.run_shard(&plan, 3, 2, 4, |_| CampaignControl::Continue),
             Err(ServiceError::BadShard(_))
         ));
         service.shutdown();
         assert!(matches!(
-            service.run_shard(&plan, 0, total, 4, Vec::new(), |_| {
-                CampaignControl::Continue
-            }),
+            service.run_shard(&plan, 0, total, 4, |_| CampaignControl::Continue),
             Err(ServiceError::ShuttingDown)
         ));
     }

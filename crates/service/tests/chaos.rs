@@ -36,8 +36,8 @@ use nvpim_service::service::{ServiceConfig, ServiceHandle};
 use nvpim_service::{Journal, JournalRecord, ServiceError};
 use nvpim_sweep::{
     execution_backend, prepare_campaign, run_campaign_with_backend, CampaignControl, EstimatorMode,
-    ExecutionBackend, PointContext, ScheduleCache, SimBackend, SweepPlan, SweepWorkload,
-    TaskOutcomes, TrialArena, TrialOutcome,
+    ExecutionBackend, PointContext, PointTally, ScheduleCache, SimBackend, SweepPlan,
+    SweepWorkload, Tallies, TrialArena,
 };
 use nvpim_telemetry::{Counter, Telemetry};
 use serde::Value;
@@ -77,6 +77,29 @@ fn submit_record(plan: &SweepPlan, job: u64) -> JournalRecord {
     }
 }
 
+/// The tallies of a campaign's first `chunks` four-trial chunks, one entry
+/// per chunk — exactly what a worker killed at the next chunk boundary
+/// would have journaled.
+fn first_chunks(plan: &SweepPlan, backend: SimBackend, chunks: usize) -> Vec<Tallies> {
+    let mut cache = ScheduleCache::new();
+    let prepared = prepare_campaign(plan, &mut cache).expect("prepare");
+    let mut captured = Vec::new();
+    let _ = prepared.run_chunked_resumable(
+        execution_backend(backend),
+        4,
+        Tallies::new(),
+        |checkpoint| {
+            captured.push(checkpoint.new_tallies.clone());
+            if captured.len() < chunks {
+                CampaignControl::Continue
+            } else {
+                CampaignControl::Cancel
+            }
+        },
+    );
+    captured
+}
+
 /// Tentpole assertion 1: for both backends and both estimator modes, a
 /// campaign resumed from a crafted mid-flight journal produces report bytes
 /// identical to an uninterrupted run, recomputing only the unfinished
@@ -99,25 +122,8 @@ fn resume_from_checkpoint_is_byte_identical_across_backends_and_estimators() {
 
             // Capture the first two chunks (4 trials each) the way a real
             // worker would have journaled them before dying.
-            let mut cache = ScheduleCache::new();
-            let prepared = prepare_campaign(&plan, &mut cache).expect("prepare");
-            let mut captured: Vec<TrialOutcome> = Vec::new();
-            let mut chunks = 0usize;
-            let _ = prepared.run_chunked_resumable(
-                execution_backend(backend),
-                4,
-                Vec::new(),
-                |checkpoint| {
-                    if chunks < 2 {
-                        captured.extend_from_slice(checkpoint.new_outcomes);
-                        chunks += 1;
-                        CampaignControl::Continue
-                    } else {
-                        CampaignControl::Cancel
-                    }
-                },
-            );
-            assert_eq!(captured.len(), 8, "two four-trial chunks captured");
+            let captured = first_chunks(&plan, backend, 2);
+            assert_eq!(captured.len(), 2, "two four-trial chunks captured");
 
             let dir = state_dir(&format!("resume-{i}-{j}"));
             {
@@ -127,20 +133,15 @@ fn resume_from_checkpoint_is_byte_identical_across_backends_and_estimators() {
                 journal
                     .append(&JournalRecord::Start { job: 1 })
                     .expect("start");
-                journal
-                    .append(&JournalRecord::Chunk {
-                        job: 1,
-                        trials_done: 4,
-                        outcomes: captured[..4].to_vec(),
-                    })
-                    .expect("chunk 1");
-                journal
-                    .append(&JournalRecord::Chunk {
-                        job: 1,
-                        trials_done: 8,
-                        outcomes: captured[4..].to_vec(),
-                    })
-                    .expect("chunk 2");
+                for (i, tallies) in captured.into_iter().enumerate() {
+                    journal
+                        .append(&JournalRecord::Chunk {
+                            job: 1,
+                            trials_done: 4 * (i as u64 + 1),
+                            tallies,
+                        })
+                        .expect("chunk");
+                }
             }
 
             let service = ServiceHandle::start(ServiceConfig {
@@ -191,28 +192,14 @@ fn accuracy_job_resumes_from_checkpoint_byte_identically() {
 
     // Capture the first two chunks the way a worker killed at the third
     // chunk boundary would have journaled them.
-    let mut cache = ScheduleCache::new();
-    let prepared = prepare_campaign(&plan, &mut cache).expect("prepare");
-    let mut captured: Vec<TrialOutcome> = Vec::new();
-    let mut chunks = 0usize;
-    let _ = prepared.run_chunked_resumable(
-        execution_backend(SimBackend::Sliced),
-        4,
-        Vec::new(),
-        |checkpoint| {
-            if chunks < 2 {
-                captured.extend_from_slice(checkpoint.new_outcomes);
-                chunks += 1;
-                CampaignControl::Continue
-            } else {
-                CampaignControl::Cancel
-            }
-        },
-    );
-    assert_eq!(captured.len(), 8, "two four-trial chunks captured");
-    assert!(
-        captured.iter().all(|o| o.correct.is_some()),
-        "accuracy outcomes carry predictions"
+    let captured = first_chunks(&plan, SimBackend::Sliced, 2);
+    let mut resumed = Tallies::new();
+    captured.iter().for_each(|chunk| resumed.merge(chunk));
+    assert_eq!(resumed.trials(), 8, "two four-trial chunks captured");
+    assert_eq!(
+        resumed.total().evaluated_trials,
+        8,
+        "accuracy tallies count predictions"
     );
 
     let dir = state_dir("accuracy-resume");
@@ -230,20 +217,15 @@ fn accuracy_job_resumes_from_checkpoint_byte_identically() {
         journal
             .append(&JournalRecord::Start { job: 1 })
             .expect("start");
-        journal
-            .append(&JournalRecord::Chunk {
-                job: 1,
-                trials_done: 4,
-                outcomes: captured[..4].to_vec(),
-            })
-            .expect("chunk 1");
-        journal
-            .append(&JournalRecord::Chunk {
-                job: 1,
-                trials_done: 8,
-                outcomes: captured[4..].to_vec(),
-            })
-            .expect("chunk 2");
+        for (i, tallies) in captured.into_iter().enumerate() {
+            journal
+                .append(&JournalRecord::Chunk {
+                    job: 1,
+                    trials_done: 4 * (i as u64 + 1),
+                    tallies,
+                })
+                .expect("chunk");
+        }
     }
 
     let service = ServiceHandle::start(ServiceConfig {
@@ -270,7 +252,7 @@ fn accuracy_job_resumes_from_checkpoint_byte_identically() {
     assert_eq!(
         stats.accuracy_trials_evaluated,
         total - 8,
-        "resumed outcomes must not be re-counted as executed work"
+        "resumed tallies must not be re-counted as executed work"
     );
     assert!(stats.accuracy_trials_correct <= stats.accuracy_trials_evaluated);
     // The job's own streamed tally is cumulative across the restart:
@@ -278,8 +260,10 @@ fn accuracy_job_resumes_from_checkpoint_byte_identically() {
     let core = service.job(1).expect("job tracked");
     let (correct, evaluated) = core.accuracy_progress().expect("accuracy progress present");
     assert_eq!(evaluated, total);
-    let resumed_correct = captured.iter().filter(|o| o.correct == Some(true)).count() as u64;
-    assert_eq!(correct, stats.accuracy_trials_correct + resumed_correct);
+    assert_eq!(
+        correct,
+        stats.accuracy_trials_correct + resumed.total().correct_trials
+    );
     // Accuracy demand is counted at acceptance, so journal recovery (which
     // bypasses submit) contributes nothing — but a resubmission of the same
     // plan, served byte-identically from the store, does.
@@ -330,7 +314,7 @@ impl ExecutionBackend for PanicAfterN {
         first_trial: u64,
         count: usize,
         arena: &mut TrialArena,
-    ) -> TaskOutcomes {
+    ) -> PointTally {
         if campaign_seed == self.poison_seed {
             let call = self.calls.fetch_add(1, Ordering::Relaxed);
             let hit = if self.once {
@@ -1005,4 +989,236 @@ fn concurrent_resubmission_during_restart_coalesces_to_one_campaign() {
     assert_eq!(shutdown.get("ok").and_then(Value::as_bool), Some(true));
     let _ = child2.wait();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The poison pill: a quick plan asking for 2^40 seeds per point passes
+/// validation (its trial count fits a `u64`), so the admission budget is
+/// what stands between it and the daemon.
+fn poison_plan() -> SweepPlan {
+    let mut plan = SweepPlan::quick();
+    plan.seeds_per_point = 1 << 40;
+    plan
+}
+
+/// Spawns the real daemon binary with extra arguments and no state dir.
+fn spawn_daemon_with(args: &[&str]) -> (std::process::Child, String) {
+    let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_nvpim-serviced"))
+        .args(["--addr", "127.0.0.1:0", "--workers", "1"])
+        .args(args)
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::null())
+        .spawn()
+        .expect("spawn nvpim-serviced");
+    let addr = scrape_announced_addr(&mut child);
+    (child, addr)
+}
+
+fn plan_value(plan: &SweepPlan) -> Value {
+    serde_json::from_str(&plan.canonical_json()).expect("plan JSON parses")
+}
+
+fn error_code(resp: &Value) -> Option<&str> {
+    resp.get("error")
+        .and_then(|e| e.get("code"))
+        .and_then(Value::as_str)
+}
+
+fn job_status(client: &mut Client, job: u64) -> Value {
+    let resp = client
+        .request(&request(
+            "status",
+            vec![("job".to_string(), Value::UInt(job))],
+        ))
+        .expect("status");
+    resp.get("status").cloned().expect("status payload")
+}
+
+/// A poison plan is refused with `plan_too_large` and the daemon keeps
+/// serving. The same plan journaled as accepted (by a daemon without the
+/// budget) fails its job on replay instead of re-running it, and a second
+/// restart finds it failed too: no crash loop.
+#[test]
+fn poison_plan_is_refused_and_a_journaled_one_fails_instead_of_crash_looping() {
+    let poison = poison_plan();
+    assert!(poison.validate().is_ok(), "the plan itself is well-formed");
+    let dir = state_dir("poison");
+    {
+        let mut journal = Journal::open(dir.join(JOURNAL_FILE), 1).expect("open journal");
+        journal
+            .append(&JournalRecord::Submit {
+                job: 1,
+                digest: poison.content_digest(),
+                priority: 0,
+                trials_total: poison.trial_count(),
+                plan_json: poison.canonical_json(),
+            })
+            .expect("submit");
+        journal
+            .append(&JournalRecord::Start { job: 1 })
+            .expect("start");
+    }
+    for restart in 0..2 {
+        let (mut child, addr) = spawn_daemon_process(&dir);
+        let mut client = Client::connect(&addr).expect("connect");
+        let status = job_status(&mut client, 1);
+        assert_eq!(
+            status.get("state").and_then(Value::as_str),
+            Some("failed"),
+            "restart {restart}: {status:?}"
+        );
+        let error = status.get("error").and_then(Value::as_str).unwrap_or("");
+        assert!(error.contains("budget"), "restart {restart}: {error}");
+
+        let refused = client
+            .request(&request(
+                "submit",
+                vec![("plan".to_string(), plan_value(&poison))],
+            ))
+            .expect("submit poison");
+        assert_eq!(error_code(&refused), Some("plan_too_large"), "{refused:?}");
+
+        // The daemon is alive and still runs healthy work.
+        let healthy = client
+            .request(&request(
+                "submit",
+                vec![
+                    ("plan".to_string(), plan_value(&tiny_plan(0x9015 + restart))),
+                    ("wait".to_string(), Value::Bool(true)),
+                ],
+            ))
+            .expect("submit healthy");
+        assert_eq!(healthy.get("ok").and_then(Value::as_bool), Some(true));
+        let mut result = healthy;
+        while result.get("event").and_then(Value::as_str) != Some("result") {
+            result = client.recv().expect("recv").expect("stream line");
+        }
+        assert_eq!(result.get("ok").and_then(Value::as_bool), Some(true));
+        let stats = client.request(&request("stats", vec![])).expect("stats");
+        let stats = stats.get("stats").expect("stats payload");
+        assert_eq!(stats.get("queue_depth").and_then(Value::as_u64), Some(0));
+        client
+            .request(&request("shutdown", vec![]))
+            .expect("shutdown");
+        let _ = child.wait();
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Resident set size of a process, in kB.
+fn rss_kb(pid: u32) -> u64 {
+    std::fs::read_to_string(format!("/proc/{pid}/status"))
+        .ok()
+        .and_then(|status| {
+            status
+                .lines()
+                .find_map(|line| line.strip_prefix("VmRSS:"))
+                .and_then(|rest| rest.trim().trim_end_matches("kB").trim().parse().ok())
+        })
+        .expect("VmRSS readable")
+}
+
+/// Polls `job` until at least `trials` trials are done.
+fn await_trials(client: &mut Client, job: u64, trials: u64) {
+    let deadline = Instant::now() + Duration::from_secs(120);
+    loop {
+        let done = job_status(client, job)
+            .get("trials_done")
+            .and_then(Value::as_u64)
+            .unwrap_or(0);
+        if done >= trials {
+            return;
+        }
+        assert!(Instant::now() < deadline, "stuck at {done} trials");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+/// Admitted under a raised budget, the poison plan runs in flat memory —
+/// nothing grows with its 10^13 trials — and cancels cleanly.
+#[test]
+fn an_admitted_poison_plan_runs_in_flat_memory_and_cancels() {
+    let (mut child, addr) = spawn_daemon_with(&["--max-trials-per-job", &u64::MAX.to_string()]);
+    let mut client = Client::connect(&addr).expect("connect");
+    let accepted = client
+        .request(&request(
+            "submit",
+            vec![("plan".to_string(), plan_value(&poison_plan()))],
+        ))
+        .expect("submit");
+    assert_eq!(accepted.get("ok").and_then(Value::as_bool), Some(true));
+    let job = accepted.get("job").and_then(Value::as_u64).expect("job id");
+
+    await_trials(&mut client, job, 2_000);
+    let early = rss_kb(child.id());
+    await_trials(&mut client, job, 20_000);
+    let late = rss_kb(child.id());
+    assert!(
+        late < early + 16 * 1024,
+        "RSS grew from {early} kB to {late} kB over 18k trials"
+    );
+
+    let cancel = client
+        .request(&request(
+            "cancel",
+            vec![("job".to_string(), Value::UInt(job))],
+        ))
+        .expect("cancel");
+    assert_eq!(cancel.get("cancelled").and_then(Value::as_bool), Some(true));
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while job_status(&mut client, job)
+        .get("state")
+        .and_then(Value::as_str)
+        != Some("cancelled")
+    {
+        assert!(Instant::now() < deadline, "cancel never landed");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let pong = client.request(&request("ping", vec![])).expect("ping");
+    assert_eq!(pong.get("event").and_then(Value::as_str), Some("pong"));
+    client
+        .request(&request("shutdown", vec![]))
+        .expect("shutdown");
+    let _ = child.wait();
+}
+
+/// Mean bytes of the `chunk` records a job journals at `chunk_trials`.
+fn mean_chunk_record_bytes(plan: &SweepPlan, chunk_trials: usize) -> usize {
+    let dir = state_dir(&format!("chunk-bytes-{chunk_trials}"));
+    let service = ServiceHandle::start(ServiceConfig {
+        workers: 1,
+        chunk_trials,
+        journal_fsync_records: 0,
+        state_dir: Some(dir.clone()),
+        ..ServiceConfig::default()
+    });
+    let job = service.submit(plan.clone(), 0).expect("submit").job;
+    service
+        .wait(job, Some(Duration::from_secs(120)))
+        .expect("job completes");
+    service.shutdown();
+    let journal = std::fs::read_to_string(dir.join(JOURNAL_FILE)).expect("read journal");
+    let chunks: Vec<&str> = journal
+        .lines()
+        .filter(|line| line.contains(r#""rec":"chunk""#))
+        .collect();
+    assert_eq!(
+        chunks.len() as u64,
+        plan.trial_count().div_ceil(chunk_trials as u64)
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+    chunks.iter().map(|line| line.len()).sum::<usize>() / chunks.len()
+}
+
+/// A journal `chunk` record costs the same bytes whether its chunk ran 4
+/// trials or 128: it carries per-point tallies, not per-trial outcomes.
+#[test]
+fn journal_chunk_bytes_do_not_depend_on_chunk_trials() {
+    let mut plan = tiny_plan(0xb17e);
+    plan.seeds_per_point = 256;
+    let small = mean_chunk_record_bytes(&plan, 4);
+    let large = mean_chunk_record_bytes(&plan, 128);
+    assert!(
+        large < small + small / 4,
+        "4-trial chunks: {small} B/record, 128-trial chunks: {large} B/record"
+    );
 }

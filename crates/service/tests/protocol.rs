@@ -474,10 +474,10 @@ fn ping_reports_liveness_over_the_wire() {
     shutdown(&addr, daemon);
 }
 
-/// `run_shard` streams `shard_accepted`, per-chunk outcome checkpoints,
-/// and `shard_done`; the streamed outcomes re-aggregate to the exact
-/// byte-identical report of a whole-campaign run. Bad ranges get the
-/// structured `bad_shard` error, not a teardown.
+/// `run_shard` streams `shard_accepted`, per-chunk tally checkpoints, and
+/// `shard_done`; the streamed tallies merge into the exact byte-identical
+/// report of a whole-campaign run. Bad ranges get the structured
+/// `bad_shard` error, not a teardown.
 #[test]
 fn run_shard_streams_resumable_chunk_checkpoints() {
     let (addr, daemon) = spawn_daemon(ServiceConfig::default());
@@ -504,22 +504,25 @@ fn run_shard_streams_resumable_chunk_checkpoints() {
         accepted.get("event").and_then(Value::as_str),
         Some("shard_accepted")
     );
-    assert_eq!(accepted.get("resumed").and_then(Value::as_u64), Some(0));
-    let mut outcomes = Vec::new();
+    let mut tallies = nvpim_sweep::Tallies::new();
+    let mut chunks = 0;
     loop {
         let line = client.recv().expect("recv").expect("stream line");
         assert_eq!(line.get("ok").and_then(Value::as_bool), Some(true));
         match line.get("event").and_then(Value::as_str) {
             Some("shard_chunk") => {
-                for item in line
-                    .get("outcomes")
-                    .and_then(Value::as_array)
-                    .expect("chunk outcomes")
-                {
-                    outcomes.push(
-                        nvpim_sweep::TrialOutcome::from_json_value(item).expect("outcome decodes"),
-                    );
-                }
+                let chunk = nvpim_sweep::Tallies::from_json_value(
+                    line.get("tallies").expect("chunk tallies"),
+                )
+                .expect("tallies decode");
+                // A 4-trial chunk of a 2-seed plan touches 2 or 3 points.
+                assert!(chunk.iter().count() <= 3);
+                tallies.merge(&chunk);
+                chunks += 1;
+                assert_eq!(
+                    line.get("trials_done").and_then(Value::as_u64),
+                    Some(tallies.trials())
+                );
             }
             Some("shard_done") => {
                 assert_eq!(line.get("trials").and_then(Value::as_u64), Some(total));
@@ -528,14 +531,15 @@ fn run_shard_streams_resumable_chunk_checkpoints() {
             other => panic!("unexpected event {other:?}"),
         }
     }
-    assert_eq!(outcomes.len() as u64, total);
+    assert_eq!(tallies.trials(), total);
+    assert_eq!(chunks, total.div_ceil(4));
 
-    // The streamed outcomes aggregate to the exact single-run report.
+    // The streamed tallies aggregate to the exact single-run report.
     let mut cache = nvpim_sweep::ScheduleCache::new();
     let prepared = nvpim_sweep::prepare_campaign(&plan, &mut cache).expect("prepare");
     let report = prepared
-        .report_from_outcomes(&outcomes)
-        .expect("complete outcome list merges");
+        .report_from_tallies(&tallies)
+        .expect("complete tallies merge");
     let direct = nvpim_sweep::run_campaign(&plan).expect("direct run");
     assert_eq!(report.to_json(), direct.to_json());
 
@@ -553,6 +557,69 @@ fn run_shard_streams_resumable_chunk_checkpoints() {
     assert_eq!(error_code(&resp), "bad_shard");
     let pong = client.request(&request("ping", vec![])).expect("ping");
     assert_eq!(pong.get("event").and_then(Value::as_str), Some("pong"));
+    shutdown(&addr, daemon);
+}
+
+/// The admission budget: a plan (or shard range) over
+/// `max_trials_per_job` is refused with a structured `plan_too_large`
+/// error naming both numbers, and the connection keeps serving.
+#[test]
+fn plans_over_the_trial_budget_are_refused_as_plan_too_large() {
+    let (addr, daemon) = spawn_daemon(ServiceConfig {
+        workers: 1,
+        max_trials_per_job: 17,
+        ..Default::default()
+    });
+    let mut client = Client::connect(&addr).expect("connect");
+    // `tiny_plan_value` is 9 points × 2 seeds = 18 trials: one too many.
+    let resp = client
+        .request(&request(
+            "submit",
+            vec![("plan".to_string(), tiny_plan_value(0xb06e7))],
+        ))
+        .expect("request");
+    assert_eq!(error_code(&resp), "plan_too_large");
+    let message = resp
+        .get("error")
+        .and_then(|e| e.get("message"))
+        .and_then(Value::as_str)
+        .unwrap_or("");
+    assert!(
+        message.contains("18") && message.contains("17"),
+        "{message}"
+    );
+
+    // A shard range is held to the same budget; a smaller one runs.
+    let shard = |client: &mut Client, end: u64| {
+        client
+            .send(&request(
+                "run_shard",
+                vec![
+                    ("plan".to_string(), tiny_plan_value(0xb06e7)),
+                    ("start".to_string(), Value::UInt(0)),
+                    ("end".to_string(), Value::UInt(end)),
+                ],
+            ))
+            .expect("send run_shard");
+        let accepted = client.recv().expect("recv").expect("shard_accepted");
+        assert_eq!(
+            accepted.get("event").and_then(Value::as_str),
+            Some("shard_accepted")
+        );
+        loop {
+            let line = client.recv().expect("recv").expect("stream line");
+            if line.get("event").and_then(Value::as_str) != Some("shard_chunk") {
+                return line;
+            }
+        }
+    };
+    assert_eq!(error_code(&shard(&mut client, 18)), "plan_too_large");
+    let done = shard(&mut client, 17);
+    assert_eq!(
+        done.get("event").and_then(Value::as_str),
+        Some("shard_done")
+    );
+    assert_eq!(done.get("trials").and_then(Value::as_u64), Some(17));
     shutdown(&addr, daemon);
 }
 

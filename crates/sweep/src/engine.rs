@@ -9,9 +9,12 @@
 //! * **Deterministic seeding** — each trial's input RNG and fault-injector
 //!   RNG seeds are pure functions of `(campaign_seed, point index, trial
 //!   index)`, so results do not depend on which thread ran the trial.
-//! * **Order-independent aggregation** — trial outcomes are collected in
-//!   plan order before aggregation, so the report is byte-identical for any
-//!   thread count (`RAYON_NUM_THREADS=1` vs default).
+//! * **Order-independent aggregation** — trial outcomes fold into
+//!   per-point integer tallies, whose sums do not depend on the order they
+//!   were added in, so the report is byte-identical for any thread count
+//!   (`RAYON_NUM_THREADS=1` vs default), chunk size or shard geometry.
+//! * **Bounded memory** — trial coordinates are walked arithmetically and
+//!   never materialised, so memory does not grow with the trial count.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -33,7 +36,9 @@ use rand_chacha::ChaCha8Rng;
 use rayon::prelude::*;
 
 use crate::plan::{CampaignKind, EstimatorMode, ProtectionConfig, SweepPlan, SweepWorkload};
-use crate::report::{EstimatorSummary, PointSummary, SweepReport, TrialOutcome};
+use crate::report::{
+    EstimatorSummary, PointSummary, PointTally, SweepReport, Tallies, TrialOutcome,
+};
 use crate::SweepError;
 
 /// A compiled `(netlist, schedule)` pair shared by all trials of the
@@ -528,6 +533,8 @@ pub struct TrialArena {
     eval_values: Vec<bool>,
     scratch: ExecScratch,
     batch: TrialBatch,
+    /// A batch task's outcomes, reused across tasks until they are tallied.
+    outcomes: Vec<TrialOutcome>,
     /// Per-thread telemetry accumulator: plain `u64` arrays the hot path
     /// records into with no shared-atomic traffic. Folds into the shared
     /// sink on drop — which the rayon `map_init` loop triggers at the end
@@ -1117,17 +1124,17 @@ impl CampaignProgress {
 }
 
 /// What [`PreparedCampaign::run_chunked_resumable`]'s observer sees after
-/// each chunk: cumulative progress plus the chunk's newly computed
-/// outcomes, in trial order. Persisting every `new_outcomes` slice (in
-/// order) yields a checkpoint from which a restarted campaign resumes
-/// without recomputing — the spliced outcome list aggregates into
-/// byte-identical report JSON.
+/// each chunk: cumulative progress plus the per-point tallies of the
+/// trials the chunk just computed. Merging every chunk's `new_tallies`
+/// yields a checkpoint from which a restarted campaign resumes without
+/// recomputing — tallies merge in any order, and the merged tallies
+/// aggregate into byte-identical report JSON.
 #[derive(Debug, Clone, Copy)]
 pub struct ChunkCheckpoint<'a> {
     /// Cumulative progress, including any resumed prefix.
     pub progress: CampaignProgress,
-    /// The outcomes this chunk just computed (empty for none).
-    pub new_outcomes: &'a [TrialOutcome],
+    /// Tallies of the trials this chunk just computed.
+    pub new_tallies: &'a Tallies,
 }
 
 /// A validated plan with every point resolved and every schedule compiled,
@@ -1340,15 +1347,31 @@ struct TrialTask {
     count: u32,
 }
 
-/// A task's result: single trials return their outcome by value (no
-/// per-trial heap allocation in the hot parallel loop), batches return one
-/// vector per ≤ 64 trials.
-#[derive(Debug)]
-pub enum TaskOutcomes {
-    /// One trial's outcome, by value.
-    Single(TrialOutcome),
-    /// A fused batch's outcomes, in trial order.
-    Batch(Vec<TrialOutcome>),
+/// Trials one parallel wave runs at most. A chunk larger than this runs
+/// as several waves, so the task list — and with it memory — stays bounded
+/// for any chunk size, `usize::MAX` included.
+const WAVE_TRIALS: u64 = 1 << 14;
+
+/// Splits the plan-ordered trial range `from .. to` into
+/// `(point, first trial, trial count)` runs, one per point it touches,
+/// computed arithmetically (trial `i` is trial `i % seeds_per_point` of
+/// point `i / seeds_per_point`) so no trial list is ever materialised.
+pub(crate) fn point_spans(
+    from: u64,
+    to: u64,
+    seeds_per_point: u64,
+) -> impl Iterator<Item = (usize, u64, u64)> {
+    let mut cursor = from;
+    std::iter::from_fn(move || {
+        if cursor >= to || seeds_per_point == 0 {
+            return None;
+        }
+        let first = cursor % seeds_per_point;
+        let count = (seeds_per_point - first).min(to - cursor);
+        let point = (cursor / seeds_per_point) as usize;
+        cursor += count;
+        Some((point, first, count))
+    })
 }
 
 /// A Monte Carlo simulation backend: how one task of consecutive trials of
@@ -1359,10 +1382,10 @@ pub enum TaskOutcomes {
 /// ([`SchemeRuntime::sliceable`](nvpim_core::scheme::SchemeRuntime::sliceable))
 /// rather than an engine special case.
 ///
-/// **Contract:** outcomes are a pure function of `(point, campaign seed,
-/// trial index)` — never of task shape, arena history, thread or backend —
-/// so reports stay byte-identical across backends (the backend-equivalence
-/// suite asserts this).
+/// **Contract:** every trial's outcome is a pure function of `(point,
+/// campaign seed, trial index)` — never of task shape, arena history,
+/// thread or backend — so reports stay byte-identical across backends (the
+/// backend-equivalence suite asserts this).
 pub trait ExecutionBackend: std::fmt::Debug + Send + Sync {
     /// Stable backend name (the CLI's `--backend` values).
     fn name(&self) -> &'static str;
@@ -1371,8 +1394,8 @@ pub trait ExecutionBackend: std::fmt::Debug + Send + Sync {
     fn task_width(&self, point: &PointContext) -> usize;
 
     /// Runs trials `first_trial .. first_trial + count` of `point` in
-    /// `arena`, returning their outcomes in trial order. `count` never
-    /// exceeds [`Self::task_width`] for this point.
+    /// `arena`, returning their tally. `count` never exceeds
+    /// [`Self::task_width`] for this point.
     #[allow(clippy::too_many_arguments)]
     fn run_task(
         &self,
@@ -1382,7 +1405,25 @@ pub trait ExecutionBackend: std::fmt::Debug + Send + Sync {
         first_trial: u64,
         count: usize,
         arena: &mut TrialArena,
-    ) -> TaskOutcomes;
+    ) -> PointTally;
+}
+
+/// Tallies trials `first_trial .. first_trial + count` run one at a time
+/// on the scalar path.
+fn tally_scalar_trials(
+    point: &PointContext,
+    campaign_seed: u64,
+    point_index: u64,
+    first_trial: u64,
+    count: usize,
+    arena: &mut TrialArena,
+) -> PointTally {
+    let mut tally = PointTally::default();
+    for trial in first_trial..first_trial + count as u64 {
+        let seed = derive_trial_seed(campaign_seed, point_index, trial);
+        tally.record(&run_trial(point, seed, arena));
+    }
+    tally
 }
 
 /// The reference backend: one trial at a time on the scalar bit-packed
@@ -1407,10 +1448,8 @@ impl ExecutionBackend for ScalarBackend {
         first_trial: u64,
         count: usize,
         arena: &mut TrialArena,
-    ) -> TaskOutcomes {
-        debug_assert_eq!(count, 1, "the scalar backend runs one trial per task");
-        let seed = derive_trial_seed(campaign_seed, point_index, first_trial);
-        TaskOutcomes::Single(run_trial(point, seed, arena))
+    ) -> PointTally {
+        tally_scalar_trials(point, campaign_seed, point_index, first_trial, count, arena)
     }
 }
 
@@ -1442,24 +1481,31 @@ impl ExecutionBackend for SlicedBackend {
         first_trial: u64,
         count: usize,
         arena: &mut TrialArena,
-    ) -> TaskOutcomes {
-        if point.sliceable() {
-            let mut out = Vec::with_capacity(count);
-            run_trial_batch(
+    ) -> PointTally {
+        if !point.sliceable() {
+            return tally_scalar_trials(
                 point,
                 campaign_seed,
                 point_index,
                 first_trial,
                 count,
                 arena,
-                &mut out,
             );
-            TaskOutcomes::Batch(out)
-        } else {
-            debug_assert_eq!(count, 1, "non-sliceable points run one trial per task");
-            let seed = derive_trial_seed(campaign_seed, point_index, first_trial);
-            TaskOutcomes::Single(run_trial(point, seed, arena))
         }
+        let mut out = std::mem::take(&mut arena.outcomes);
+        out.clear();
+        run_trial_batch(
+            point,
+            campaign_seed,
+            point_index,
+            first_trial,
+            count,
+            arena,
+            &mut out,
+        );
+        let tally = PointTally::from_outcomes(&out);
+        arena.outcomes = out;
+        tally
     }
 }
 
@@ -1564,262 +1610,223 @@ impl PreparedCampaign {
         chunk_trials: usize,
         mut observer: impl FnMut(CampaignProgress) -> CampaignControl,
     ) -> Result<SweepReport, SweepError> {
-        self.run_chunked_resumable(backend, chunk_trials, Vec::new(), |checkpoint| {
+        self.run_chunked_resumable(backend, chunk_trials, Tallies::new(), |checkpoint| {
             observer(checkpoint.progress)
         })
     }
 
     /// [`Self::run_chunked_with`] with a **chunk checkpoint surface**: the
-    /// observer additionally receives the outcomes newly completed in each
-    /// chunk, and a previously checkpointed outcome prefix can be injected
-    /// via `resume` so a restarted campaign re-executes only the trials
-    /// after its last checkpoint.
+    /// observer additionally receives the tallies of the trials each chunk
+    /// computed, and previously checkpointed tallies can be injected via
+    /// `resume` so a restarted campaign re-executes only the trials after
+    /// its last checkpoint.
     ///
-    /// Resume is legal because every trial outcome is a pure function of
-    /// `(point, campaign seed, trial index)` and the outcome list is cut
-    /// from one plan-ordered trial list: a run resumed from any prefix of
-    /// that list aggregates into a report **byte-identical** to an
-    /// uninterrupted run (the chunk-invariance guarantee, asserted by the
-    /// service's chaos suite).
+    /// `resume` must hold the tallies of a prefix of the plan-ordered trial
+    /// list (the merged `new_tallies` of the chunks run so far); the run
+    /// continues at trial `resume.trials()`. Resume is legal because every
+    /// trial outcome is a pure function of `(point, campaign seed, trial
+    /// index)` and tallies merge in any order: a run resumed from any
+    /// prefix aggregates into a report **byte-identical** to an
+    /// uninterrupted run (asserted by the service's chaos suite).
     ///
     /// # Errors
     ///
-    /// [`SweepError::BadCheckpoint`] when `resume` holds more outcomes than
-    /// the campaign has trials; otherwise as [`Self::run_chunked`].
+    /// [`SweepError::BadCheckpoint`] when `resume` is not the tally of a
+    /// prefix of this campaign's trial list; otherwise as
+    /// [`Self::run_chunked`].
     pub fn run_chunked_resumable(
         &self,
         backend: &dyn ExecutionBackend,
         chunk_trials: usize,
-        resume: Vec<TrialOutcome>,
+        resume: Tallies,
         mut observer: impl FnMut(ChunkCheckpoint<'_>) -> CampaignControl,
     ) -> Result<SweepReport, SweepError> {
-        let trials = self.flat_trials();
-        let trials_total = trials.len() as u64;
-        if resume.len() > trials.len() {
+        let total = self.trial_count();
+        let done = resume.trials();
+        if done > total || !resume.covers_range(0, done, self.plan.seeds_per_point) {
             return Err(SweepError::BadCheckpoint(format!(
-                "checkpoint carries {} outcomes but the campaign has only {} trials",
-                resume.len(),
-                trials.len()
+                "checkpoint tallies {done} trials that are not a prefix of the campaign's \
+                 {total} trials"
             )));
         }
-
-        // Skip the checkpointed prefix: those trials' outcomes are already
-        // known, and determinism makes the spliced list indistinguishable
-        // from one computed in a single run.
-        let mut outcomes: Vec<TrialOutcome> = resume;
-        outcomes.reserve(trials.len() - outcomes.len());
-        let pending = &trials[outcomes.len()..];
-        self.execute_pending(
-            backend,
-            chunk_trials,
-            pending,
-            &mut outcomes,
-            trials_total,
-            &mut observer,
-        )?;
-        Ok(self.aggregate_report(&outcomes))
+        let mut tallies = resume;
+        tallies.merge(&self.execute(backend, chunk_trials, 0, done, total, &mut observer)?);
+        self.report_from_tallies(&tallies)
     }
 
     /// Runs **one shard** of the campaign: trials `start .. end` of the
-    /// same flat plan-ordered trial list [`Self::run_chunked_resumable`]
-    /// cuts chunks from, returning the shard's outcomes in trial order
-    /// (`end - start` of them) rather than a report.
+    /// same plan-ordered trial list [`Self::run_chunked_resumable`] cuts
+    /// chunks from, returning the shard's tallies rather than a report.
     ///
     /// This is the scatter half of distributed campaigns: a coordinator
     /// splits `[0, trial_count)` into contiguous ranges (see
-    /// [`shard_ranges`]), runs each on any worker, splices the returned
-    /// slices back in shard order, and aggregates them via
-    /// [`Self::report_from_outcomes`] into a report **byte-identical** to a
-    /// single-node run — legal because every outcome is a pure function of
-    /// `(point, campaign seed, trial index)`.
+    /// [`shard_ranges`]), runs each on any worker, merges the returned
+    /// tallies, and aggregates them via [`Self::report_from_tallies`] into
+    /// a report **byte-identical** to a single-node run. A shard cut short
+    /// resumes by running the rest of its range as a shard of its own: the
+    /// checkpointed chunks' tallies stay merged where they were received.
     ///
-    /// `resume` injects the shard's previously checkpointed outcome prefix
-    /// (as streamed through the observer's [`ChunkCheckpoint`]s), so a
-    /// shard re-assigned after a worker death re-executes only the trials
-    /// after the last checkpoint. Checkpoint progress is shard-local:
-    /// `trials_done` counts shard outcomes (resumed prefix included) out of
-    /// `trials_total == end - start`.
+    /// Checkpoint progress is shard-local: `trials_done` counts the
+    /// shard's trials run so far out of `trials_total == end - start`.
     ///
     /// # Errors
     ///
-    /// [`SweepError::BadCheckpoint`] when the range is inverted, exceeds
-    /// the campaign's trial count, or `resume` holds more outcomes than the
-    /// shard has trials; [`SweepError::Cancelled`] when the observer says
-    /// so.
-    pub fn run_shard_resumable(
+    /// [`SweepError::BadCheckpoint`] when the range is inverted or exceeds
+    /// the campaign's trial count; [`SweepError::Cancelled`] when the
+    /// observer says so.
+    pub fn run_shard(
         &self,
         backend: &dyn ExecutionBackend,
         start: u64,
         end: u64,
         chunk_trials: usize,
-        resume: Vec<TrialOutcome>,
         mut observer: impl FnMut(ChunkCheckpoint<'_>) -> CampaignControl,
-    ) -> Result<Vec<TrialOutcome>, SweepError> {
+    ) -> Result<Tallies, SweepError> {
         let total = self.trial_count();
         if start > end || end > total {
             return Err(SweepError::BadCheckpoint(format!(
                 "shard range {start}..{end} is invalid for a campaign of {total} trials"
             )));
         }
-        let shard_len = (end - start) as usize;
-        if resume.len() > shard_len {
-            return Err(SweepError::BadCheckpoint(format!(
-                "shard checkpoint carries {} outcomes but the shard has only {} trials",
-                resume.len(),
-                shard_len
-            )));
-        }
-        let trials = self.flat_trials();
-        let mut outcomes: Vec<TrialOutcome> = resume;
-        outcomes.reserve(shard_len - outcomes.len());
-        let pending = &trials[start as usize + outcomes.len()..end as usize];
-        self.execute_pending(
-            backend,
-            chunk_trials,
-            pending,
-            &mut outcomes,
-            shard_len as u64,
-            &mut observer,
-        )?;
-        Ok(outcomes)
+        self.execute(backend, chunk_trials, start, start, end, &mut observer)
     }
 
-    /// Aggregates a complete outcome list — e.g. shard slices spliced back
-    /// in shard order by a fleet coordinator — into the campaign's report,
-    /// executing nothing. Byte-identical to the report an uninterrupted
-    /// single-node run would have produced from the same plan.
+    /// Aggregates complete tallies — e.g. shard tallies merged by a fleet
+    /// coordinator — into the campaign's report, executing nothing.
+    /// Byte-identical to the report an uninterrupted single-node run would
+    /// have produced from the same plan.
     ///
     /// # Errors
     ///
-    /// [`SweepError::BadCheckpoint`] unless `outcomes` holds exactly
-    /// [`Self::trial_count`] outcomes.
-    pub fn report_from_outcomes(
-        &self,
-        outcomes: &[TrialOutcome],
-    ) -> Result<SweepReport, SweepError> {
+    /// [`SweepError::BadCheckpoint`] unless `tallies` holds exactly
+    /// [`PreparedCampaign::trial_count`] trials, `seeds_per_point` of them
+    /// for every point.
+    pub fn report_from_tallies(&self, tallies: &Tallies) -> Result<SweepReport, SweepError> {
         let total = self.trial_count();
-        if outcomes.len() as u64 != total {
+        if !tallies.covers_range(0, total, self.plan.seeds_per_point) {
             return Err(SweepError::BadCheckpoint(format!(
-                "merge holds {} outcomes but the campaign has {} trials",
-                outcomes.len(),
-                total
+                "merge tallies {} trials but the campaign needs all {total}, {} per point",
+                tallies.trials(),
+                self.plan.seeds_per_point
             )));
         }
-        Ok(self.aggregate_report(outcomes))
+        Ok(self.aggregate_report(tallies))
     }
 
-    /// The flat plan-ordered trial list every chunked/sharded run cuts
-    /// from: all of point 0's trials, then point 1's, and so on.
-    fn flat_trials(&self) -> Vec<(usize, u64)> {
-        (0..self.points.len())
-            .flat_map(|pi| (0..self.plan.seeds_per_point).map(move |ti| (pi, ti)))
-            .collect()
-    }
-
-    /// Executes `pending` trials in chunks of at most `chunk_trials`,
-    /// appending to `outcomes` and invoking `observer` after each chunk
-    /// with cumulative progress against `trials_total`.
-    fn execute_pending(
+    /// Executes trials `from .. end` of the plan-ordered trial list in
+    /// chunks of at most `chunk_trials`, handing each chunk's tallies to
+    /// `observer` with progress counted from `start` (the first trial of
+    /// the whole run, resumed prefix included) against `end - start`, and
+    /// returns the tallies of every trial it ran.
+    fn execute(
         &self,
         backend: &dyn ExecutionBackend,
         chunk_trials: usize,
-        pending: &[(usize, u64)],
-        outcomes: &mut Vec<TrialOutcome>,
-        trials_total: u64,
+        start: u64,
+        from: u64,
+        end: u64,
         observer: &mut dyn FnMut(ChunkCheckpoint<'_>) -> CampaignControl,
-    ) -> Result<(), SweepError> {
-        let chunk_trials = chunk_trials.max(1);
-        let campaign_seed = self.plan.campaign_seed;
-        let points_ref = &self.points;
-        for chunk in pending.chunks(chunk_trials) {
-            // Group runs of consecutive trials of one point into tasks of
-            // the backend's width (1 for scalar, up to 64 lanes for sliced
-            // points whose scheme declares the capability). Grouping is
-            // pure scheduling: every trial's outcome remains a function of
-            // `(point, seed)` alone, so the flattened outcome list is
-            // identical for any task shape, chunk size, thread count and
-            // backend.
-            let mut tasks: Vec<TrialTask> = Vec::new();
-            let mut i = 0usize;
-            while i < chunk.len() {
-                let (pi, ti) = chunk[i];
-                let width = backend.task_width(&points_ref[pi]);
-                let mut count = 1usize;
-                while count < width && i + count < chunk.len() {
-                    let (pj, tj) = chunk[i + count];
-                    if pj != pi || tj != ti + count as u64 {
-                        break;
-                    }
-                    count += 1;
+    ) -> Result<Tallies, SweepError> {
+        let chunk_trials = chunk_trials.max(1) as u64;
+        let mut tallies = Tallies::new();
+        let mut cursor = from;
+        while cursor < end {
+            let chunk_end = end.min(cursor.saturating_add(chunk_trials));
+            let mut new_tallies = Tallies::new();
+            let mut wave = cursor;
+            while wave < chunk_end {
+                let wave_end = chunk_end.min(wave.saturating_add(WAVE_TRIALS));
+                for (point, tally) in self.run_wave(backend, wave, wave_end) {
+                    new_tallies.add(point, &tally);
                 }
-                tasks.push(TrialTask {
-                    point: pi,
-                    first: ti,
-                    count: count as u32,
-                });
-                i += count;
+                wave = wave_end;
             }
-            // `map_init` hands each worker thread a private `TrialArena`
-            // (arrays + buffers reset in place per task), so steady-state
-            // scalar trials allocate nothing and batches allocate only
-            // their per-64-trial outcome vector.
-            let telemetry = &self.telemetry;
-            let chunk_outcomes: Vec<TaskOutcomes> = tasks
-                .into_par_iter()
-                .map_init(
-                    move || TrialArena::with_telemetry(telemetry),
-                    move |arena, task| {
-                        backend.run_task(
-                            &points_ref[task.point],
-                            campaign_seed,
-                            task.point as u64,
-                            task.first,
-                            task.count as usize,
-                            arena,
-                        )
-                    },
-                )
-                .collect();
-            let chunk_start = outcomes.len();
-            for task_outcomes in chunk_outcomes {
-                match task_outcomes {
-                    TaskOutcomes::Single(outcome) => outcomes.push(outcome),
-                    TaskOutcomes::Batch(batch) => outcomes.extend(batch),
-                }
-            }
+            cursor = chunk_end;
             let checkpoint = ChunkCheckpoint {
                 progress: CampaignProgress {
-                    trials_done: outcomes.len() as u64,
-                    trials_total,
+                    trials_done: cursor - start,
+                    trials_total: end - start,
                 },
-                new_outcomes: &outcomes[chunk_start..],
+                new_tallies: &new_tallies,
             };
             if observer(checkpoint) == CampaignControl::Cancel {
                 return Err(SweepError::Cancelled);
             }
+            tallies.merge(&new_tallies);
         }
-        Ok(())
+        Ok(tallies)
     }
 
-    /// Aggregates a complete plan-ordered outcome list per point, in plan
-    /// order, into the final report.
-    fn aggregate_report(&self, outcomes: &[TrialOutcome]) -> SweepReport {
-        let per_point = self.plan.seeds_per_point as usize;
+    /// Runs trials `from .. to` in parallel, returning one tally per task.
+    fn run_wave(
+        &self,
+        backend: &dyn ExecutionBackend,
+        from: u64,
+        to: u64,
+    ) -> Vec<(usize, PointTally)> {
+        // Group runs of consecutive trials of one point into tasks of the
+        // backend's width (1 for scalar, up to 64 lanes for sliced points
+        // whose scheme declares the capability). Grouping is pure
+        // scheduling: every trial's outcome remains a function of
+        // `(point, seed)` alone, so the tallies are identical for any task
+        // shape, chunk size, thread count and backend.
+        let mut tasks: Vec<TrialTask> = Vec::new();
+        for (point, first, count) in point_spans(from, to, self.plan.seeds_per_point) {
+            let width = backend.task_width(&self.points[point]).max(1) as u64;
+            let mut trial = first;
+            while trial < first + count {
+                let n = width.min(first + count - trial);
+                tasks.push(TrialTask {
+                    point,
+                    first: trial,
+                    count: n as u32,
+                });
+                trial += n;
+            }
+        }
+        // `map_init` hands each worker thread a private `TrialArena`
+        // (arrays + buffers reset in place per task), so steady-state
+        // trials allocate nothing.
+        let campaign_seed = self.plan.campaign_seed;
+        let points = &self.points;
+        let telemetry = &self.telemetry;
+        tasks
+            .into_par_iter()
+            .map_init(
+                move || TrialArena::with_telemetry(telemetry),
+                move |arena, task| {
+                    let tally = backend.run_task(
+                        &points[task.point],
+                        campaign_seed,
+                        task.point as u64,
+                        task.first,
+                        task.count as usize,
+                        arena,
+                    );
+                    (task.point, tally)
+                },
+            )
+            .collect()
+    }
+
+    /// Aggregates tallies covering every trial of the campaign, per point
+    /// in plan order, into the final report.
+    fn aggregate_report(&self, tallies: &Tallies) -> SweepReport {
         let agg_span = self.telemetry.span_start();
         let summaries: Vec<PointSummary> = self
             .points
             .iter()
             .enumerate()
             .map(|(pi, ctx)| {
-                let chunk = &outcomes[pi * per_point..(pi + 1) * per_point];
-                let mut summary = PointSummary::aggregate(ctx, chunk);
+                let tally = tallies.get(pi).copied().unwrap_or_default();
+                let mut summary = PointSummary::aggregate(ctx, &tally);
                 if self.plan.estimator == EstimatorMode::Stratified {
                     // In stratified mode the raw counters describe the
                     // conditional stratum; the unbiased unconditional rates
                     // (and their Wilson intervals) are computed here from
                     // the analytic reweighting factor. Unconditioned points
                     // carry the plain-MC estimate with `stratified: false`.
-                    let executed = summary.trials - summary.exec_errors;
+                    let executed = summary.trials.saturating_sub(summary.exec_errors);
                     summary.estimator = Some(EstimatorSummary::from_counts(
                         ctx.conditioned,
                         ctx.clean.as_ref().map_or(0, |c| c.decisions),
@@ -1906,7 +1913,6 @@ pub fn run_campaign_with_backend(
 mod tests {
     use super::*;
     use nvpim_sim::technology::Technology;
-    use serde::Serialize;
 
     #[test]
     fn trial_seeds_are_stable_and_coordinate_sensitive() {
@@ -1990,14 +1996,20 @@ mod tests {
         };
 
         // All trials broken: rate 0.0 but exec_errors == trials.
-        let all_broken = PointSummary::aggregate(&ctx, &[broken.clone(), broken.clone()]);
+        let all_broken = PointSummary::aggregate(
+            &ctx,
+            &PointTally::from_outcomes(&[broken.clone(), broken.clone()]),
+        );
         assert_eq!(all_broken.exec_errors, 2);
         assert_eq!(all_broken.failed_trials, 0);
         assert_eq!(all_broken.output_error_rate, 0.0);
 
         // Mixed: one executed-and-failed trial out of one executed trial
         // gives rate 1.0, not 1/3.
-        let mixed = PointSummary::aggregate(&ctx, &[broken.clone(), broken, failed]);
+        let mixed = PointSummary::aggregate(
+            &ctx,
+            &PointTally::from_outcomes(&[broken.clone(), broken, failed]),
+        );
         assert_eq!(mixed.exec_errors, 2);
         assert_eq!(mixed.failed_trials, 1);
         assert!((mixed.output_error_rate - 1.0).abs() < f64::EPSILON);
@@ -2045,10 +2057,9 @@ mod tests {
     }
 
     #[test]
-    fn sharded_outcomes_merge_byte_identically() {
+    fn sharded_tallies_merge_byte_identically() {
         // Scatter/gather over any shard geometry must aggregate into the
-        // same bytes as a one-shot run — including shards resumed from a
-        // checkpointed prefix mid-range.
+        // same bytes as a one-shot run, merged in any order.
         let mut plan = SweepPlan::quick();
         plan.seeds_per_point = 5;
         let baseline = run_campaign(&plan).unwrap().to_json();
@@ -2056,17 +2067,18 @@ mod tests {
         let prepared = prepare_campaign(&plan, &mut cache).unwrap();
         let backend = execution_backend(SimBackend::default());
         for shards in [1usize, 2, 3, 7] {
-            let mut merged: Vec<TrialOutcome> = Vec::new();
-            for (start, end) in shard_ranges(prepared.trial_count(), shards) {
-                let slice = prepared
-                    .run_shard_resumable(backend, start, end, 4, Vec::new(), |_| {
-                        CampaignControl::Continue
-                    })
+            let mut merged = Tallies::new();
+            for (start, end) in shard_ranges(prepared.trial_count(), shards)
+                .into_iter()
+                .rev()
+            {
+                let shard = prepared
+                    .run_shard(backend, start, end, 4, |_| CampaignControl::Continue)
                     .unwrap();
-                assert_eq!(slice.len() as u64, end - start);
-                merged.extend(slice);
+                assert!(shard.covers_range(start, end, plan.seeds_per_point));
+                merged.merge(&shard);
             }
-            let report = prepared.report_from_outcomes(&merged).unwrap();
+            let report = prepared.report_from_tallies(&merged).unwrap();
             assert_eq!(report.to_json(), baseline, "{shards} shards");
         }
     }
@@ -2080,12 +2092,12 @@ mod tests {
         let total = prepared.trial_count();
         let (start, end) = (total / 4, 3 * total / 4);
 
-        // First pass: capture the first two chunks' outcomes, then die.
-        let mut checkpointed: Vec<TrialOutcome> = Vec::new();
+        // First pass: checkpoint the first two chunks' tallies, then die.
+        let mut checkpointed = Tallies::new();
         let mut chunks = 0;
         let err = prepared
-            .run_shard_resumable(backend, start, end, 3, Vec::new(), |cp| {
-                checkpointed.extend_from_slice(cp.new_outcomes);
+            .run_shard(backend, start, end, 3, |cp| {
+                checkpointed.merge(cp.new_tallies);
                 chunks += 1;
                 if chunks == 2 {
                     CampaignControl::Cancel
@@ -2095,44 +2107,108 @@ mod tests {
             })
             .unwrap_err();
         assert_eq!(err, SweepError::Cancelled);
-        assert_eq!(checkpointed.len(), 6);
+        assert_eq!(checkpointed.trials(), 6);
 
-        // Second pass resumes from the checkpoint: progress starts past the
-        // prefix and the spliced shard matches a clean one-pass shard.
-        let resumed = prepared
-            .run_shard_resumable(backend, start, end, 3, checkpointed.clone(), |cp| {
-                assert!(cp.progress.trials_done > 6);
-                assert_eq!(cp.progress.trials_total, end - start);
+        // Second pass runs only the rest of the range; merged with the
+        // checkpoint it equals a clean one-pass shard.
+        let mut rest = prepared
+            .run_shard(backend, start + 6, end, 3, |cp| {
+                assert_eq!(cp.progress.trials_total, end - start - 6);
                 CampaignControl::Continue
             })
             .unwrap();
+        rest.merge(&checkpointed);
         let clean = prepared
-            .run_shard_resumable(backend, start, end, 1000, Vec::new(), |_| {
-                CampaignControl::Continue
-            })
+            .run_shard(backend, start, end, 1000, |_| CampaignControl::Continue)
             .unwrap();
-        assert_eq!(
-            resumed.iter().map(|o| o.to_json()).collect::<Vec<_>>(),
-            clean.iter().map(|o| o.to_json()).collect::<Vec<_>>()
-        );
+        assert_eq!(rest, clean);
 
-        // Range and prefix validation.
+        // Range and merge validation.
         assert!(matches!(
-            prepared.run_shard_resumable(backend, 5, 4, 1, Vec::new(), |_| {
-                CampaignControl::Continue
-            }),
+            prepared.run_shard(backend, 5, 4, 1, |_| CampaignControl::Continue),
             Err(SweepError::BadCheckpoint(_))
         ));
         assert!(matches!(
-            prepared.run_shard_resumable(backend, 0, total + 1, 1, Vec::new(), |_| {
-                CampaignControl::Continue
-            }),
+            prepared.run_shard(backend, 0, total + 1, 1, |_| CampaignControl::Continue),
             Err(SweepError::BadCheckpoint(_))
         ));
         assert!(matches!(
-            prepared.report_from_outcomes(&clean),
+            prepared.report_from_tallies(&clean),
             Err(SweepError::BadCheckpoint(_))
         ));
+    }
+
+    #[test]
+    fn resume_rejects_tallies_that_are_not_a_prefix() {
+        let plan = SweepPlan::quick();
+        let mut cache = ScheduleCache::new();
+        let prepared = prepare_campaign(&plan, &mut cache).unwrap();
+        let backend = execution_backend(SimBackend::default());
+        // Four trials straddling the first point boundary: as many trials
+        // as the prefix 0..4, but split across two points.
+        let spp = plan.seeds_per_point;
+        let middle = prepared
+            .run_shard(backend, spp - 2, spp + 2, 64, |_| CampaignControl::Continue)
+            .unwrap();
+        assert!(matches!(
+            prepared.run_chunked_resumable(backend, 4, middle, |_| CampaignControl::Continue),
+            Err(SweepError::BadCheckpoint(_))
+        ));
+    }
+
+    /// Peak resident set size of this process, in kB.
+    fn peak_rss_kb() -> u64 {
+        std::fs::read_to_string("/proc/self/status")
+            .ok()
+            .and_then(|status| {
+                status
+                    .lines()
+                    .find_map(|line| line.strip_prefix("VmHWM:"))
+                    .and_then(|rest| rest.trim().trim_end_matches("kB").trim().parse().ok())
+            })
+            .unwrap_or(0)
+    }
+
+    #[test]
+    fn a_billion_trial_campaign_starts_in_bounded_memory() {
+        // Nothing the engine keeps grows with the trial count: cancelling
+        // after a few chunks costs a few chunks, not a per-trial list.
+        let mut plan = SweepPlan::quick();
+        plan.seeds_per_point = 1_000_000_000 / plan.point_count() as u64;
+        let mut cache = ScheduleCache::new();
+        let prepared = prepare_campaign(&plan, &mut cache).unwrap();
+        for resume in [Tallies::new(), {
+            let mut prefix = Tallies::new();
+            prefix.merge(
+                &prepared
+                    .run_shard(execution_backend(SimBackend::default()), 0, 64, 64, |_| {
+                        CampaignControl::Continue
+                    })
+                    .unwrap(),
+            );
+            prefix
+        }] {
+            let mut chunks = 0;
+            let err = prepared
+                .run_chunked_resumable(
+                    execution_backend(SimBackend::default()),
+                    4096,
+                    resume,
+                    |cp| {
+                        chunks += 1;
+                        assert!(cp.new_tallies.iter().count() <= 2);
+                        if chunks == 3 {
+                            CampaignControl::Cancel
+                        } else {
+                            CampaignControl::Continue
+                        }
+                    },
+                )
+                .unwrap_err();
+            assert_eq!(err, SweepError::Cancelled);
+        }
+        let peak_mb = peak_rss_kb() / 1024;
+        assert!(peak_mb < 512, "peak RSS {peak_mb} MB");
     }
 
     #[test]

@@ -48,13 +48,14 @@ pub use engine::{
     derive_trial_seed, execution_backend, prepare_campaign, prepare_campaign_with_telemetry,
     run_campaign, run_campaign_with_backend, shard_ranges, trial_stream_seeds, CampaignControl,
     CampaignProgress, ChunkCheckpoint, CompiledKernel, ExecutionBackend, PointContext,
-    PreparedCampaign, ScalarBackend, ScheduleCache, SlicedBackend, TaskOutcomes, TrialArena,
-    TrialHarness,
+    PreparedCampaign, ScalarBackend, ScheduleCache, SlicedBackend, TrialArena, TrialHarness,
 };
 pub use nvpim_core::config::SimBackend;
 pub use nvpim_telemetry::{Counter as TelemetryCounter, Phase, Telemetry, TelemetrySnapshot};
 pub use plan::{CampaignKind, EstimatorMode, ProtectionConfig, SweepPlan, SweepWorkload};
-pub use report::{AccuracySummary, EstimatorSummary, PointSummary, SweepReport, TrialOutcome};
+pub use report::{
+    AccuracySummary, EstimatorSummary, PointSummary, PointTally, SweepReport, Tallies, TrialOutcome,
+};
 
 /// Errors raised while setting up a campaign.
 #[derive(Debug, Clone, PartialEq)]
@@ -84,8 +85,9 @@ pub enum SweepError {
     UnsupportedCampaign(String),
     /// A chunked campaign was cancelled by its progress observer.
     Cancelled,
-    /// A resume checkpoint is inconsistent with the campaign it claims to
-    /// checkpoint (e.g. it carries more outcomes than the plan has trials).
+    /// A resume checkpoint or merge is inconsistent with the campaign it
+    /// claims to checkpoint (e.g. its tallies are not those of a prefix of
+    /// the plan's trial list).
     BadCheckpoint(String),
 }
 

@@ -450,9 +450,10 @@ impl SweepPlan {
             * self.gate_error_rates.len()
     }
 
-    /// Total number of Monte Carlo trials the campaign will run.
+    /// Total number of Monte Carlo trials the campaign will run
+    /// (saturating; [`Self::validate`] rejects plans whose count overflows).
     pub fn trial_count(&self) -> u64 {
-        self.point_count() as u64 * self.seeds_per_point
+        (self.point_count() as u64).saturating_mul(self.seeds_per_point)
     }
 
     /// Checks the plan is non-degenerate.
@@ -475,6 +476,14 @@ impl SweepPlan {
         }
         if self.seeds_per_point == 0 {
             return Err(crate::SweepError::EmptyPlan("seeds_per_point"));
+        }
+        if (self.point_count() as u64)
+            .checked_mul(self.seeds_per_point)
+            .is_none()
+        {
+            return Err(crate::SweepError::UnsupportedCampaign(
+                "the plan's trial count overflows a 64-bit counter".to_string(),
+            ));
         }
         for &rate in &self.gate_error_rates {
             // The explicit finiteness test matters: `contains` happens to
@@ -533,6 +542,13 @@ mod tests {
         let mut plan = SweepPlan::quick();
         plan.seeds_per_point = 0;
         assert!(plan.validate().is_err());
+        let mut plan = SweepPlan::quick();
+        plan.seeds_per_point = u64::MAX / 2;
+        assert_eq!(plan.trial_count(), u64::MAX, "saturates, never panics");
+        assert!(matches!(
+            plan.validate(),
+            Err(crate::SweepError::UnsupportedCampaign(_))
+        ));
     }
 
     #[test]

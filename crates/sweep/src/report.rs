@@ -1,5 +1,5 @@
-//! Campaign results: per-trial outcomes, per-point aggregates and the
-//! serializable [`SweepReport`].
+//! Campaign results: per-trial outcomes, mergeable per-point tallies,
+//! per-point aggregates and the serializable [`SweepReport`].
 
 use serde::{Serialize, Value};
 
@@ -25,89 +25,11 @@ pub struct TrialOutcome {
     pub exec_error: Option<String>,
     /// Accuracy-campaign verdict: whether the trial's faulty top-1
     /// prediction matched the clean model's prediction for the same image.
-    /// `None` for error-campaign trials (and omitted from their serialized
-    /// form, so error-campaign journal and shard-wire bytes are unchanged).
+    /// `None` for error-campaign trials.
     pub correct: Option<bool>,
 }
 
-// Hand-rolled so the `correct` key is *omitted* when `None`: error-campaign
-// trial bytes (journal checkpoints, shard wire format) stay byte-identical
-// to versions that predate accuracy campaigns. Field order must mirror
-// declaration order exactly (what `derive(Serialize)` emitted before this
-// field existed).
-impl Serialize for TrialOutcome {
-    fn to_json(&self) -> Value {
-        let mut fields = vec![
-            (
-                "faults_injected".to_string(),
-                self.faults_injected.to_json(),
-            ),
-            ("checks".to_string(), self.checks.to_json()),
-            (
-                "errors_detected".to_string(),
-                self.errors_detected.to_json(),
-            ),
-            (
-                "corrections_written_back".to_string(),
-                self.corrections_written_back.to_json(),
-            ),
-            ("uncorrectable".to_string(), self.uncorrectable.to_json()),
-            (
-                "wrong_output_bits".to_string(),
-                self.wrong_output_bits.to_json(),
-            ),
-            ("exec_error".to_string(), self.exec_error.to_json()),
-        ];
-        if let Some(correct) = self.correct {
-            fields.push(("correct".to_string(), correct.to_json()));
-        }
-        Value::Object(fields)
-    }
-}
-
 impl TrialOutcome {
-    /// Decodes one outcome from its serialized JSON shape (the inverse of
-    /// the derived `Serialize`). Used by the service's write-ahead journal
-    /// to restore chunk checkpoints across daemon restarts.
-    ///
-    /// # Errors
-    ///
-    /// A human-readable description naming the missing or mistyped field.
-    pub fn from_json_value(value: &Value) -> Result<Self, String> {
-        let num = |key: &str| {
-            value.get(key).and_then(Value::as_u64).ok_or_else(|| {
-                format!("trial outcome field `{key}` must be a non-negative integer")
-            })
-        };
-        let exec_error = match value.get("exec_error") {
-            None | Some(Value::Null) => None,
-            Some(v) => Some(
-                v.as_str()
-                    .ok_or("trial outcome field `exec_error` must be a string or null")?
-                    .to_string(),
-            ),
-        };
-        // Absent in every error-campaign outcome (and in checkpoints written
-        // before accuracy campaigns existed) — both decode to `None`.
-        let correct = match value.get("correct") {
-            None | Some(Value::Null) => None,
-            Some(Value::Bool(b)) => Some(*b),
-            Some(_) => {
-                return Err("trial outcome field `correct` must be a boolean or null".to_string())
-            }
-        };
-        Ok(TrialOutcome {
-            faults_injected: num("faults_injected")?,
-            checks: num("checks")?,
-            errors_detected: num("errors_detected")?,
-            corrections_written_back: num("corrections_written_back")?,
-            uncorrectable: num("uncorrectable")?,
-            wrong_output_bits: num("wrong_output_bits")?,
-            exec_error,
-            correct,
-        })
-    }
-
     /// Whether the final output was wrong (a failed trial).
     pub fn failed(&self) -> bool {
         self.wrong_output_bits > 0
@@ -118,6 +40,289 @@ impl TrialOutcome {
     /// result is corrupt. This is the error class SEP exists to eliminate.
     pub fn silent_failure(&self) -> bool {
         self.failed() && self.uncorrectable == 0
+    }
+}
+
+/// Integer sums over a set of trials of one point: everything
+/// [`PointSummary`] is derived from.
+///
+/// Tallies are mergeable and commutative: the tally of two disjoint trial
+/// sets is the sum of their tallies, in any order. That makes a tally
+/// (plus a trial cursor) a complete checkpoint — chunk observers, journal
+/// records, shard streams and the fleet merge all carry tallies, never
+/// per-trial outcomes, so their size does not grow with the trial count.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PointTally {
+    /// Trials tallied.
+    pub trials: u64,
+    /// Faults the injector fired, over all trials.
+    pub faults_injected: u64,
+    /// Checker invocations.
+    pub checks: u64,
+    /// Checks that detected an error.
+    pub errors_detected: u64,
+    /// Corrections written back to the array.
+    pub corrections_written_back: u64,
+    /// Checks flagged uncorrectable.
+    pub uncorrectable_checks: u64,
+    /// Executed trials whose final output was wrong.
+    pub failed_trials: u64,
+    /// Failed trials that raised no uncorrectable flag.
+    pub silent_failures: u64,
+    /// Wrong output bits over the executed trials.
+    pub wrong_output_bits: u64,
+    /// Trials that could not execute at all.
+    pub exec_errors: u64,
+    /// Accuracy trials whose prediction matched the clean model's.
+    pub correct_trials: u64,
+    /// Accuracy trials that executed and produced a prediction.
+    pub evaluated_trials: u64,
+}
+
+impl PointTally {
+    /// Counter names in encoding order (the journal and wire keys).
+    const NAMES: [&'static str; 12] = [
+        "trials",
+        "faults_injected",
+        "checks",
+        "errors_detected",
+        "corrections_written_back",
+        "uncorrectable_checks",
+        "failed_trials",
+        "silent_failures",
+        "wrong_output_bits",
+        "exec_errors",
+        "correct_trials",
+        "evaluated_trials",
+    ];
+
+    fn counters(&self) -> [u64; 12] {
+        [
+            self.trials,
+            self.faults_injected,
+            self.checks,
+            self.errors_detected,
+            self.corrections_written_back,
+            self.uncorrectable_checks,
+            self.failed_trials,
+            self.silent_failures,
+            self.wrong_output_bits,
+            self.exec_errors,
+            self.correct_trials,
+            self.evaluated_trials,
+        ]
+    }
+
+    fn counters_mut(&mut self) -> [&mut u64; 12] {
+        [
+            &mut self.trials,
+            &mut self.faults_injected,
+            &mut self.checks,
+            &mut self.errors_detected,
+            &mut self.corrections_written_back,
+            &mut self.uncorrectable_checks,
+            &mut self.failed_trials,
+            &mut self.silent_failures,
+            &mut self.wrong_output_bits,
+            &mut self.exec_errors,
+            &mut self.correct_trials,
+            &mut self.evaluated_trials,
+        ]
+    }
+
+    /// The tally of `outcomes`.
+    pub fn from_outcomes(outcomes: &[TrialOutcome]) -> Self {
+        let mut tally = Self::default();
+        for outcome in outcomes {
+            tally.record(outcome);
+        }
+        tally
+    }
+
+    /// Adds one trial's outcome.
+    pub fn record(&mut self, o: &TrialOutcome) {
+        self.trials += 1;
+        self.faults_injected += o.faults_injected;
+        self.checks += o.checks;
+        self.errors_detected += o.errors_detected;
+        self.corrections_written_back += o.corrections_written_back;
+        self.uncorrectable_checks += o.uncorrectable;
+        if o.exec_error.is_some() {
+            // An exec-errored trial is excluded from `output_error_rate`'s
+            // denominator, so its half-executed output must not feed the
+            // numerator's failure counters either — otherwise one broken
+            // trial inflates a rate whose denominator disowned it.
+            self.exec_errors += 1;
+            return;
+        }
+        self.wrong_output_bits += o.wrong_output_bits;
+        self.failed_trials += u64::from(o.failed());
+        self.silent_failures += u64::from(o.silent_failure());
+        if let Some(correct) = o.correct {
+            self.evaluated_trials += 1;
+            self.correct_trials += u64::from(correct);
+        }
+    }
+
+    /// Adds another tally of a disjoint trial set. Saturates rather than
+    /// overflows: tallies also arrive from journals and the wire.
+    pub fn merge(&mut self, other: &PointTally) {
+        for (mine, theirs) in self.counters_mut().into_iter().zip(other.counters()) {
+            *mine = mine.saturating_add(theirs);
+        }
+    }
+
+    /// Whether the counters could come from real trials: every trial is
+    /// executed or errored, and each subset stays inside its superset.
+    fn is_consistent(&self) -> bool {
+        let executed = self.trials.checked_sub(self.exec_errors);
+        executed.is_some_and(|executed| {
+            self.failed_trials <= executed
+                && self.silent_failures <= self.failed_trials
+                && self.evaluated_trials <= executed
+                && self.correct_trials <= self.evaluated_trials
+        })
+    }
+}
+
+/// Per-point tallies of a set of trials, keyed by point index: the one
+/// checkpoint currency of the engine, the journal, the shard wire and the
+/// fleet merge.
+///
+/// A checkpoint of a contiguous run of the plan-ordered trial list is its
+/// tallies alone — the trial cursor is [`Self::trials`] past the run's
+/// start, and [`Self::covers_range`] checks the tallies against the exact
+/// per-point trial counts the run must have.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Tallies {
+    /// `(point index, tally)`, sorted by point index, one entry per point.
+    points: Vec<(usize, PointTally)>,
+}
+
+impl Tallies {
+    /// No trials.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Trials tallied across all points.
+    pub fn trials(&self) -> u64 {
+        self.points
+            .iter()
+            .fold(0, |sum, (_, t)| sum.saturating_add(t.trials))
+    }
+
+    /// Whether no trial has been tallied.
+    pub fn is_empty(&self) -> bool {
+        self.points.is_empty()
+    }
+
+    /// The tally of point `point`, if any of its trials were tallied.
+    pub fn get(&self, point: usize) -> Option<&PointTally> {
+        self.points
+            .binary_search_by_key(&point, |&(p, _)| p)
+            .ok()
+            .map(|i| &self.points[i].1)
+    }
+
+    /// `(point index, tally)` pairs in point order.
+    pub fn iter(&self) -> impl Iterator<Item = (usize, &PointTally)> {
+        self.points.iter().map(|(p, t)| (*p, t))
+    }
+
+    /// Merges `tally` into point `point`'s entry.
+    pub fn add(&mut self, point: usize, tally: &PointTally) {
+        match self.points.binary_search_by_key(&point, |&(p, _)| p) {
+            Ok(i) => self.points[i].1.merge(tally),
+            Err(i) => self.points.insert(i, (point, *tally)),
+        }
+    }
+
+    /// Merges every entry of `other` (tallies of a disjoint trial set).
+    pub fn merge(&mut self, other: &Tallies) {
+        for (point, tally) in other.iter() {
+            self.add(point, tally);
+        }
+    }
+
+    /// The sum over all points.
+    pub fn total(&self) -> PointTally {
+        let mut total = PointTally::default();
+        for (_, tally) in self.iter() {
+            total.merge(tally);
+        }
+        total
+    }
+
+    /// Whether these tallies hold exactly the trials of the plan-ordered
+    /// range `start .. end` of a campaign with `seeds_per_point` trials per
+    /// point: one entry per point the range touches, each with that
+    /// point's trial count in the range, and nothing else.
+    pub fn covers_range(&self, start: u64, end: u64, seeds_per_point: u64) -> bool {
+        if start > end {
+            return false;
+        }
+        let mut expected = crate::engine::point_spans(start, end, seeds_per_point);
+        let mut got = self.points.iter();
+        loop {
+            match (expected.next(), got.next()) {
+                (None, None) => return true,
+                (Some((point, _, count)), Some((p, tally)))
+                    if point == *p && count == tally.trials => {}
+                _ => return false,
+            }
+        }
+    }
+
+    /// Decodes the [`Serialize`] encoding: an array of objects, each a
+    /// `point` index plus every [`PointTally`] counter.
+    ///
+    /// # Errors
+    ///
+    /// A description naming the malformed entry or field, or an entry
+    /// whose counters no set of trials could produce (more failures than
+    /// executed trials, say).
+    pub fn from_json_value(value: &Value) -> Result<Self, String> {
+        let entries = value.as_array().ok_or("tallies must be an array")?;
+        let mut tallies = Tallies::new();
+        for entry in entries {
+            let num = |key: &str| {
+                entry
+                    .get(key)
+                    .and_then(Value::as_u64)
+                    .ok_or_else(|| format!("tally field `{key}` must be a non-negative integer"))
+            };
+            let point = usize::try_from(num("point")?)
+                .map_err(|_| "tally field `point` is out of range".to_string())?;
+            let mut tally = PointTally::default();
+            for (slot, name) in tally.counters_mut().into_iter().zip(PointTally::NAMES) {
+                *slot = num(name)?;
+            }
+            if !tally.is_consistent() {
+                return Err(format!("tally of point {point} is inconsistent"));
+            }
+            tallies.add(point, &tally);
+        }
+        Ok(tallies)
+    }
+}
+
+impl Serialize for Tallies {
+    fn to_json(&self) -> Value {
+        Value::Array(
+            self.iter()
+                .map(|(point, tally)| {
+                    let mut fields = vec![("point".to_string(), Value::UInt(point as u64))];
+                    fields.extend(
+                        PointTally::NAMES
+                            .iter()
+                            .zip(tally.counters())
+                            .map(|(name, n)| (name.to_string(), Value::UInt(n))),
+                    );
+                    Value::Object(fields)
+                })
+                .collect(),
+        )
     }
 }
 
@@ -398,10 +603,10 @@ impl Serialize for PointSummary {
 }
 
 impl PointSummary {
-    /// Folds a point's trial outcomes (in trial order) into a summary.
-    pub(crate) fn aggregate(ctx: &PointContext, outcomes: &[TrialOutcome]) -> Self {
-        let trials = outcomes.len() as u64;
-        let mut s = PointSummary {
+    /// Builds a point's summary from the tally of all its trials.
+    pub(crate) fn aggregate(ctx: &PointContext, tally: &PointTally) -> Self {
+        let executed = tally.trials.saturating_sub(tally.exec_errors);
+        PointSummary {
             // Labels were formatted exactly once at preparation time (from
             // the scheme runtime's `&'static str` name); report assembly
             // only clones the cached strings.
@@ -409,64 +614,32 @@ impl PointSummary {
             technology: ctx.technology_label.clone(),
             protection: ctx.protection_label.clone(),
             gate_error_rate: ctx.gate_error_rate,
-            trials,
-            faults_injected: 0,
-            checks: 0,
-            errors_detected: 0,
-            corrections_written_back: 0,
-            uncorrectable_checks: 0,
-            failed_trials: 0,
-            silent_failures: 0,
-            wrong_output_bits: 0,
-            output_error_rate: 0.0,
-            exec_errors: 0,
+            trials: tally.trials,
+            faults_injected: tally.faults_injected,
+            checks: tally.checks,
+            errors_detected: tally.errors_detected,
+            corrections_written_back: tally.corrections_written_back,
+            uncorrectable_checks: tally.uncorrectable_checks,
+            failed_trials: tally.failed_trials,
+            silent_failures: tally.silent_failures,
+            wrong_output_bits: tally.wrong_output_bits,
+            output_error_rate: if executed > 0 {
+                tally.failed_trials as f64 / executed as f64
+            } else {
+                0.0
+            },
+            exec_errors: tally.exec_errors,
             est_time_ns: ctx.est_time_ns,
             est_energy_fj: ctx.est_energy_fj,
             estimator: None,
-            accuracy: None,
-        };
-        let mut correct_trials = 0u64;
-        let mut evaluated_trials = 0u64;
-        for o in outcomes {
-            s.faults_injected += o.faults_injected;
-            s.checks += o.checks;
-            s.errors_detected += o.errors_detected;
-            s.corrections_written_back += o.corrections_written_back;
-            s.uncorrectable_checks += o.uncorrectable;
-            if o.exec_error.is_some() {
-                // An exec-errored trial is excluded from `output_error_rate`'s
-                // denominator, so its half-executed output must not feed the
-                // numerator's failure counters either — otherwise one broken
-                // trial inflates a rate whose denominator disowned it.
-                s.exec_errors += 1;
-                continue;
-            }
-            s.wrong_output_bits += o.wrong_output_bits;
-            if o.failed() {
-                s.failed_trials += 1;
-            }
-            if o.silent_failure() {
-                s.silent_failures += 1;
-            }
-            if let Some(correct) = o.correct {
-                evaluated_trials += 1;
-                if correct {
-                    correct_trials += 1;
-                }
-            }
+            accuracy: ctx.accuracy_context().map(|accuracy| {
+                AccuracySummary::from_counts(
+                    tally.correct_trials,
+                    tally.evaluated_trials,
+                    accuracy.clean_label_accuracy(),
+                )
+            }),
         }
-        let executed = trials - s.exec_errors;
-        if executed > 0 {
-            s.output_error_rate = s.failed_trials as f64 / executed as f64;
-        }
-        if let Some(accuracy) = ctx.accuracy_context() {
-            s.accuracy = Some(AccuracySummary::from_counts(
-                correct_trials,
-                evaluated_trials,
-                accuracy.clean_label_accuracy(),
-            ));
-        }
-        s
     }
 }
 
@@ -566,36 +739,84 @@ mod tests {
         assert!(loud.failed() && !loud.silent_failure());
     }
 
-    #[test]
-    fn error_trial_bytes_omit_the_correct_key_and_roundtrip() {
-        let error_trial = TrialOutcome {
+    fn trial(wrong_output_bits: u64, uncorrectable: u64) -> TrialOutcome {
+        TrialOutcome {
             faults_injected: 1,
             checks: 4,
             errors_detected: 1,
             corrections_written_back: 1,
-            uncorrectable: 0,
-            wrong_output_bits: 0,
+            uncorrectable,
+            wrong_output_bits,
             exec_error: None,
             correct: None,
-        };
-        let encoded = serde_json::to_string(&error_trial).unwrap();
-        // Journal/shard wire bytes of error campaigns are unchanged by the
-        // accuracy field.
-        assert!(!encoded.contains("\"correct\""));
-        let value = serde_json::from_str(&encoded).unwrap();
-        assert_eq!(TrialOutcome::from_json_value(&value).unwrap(), error_trial);
+        }
+    }
 
-        let accuracy_trial = TrialOutcome {
+    #[test]
+    fn tallies_round_trip_through_json() {
+        let mut tallies = Tallies::new();
+        tallies.add(3, &PointTally::from_outcomes(&[trial(0, 0), trial(2, 0)]));
+        let accuracy = TrialOutcome {
             correct: Some(true),
-            ..error_trial.clone()
+            ..trial(0, 1)
         };
-        let encoded = serde_json::to_string(&accuracy_trial).unwrap();
-        assert!(encoded.contains("\"correct\":true"));
-        let value = serde_json::from_str(&encoded).unwrap();
-        assert_eq!(
-            TrialOutcome::from_json_value(&value).unwrap(),
-            accuracy_trial
+        tallies.add(1, &PointTally::from_outcomes(&[accuracy]));
+        let encoded = serde_json::to_string(&tallies).unwrap();
+        assert!(
+            encoded.starts_with(r#"[{"point":1,"trials":1,"#),
+            "{encoded}"
         );
+        let value = serde_json::from_str(&encoded).unwrap();
+        assert_eq!(Tallies::from_json_value(&value).unwrap(), tallies);
+
+        let mut inconsistent = serde_json::to_string(&tallies).unwrap();
+        inconsistent = inconsistent.replacen(r#""failed_trials":0"#, r#""failed_trials":9"#, 1);
+        for bad in [
+            r#"{}"#,
+            r#"[{"point":0}]"#,
+            r#"[{"point":-1,"trials":1}]"#,
+            inconsistent.as_str(),
+        ] {
+            let value = serde_json::from_str(bad).unwrap();
+            assert!(Tallies::from_json_value(&value).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn tallies_merge_in_any_order() {
+        let outcomes = [trial(0, 0), trial(3, 0), trial(1, 1), trial(0, 0)];
+        let whole = PointTally::from_outcomes(&outcomes);
+        assert_eq!(whole.trials, 4);
+        assert_eq!(whole.failed_trials, 2);
+        assert_eq!(whole.silent_failures, 1);
+        assert_eq!(whole.wrong_output_bits, 4);
+        let (a, b) = outcomes.split_at(1);
+        let mut forward = Tallies::new();
+        forward.add(0, &PointTally::from_outcomes(a));
+        forward.add(0, &PointTally::from_outcomes(b));
+        let mut backward = Tallies::new();
+        backward.add(0, &PointTally::from_outcomes(b));
+        backward.add(0, &PointTally::from_outcomes(a));
+        assert_eq!(forward, backward);
+        assert_eq!(forward.get(0), Some(&whole));
+        assert_eq!(forward.total(), whole);
+    }
+
+    #[test]
+    fn covers_range_checks_the_exact_per_point_counts() {
+        // Three trials per point; the range 2..7 touches points 0, 1, 2.
+        let mut tallies = Tallies::new();
+        for (point, n) in [(0, 1), (1, 3), (2, 1)] {
+            tallies.add(point, &PointTally::from_outcomes(&vec![trial(0, 0); n]));
+        }
+        assert_eq!(tallies.trials(), 5);
+        assert!(tallies.covers_range(2, 7, 3));
+        assert!(!tallies.covers_range(0, 5, 3), "wrong start");
+        assert!(!tallies.covers_range(2, 8, 3), "missing a trial");
+        assert!(!tallies.covers_range(7, 2, 3), "inverted range");
+        assert!(Tallies::new().covers_range(4, 4, 3));
+        tallies.add(5, &PointTally::from_outcomes(&[trial(0, 0)]));
+        assert!(!tallies.covers_range(2, 7, 3), "a stray point");
     }
 
     #[test]
