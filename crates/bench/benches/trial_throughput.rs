@@ -2,18 +2,15 @@
 //! 1e-4, ECiM with a shortened Hamming(71, 64) code, 256×256 STT-MRAM
 //! array, MAC(8×4) workload.
 //!
-//! Three series are measured:
+//! Two series are measured:
 //!
-//! * `sliced` — the engine's default backend: 64 trials per `u64` lane on
+//! * `sliced` — the engine's execution path: 64 trials per `u64` lane on
 //!   the transposed bit-sliced array, lane-masked skip-sampled faults.
-//! * `scalar` — the engine's scalar reference backend (PR 3's hot path):
-//!   bit-packed array reset in place, per-thread [`TrialArena`] buffers,
-//!   skip-sampled fault injection, allocation-free executor scratch.
-//! * `legacy` — the pre-optimization trial shape: a fresh array allocation
-//!   per trial, per-operation Bernoulli fault draws, a fresh executor
-//!   scratch per run.
+//! * `scalar` — the scalar reference oracle: bit-packed array reset in
+//!   place, per-thread [`TrialArena`] buffers, skip-sampled fault
+//!   injection, allocation-free executor scratch.
 //!
-//! A fourth series measures the rare-event stratified estimator at a gate
+//! A third series measures the rare-event stratified estimator at a gate
 //! rate of 1e-5 on the same point:
 //!
 //! * `estimator` — conditioned trials (every trial guaranteed ≥ 1 fault in
@@ -22,7 +19,7 @@
 //!   `exact_rare` — the historical full-simulation path (analytic
 //!   zero-fault fast path disabled) at the same rate.
 //!
-//! A fifth series, `accuracy`, prices the inference-accuracy campaign
+//! A fourth series, `accuracy`, prices the inference-accuracy campaign
 //! kind end to end (prepare + trials): DetectRecompute on the ReRAM
 //! crossbar with stuck-at defects, where each trial is a full reduced-MLP
 //! inference (eight neuron rows) instead of one kernel run.
@@ -34,7 +31,7 @@
 //! CI uploads the fresh one as an artifact. Set `NVPIM_BENCH_QUICK=1` to
 //! cut sample counts for smoke runs, and `NVPIM_BENCH_GUARD=1` to turn
 //! the run into a perf gate: the process exits non-zero when the sliced
-//! backend drops below `NVPIM_BENCH_MIN_RATIO`× the scalar backend
+//! path drops below `NVPIM_BENCH_MIN_RATIO`× the scalar oracle
 //! (default 2.0 — conservative against CI noise; the measured ratio is
 //! far higher), below the absolute `NVPIM_BENCH_FLOOR_TPS` floor
 //! (default 50000 trials/s), or when the estimator's effective gain over
@@ -46,16 +43,12 @@
 use std::time::Instant;
 
 use criterion::{black_box, Criterion};
-use nvpim_sim::array::PimArray;
-use nvpim_sim::fault::{ErrorRates, FaultInjector};
 use nvpim_sim::technology::Technology;
 use nvpim_sweep::{
-    derive_trial_seed, run_campaign, trial_stream_seeds, CampaignKind, EstimatorMode, Phase,
-    ProtectionConfig, SweepPlan, SweepWorkload, Telemetry, TrialArena, TrialHarness,
+    run_campaign, CampaignKind, EstimatorMode, Phase, ProtectionConfig, SweepPlan, SweepWorkload,
+    Telemetry, TrialArena, TrialHarness,
 };
 use nvpim_workloads::Benchmark;
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
 
 const GATE_ERROR_RATE: f64 = 1e-4;
 /// The rare-event regime the stratified estimator is priced at.
@@ -97,35 +90,6 @@ fn harness_at(protection: ProtectionConfig, gate_error_rate: f64) -> TrialHarnes
     .expect("bench point compiles")
 }
 
-/// One trial the way the pre-optimization engine ran it: fresh array
-/// allocation, per-op Bernoulli sampling, fresh per-run scratch.
-fn run_trial_legacy(harness: &TrialHarness, trial_index: u64) -> u64 {
-    let base_seed = derive_trial_seed(CAMPAIGN_SEED, 0, trial_index);
-    let (input_seed, fault_seed) = trial_stream_seeds(base_seed);
-    let mut input_rng = ChaCha8Rng::seed_from_u64(input_seed);
-    let netlist = &harness.kernel().netlist;
-    let inputs: Vec<bool> = (0..netlist.inputs.len())
-        .map(|_| input_rng.gen_bool(0.5))
-        .collect();
-    let expected = netlist.evaluate(&inputs);
-    let rates = ErrorRates {
-        gate: GATE_ERROR_RATE,
-        ..ErrorRates::NONE
-    };
-    let mut array = PimArray::standard(harness.config().technology)
-        .with_fault_injector(FaultInjector::new(rates, fault_seed).with_per_op_sampling());
-    let report = harness
-        .executor()
-        .run(netlist, &harness.kernel().schedule, &mut array, 0, &inputs)
-        .expect("trial executes");
-    report
-        .outputs
-        .iter()
-        .zip(&expected)
-        .filter(|(got, want)| got != want)
-        .count() as u64
-}
-
 /// Wall-clock trials/sec of `f` called `calls` times, each call covering
 /// `trials_per_call` trials.
 fn measure(calls: u64, trials_per_call: u64, mut f: impl FnMut(u64)) -> f64 {
@@ -158,14 +122,6 @@ fn bench_trial_throughput(c: &mut Criterion) {
         });
     });
 
-    group.bench_function("legacy_fresh_bernoulli", |b| {
-        let mut t = 0u64;
-        b.iter(|| {
-            t += 1;
-            black_box(run_trial_legacy(&harness, t))
-        });
-    });
-
     group.finish();
 }
 
@@ -192,14 +148,14 @@ fn phases_json(snap: &nvpim_sweep::TelemetrySnapshot) -> String {
     out
 }
 
-/// Measures the three series with enough trials for stable ratios, writes
+/// Measures every series with enough trials for stable ratios, writes
 /// `BENCH_trials.json`, and (in guard mode) enforces the perf floor.
 fn emit_json_and_guard() {
     let harness = paper_regime_harness();
-    let (sliced_batches, scalar_trials, legacy_trials) = if quick_mode() {
-        (60u64, 1_000u64, 100u64)
+    let (sliced_batches, scalar_trials) = if quick_mode() {
+        (60u64, 1_000u64)
     } else {
-        (600u64, 8_000u64, 800u64)
+        (600u64, 8_000u64)
     };
 
     // The measured arena carries a telemetry sink, so the emitted JSON can
@@ -223,12 +179,6 @@ fn emit_json_and_guard() {
         trials: scalar_trials,
         trials_per_sec: measure(scalar_trials, 1, |t| {
             black_box(harness.run_trial(CAMPAIGN_SEED, t, &mut arena));
-        }),
-    };
-    let legacy = Series {
-        trials: legacy_trials,
-        trials_per_sec: measure(legacy_trials, 1, |t| {
-            black_box(run_trial_legacy(&harness, t));
         }),
     };
 
@@ -305,7 +255,6 @@ fn emit_json_and_guard() {
             "  \"series\": {{\n",
             "    \"sliced\": {{ \"trials\": {st}, \"trials_per_sec\": {stps:.1} }},\n",
             "    \"scalar\": {{ \"trials\": {ct}, \"trials_per_sec\": {ctps:.1} }},\n",
-            "    \"legacy\": {{ \"trials\": {lt}, \"trials_per_sec\": {ltps:.1} }},\n",
             "    \"exact_rare\": {{ \"gate_error_rate\": {rrate}, \"trials\": {ert}, ",
             "\"trials_per_sec\": {ertps:.1} }},\n",
             "    \"estimator\": {{ \"gate_error_rate\": {rrate}, \"trials\": {et}, ",
@@ -319,15 +268,13 @@ fn emit_json_and_guard() {
             "  \"sliced_trials_per_sec\": {stps:.1},\n",
             "  \"scalar_trials_per_sec\": {ctps:.1},\n",
             "  \"speedup_sliced_vs_scalar\": {svc:.2},\n",
-            "  \"speedup_scalar_vs_legacy\": {cvl:.2},\n",
             "  \"estimator_effective_gain\": {egain:.2},\n",
             "  \"accuracy_trials_per_sec\": {atps:.1},\n",
             "  \"phases\": {phases},\n",
-            "  \"note\": \"sliced = 64-trials-per-u64-lane transposed backend (the engine ",
-            "default); scalar = the per-trial packed-arena reference backend; legacy = ",
-            "fresh array + per-op Bernoulli + fresh scratch, replaying the engine's exact ",
-            "per-trial input/fault streams. All three produce identical per-trial ",
-            "outcomes; see docs/performance.md for the measured history. ",
+            "  \"note\": \"sliced = 64-trials-per-u64-lane transposed backend (the engine's ",
+            "one execution path); scalar = the per-trial packed-arena reference oracle. ",
+            "Both produce identical per-trial outcomes; see docs/performance.md for the ",
+            "measured history. ",
             "estimator = stratified rare-event mode at gate rate 1e-5: conditioned ",
             "trials reweighted by P1, effective rate = trials_per_sec / P1, measured ",
             "against exact_rare, the full-simulation path at the same rate with the ",
@@ -342,12 +289,9 @@ fn emit_json_and_guard() {
         rate = GATE_ERROR_RATE,
         st = sliced.trials,
         ct = scalar.trials,
-        lt = legacy.trials,
         stps = sliced.trials_per_sec,
         ctps = scalar.trials_per_sec,
-        ltps = legacy.trials_per_sec,
         svc = sliced.trials_per_sec / scalar.trials_per_sec,
-        cvl = scalar.trials_per_sec / legacy.trials_per_sec,
         rrate = RARE_GATE_ERROR_RATE,
         ert = exact_rare_trials,
         ertps = exact_rare_tps,
@@ -366,8 +310,8 @@ fn emit_json_and_guard() {
         Err(err) => eprintln!("could not write {out_path}: {err}"),
     }
 
-    // Perf guard (CI): the sliced backend must stay comfortably ahead of
-    // scalar and above an absolute floor. Both thresholds are deliberately
+    // Perf guard (CI): the sliced path must stay comfortably ahead of the
+    // scalar oracle and above an absolute floor. Both thresholds are deliberately
     // conservative — the measured ratio is tens of ×, so tripping this
     // gate means a real regression, not noise.
     if std::env::var("NVPIM_BENCH_GUARD")

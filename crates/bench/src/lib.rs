@@ -40,10 +40,6 @@ pub struct HarnessOptions {
     /// After the table, start an `nvpim-serviced` daemon on this address
     /// and serve campaigns until a `shutdown` request (`--serve HOST:PORT`).
     pub serve: Option<String>,
-    /// Simulation backend for in-process `--sweep` campaigns
-    /// (`--backend scalar|sliced`; default sliced). Reports are
-    /// byte-identical either way — scalar is the cross-check path.
-    pub backend: nvpim::SimBackend,
 }
 
 impl HarnessOptions {
@@ -64,20 +60,12 @@ impl HarnessOptions {
     /// [`Self::from_args`]).
     pub fn parse(args: &[String]) -> Self {
         use nvpim::service::flags::{has_flag, value_of};
-        let backend = match value_of(args, "--backend") {
-            None => nvpim::SimBackend::default(),
-            Some(text) => text.parse().unwrap_or_else(|e| {
-                eprintln!("{e}");
-                std::process::exit(2);
-            }),
-        };
         Self {
             quick: has_flag(args, "--quick"),
             json: has_flag(args, "--json"),
             sweep: has_flag(args, "--sweep"),
             connect: value_of(args, "--connect"),
             serve: value_of(args, "--serve"),
-            backend,
         }
     }
 
@@ -223,14 +211,12 @@ pub fn print_json<T: Serialize>(value: &T) {
 pub fn run_monte_carlo_sweep(opts: &HarnessOptions) {
     let plan = selected_plan(opts);
     println!(
-        "\nMonte Carlo fault sweep — {} points x {} seeds = {} trials ({} backend)",
+        "\nMonte Carlo fault sweep — {} points x {} seeds = {} trials",
         plan.point_count(),
         plan.seeds_per_point,
-        plan.trial_count(),
-        opts.backend
+        plan.trial_count()
     );
-    let report = nvpim::sweep::run_campaign_with_backend(&plan, opts.backend)
-        .expect("sweep campaign plans are executable");
+    let report = nvpim::sweep::run_campaign(&plan).expect("sweep campaign plans are executable");
     let rows: Vec<Vec<String>> = report
         .points
         .iter()

@@ -11,7 +11,6 @@
 //! nvpim-cli shutdown [--addr A]
 //! nvpim-cli run     (--plan plan.json | --quick | --paper-scale
 //!                   | --accuracy-quick)
-//!                   [--backend scalar|sliced]
 //!                   [--estimator exact|stratified]
 //!                   [--kind error|accuracy] [--stuck-at DENSITY]
 //!                   [--timings]                                    # no daemon
@@ -55,9 +54,9 @@
 use nvpim::service::client::{request, Client};
 use nvpim::service::coordinator::{run_fleet, FleetConfig};
 use nvpim::service::flags::{has_flag, value_of};
-use nvpim::sweep::{prepare_campaign_with_telemetry, run_campaign_with_backend, ScheduleCache};
+use nvpim::sweep::{prepare_campaign_with_telemetry, ScheduleCache};
 use nvpim::telemetry::{Counter, Phase, Telemetry};
-use nvpim::{CampaignKind, EstimatorMode, SimBackend, SweepPlan};
+use nvpim::{CampaignKind, EstimatorMode, SweepPlan};
 use serde::Value;
 
 const DEFAULT_ADDR: &str = "127.0.0.1:7171";
@@ -421,9 +420,8 @@ fn cmd_run(args: &[String]) {
     // `--fleet A,B,...` shards the campaign across several daemons via
     // the coordinator. The merged report is byte-identical to the local
     // path below — sharding and worker failure never change report
-    // bytes — so the same stdout contract holds. Workers use their own
-    // configured backend (also byte-identical); `--backend` and
-    // `--timings` are local-run flags.
+    // bytes — so the same stdout contract holds. `--timings` is a
+    // local-run flag.
     if let Some(fleet) = value_of(args, "--fleet") {
         let numeric = |flag: &str, default: u64| -> u64 {
             value_of(args, flag)
@@ -465,31 +463,25 @@ fn cmd_run(args: &[String]) {
         );
         return;
     }
-    // Reports are byte-identical across backends; `--backend scalar` is
-    // the reference path for cross-checking the sliced default.
-    let backend: SimBackend = match value_of(args, "--backend") {
-        None => SimBackend::default(),
-        Some(text) => text.parse().unwrap_or_else(|e| die(e)),
+    // `--timings` attaches a live telemetry sink and prints the per-phase
+    // breakdown to stderr. The report on stdout stays byte-identical —
+    // telemetry only observes, it never touches the RNG stream or trial
+    // outcomes.
+    let timings = has_flag(args, "--timings");
+    let telemetry = if timings {
+        Telemetry::new()
+    } else {
+        Telemetry::disabled()
     };
-    if !has_flag(args, "--timings") {
-        let report = run_campaign_with_backend(&plan, backend).unwrap_or_else(|e| die(e));
-        println!("{}", report.to_json());
-        return;
-    }
-    // `--timings`: run the same campaign with a telemetry sink attached and
-    // print the per-phase breakdown to stderr. The report on stdout stays
-    // byte-identical — telemetry only observes, it never touches the RNG
-    // stream or trial outcomes.
-    let telemetry = Telemetry::new();
     let mut cache = ScheduleCache::new();
     let report = prepare_campaign_with_telemetry(&plan, &mut cache, telemetry.clone())
-        .unwrap_or_else(|e| die(e))
-        .with_backend(backend)
-        .run()
+        .and_then(|campaign| campaign.run())
         .unwrap_or_else(|e| die(e));
     let json = telemetry.time(Phase::ReportSerialization, || report.to_json());
     println!("{json}");
-    print_timings(&telemetry.snapshot());
+    if timings {
+        print_timings(&telemetry.snapshot());
+    }
 }
 
 /// Prints the `run --timings` per-phase breakdown and counter table to

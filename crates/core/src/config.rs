@@ -133,54 +133,6 @@ impl std::str::FromStr for ProtectionScheme {
     }
 }
 
-/// Which Monte Carlo simulation backend executes trials.
-///
-/// Both backends produce **byte-identical** reports — the sliced backend's
-/// per-lane fault streams replay each trial's exact scalar seeds — so this
-/// is purely a throughput knob (and a falsification lever for the
-/// equivalence test suite).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum SimBackend {
-    /// One trial at a time on the scalar bit-packed array.
-    Scalar,
-    /// Up to 64 trials at once, one per `u64` lane, on the transposed
-    /// bit-sliced array (the default wherever the point is sliceable).
-    Sliced,
-}
-
-// Not a `#[derive(Default)]` + `#[default]` variant attribute: the offline
-// stub `serde_derive` parser does not understand variant attributes.
-#[allow(clippy::derivable_impls)]
-impl Default for SimBackend {
-    fn default() -> Self {
-        SimBackend::Sliced
-    }
-}
-
-impl std::fmt::Display for SimBackend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SimBackend::Scalar => write!(f, "scalar"),
-            SimBackend::Sliced => write!(f, "sliced"),
-        }
-    }
-}
-
-/// Accepts the lowercase display label and the serialized variant name.
-impl std::str::FromStr for SimBackend {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "scalar" | "Scalar" => Ok(SimBackend::Scalar),
-            "sliced" | "Sliced" => Ok(SimBackend::Sliced),
-            other => Err(format!(
-                "unknown simulation backend `{other}` (expected scalar or sliced)"
-            )),
-        }
-    }
-}
-
 /// Whether redundant outputs (parity copies, redundant computation results)
 /// are produced by multi-output gates in one shot or by separate
 /// single-output gate operations (Table V's `m-o` vs `s-o` columns).

@@ -65,7 +65,7 @@ pub mod sliced;
 pub mod system;
 
 pub use checker::{CheckResult, CheckerCostModel, EcimChecker, TrimChecker};
-pub use config::{DesignConfig, GateStyle, ProtectionScheme, SimBackend};
+pub use config::{DesignConfig, GateStyle, ProtectionScheme};
 pub use executor::{ExecScratch, ProtectedExecError, ProtectedExecutor, ProtectedRunReport};
 pub use scheme::{registry as scheme_registry, CostEnv, SchemeCapabilities, SchemeRuntime};
 pub use sep::{figure6_cases, granularity_analysis};

@@ -58,7 +58,7 @@ pub use nvpim_sweep as sweep;
 pub use nvpim_telemetry as telemetry;
 pub use nvpim_workloads as workloads;
 
-pub use nvpim_core::config::{DesignConfig, GateStyle, ProtectionScheme, SimBackend};
+pub use nvpim_core::config::{DesignConfig, GateStyle, ProtectionScheme};
 pub use nvpim_core::scheme::{SchemeCapabilities, SchemeRuntime};
 pub use nvpim_sim::technology::Technology;
 pub use nvpim_sweep::{
@@ -87,12 +87,11 @@ pub fn scheme_capabilities() -> Vec<(ProtectionScheme, SchemeCapabilities)> {
 }
 
 /// A fully-assembled Monte Carlo fault-injection campaign: a validated
-/// [`SweepPlan`] plus a simulation-backend choice. Built with
-/// [`Campaign::builder`]; consumed with [`Campaign::run`].
+/// [`SweepPlan`]. Built with [`Campaign::builder`]; consumed with
+/// [`Campaign::run`].
 #[derive(Debug, Clone)]
 pub struct Campaign {
     plan: SweepPlan,
-    backend: SimBackend,
 }
 
 impl Campaign {
@@ -108,20 +107,15 @@ impl Campaign {
         &self.plan
     }
 
-    /// The simulation backend trials will run on.
-    pub fn backend(&self) -> SimBackend {
-        self.backend
-    }
-
     /// Runs every trial and aggregates the deterministic report
-    /// (byte-identical for any thread count, chunk size and backend).
+    /// (byte-identical for any thread count and chunk size).
     ///
     /// # Errors
     ///
     /// Schedule-compilation failures; individual trial execution errors
     /// are recorded in the report, never raised.
     pub fn run(&self) -> Result<SweepReport, SweepError> {
-        nvpim_sweep::run_campaign_with_backend(&self.plan, self.backend)
+        nvpim_sweep::run_campaign(&self.plan)
     }
 }
 
@@ -135,7 +129,6 @@ pub struct CampaignBuilder {
     rates: Vec<f64>,
     trials: u64,
     seed: Option<u64>,
-    backend: SimBackend,
     estimator: EstimatorMode,
     kind: CampaignKind,
     stuck_at_rate: f64,
@@ -192,13 +185,6 @@ impl CampaignBuilder {
     /// builder campaigns reproduce byte-for-byte run to run).
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = Some(seed);
-        self
-    }
-
-    /// Selects the simulation backend (default: sliced; reports are
-    /// byte-identical either way).
-    pub fn backend(mut self, backend: SimBackend) -> Self {
-        self.backend = backend;
         self
     }
 
@@ -267,10 +253,7 @@ impl CampaignBuilder {
             stuck_at_rate: self.stuck_at_rate,
         };
         plan.validate()?;
-        Ok(Campaign {
-            plan,
-            backend: self.backend,
-        })
+        Ok(Campaign { plan })
     }
 }
 
@@ -293,8 +276,8 @@ mod tests {
     #[test]
     fn builder_campaign_matches_direct_plan_execution() {
         // The facade adds no behaviour: a builder campaign's report is
-        // byte-identical to running the equivalent plan directly, on both
-        // backends.
+        // byte-identical to running the equivalent plan directly, and to
+        // the scalar reference oracle.
         let campaign = Campaign::builder()
             .technology(Technology::ReRam)
             .scheme(ProtectionScheme::Trim)
@@ -308,7 +291,7 @@ mod tests {
         let via_facade = campaign.run().unwrap();
         assert_eq!(via_facade.to_json(), direct.to_json());
         let scalar_report =
-            nvpim_sweep::run_campaign_with_backend(campaign.plan(), SimBackend::Scalar).unwrap();
+            nvpim_sweep::run_campaign_on(campaign.plan(), &nvpim_sweep::ScalarBackend).unwrap();
         assert_eq!(scalar_report.to_json(), direct.to_json());
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! nvpim-serviced [--addr HOST:PORT] [--workers N] [--queue-capacity N] [--chunk-trials N]
-//!                [--backend scalar|sliced] [--log-json PATH] [--state-dir DIR]
+//!                [--log-json PATH] [--state-dir DIR]
 //!                [--max-job-retries N] [--retry-backoff-ms N] [--journal-fsync-every N]
 //!                [--shutdown-grace-ms N] [--max-trials-per-job N]
 //! ```
@@ -34,7 +34,7 @@ fn main() {
     if args.iter().any(|a| a == "--help" || a == "-h") {
         println!(
             "nvpim-serviced [--addr HOST:PORT] [--workers N] [--queue-capacity N] \
-             [--chunk-trials N] [--backend scalar|sliced] [--log-json PATH] \
+             [--chunk-trials N] [--log-json PATH] \
              [--state-dir DIR] [--max-job-retries N] [--retry-backoff-ms N] \
              [--journal-fsync-every N] [--shutdown-grace-ms N] [--max-trials-per-job N]\n\n  \
              --log-json PATH         append one NDJSON event per job transition/chunk to PATH\n  \
@@ -53,13 +53,6 @@ fn main() {
     }
     let addr = value_of(&args, "--addr").unwrap_or_else(|| "127.0.0.1:7171".to_string());
     let defaults = ServiceConfig::default();
-    let backend = match value_of(&args, "--backend") {
-        None => defaults.backend,
-        Some(text) => text.parse().unwrap_or_else(|e| {
-            eprintln!("nvpim-serviced: {e}");
-            std::process::exit(2);
-        }),
-    };
     let log_json = value_of(&args, "--log-json").map(std::path::PathBuf::from);
     let state_dir = value_of(&args, "--state-dir").map(std::path::PathBuf::from);
     let cfg = ServiceConfig {
@@ -71,7 +64,6 @@ fn main() {
             "--max-trials-per-job",
             defaults.max_trials_per_job as usize,
         ) as u64,
-        backend,
         log_json,
         state_dir,
         max_job_retries: numeric_arg(

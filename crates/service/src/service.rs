@@ -12,9 +12,8 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use nvpim_sweep::{
-    execution_backend, prepare_campaign_with_telemetry, CampaignControl, CampaignKind,
-    ChunkCheckpoint, EstimatorMode, ExecutionBackend, ScheduleCache, SimBackend, SweepError,
-    SweepPlan, Tallies,
+    prepare_campaign_with_telemetry, CampaignControl, CampaignKind, ChunkCheckpoint, EstimatorMode,
+    ExecutionBackend, ScheduleCache, SlicedBackend, SweepError, SweepPlan, Tallies,
 };
 use nvpim_telemetry::{Counter as TelemetryCounter, EventLog, Phase, Telemetry};
 use serde::{Serialize, Value};
@@ -58,11 +57,6 @@ pub struct ServiceConfig {
     /// evicted and its plan recomputes — byte-identically — on
     /// resubmission.
     pub max_cached_reports: usize,
-    /// Simulation backend campaigns run on. Reports are byte-identical
-    /// across backends (so the content-addressed store stays valid if this
-    /// changes between restarts); `Sliced` is the 64-trials-per-word
-    /// default.
-    pub backend: SimBackend,
     /// Opt-in structured NDJSON event log: when set, the service appends
     /// one event per job transition (and per executed chunk) to this file,
     /// each line carrying a `trace` id correlating a job's whole history.
@@ -87,10 +81,10 @@ pub struct ServiceConfig {
     /// appended records (`1` = every record, the durable default; `0` =
     /// leave flush timing to the OS).
     pub journal_fsync_records: u64,
-    /// Execution-backend override for every campaign this service runs,
-    /// taking precedence over [`backend`](Self::backend) when set. The
-    /// seam the chaos suite injects its panicking backend through; `None`
-    /// (the default) resolves [`backend`](Self::backend) normally.
+    /// Test seam: the execution backend every campaign this service runs
+    /// on. `None` (the default) runs [`SlicedBackend`]; tests substitute
+    /// the [`ScalarBackend`](nvpim_sweep::ScalarBackend) oracle or
+    /// fault-injecting fakes (the chaos suite's panicking backend).
     pub execution_backend: Option<&'static dyn ExecutionBackend>,
     /// Graceful-drain budget for shutdown. `None` (the default) keeps the
     /// legacy behaviour: shutdown runs every queued job to completion
@@ -113,7 +107,6 @@ impl Default for ServiceConfig {
             max_trials_per_job: DEFAULT_MAX_TRIALS_PER_JOB,
             max_tracked_jobs: 4096,
             max_cached_reports: crate::store::DEFAULT_REPORT_CAPACITY,
-            backend: SimBackend::default(),
             log_json: None,
             state_dir: None,
             max_job_retries: 2,
@@ -176,8 +169,6 @@ pub struct JobStatus {
 pub struct ServiceStats {
     /// Worker threads.
     pub workers: usize,
-    /// Simulation backend campaigns run on (`"scalar"` or `"sliced"`).
-    pub backend: String,
     /// Monte Carlo trials executed across all campaigns (cache hits and
     /// coalesced submissions recompute nothing and add nothing here).
     pub trials_executed: u64,
@@ -403,12 +394,10 @@ impl Inner {
         }
     }
 
-    /// The execution backend campaigns run on: the configured override,
-    /// or the standard resolution of the `SimBackend` selector.
+    /// The execution backend campaigns run on: the configured test
+    /// override, or [`SlicedBackend`].
     fn backend(&self) -> &'static dyn ExecutionBackend {
-        self.cfg
-            .execution_backend
-            .unwrap_or_else(|| execution_backend(self.cfg.backend))
+        self.cfg.execution_backend.unwrap_or(&SlicedBackend)
     }
 }
 
@@ -780,7 +769,6 @@ impl ServiceHandle {
         let telemetry = inner.telemetry.snapshot();
         ServiceStats {
             workers: inner.cfg.workers,
-            backend: inner.cfg.backend.to_string(),
             trials_executed,
             trials_per_sec: if busy_secs > 0.0 {
                 Some(trials_executed as f64 / busy_secs)
@@ -1126,10 +1114,9 @@ fn remove_from_active(inner: &Inner, core: &Arc<JobCore>) {
     }
 }
 
-/// Credits one finished campaign's trials to the per-scheme and
-/// per-backend labeled telemetry series (visible in the `metrics`
-/// exposition as `nvpim_trials_by_scheme{scheme="..."}` /
-/// `nvpim_trials_by_backend{backend="..."}`).
+/// Credits one finished campaign's trials to the per-scheme labeled
+/// telemetry series (visible in the `metrics` exposition as
+/// `nvpim_trials_by_scheme{scheme="..."}`).
 fn credit_labeled_trials(inner: &Inner, plan: &SweepPlan, trials: u64) {
     // Every protection design point runs the same share of the cartesian
     // product: workloads × technologies × rates × seeds.
@@ -1142,12 +1129,6 @@ fn credit_labeled_trials(inner: &Inner, plan: &SweepPlan, trials: u64) {
             per_scheme,
         );
     }
-    inner.telemetry.add_labeled(
-        "trials_by_backend",
-        "backend",
-        &inner.cfg.backend.to_string(),
-        trials,
-    );
 }
 
 /// Applies a journal replay to a freshly constructed (not yet serving)
@@ -1596,8 +1577,7 @@ mod tests {
             "cache hit must not recompile schedules"
         );
         // Throughput accounting: exactly one campaign executed (the cache
-        // hit recomputed nothing), on the default sliced backend.
-        assert_eq!(stats.backend, "sliced");
+        // hit recomputed nothing).
         assert_eq!(stats.trials_executed, plan_trials);
         assert!(
             stats.trials_per_sec.unwrap_or(0.0) > 0.0,

@@ -4,8 +4,9 @@
 //!
 //! 1. **Checkpoint/resume byte-identity** — a crafted journal (exactly what
 //!    a daemon killed at a chunk boundary leaves behind) is replayed for
-//!    every backend × estimator combination; the resumed report must be
-//!    byte-identical to an uninterrupted run.
+//!    every estimator on the campaign path and on the scalar oracle
+//!    (injected through the `ServiceConfig::execution_backend` seam); the
+//!    resumed report must be byte-identical to an uninterrupted run.
 //! 2. **Panic isolation** — a test-only panicking [`ExecutionBackend`]
 //!    injected through the `ServiceConfig::execution_backend` seam poisons
 //!    only its own job; retries resume from the last checkpoint and the
@@ -20,7 +21,7 @@
 //!    through the coordinator while one is SIGKILLed and another SIGSTOPped
 //!    mid-run; losing workers must shrink throughput, never correctness:
 //!    the merged report stays byte-identical to a single-node run for every
-//!    backend × estimator combination, with the re-assignments recorded.
+//!    estimator, with the re-assignments recorded.
 //! 6. **Restart coalescing** — clients racing duplicate submissions against
 //!    a daemon restart coalesce onto the one recovered campaign instead of
 //!    forking duplicate executions.
@@ -35,9 +36,9 @@ use nvpim_service::journal::JOURNAL_FILE;
 use nvpim_service::service::{ServiceConfig, ServiceHandle};
 use nvpim_service::{Journal, JournalRecord, ServiceError};
 use nvpim_sweep::{
-    execution_backend, prepare_campaign, run_campaign_with_backend, CampaignControl, EstimatorMode,
-    ExecutionBackend, PointContext, PointTally, ScheduleCache, SimBackend, SweepPlan,
-    SweepWorkload, Tallies, TrialArena,
+    prepare_campaign, run_campaign, run_campaign_on, CampaignControl, EstimatorMode,
+    ExecutionBackend, PointContext, PointTally, ScalarBackend, ScheduleCache, SlicedBackend,
+    SweepPlan, SweepWorkload, Tallies, TrialArena,
 };
 use nvpim_telemetry::{Counter, Telemetry};
 use serde::Value;
@@ -80,43 +81,36 @@ fn submit_record(plan: &SweepPlan, job: u64) -> JournalRecord {
 /// The tallies of a campaign's first `chunks` four-trial chunks, one entry
 /// per chunk — exactly what a worker killed at the next chunk boundary
 /// would have journaled.
-fn first_chunks(plan: &SweepPlan, backend: SimBackend, chunks: usize) -> Vec<Tallies> {
+fn first_chunks(plan: &SweepPlan, backend: &dyn ExecutionBackend, chunks: usize) -> Vec<Tallies> {
     let mut cache = ScheduleCache::new();
     let prepared = prepare_campaign(plan, &mut cache).expect("prepare");
     let mut captured = Vec::new();
-    let _ = prepared.run_chunked_resumable(
-        execution_backend(backend),
-        4,
-        Tallies::new(),
-        |checkpoint| {
-            captured.push(checkpoint.new_tallies.clone());
-            if captured.len() < chunks {
-                CampaignControl::Continue
-            } else {
-                CampaignControl::Cancel
-            }
-        },
-    );
+    let _ = prepared.run_chunked_resumable(backend, 4, Tallies::new(), |checkpoint| {
+        captured.push(checkpoint.new_tallies.clone());
+        if captured.len() < chunks {
+            CampaignControl::Continue
+        } else {
+            CampaignControl::Cancel
+        }
+    });
     captured
 }
 
-/// Tentpole assertion 1: for both backends and both estimator modes, a
-/// campaign resumed from a crafted mid-flight journal produces report bytes
-/// identical to an uninterrupted run, recomputing only the unfinished
-/// trials.
+/// Tentpole assertion 1: for both estimator modes, on the campaign path
+/// and on the scalar oracle, a campaign resumed from a crafted mid-flight
+/// journal produces report bytes identical to an uninterrupted run,
+/// recomputing only the unfinished trials.
 #[test]
 fn resume_from_checkpoint_is_byte_identical_across_backends_and_estimators() {
-    for (i, backend) in [SimBackend::Scalar, SimBackend::Sliced]
-        .into_iter()
-        .enumerate()
-    {
+    let backends: [&'static dyn ExecutionBackend; 2] = [&ScalarBackend, &SlicedBackend];
+    for (i, backend) in backends.into_iter().enumerate() {
         for (j, estimator) in [EstimatorMode::Exact, EstimatorMode::Stratified]
             .into_iter()
             .enumerate()
         {
             let mut plan = tiny_plan(0xc4a0_5000 + (i * 2 + j) as u64);
             plan.estimator = estimator;
-            let clean = run_campaign_with_backend(&plan, backend)
+            let clean = run_campaign_on(&plan, backend)
                 .expect("clean run")
                 .to_json();
 
@@ -147,7 +141,7 @@ fn resume_from_checkpoint_is_byte_identical_across_backends_and_estimators() {
             let service = ServiceHandle::start(ServiceConfig {
                 workers: 1,
                 chunk_trials: 4,
-                backend,
+                execution_backend: Some(backend),
                 state_dir: Some(dir.clone()),
                 ..ServiceConfig::default()
             });
@@ -157,7 +151,7 @@ fn resume_from_checkpoint_is_byte_identical_across_backends_and_estimators() {
             assert_eq!(
                 report.as_str(),
                 clean,
-                "resumed report must be byte-identical ({backend:?}, {estimator:?})"
+                "resumed report must be byte-identical ({estimator:?})"
             );
 
             let stats = service.stats();
@@ -185,14 +179,12 @@ fn accuracy_job_resumes_from_checkpoint_byte_identically() {
     let mut plan = SweepPlan::accuracy_quick();
     plan.seeds_per_point = 4;
     plan.campaign_seed = 0xACC_0C4A;
-    let clean = run_campaign_with_backend(&plan, SimBackend::Sliced)
-        .expect("clean run")
-        .to_json();
+    let clean = run_campaign(&plan).expect("clean run").to_json();
     assert!(clean.contains("\"schema_version\": 3"));
 
     // Capture the first two chunks the way a worker killed at the third
     // chunk boundary would have journaled them.
-    let captured = first_chunks(&plan, SimBackend::Sliced, 2);
+    let captured = first_chunks(&plan, &SlicedBackend, 2);
     let mut resumed = Tallies::new();
     captured.iter().for_each(|chunk| resumed.merge(chunk));
     assert_eq!(resumed.trials(), 8, "two four-trial chunks captured");
@@ -231,7 +223,6 @@ fn accuracy_job_resumes_from_checkpoint_byte_identically() {
     let service = ServiceHandle::start(ServiceConfig {
         workers: 1,
         chunk_trials: 4,
-        backend: SimBackend::Sliced,
         state_dir: Some(dir.clone()),
         ..ServiceConfig::default()
     });
@@ -298,12 +289,8 @@ impl PanicAfterN {
 }
 
 impl ExecutionBackend for PanicAfterN {
-    fn name(&self) -> &'static str {
-        "chaos-panic"
-    }
-
     fn task_width(&self, point: &PointContext) -> usize {
-        execution_backend(SimBackend::Sliced).task_width(point)
+        SlicedBackend.task_width(point)
     }
 
     fn run_task(
@@ -326,14 +313,7 @@ impl ExecutionBackend for PanicAfterN {
                 panic!("injected chaos panic (task call {call})");
             }
         }
-        execution_backend(SimBackend::Sliced).run_task(
-            point,
-            campaign_seed,
-            point_index,
-            first_trial,
-            count,
-            arena,
-        )
+        SlicedBackend.run_task(point, campaign_seed, point_index, first_trial, count, arena)
     }
 }
 
@@ -344,9 +324,7 @@ impl ExecutionBackend for PanicAfterN {
 fn injected_panic_retries_from_checkpoint_and_stays_byte_identical() {
     const POISON: u64 = 0xdead_0001;
     let plan = tiny_plan(POISON);
-    let clean = run_campaign_with_backend(&plan, SimBackend::Sliced)
-        .expect("clean run")
-        .to_json();
+    let clean = run_campaign(&plan).expect("clean run").to_json();
     let service = ServiceHandle::start(ServiceConfig {
         workers: 1,
         chunk_trials: 4,
@@ -375,9 +353,7 @@ fn persistent_panic_fails_only_its_own_job_and_pool_survives() {
     const POISON: u64 = 0xdead_0002;
     let healthy_a = tiny_plan(0x600d_0001);
     let healthy_b = tiny_plan(0x600d_0002);
-    let clean_a = run_campaign_with_backend(&healthy_a, SimBackend::Sliced)
-        .expect("clean run")
-        .to_json();
+    let clean_a = run_campaign(&healthy_a).expect("clean run").to_json();
     let service = ServiceHandle::start(ServiceConfig {
         workers: 2,
         chunk_trials: 4,
@@ -455,9 +431,7 @@ fn empty_journal_recovers_to_empty_state() {
 #[test]
 fn torn_journal_tail_recovers_and_survives_a_second_restart() {
     let plan = tiny_plan(0x7042);
-    let clean = run_campaign_with_backend(&plan, SimBackend::Sliced)
-        .expect("clean run")
-        .to_json();
+    let clean = run_campaign(&plan).expect("clean run").to_json();
     let dir = state_dir("torn-tail");
     {
         let mut journal = Journal::open(dir.join(JOURNAL_FILE), 1).expect("open journal");
@@ -545,9 +519,7 @@ fn duplicate_terminal_transitions_keep_the_first() {
 #[test]
 fn corrupt_store_entry_recomputes_byte_identical_report() {
     let plan = tiny_plan(0xbadc);
-    let clean = run_campaign_with_backend(&plan, SimBackend::Sliced)
-        .expect("clean run")
-        .to_json();
+    let clean = run_campaign(&plan).expect("clean run").to_json();
     let digest = plan.content_digest();
     let dir = state_dir("corrupt-store");
     {
@@ -633,9 +605,7 @@ fn spawn_daemon_process(dir: &Path) -> (std::process::Child, String) {
 #[test]
 fn sigkill_and_restart_recovers_byte_identical_report() {
     let plan = SweepPlan::quick(); // 72 trials, 18 chunks of 4
-    let clean = run_campaign_with_backend(&plan, SimBackend::Sliced)
-        .expect("clean run")
-        .to_json();
+    let clean = run_campaign(&plan).expect("clean run").to_json();
     let digest = plan.content_digest();
     let plan_value: Value = serde_json::from_str(&plan.canonical_json()).expect("plan JSON parses");
     let dir = state_dir("sigkill");
@@ -717,20 +687,9 @@ fn sigkill_and_restart_recovers_byte_identical_report() {
 }
 
 /// Spawns a stateless fleet worker daemon on an OS-assigned port.
-fn spawn_fleet_worker(backend: SimBackend) -> (std::process::Child, String) {
-    let backend = match backend {
-        SimBackend::Scalar => "scalar",
-        SimBackend::Sliced => "sliced",
-    };
+fn spawn_fleet_worker() -> (std::process::Child, String) {
     let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_nvpim-serviced"))
-        .args([
-            "--addr",
-            "127.0.0.1:0",
-            "--workers",
-            "1",
-            "--backend",
-            backend,
-        ])
+        .args(["--addr", "127.0.0.1:0", "--workers", "1"])
         .stdout(std::process::Stdio::piped())
         .stderr(std::process::Stdio::null())
         .spawn()
@@ -765,8 +724,8 @@ fn fleet_chaos_plan(seed: u64, estimator: EstimatorMode, seeds_per_point: u64) -
 
 /// Tentpole assertion 5: three real daemons serve one sharded campaign;
 /// one is SIGKILLed (disconnect) and another SIGSTOPped (stall past the
-/// heartbeat deadline) mid-run. For both backends and both estimator
-/// modes the merged report must be byte-identical to a single-node run,
+/// heartbeat deadline) mid-run. For both estimator modes the merged
+/// report must be byte-identical to a single-node run,
 /// both chaos victims must be evicted, and the shard hand-offs must be
 /// recorded in the fleet stats and the telemetry registry.
 ///
@@ -777,99 +736,86 @@ fn fleet_chaos_plan(seed: u64, estimator: EstimatorMode, seeds_per_point: u64) -
 /// while the scheduling gaps between shards are sub-millisecond.
 #[test]
 fn fleet_survives_sigkill_and_sigstop_with_byte_identical_reports() {
-    for (i, backend) in [SimBackend::Scalar, SimBackend::Sliced]
+    for (j, estimator) in [EstimatorMode::Exact, EstimatorMode::Stratified]
         .into_iter()
         .enumerate()
     {
-        for (j, estimator) in [EstimatorMode::Exact, EstimatorMode::Stratified]
-            .into_iter()
-            .enumerate()
-        {
-            // Scalar trials run an order of magnitude slower than sliced
-            // ones, and trial cost varies severalfold across the protection
-            // schemes inside one plan — size the grid and the chunk so each
-            // combination keeps a multi-second chaos window while even the
-            // slowest single chunk stays far below the heartbeat deadline.
-            let (seeds_per_point, chunk_trials) = match backend {
-                SimBackend::Scalar => (60, 5),
-                SimBackend::Sliced => (360, 45),
-            };
-            let plan =
-                fleet_chaos_plan(0xf1ee_7000 + (i * 2 + j) as u64, estimator, seeds_per_point);
-            let started = Instant::now();
-            let clean = run_campaign_with_backend(&plan, backend)
-                .expect("clean run")
-                .to_json();
-            let single = started.elapsed();
+        // Trial cost varies severalfold across the protection schemes
+        // inside one plan — 360 seeds per point and 45-trial chunks keep a
+        // multi-second chaos window for each estimator while even the
+        // slowest single chunk stays far below the heartbeat deadline.
+        let plan = fleet_chaos_plan(0xf1ee_7002 + j as u64, estimator, 360);
+        let started = Instant::now();
+        let clean = run_campaign(&plan).expect("clean run").to_json();
+        let single = started.elapsed();
 
-            let mut daemons: Vec<(std::process::Child, String)> =
-                (0..3).map(|_| spawn_fleet_worker(backend)).collect();
-            let cfg = FleetConfig {
-                workers: daemons.iter().map(|(_, addr)| addr.clone()).collect(),
-                shards: 9,
-                chunk_trials,
-                heartbeat_timeout_ms: 2_000,
-                retry_backoff_ms: 10,
-                ..FleetConfig::default()
-            };
-            let telemetry = Telemetry::new();
-            let fleet_result = std::thread::scope(|scope| {
-                let fleet = scope.spawn(|| run_fleet(&plan, &cfg, &telemetry));
-                std::thread::sleep(single.mul_f64(0.15));
-                daemons[0].0.kill().expect("SIGKILL worker 0");
-                std::thread::sleep(single.mul_f64(0.15));
-                signal(daemons[1].0.id(), "-STOP");
-                fleet.join().expect("fleet thread")
-            });
+        let mut daemons: Vec<(std::process::Child, String)> =
+            (0..3).map(|_| spawn_fleet_worker()).collect();
+        let cfg = FleetConfig {
+            workers: daemons.iter().map(|(_, addr)| addr.clone()).collect(),
+            shards: 9,
+            chunk_trials: 45,
+            heartbeat_timeout_ms: 2_000,
+            retry_backoff_ms: 10,
+            ..FleetConfig::default()
+        };
+        let telemetry = Telemetry::new();
+        let fleet_result = std::thread::scope(|scope| {
+            let fleet = scope.spawn(|| run_fleet(&plan, &cfg, &telemetry));
+            std::thread::sleep(single.mul_f64(0.15));
+            daemons[0].0.kill().expect("SIGKILL worker 0");
+            std::thread::sleep(single.mul_f64(0.15));
+            signal(daemons[1].0.id(), "-STOP");
+            fleet.join().expect("fleet thread")
+        });
 
-            // Clean up the processes before asserting so a failed assertion
-            // never leaves a SIGSTOPped daemon behind.
-            signal(daemons[1].0.id(), "-CONT");
-            for (child, _) in &mut daemons {
-                let _ = child.kill();
-                let _ = child.wait();
-            }
-
-            let outcome = fleet_result.expect("fleet survives the chaos");
-            assert_eq!(
-                outcome.report.to_json(),
-                clean,
-                "merged fleet report must be byte-identical to a single-node \
-                 run ({backend:?}, {estimator:?})"
-            );
-            assert!(
-                outcome.stats.shards_reassigned > 0,
-                "killing and stalling workers mid-shard must hand shards off \
-                 ({backend:?}, {estimator:?}): {:?}",
-                outcome.stats
-            );
-            assert_eq!(
-                outcome.stats.worker_evictions, 2,
-                "both chaos victims are evicted ({backend:?}, {estimator:?})"
-            );
-            assert!(
-                outcome.stats.heartbeat_misses > 0,
-                "the SIGSTOPped worker misses its heartbeat deadline"
-            );
-            let survivor = outcome
-                .stats
-                .workers
-                .iter()
-                .find(|w| !w.evicted)
-                .expect("one worker survives");
-            assert!(survivor.shards_completed > 0);
-
-            let snapshot = telemetry.snapshot();
-            assert_eq!(
-                snapshot.counter(Counter::ShardsReassigned),
-                outcome.stats.shards_reassigned,
-                "telemetry mirrors the fleet's re-assignment count"
-            );
-            let rendered = snapshot.render_prometheus();
-            assert!(rendered.contains("nvpim_shards_reassigned_total"));
-            assert!(rendered.contains("nvpim_worker_evictions_total"));
-            assert!(rendered.contains("nvpim_heartbeat_misses_total"));
+        // Clean up the processes before asserting so a failed assertion
+        // never leaves a SIGSTOPped daemon behind.
+        signal(daemons[1].0.id(), "-CONT");
+        for (child, _) in &mut daemons {
+            let _ = child.kill();
+            let _ = child.wait();
         }
+
+        let outcome = fleet_result.expect("fleet survives the chaos");
+        assert_eq!(
+            outcome.report.to_json(),
+            clean,
+            "merged fleet report must be byte-identical to a single-node \
+             run ({estimator:?})"
+        );
+        assert!(
+            outcome.stats.shards_reassigned > 0,
+            "killing and stalling workers mid-shard must hand shards off \
+             ({estimator:?}): {:?}",
+            outcome.stats
+        );
+        assert_eq!(
+            outcome.stats.worker_evictions, 2,
+            "both chaos victims are evicted ({estimator:?})"
+        );
+        assert!(
+            outcome.stats.heartbeat_misses > 0,
+            "the SIGSTOPped worker misses its heartbeat deadline"
+        );
+        let survivor = outcome
+            .stats
+            .workers
+            .iter()
+            .find(|w| !w.evicted)
+            .expect("one worker survives");
+        assert!(survivor.shards_completed > 0);
+
+        let snapshot = telemetry.snapshot();
+        assert_eq!(
+            snapshot.counter(Counter::ShardsReassigned),
+            outcome.stats.shards_reassigned,
+            "telemetry mirrors the fleet's re-assignment count"
+        );
+        let rendered = snapshot.render_prometheus();
+        assert!(rendered.contains("nvpim_shards_reassigned_total"));
+        assert!(rendered.contains("nvpim_worker_evictions_total"));
+        assert!(rendered.contains("nvpim_heartbeat_misses_total"));
     }
 }
 
@@ -882,9 +828,7 @@ fn concurrent_resubmission_during_restart_coalesces_to_one_campaign() {
     // restarted daemon's recovery run is still in flight when the two
     // resubmitters race it.
     let plan = fleet_chaos_plan(0xc0a1_e5ce, EstimatorMode::Exact, 100);
-    let clean = run_campaign_with_backend(&plan, SimBackend::Sliced)
-        .expect("clean run")
-        .to_json();
+    let clean = run_campaign(&plan).expect("clean run").to_json();
     let digest = plan.content_digest();
     let plan_value: Value = serde_json::from_str(&plan.canonical_json()).expect("plan JSON parses");
     let dir = state_dir("coalesce-restart");

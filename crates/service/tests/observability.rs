@@ -93,11 +93,7 @@ fn metrics_round_trip_exposes_core_series_and_stays_monotone() {
     assert!(text.contains("nvpim_phase_nanos_total{phase=\"gate_execution\"}"));
     assert!(text.contains("nvpim_phase_spans_total{phase=\"plan_validation\"}"));
     assert!(text.contains("nvpim_clean_settled_trials_total"));
-    // Per-scheme / per-backend labeled trial counters.
-    assert!(
-        text.contains("nvpim_trials_by_backend{backend=\"sliced\"}"),
-        "missing backend series in:\n{text}"
-    );
+    // Per-scheme labeled trial counters.
     assert!(text.contains("nvpim_trials_by_scheme{scheme="));
     // Latency summaries render as quantile series once data exists.
     assert!(text.contains("nvpim_queue_wait_ns{quantile=\"0.5\"}"));

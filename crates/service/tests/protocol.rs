@@ -7,12 +7,14 @@
 //! to completion).
 
 use std::net::TcpListener;
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use nvpim_service::client::{request, Client};
 use nvpim_service::service::{ServiceConfig, ServiceHandle};
-use nvpim_sweep::SweepPlan;
+use nvpim_sweep::{
+    ExecutionBackend, PointContext, PointTally, SlicedBackend, SweepPlan, TrialArena,
+};
 use serde::Value;
 
 /// Starts a daemon on an OS-assigned loopback port; returns its address
@@ -215,20 +217,83 @@ fn mid_job_cancel_returns_structured_errors_and_pool_survives() {
     shutdown(&addr, daemon);
 }
 
+/// Longest a [`HoldAfterFirstChunk`] holds a trial: long enough for any
+/// client to read a frame, short enough that a broken stream fails the
+/// test instead of hanging it.
+const HOLD_LIMIT: Duration = Duration::from_secs(20);
+
+/// A test backend: runs exactly like [`SlicedBackend`], except that every
+/// trial after the first `first_chunk` plan-ordered trials waits (at most
+/// [`HOLD_LIMIT`]) until [`Self::release`] — so a job cannot finish before
+/// a waiting client has seen its progress.
+#[derive(Debug)]
+struct HoldAfterFirstChunk {
+    first_chunk: u64,
+    seeds_per_point: u64,
+    released: Mutex<bool>,
+    wake: Condvar,
+}
+
+impl HoldAfterFirstChunk {
+    fn leaked(first_chunk: u64, seeds_per_point: u64) -> &'static Self {
+        Box::leak(Box::new(Self {
+            first_chunk,
+            seeds_per_point,
+            released: Mutex::new(false),
+            wake: Condvar::new(),
+        }))
+    }
+
+    fn release(&self) {
+        *self.released.lock().expect("hold lock") = true;
+        self.wake.notify_all();
+    }
+}
+
+impl ExecutionBackend for HoldAfterFirstChunk {
+    fn task_width(&self, point: &PointContext) -> usize {
+        SlicedBackend.task_width(point)
+    }
+
+    fn run_task(
+        &self,
+        point: &PointContext,
+        campaign_seed: u64,
+        point_index: u64,
+        first_trial: u64,
+        count: usize,
+        arena: &mut TrialArena,
+    ) -> PointTally {
+        if point_index * self.seeds_per_point + first_trial >= self.first_chunk {
+            let released = self.released.lock().expect("hold lock");
+            drop(
+                self.wake
+                    .wait_timeout_while(released, HOLD_LIMIT, |released| !*released)
+                    .expect("hold lock"),
+            );
+            // A timed-out hold releases every later trial too, so a broken
+            // stream fails the test within one limit instead of one per task.
+            self.release();
+        }
+        SlicedBackend.run_task(point, campaign_seed, point_index, first_trial, count, arena)
+    }
+}
+
 #[test]
 fn submit_wait_streams_progress_then_byte_identical_result() {
+    let mut plan = SweepPlan::quick();
+    plan.seeds_per_point = 96;
+    plan.campaign_seed = 105;
+    // The job is held at its second chunk until this client has read a
+    // progress frame, so it cannot finish between two progress polls.
+    let hold = HoldAfterFirstChunk::leaked(4, plan.seeds_per_point);
     let (addr, daemon) = spawn_daemon(ServiceConfig {
         workers: 1,
         queue_capacity: 8,
         chunk_trials: 4,
+        execution_backend: Some(hold),
         ..Default::default()
     });
-    // Enough trials at a tiny chunk size that the packed-arena engine
-    // (tens of microseconds per trial) still crosses many observable chunk
-    // boundaries while the waiter is attached.
-    let mut plan = SweepPlan::quick();
-    plan.seeds_per_point = 96;
-    plan.campaign_seed = 105;
     let direct = nvpim_sweep::run_campaign(&plan).expect("direct run");
 
     let mut client = Client::connect(&addr).expect("connect");
@@ -254,6 +319,7 @@ fn submit_wait_streams_progress_then_byte_identical_result() {
         match line.get("event").and_then(Value::as_str) {
             Some("progress") => {
                 progress_events += 1;
+                hold.release();
                 let done = line
                     .get("trials_done")
                     .and_then(Value::as_u64)
@@ -270,8 +336,8 @@ fn submit_wait_streams_progress_then_byte_identical_result() {
         serde_json::to_string_pretty(&report).expect("serialize"),
         direct.to_json()
     );
-    // At chunk size 4 a 48-trial campaign has many observable chunks; the
-    // waiter may miss some while the job is fast, but not all.
+    // The hold keeps the job running until the first progress frame
+    // arrived; later chunks may finish between polls and go unreported.
     assert!(progress_events >= 1, "expected streamed progress events");
 
     shutdown(&addr, daemon);

@@ -9,7 +9,6 @@
 //! computation. Optional spatial and temporal correlation knobs model the
 //! correlated-error discussion of §IV-E.
 
-use rand::Rng;
 use rand::RngCore;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -179,22 +178,6 @@ pub struct InjectedFault {
     pub step: u64,
 }
 
-/// How the injector turns per-operation fault probabilities into decisions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FaultSampling {
-    /// Geometric skip-ahead sampling (the default): one RNG draw per
-    /// *injected fault* picks the index of the next faulting operation, and
-    /// the operations in between only decrement a counter. At paper-regime
-    /// rates (~1e-4) this removes ~99.99% of the RNG work while producing
-    /// exactly the same Bernoulli(p) marginal per operation.
-    #[default]
-    SkipAhead,
-    /// One Bernoulli draw per operation — the pre-optimization behavior,
-    /// kept as a reference for statistical-equivalence tests and as the
-    /// baseline mode of the `trial_throughput` benchmark.
-    PerOp,
-}
-
 /// Pending skip-ahead state for one fault site: `remaining` clean
 /// operations will pass (at probability `p` each) before the next fault.
 #[derive(Debug, Clone, Copy)]
@@ -208,6 +191,12 @@ struct PendingSkip {
 /// The injector is consulted by the array on every gate output, write and
 /// read; it decides whether the produced bit is flipped, and keeps a log of
 /// every injected fault so tests and experiments can verify coverage claims.
+///
+/// Decisions use geometric skip-ahead sampling: one RNG draw per *injected
+/// fault* picks the index of the next faulting operation, and the
+/// operations in between only decrement a counter. At paper-regime rates
+/// (~1e-4) this removes ~99.99% of the RNG work while producing exactly the
+/// Bernoulli(p) marginal per operation.
 #[derive(Debug, Clone)]
 pub struct FaultInjector {
     rates: ErrorRates,
@@ -216,11 +205,10 @@ pub struct FaultInjector {
     step: u64,
     temporal_boost_remaining: usize,
     log: Vec<InjectedFault>,
-    sampling: FaultSampling,
     /// Skip-ahead state per [`FaultSite`] (indexed by `site_index`).
     skips: [Option<PendingSkip>; 4],
     /// Fault decisions made per [`FaultSite`] (indexed by `site_index`).
-    /// Counted in every sampling mode, at every rate — including zero — so
+    /// Counted at every rate — including zero — so
     /// a fault-free probe run measures exactly how many decisions a real
     /// trial at the same design point will face per site.
     decisions: [u64; 4],
@@ -240,7 +228,6 @@ impl FaultInjector {
             step: 0,
             temporal_boost_remaining: 0,
             log: Vec::new(),
-            sampling: FaultSampling::default(),
             skips: [None; 4],
             decisions: [0; 4],
             stuck_threshold: stuck_threshold(rates.stuck_at),
@@ -259,21 +246,10 @@ impl FaultInjector {
         self
     }
 
-    /// Switches to per-operation Bernoulli sampling (the reference mode).
-    pub fn with_per_op_sampling(mut self) -> Self {
-        self.sampling = FaultSampling::PerOp;
-        self
-    }
-
-    /// The sampling strategy in use.
-    pub fn sampling(&self) -> FaultSampling {
-        self.sampling
-    }
-
     /// Re-seeds the injector in place for a fresh trial: new rates, a fresh
     /// RNG stream, cleared log (keeping its allocation), step 0, and no
     /// pending skip state. Equivalent to `FaultInjector::new(rates, seed)`
-    /// with the same sampling mode and correlation model.
+    /// with the same correlation model.
     pub fn reset(&mut self, rates: ErrorRates, seed: u64) {
         self.rates = rates;
         self.rng = ChaCha8Rng::seed_from_u64(seed);
@@ -325,10 +301,7 @@ impl FaultInjector {
         if self.temporal_boost_remaining > 0 {
             p = (p * self.correlation.temporal_factor).min(1.0);
         }
-        let faulted = match self.sampling {
-            FaultSampling::PerOp => p > 0.0 && self.rng.gen_bool(p),
-            FaultSampling::SkipAhead => self.skip_decide(Self::site_index(site), p),
-        };
+        let faulted = self.skip_decide(Self::site_index(site), p);
         if faulted {
             self.log.push(InjectedFault {
                 site,
@@ -480,8 +453,8 @@ impl FaultInjector {
         -f64::exp_m1(window as f64 * (-p).ln_1p())
     }
 
-    /// Fault decisions made so far at `site` (in any sampling mode, at any
-    /// rate — zero-rate decisions count too). A fault-free probe trial thus
+    /// Fault decisions made so far at `site` (at any rate — zero-rate
+    /// decisions count too). A fault-free probe trial thus
     /// measures the decision window a real trial of the same design point
     /// spans, which is what the analytic zero-fault fast path and the
     /// stratified estimator condition on.
@@ -492,8 +465,8 @@ impl FaultInjector {
     /// The number of clean upcoming decisions at `site` before the next
     /// fault fires (`Some(0)` = the very next decision faults,
     /// `Some(u64::MAX)` = never), or `None` when the question has no
-    /// precomputed answer (per-op sampling, or an open temporal-boost
-    /// window whose effective rate differs from the site's base rate).
+    /// precomputed answer (an open temporal-boost window, whose effective
+    /// rate differs from the site's base rate).
     ///
     /// Priming is stream-preserving: if the site's first skip has not been
     /// sampled yet, this consumes exactly the RNG draw the first
@@ -503,7 +476,7 @@ impl FaultInjector {
     /// when the returned index is at or beyond the trial's whole decision
     /// window, the trial is settled clean without simulating a gate.
     pub fn next_fault_in(&mut self, site: FaultSite) -> Option<u64> {
-        if self.sampling != FaultSampling::SkipAhead || self.temporal_boost_remaining > 0 {
+        if self.temporal_boost_remaining > 0 {
             return None;
         }
         let p = self.rates.for_site(site);
@@ -527,12 +500,8 @@ impl FaultInjector {
     /// fault resample unconditionally, which together yields exactly the
     /// law of a fault sequence conditioned on "≥ 1 fault in the window" —
     /// the sampled stratum of the stratified estimator. No-op in regimes
-    /// where conditioning is meaningless (`p ≤ 0`, `p ≥ 1`, empty window,
-    /// per-op sampling).
+    /// where conditioning is meaningless (`p ≤ 0`, `p ≥ 1`, empty window).
     pub fn condition_first_fault(&mut self, site: FaultSite, window: u64) {
-        if self.sampling != FaultSampling::SkipAhead {
-            return;
-        }
         let p = self.rates.for_site(site);
         if window == 0 || p <= 0.0 || p >= 1.0 {
             return;
@@ -691,31 +660,27 @@ mod tests {
     #[test]
     fn skip_sampling_matches_bernoulli_rate_within_confidence_interval() {
         // The geometric skip sampler must reproduce the Bernoulli(p)
-        // marginal: over n ops the empirical rate of both modes must sit
-        // within a 4σ binomial confidence interval of p, for rates spanning
-        // the paper regime.
+        // marginal: over n ops the empirical rate of the injector and of a
+        // reference per-op Bernoulli loop must both sit within a 4σ
+        // binomial confidence interval of p, for rates spanning the paper
+        // regime.
+        use rand::Rng;
         for p in [1e-2, 1e-3] {
             let n: usize = 2_000_000;
             let sigma = (p * (1.0 - p) / n as f64).sqrt();
             let tolerance = 4.0 * sigma;
 
-            let count_mode = |per_op: bool| {
-                let rates = ErrorRates {
-                    gate: p,
-                    ..ErrorRates::NONE
-                };
-                let mut inj = FaultInjector::new(rates, 0xFA57);
-                if per_op {
-                    inj = inj.with_per_op_sampling();
-                }
-                for i in 0..n {
-                    inj.apply(FaultSite::GateOutput, 0, i % 251, false);
-                }
-                inj.fault_count() as f64 / n as f64
+            let rates = ErrorRates {
+                gate: p,
+                ..ErrorRates::NONE
             };
-
-            let skip_rate = count_mode(false);
-            let bernoulli_rate = count_mode(true);
+            let mut inj = FaultInjector::new(rates, 0xFA57);
+            for i in 0..n {
+                inj.apply(FaultSite::GateOutput, 0, i % 251, false);
+            }
+            let skip_rate = inj.fault_count() as f64 / n as f64;
+            let mut rng = ChaCha8Rng::seed_from_u64(0xFA57);
+            let bernoulli_rate = (0..n).filter(|_| rng.gen_bool(p)).count() as f64 / n as f64;
             assert!(
                 (skip_rate - p).abs() < tolerance,
                 "skip-ahead rate {skip_rate} vs p={p} (±{tolerance})"
@@ -871,8 +836,6 @@ mod tests {
         assert_eq!(zero.next_fault_in(FaultSite::GateOutput), Some(u64::MAX));
         let mut certain = FaultInjector::new(ErrorRates::uniform(1.0), 1);
         assert_eq!(certain.next_fault_in(FaultSite::GateOutput), Some(0));
-        let mut per_op = FaultInjector::new(rates, 1).with_per_op_sampling();
-        assert_eq!(per_op.next_fault_in(FaultSite::GateOutput), None);
     }
 
     #[test]

@@ -21,7 +21,7 @@ use std::sync::Arc;
 
 use nvpim_compiler::netlist::Netlist;
 use nvpim_compiler::schedule::{map_netlist, RowSchedule};
-use nvpim_core::config::{DesignConfig, SimBackend};
+use nvpim_core::config::DesignConfig;
 use nvpim_core::executor::{ExecScratch, ProtectedExecutor};
 use nvpim_core::sliced::{SlicedExecScratch, SlicedExecutor};
 use nvpim_core::system::{evaluate_schedule, WorkloadShape};
@@ -474,10 +474,10 @@ impl PointContext {
     /// run path (a registry capability, not an engine special case) and
     /// the fault regime must be gate-only (always true for plan-derived
     /// points) at a rate the lane-masked injector reproduces exactly.
-    /// Points that fail either check run on the scalar path even when
-    /// [`SimBackend::Sliced`] is requested. Accuracy points always run
-    /// scalar: their trials interleave `EVAL_HIDDEN` row programs with
-    /// periphery classification, which the lane-batched path does not model.
+    /// Points that fail either check run single scalar trials inside
+    /// [`SlicedBackend`]. Accuracy points always run scalar: their trials
+    /// interleave `EVAL_HIDDEN` row programs with periphery
+    /// classification, which the lane-batched path does not model.
     pub fn sliceable(&self) -> bool {
         self.config.scheme.runtime().sliceable()
             && SlicedFaultInjector::supports(&self.rates())
@@ -1152,11 +1152,6 @@ pub struct PreparedCampaign {
     /// *not* of cache warmth — so reports stay byte-identical whether the
     /// schedules were compiled fresh or served from a warm cache).
     schedules_used: usize,
-    /// Requested simulation backend. `Sliced` (the default) batches each
-    /// sliceable point's trials 64 per `u64` lane; non-sliceable points
-    /// fall back to the scalar path. Reports are byte-identical either
-    /// way — the backend is purely a throughput choice.
-    backend: SimBackend,
     /// Telemetry sink execution records into (disabled by default — see
     /// [`PreparedCampaign::with_telemetry`]). Never affects report bytes.
     telemetry: Telemetry,
@@ -1329,7 +1324,6 @@ pub fn prepare_campaign_with_telemetry(
         plan: plan.clone(),
         points,
         schedules_used: layouts_used.len(),
-        backend: SimBackend::default(),
         telemetry,
     })
 }
@@ -1374,22 +1368,20 @@ pub(crate) fn point_spans(
     })
 }
 
-/// A Monte Carlo simulation backend: how one task of consecutive trials of
-/// a single point executes. The engine is backend-agnostic — task grouping,
-/// the parallel loop and aggregation all dispatch through this trait, so a
-/// backend never needs engine changes and per-point sliceability is a
-/// scheme-reported capability
-/// ([`SchemeRuntime::sliceable`](nvpim_core::scheme::SchemeRuntime::sliceable))
-/// rather than an engine special case.
+/// How one task of consecutive trials of a single point executes. Task
+/// grouping, the parallel loop and aggregation all dispatch through this
+/// trait. Campaigns always run on [`SlicedBackend`], which picks the lane
+/// path per point from a scheme-reported capability
+/// ([`SchemeRuntime::sliceable`](nvpim_core::scheme::SchemeRuntime::sliceable)).
+/// The trait is otherwise a test seam: [`ScalarBackend`] is the reference
+/// oracle the equivalence suites compare against (via [`run_campaign_on`]),
+/// and the service's chaos suite substitutes fault-injecting fakes.
 ///
 /// **Contract:** every trial's outcome is a pure function of `(point,
 /// campaign seed, trial index)` — never of task shape, arena history,
 /// thread or backend — so reports stay byte-identical across backends (the
 /// backend-equivalence suite asserts this).
 pub trait ExecutionBackend: std::fmt::Debug + Send + Sync {
-    /// Stable backend name (the CLI's `--backend` values).
-    fn name(&self) -> &'static str;
-
     /// Maximum number of consecutive trials of `point` one task may fuse.
     fn task_width(&self, point: &PointContext) -> usize;
 
@@ -1426,16 +1418,13 @@ fn tally_scalar_trials(
     tally
 }
 
-/// The reference backend: one trial at a time on the scalar bit-packed
-/// array.
+/// The reference oracle: one trial at a time on the scalar bit-packed
+/// array. Campaigns never select it; the equivalence suites run it through
+/// [`run_campaign_on`] to check [`SlicedBackend`] byte for byte.
 #[derive(Debug)]
 pub struct ScalarBackend;
 
 impl ExecutionBackend for ScalarBackend {
-    fn name(&self) -> &'static str {
-        "scalar"
-    }
-
     fn task_width(&self, _point: &PointContext) -> usize {
         1
     }
@@ -1453,18 +1442,14 @@ impl ExecutionBackend for ScalarBackend {
     }
 }
 
-/// The throughput backend: up to 64 trials at once, one per `u64` lane, on
-/// the transposed bit-sliced array — for points whose scheme declares the
-/// lane-batched run path; everything else transparently falls back to
-/// single scalar trials with identical bytes.
+/// The execution path every campaign runs on: up to 64 trials at once, one
+/// per `u64` lane, on the transposed bit-sliced array — for points whose
+/// scheme declares the lane-batched run path; everything else transparently
+/// falls back to single scalar trials with identical bytes.
 #[derive(Debug)]
 pub struct SlicedBackend;
 
 impl ExecutionBackend for SlicedBackend {
-    fn name(&self) -> &'static str {
-        "sliced"
-    }
-
     fn task_width(&self, point: &PointContext) -> usize {
         if point.sliceable() {
             LANES
@@ -1509,16 +1494,6 @@ impl ExecutionBackend for SlicedBackend {
     }
 }
 
-/// Resolves the serializable backend selector to its implementation — the
-/// single place the `SimBackend` enum is interpreted (the backend analog of
-/// the scheme registry).
-pub fn execution_backend(backend: SimBackend) -> &'static dyn ExecutionBackend {
-    match backend {
-        SimBackend::Scalar => &ScalarBackend,
-        SimBackend::Sliced => &SlicedBackend,
-    }
-}
-
 impl PreparedCampaign {
     /// Number of campaign points.
     pub fn point_count(&self) -> usize {
@@ -1528,20 +1503,6 @@ impl PreparedCampaign {
     /// Total trials the campaign will run.
     pub fn trial_count(&self) -> u64 {
         self.plan.trial_count()
-    }
-
-    /// Selects the simulation backend (default: [`SimBackend::Sliced`]).
-    /// Purely a throughput knob — reports are byte-identical across
-    /// backends, which the backend-equivalence suite asserts over a grid
-    /// of technologies, schemes and error rates.
-    pub fn with_backend(mut self, backend: SimBackend) -> Self {
-        self.backend = backend;
-        self
-    }
-
-    /// The backend trials will run on.
-    pub fn backend(&self) -> SimBackend {
-        self.backend
     }
 
     /// Attaches a telemetry sink: subsequent `run*` calls record per-phase
@@ -1589,37 +1550,19 @@ impl PreparedCampaign {
     pub fn run_chunked(
         &self,
         chunk_trials: usize,
-        observer: impl FnMut(CampaignProgress) -> CampaignControl,
-    ) -> Result<SweepReport, SweepError> {
-        self.run_chunked_with(execution_backend(self.backend), chunk_trials, observer)
-    }
-
-    /// [`Self::run_chunked`] on an explicit [`ExecutionBackend`]
-    /// implementation — the open end of the backend seam: campaigns can
-    /// run on backends defined outside this crate (the built-in
-    /// [`SimBackend`] selector resolves through the same path). The
-    /// byte-identity guarantee holds for any backend honouring the
-    /// [`ExecutionBackend`] contract.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::run_chunked`].
-    pub fn run_chunked_with(
-        &self,
-        backend: &dyn ExecutionBackend,
-        chunk_trials: usize,
         mut observer: impl FnMut(CampaignProgress) -> CampaignControl,
     ) -> Result<SweepReport, SweepError> {
-        self.run_chunked_resumable(backend, chunk_trials, Tallies::new(), |checkpoint| {
+        self.run_chunked_resumable(&SlicedBackend, chunk_trials, Tallies::new(), |checkpoint| {
             observer(checkpoint.progress)
         })
     }
 
-    /// [`Self::run_chunked_with`] with a **chunk checkpoint surface**: the
-    /// observer additionally receives the tallies of the trials each chunk
-    /// computed, and previously checkpointed tallies can be injected via
-    /// `resume` so a restarted campaign re-executes only the trials after
-    /// its last checkpoint.
+    /// [`Self::run_chunked`] on an explicit `backend` (the service passes
+    /// [`SlicedBackend`] unless a test substitutes another) with a **chunk
+    /// checkpoint surface**: the observer additionally receives the
+    /// tallies of the trials each chunk computed, and previously
+    /// checkpointed tallies can be injected via `resume` so a restarted
+    /// campaign re-executes only the trials after its last checkpoint.
     ///
     /// `resume` must hold the tallies of a prefix of the plan-ordered trial
     /// list (the merged `new_tallies` of the chunks run so far); the run
@@ -1888,25 +1831,27 @@ pub fn shard_ranges(trials_total: u64, shards: usize) -> Vec<(u64, u64)> {
 /// execution errors are *recorded* in the report rather than failing the
 /// campaign.
 pub fn run_campaign(plan: &SweepPlan) -> Result<SweepReport, SweepError> {
-    run_campaign_with_backend(plan, SimBackend::default())
+    run_campaign_on(plan, &SlicedBackend)
 }
 
-/// [`run_campaign`] on an explicit simulation backend. Reports are
-/// byte-identical across backends; `Scalar` exists as the reference path
-/// (and the slow half of the equivalence tests), `Sliced` is the default
-/// 64-trials-per-word hot path.
+/// [`run_campaign`] on an explicit backend — how the equivalence suites run
+/// the [`ScalarBackend`] oracle. Any backend honouring the
+/// [`ExecutionBackend`] contract yields the same bytes as [`run_campaign`].
 ///
 /// # Errors
 ///
 /// As [`run_campaign`].
-pub fn run_campaign_with_backend(
+pub fn run_campaign_on(
     plan: &SweepPlan,
-    backend: SimBackend,
+    backend: &dyn ExecutionBackend,
 ) -> Result<SweepReport, SweepError> {
     let mut cache = ScheduleCache::new();
-    prepare_campaign(plan, &mut cache)?
-        .with_backend(backend)
-        .run()
+    prepare_campaign(plan, &mut cache)?.run_chunked_resumable(
+        backend,
+        usize::MAX,
+        Tallies::new(),
+        |_| CampaignControl::Continue,
+    )
 }
 
 #[cfg(test)]
@@ -2065,7 +2010,7 @@ mod tests {
         let baseline = run_campaign(&plan).unwrap().to_json();
         let mut cache = ScheduleCache::new();
         let prepared = prepare_campaign(&plan, &mut cache).unwrap();
-        let backend = execution_backend(SimBackend::default());
+        let backend = &SlicedBackend;
         for shards in [1usize, 2, 3, 7] {
             let mut merged = Tallies::new();
             for (start, end) in shard_ranges(prepared.trial_count(), shards)
@@ -2088,7 +2033,7 @@ mod tests {
         let plan = SweepPlan::quick();
         let mut cache = ScheduleCache::new();
         let prepared = prepare_campaign(&plan, &mut cache).unwrap();
-        let backend = execution_backend(SimBackend::default());
+        let backend = &SlicedBackend;
         let total = prepared.trial_count();
         let (start, end) = (total / 4, 3 * total / 4);
 
@@ -2143,7 +2088,7 @@ mod tests {
         let plan = SweepPlan::quick();
         let mut cache = ScheduleCache::new();
         let prepared = prepare_campaign(&plan, &mut cache).unwrap();
-        let backend = execution_backend(SimBackend::default());
+        let backend = &SlicedBackend;
         // Four trials straddling the first point boundary: as many trials
         // as the prefix 0..4, but split across two points.
         let spp = plan.seeds_per_point;
@@ -2181,29 +2126,22 @@ mod tests {
             let mut prefix = Tallies::new();
             prefix.merge(
                 &prepared
-                    .run_shard(execution_backend(SimBackend::default()), 0, 64, 64, |_| {
-                        CampaignControl::Continue
-                    })
+                    .run_shard(&SlicedBackend, 0, 64, 64, |_| CampaignControl::Continue)
                     .unwrap(),
             );
             prefix
         }] {
             let mut chunks = 0;
             let err = prepared
-                .run_chunked_resumable(
-                    execution_backend(SimBackend::default()),
-                    4096,
-                    resume,
-                    |cp| {
-                        chunks += 1;
-                        assert!(cp.new_tallies.iter().count() <= 2);
-                        if chunks == 3 {
-                            CampaignControl::Cancel
-                        } else {
-                            CampaignControl::Continue
-                        }
-                    },
-                )
+                .run_chunked_resumable(&SlicedBackend, 4096, resume, |cp| {
+                    chunks += 1;
+                    assert!(cp.new_tallies.iter().count() <= 2);
+                    if chunks == 3 {
+                        CampaignControl::Cancel
+                    } else {
+                        CampaignControl::Continue
+                    }
+                })
                 .unwrap_err();
             assert_eq!(err, SweepError::Cancelled);
         }

@@ -45,12 +45,11 @@ pub mod plan;
 pub mod report;
 
 pub use engine::{
-    derive_trial_seed, execution_backend, prepare_campaign, prepare_campaign_with_telemetry,
-    run_campaign, run_campaign_with_backend, shard_ranges, trial_stream_seeds, CampaignControl,
-    CampaignProgress, ChunkCheckpoint, CompiledKernel, ExecutionBackend, PointContext,
-    PreparedCampaign, ScalarBackend, ScheduleCache, SlicedBackend, TrialArena, TrialHarness,
+    derive_trial_seed, prepare_campaign, prepare_campaign_with_telemetry, run_campaign,
+    run_campaign_on, shard_ranges, trial_stream_seeds, CampaignControl, CampaignProgress,
+    ChunkCheckpoint, CompiledKernel, ExecutionBackend, PointContext, PreparedCampaign,
+    ScalarBackend, ScheduleCache, SlicedBackend, TrialArena, TrialHarness,
 };
-pub use nvpim_core::config::SimBackend;
 pub use nvpim_telemetry::{Counter as TelemetryCounter, Phase, Telemetry, TelemetrySnapshot};
 pub use plan::{CampaignKind, EstimatorMode, ProtectionConfig, SweepPlan, SweepWorkload};
 pub use report::{

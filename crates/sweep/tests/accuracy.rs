@@ -12,9 +12,8 @@
 
 use nvpim_sim::technology::Technology;
 use nvpim_sweep::{
-    prepare_campaign, run_campaign, run_campaign_with_backend, CampaignControl, CampaignKind,
-    EstimatorMode, ProtectionConfig, ScheduleCache, SimBackend, SweepError, SweepPlan,
-    SweepWorkload,
+    prepare_campaign, run_campaign, run_campaign_on, CampaignControl, CampaignKind, EstimatorMode,
+    ProtectionConfig, ScalarBackend, ScheduleCache, SweepError, SweepPlan, SweepWorkload,
 };
 use nvpim_workloads::Benchmark;
 
@@ -58,9 +57,7 @@ fn accuracy_reports_are_byte_identical_across_backends_chunks_and_runs() {
     let again = run_campaign(&plan).unwrap().to_json();
     assert_eq!(baseline_json, again, "same plan twice → identical bytes");
 
-    let scalar = run_campaign_with_backend(&plan, SimBackend::Scalar)
-        .unwrap()
-        .to_json();
+    let scalar = run_campaign_on(&plan, &ScalarBackend).unwrap().to_json();
     assert_eq!(baseline_json, scalar, "scalar backend must agree");
 
     for chunk in [1usize, 7] {

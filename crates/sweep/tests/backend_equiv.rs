@@ -8,7 +8,7 @@
 
 use nvpim_sim::technology::Technology;
 use nvpim_sweep::{
-    run_campaign_with_backend, CampaignKind, EstimatorMode, ProtectionConfig, SimBackend,
+    run_campaign, run_campaign_on, CampaignKind, EstimatorMode, ProtectionConfig, ScalarBackend,
     SweepPlan, SweepWorkload, TrialArena, TrialHarness, TrialOutcome,
 };
 
@@ -22,12 +22,10 @@ fn mac() -> SweepWorkload {
 }
 
 fn both_backends(plan: &SweepPlan) -> (String, String) {
-    let scalar = run_campaign_with_backend(plan, SimBackend::Scalar)
+    let scalar = run_campaign_on(plan, &ScalarBackend)
         .expect("scalar campaign runs")
         .to_json();
-    let sliced = run_campaign_with_backend(plan, SimBackend::Sliced)
-        .expect("sliced campaign runs")
-        .to_json();
+    let sliced = run_campaign(plan).expect("sliced campaign runs").to_json();
     (scalar, sliced)
 }
 
@@ -64,15 +62,22 @@ fn reports_are_byte_identical_across_the_technology_scheme_rate_grid() {
 #[test]
 fn ragged_trial_counts_are_byte_identical() {
     // 100 = 64 + 36 and 129 = 2×64 + 1: both tails exercise partial lane
-    // masks; 129 additionally exercises a single-lane batch.
-    for seeds_per_point in [100u64, 129] {
+    // masks; 129 additionally exercises a single-lane batch. The last plan
+    // is the plugin-scheme check: ParityDetect (m-o) at 96 = 64 + 32 trials
+    // per point, seed 7, holds the built-ins' byte-identity contract.
+    let plans = [
+        (ProtectionConfig::paper_trio(), 100u64, SEED ^ 100),
+        (ProtectionConfig::paper_trio(), 129, SEED ^ 129),
+        (vec![ProtectionConfig::PARITY_DETECT], 96, 7),
+    ];
+    for (protections, seeds_per_point, campaign_seed) in plans {
         let plan = SweepPlan {
             workloads: vec![mac()],
             technologies: vec![Technology::SttMram],
-            protections: ProtectionConfig::paper_trio(),
+            protections,
             gate_error_rates: vec![1e-3],
             seeds_per_point,
-            campaign_seed: SEED ^ seeds_per_point,
+            campaign_seed,
             estimator: EstimatorMode::Exact,
             kind: CampaignKind::Error,
             stuck_at_rate: 0.0,

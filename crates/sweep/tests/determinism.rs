@@ -10,8 +10,8 @@
 //! cargo runs sequentially).
 
 use nvpim_sweep::{
-    prepare_campaign, run_campaign, run_campaign_with_backend, CampaignControl, ScheduleCache,
-    SimBackend, SweepPlan,
+    prepare_campaign, run_campaign, run_campaign_on, CampaignControl, ScalarBackend, ScheduleCache,
+    SweepPlan,
 };
 
 fn run_chunked_json(plan: &SweepPlan, chunk: usize) -> String {
@@ -31,16 +31,12 @@ fn report_json_is_byte_identical_across_thread_counts_and_runs() {
     let single_threaded = run_campaign(&plan).unwrap().to_json();
     let single_threaded_again = run_campaign(&plan).unwrap().to_json();
     let single_threaded_chunked = run_chunked_json(&plan, 5);
-    let single_threaded_scalar = run_campaign_with_backend(&plan, SimBackend::Scalar)
-        .unwrap()
-        .to_json();
+    let single_threaded_scalar = run_campaign_on(&plan, &ScalarBackend).unwrap().to_json();
 
     std::env::set_var("RAYON_NUM_THREADS", "4");
     let four_threads = run_campaign(&plan).unwrap().to_json();
     let four_threads_chunked = run_chunked_json(&plan, 7);
-    let four_threads_scalar = run_campaign_with_backend(&plan, SimBackend::Scalar)
-        .unwrap()
-        .to_json();
+    let four_threads_scalar = run_campaign_on(&plan, &ScalarBackend).unwrap().to_json();
 
     std::env::remove_var("RAYON_NUM_THREADS");
     let default_threads = run_campaign(&plan).unwrap().to_json();

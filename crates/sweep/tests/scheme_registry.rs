@@ -11,8 +11,8 @@ use nvpim_core::config::{DesignConfig, GateStyle, ProtectionScheme};
 use nvpim_core::scheme::registry;
 use nvpim_sim::technology::Technology;
 use nvpim_sweep::{
-    run_campaign, run_campaign_with_backend, ProtectionConfig, SimBackend, SweepPlan,
-    SweepWorkload, TrialArena, TrialHarness,
+    run_campaign, run_campaign_on, ProtectionConfig, ScalarBackend, SweepPlan, SweepWorkload,
+    TrialArena, TrialHarness,
 };
 use proptest::prelude::*;
 
@@ -113,8 +113,8 @@ fn detect_recompute_runs_lane_for_lane_with_stuck_at_defects() {
     plan.gate_error_rates = vec![0.0, 1e-3];
     plan.stuck_at_rate = 1e-3;
     plan.seeds_per_point = 70; // crosses a 64-lane batch boundary
-    let sliced = run_campaign_with_backend(&plan, SimBackend::Sliced).unwrap();
-    let scalar = run_campaign_with_backend(&plan, SimBackend::Scalar).unwrap();
+    let sliced = run_campaign(&plan).unwrap();
+    let scalar = run_campaign_on(&plan, &ScalarBackend).unwrap();
     assert_eq!(
         sliced.to_json(),
         scalar.to_json(),
@@ -205,8 +205,8 @@ fn full_registry_campaign_is_backend_invariant() {
     plan.protections = registry_protections();
     plan.gate_error_rates = vec![0.0, 1e-3];
     plan.seeds_per_point = 5;
-    let sliced = run_campaign_with_backend(&plan, SimBackend::Sliced).unwrap();
-    let scalar = run_campaign_with_backend(&plan, SimBackend::Scalar).unwrap();
+    let sliced = run_campaign(&plan).unwrap();
+    let scalar = run_campaign_on(&plan, &ScalarBackend).unwrap();
     assert_eq!(sliced.to_json(), scalar.to_json());
     assert_eq!(
         sliced.points.len(),

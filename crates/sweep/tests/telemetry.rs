@@ -12,39 +12,40 @@
 use std::time::Instant;
 
 use nvpim_sweep::{
-    prepare_campaign, prepare_campaign_with_telemetry, EstimatorMode, Phase, ScheduleCache,
-    SimBackend, SweepPlan, Telemetry, TelemetryCounter, TelemetrySnapshot,
+    prepare_campaign_with_telemetry, run_campaign_on, CampaignControl, EstimatorMode,
+    ExecutionBackend, Phase, ScalarBackend, ScheduleCache, SlicedBackend, SweepPlan, Tallies,
+    Telemetry, TelemetryCounter, TelemetrySnapshot,
 };
+
+/// The campaign path and its scalar reference oracle.
+const BACKENDS: [&dyn ExecutionBackend; 2] = [&ScalarBackend, &SlicedBackend];
 
 /// Runs `plan` on `backend` with the given sink and returns the report
 /// JSON plus the sink's final snapshot.
 fn run_with_sink(
     plan: &SweepPlan,
-    backend: SimBackend,
+    backend: &dyn ExecutionBackend,
     telemetry: Telemetry,
 ) -> (String, TelemetrySnapshot) {
     let mut cache = ScheduleCache::new();
     let report = prepare_campaign_with_telemetry(plan, &mut cache, telemetry.clone())
         .expect("plan prepares")
-        .with_backend(backend)
-        .run()
+        .run_chunked_resumable(backend, usize::MAX, Tallies::new(), |_| {
+            CampaignControl::Continue
+        })
         .expect("campaign runs");
     (report.to_json(), telemetry.snapshot())
 }
 
 /// Runs `plan` on `backend` through the plain (telemetry-free) path.
-fn run_plain(plan: &SweepPlan, backend: SimBackend) -> String {
-    let mut cache = ScheduleCache::new();
-    prepare_campaign(plan, &mut cache)
-        .expect("plan prepares")
-        .with_backend(backend)
-        .run()
+fn run_plain(plan: &SweepPlan, backend: &dyn ExecutionBackend) -> String {
+    run_campaign_on(plan, backend)
         .expect("campaign runs")
         .to_json()
 }
 
 fn assert_identical_with_and_without_telemetry(plan: &SweepPlan) {
-    for backend in [SimBackend::Scalar, SimBackend::Sliced] {
+    for backend in BACKENDS {
         let plain = run_plain(plan, backend);
         let (instrumented, snap) = run_with_sink(plan, backend, Telemetry::new());
         assert_eq!(
@@ -84,7 +85,7 @@ fn paper_scale_reports_are_byte_identical_with_telemetry() {
 fn phase_spans_and_counters_match_the_campaign_shape() {
     let mut plan = SweepPlan::quick();
     plan.seeds_per_point = 8;
-    let (_, snap) = run_with_sink(&plan, SimBackend::Scalar, Telemetry::new());
+    let (_, snap) = run_with_sink(&plan, &ScalarBackend, Telemetry::new());
 
     assert_eq!(snap.phase_count(Phase::PlanValidation), 1);
     assert!(snap.phase_count(Phase::Aggregation) >= 1);
@@ -125,7 +126,7 @@ fn stratified_campaigns_count_estimator_redraws() {
     let mut plan = SweepPlan::quick();
     plan.seeds_per_point = 4;
     plan.estimator = EstimatorMode::Stratified;
-    for backend in [SimBackend::Scalar, SimBackend::Sliced] {
+    for backend in BACKENDS {
         let (_, snap) = run_with_sink(&plan, backend, Telemetry::new());
         assert_eq!(
             snap.counter(TelemetryCounter::EstimatorRedraws),
@@ -151,8 +152,8 @@ fn telemetry_overhead_stays_within_budget() {
     let mut plan = SweepPlan::quick();
     plan.seeds_per_point = 16;
     // Always exercised so the instrumented path stays covered…
-    let (instrumented, _) = run_with_sink(&plan, SimBackend::Sliced, Telemetry::new());
-    let plain = run_plain(&plan, SimBackend::Sliced);
+    let (instrumented, _) = run_with_sink(&plan, &SlicedBackend, Telemetry::new());
+    let plain = run_plain(&plan, &SlicedBackend);
     assert_eq!(plain, instrumented);
     // …but the timing assertion only runs in guard mode.
     if std::env::var("NVPIM_BENCH_GUARD").map(|v| v == "1") != Ok(true) {
@@ -169,10 +170,10 @@ fn telemetry_overhead_stays_within_budget() {
             .expect("five samples")
     };
     let disabled = best(&|| {
-        run_plain(&plan, SimBackend::Sliced);
+        run_plain(&plan, &SlicedBackend);
     });
     let enabled = best(&|| {
-        run_with_sink(&plan, SimBackend::Sliced, Telemetry::new());
+        run_with_sink(&plan, &SlicedBackend, Telemetry::new());
     });
     let budget = disabled.mul_f64(1.05) + std::time::Duration::from_millis(2);
     assert!(

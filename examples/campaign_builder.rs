@@ -22,10 +22,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .build()?;
 
     println!(
-        "running {} points x {} trials on the {} backend",
+        "running {} points x {} trials",
         campaign.plan().point_count(),
-        campaign.plan().seeds_per_point,
-        campaign.backend()
+        campaign.plan().seeds_per_point
     );
     let report = campaign.run()?;
 
