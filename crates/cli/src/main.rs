@@ -15,7 +15,7 @@
 //!                   [--kind error|accuracy] [--stuck-at DENSITY]
 //!                   [--timings]                                    # no daemon
 //! nvpim-cli run     --fleet HOST:PORT[,HOST:PORT...]               # sharded
-//!                   [--shards N] [--chunk-trials N] [--heartbeat-ms N]
+//!                   [--shards N] [--heartbeat-ms N]
 //!                   [--max-reassignments N] (--plan ... | --quick | ...)
 //! nvpim-cli schemes [--json]        # the protection-scheme registry
 //! ```
@@ -440,7 +440,6 @@ fn cmd_run(args: &[String]) {
                 .map(str::to_string)
                 .collect(),
             shards: numeric("--shards", defaults.shards as u64) as usize,
-            chunk_trials: numeric("--chunk-trials", defaults.chunk_trials as u64) as usize,
             heartbeat_timeout_ms: numeric("--heartbeat-ms", defaults.heartbeat_timeout_ms),
             connect_timeout_ms: numeric("--connect-timeout-ms", defaults.connect_timeout_ms),
             max_shard_reassignments: numeric(

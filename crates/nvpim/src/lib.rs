@@ -108,7 +108,7 @@ impl Campaign {
     }
 
     /// Runs every trial and aggregates the deterministic report
-    /// (byte-identical for any thread count and chunk size).
+    /// (byte-identical for any thread count and checkpoint cadence).
     ///
     /// # Errors
     ///

@@ -22,7 +22,7 @@ fn bench_service_throughput(c: &mut Criterion) {
         let service = ServiceHandle::start(ServiceConfig {
             workers: 2,
             queue_capacity: 1024,
-            chunk_trials: 64,
+            checkpoint_ms: 250,
             ..Default::default()
         });
         // Unique campaign seed per iteration → every submission is a cache
@@ -42,7 +42,7 @@ fn bench_service_throughput(c: &mut Criterion) {
         let service = ServiceHandle::start(ServiceConfig {
             workers: 2,
             queue_capacity: 1024,
-            chunk_trials: 64,
+            checkpoint_ms: 250,
             ..Default::default()
         });
         // Warm the content-addressed store once; every iteration after is

@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! nvpim-coordinator --fleet HOST:PORT[,HOST:PORT...]
-//!     [--plan quick|paper_scale|@FILE.json] [--shards N] [--chunk-trials N]
+//!     [--plan quick|paper_scale|@FILE.json] [--shards N]
 //!     [--heartbeat-ms N] [--connect-timeout-ms N] [--max-reassignments N]
 //!     [--backoff-ms N] [--out PATH] [--stats-out PATH] [--metrics-out PATH]
 //! ```
@@ -70,13 +70,12 @@ fn main() {
     if args.iter().any(|a| a == "--help" || a == "-h") {
         println!(
             "nvpim-coordinator --fleet HOST:PORT[,HOST:PORT...] \
-             [--plan quick|paper_scale|@FILE.json] [--shards N] [--chunk-trials N] \
+             [--plan quick|paper_scale|@FILE.json] [--shards N] \
              [--heartbeat-ms N] [--connect-timeout-ms N] [--max-reassignments N] \
              [--backoff-ms N] [--out PATH] [--stats-out PATH] [--metrics-out PATH]\n\n  \
              --fleet A,B,...         worker daemon addresses (required)\n  \
              --plan SPEC             named plan or @FILE.json (default quick)\n  \
              --shards N              shard count; 0 = one per worker (default 0)\n  \
-             --chunk-trials N        checkpoint/heartbeat granularity (default 64)\n  \
              --heartbeat-ms N        stall deadline per worker (default 2000)\n  \
              --connect-timeout-ms N  TCP connect timeout (default 1000)\n  \
              --max-reassignments N   per-shard retry budget (default 8)\n  \
@@ -102,7 +101,6 @@ fn main() {
     let cfg = FleetConfig {
         workers,
         shards: numeric(&args, "--shards", defaults.shards),
-        chunk_trials: numeric(&args, "--chunk-trials", defaults.chunk_trials),
         heartbeat_timeout_ms: numeric(&args, "--heartbeat-ms", defaults.heartbeat_timeout_ms),
         connect_timeout_ms: numeric(&args, "--connect-timeout-ms", defaults.connect_timeout_ms),
         max_shard_reassignments: numeric(

@@ -1,7 +1,7 @@
 //! `nvpim-serviced` — the campaign daemon.
 //!
 //! ```text
-//! nvpim-serviced [--addr HOST:PORT] [--workers N] [--queue-capacity N] [--chunk-trials N]
+//! nvpim-serviced [--addr HOST:PORT] [--workers N] [--queue-capacity N] [--checkpoint-ms N]
 //!                [--log-json PATH] [--state-dir DIR]
 //!                [--max-job-retries N] [--retry-backoff-ms N] [--journal-fsync-every N]
 //!                [--shutdown-grace-ms N] [--max-trials-per-job N]
@@ -13,11 +13,16 @@
 //!
 //! With `--state-dir`, the daemon keeps a durable job journal and a
 //! disk-backed report store under that directory and recovers jobs —
-//! including in-flight campaigns, resumed from their last checkpointed
-//! chunk — on restart. See `docs/robustness.md`.
+//! including in-flight campaigns, resumed from their last checkpoint — on
+//! restart. `--checkpoint-ms` sets how often a running campaign
+//! checkpoints (the crash-loss window); see `docs/robustness.md`.
 
 use nvpim_service::flags::value_of;
 use nvpim_service::service::{ServiceConfig, ServiceHandle};
+
+/// Cadences at or above this are refused: half the fleet's default 2 s
+/// heartbeat deadline, since `shard_chunk` frames double as heartbeats.
+const MAX_CHECKPOINT_MS: u64 = 1_000;
 
 fn numeric_arg(args: &[String], flag: &str, default: usize) -> usize {
     match value_of(args, flag) {
@@ -34,18 +39,22 @@ fn main() {
     if args.iter().any(|a| a == "--help" || a == "-h") {
         println!(
             "nvpim-serviced [--addr HOST:PORT] [--workers N] [--queue-capacity N] \
-             [--chunk-trials N] [--log-json PATH] \
+             [--checkpoint-ms N] [--log-json PATH] \
              [--state-dir DIR] [--max-job-retries N] [--retry-backoff-ms N] \
              [--journal-fsync-every N] [--shutdown-grace-ms N] [--max-trials-per-job N]\n\n  \
-             --log-json PATH         append one NDJSON event per job transition/chunk to PATH\n  \
+             --checkpoint-ms N       checkpoint a running campaign (journal record, progress,\n                          \
+             cancel/drain check, run_shard frame) at most every N ms;\n                          \
+             the crash-loss window; 0 = every completed task; must be\n                          \
+             below 1000 (default 250)\n  \
+             --log-json PATH         append one NDJSON event per job transition/checkpoint to PATH\n  \
              --state-dir DIR         durable journal + report store; recover jobs on restart\n  \
              --max-job-retries N     re-run a panicking campaign up to N times (default 2)\n  \
              --retry-backoff-ms N    base delay before a retry, doubled each attempt (default 50)\n  \
              --journal-fsync-every N fsync the journal every N records; 0 = never (default 1)\n  \
              --max-trials-per-job N  reject plans (and shard ranges) over N trials with\n                          \
              `plan_too_large` (default 10000000000)\n  \
-             --shutdown-grace-ms N   graceful drain: shutdown checkpoints in-flight jobs at a\n                          \
-             chunk boundary and exits within ~N ms, leaving queued and\n                          \
+             --shutdown-grace-ms N   graceful drain: shutdown stops in-flight jobs at their\n                          \
+             next checkpoint and exits within ~N ms, leaving queued and\n                          \
              in-flight jobs in the journal for restart resume (default:\n                          \
              run every queued job to completion before exiting)"
         );
@@ -55,10 +64,19 @@ fn main() {
     let defaults = ServiceConfig::default();
     let log_json = value_of(&args, "--log-json").map(std::path::PathBuf::from);
     let state_dir = value_of(&args, "--state-dir").map(std::path::PathBuf::from);
+    let checkpoint_ms =
+        numeric_arg(&args, "--checkpoint-ms", defaults.checkpoint_ms as usize) as u64;
+    if checkpoint_ms >= MAX_CHECKPOINT_MS {
+        eprintln!(
+            "nvpim-serviced: --checkpoint-ms {checkpoint_ms} must be below {MAX_CHECKPOINT_MS}: \
+             run_shard streams double as fleet heartbeats"
+        );
+        std::process::exit(2);
+    }
     let cfg = ServiceConfig {
         workers: numeric_arg(&args, "--workers", defaults.workers),
         queue_capacity: numeric_arg(&args, "--queue-capacity", defaults.queue_capacity),
-        chunk_trials: numeric_arg(&args, "--chunk-trials", defaults.chunk_trials),
+        checkpoint_ms,
         max_trials_per_job: numeric_arg(
             &args,
             "--max-trials-per-job",

@@ -46,6 +46,7 @@ impl Client {
     /// Connection failures.
     pub fn connect(addr: &str) -> std::io::Result<Self> {
         let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
         Ok(Self {
             stream,
             buf: Vec::new(),
@@ -95,6 +96,7 @@ impl Client {
             }
         };
         stream.set_read_timeout(read_timeout)?;
+        stream.set_nodelay(true)?;
         Ok(Self {
             stream,
             buf: Vec::new(),
@@ -102,6 +104,12 @@ impl Client {
             bytes_sent: 0,
             bytes_received: 0,
         })
+    }
+
+    /// The connected socket (tests inspect its options).
+    #[cfg(test)]
+    pub(crate) fn socket(&self) -> &TcpStream {
+        &self.stream
     }
 
     /// Lifetime bytes this client has written to the socket.

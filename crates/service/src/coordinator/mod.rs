@@ -53,12 +53,11 @@ pub struct FleetConfig {
     /// workers gives finer-grained re-assignment (less lost work per
     /// failure) at the cost of more protocol round-trips.
     pub shards: usize,
-    /// Trials per streamed chunk on each worker — the checkpoint (and
-    /// heartbeat) granularity.
-    pub chunk_trials: usize,
     /// Heartbeat deadline: a worker that streams no chunk (or answers no
-    /// ping) for this long is considered stalled. Must comfortably exceed
-    /// the worst-case single-chunk compute time.
+    /// ping) for this long is considered stalled. Workers stream chunks at
+    /// their own checkpoint cadence (`nvpim-serviced --checkpoint-ms`,
+    /// default 250 ms, which the daemon caps below 1 s), so this must
+    /// comfortably exceed that cadence plus the longest single task.
     pub heartbeat_timeout_ms: u64,
     /// TCP connect timeout per worker.
     pub connect_timeout_ms: u64,
@@ -74,7 +73,6 @@ impl Default for FleetConfig {
         Self {
             workers: Vec::new(),
             shards: 0,
-            chunk_trials: 64,
             heartbeat_timeout_ms: 2_000,
             connect_timeout_ms: 1_000,
             max_shard_reassignments: 8,
@@ -359,16 +357,11 @@ fn worker_loop(
         let spec = claim.spec;
         let attempts = claim.attempts;
         let started = Instant::now();
-        let end = link.run_shard(
-            plan_json,
-            claim.remaining(),
-            cfg.chunk_trials,
-            &mut |tallies| {
-                board.checkpoint(spec.index, tallies)?;
-                stats.trials_computed += tallies.trials();
-                Ok(())
-            },
-        );
+        let end = link.run_shard(plan_json, claim.remaining(), &mut |tallies| {
+            board.checkpoint(spec.index, tallies)?;
+            stats.trials_computed += tallies.trials();
+            Ok(())
+        });
         busy += started.elapsed();
         let (next_attempts, backoff, why) = match end {
             AttemptEnd::Completed => {
@@ -470,7 +463,6 @@ mod tests {
         let cfg = FleetConfig {
             workers: vec![addr_a, addr_b],
             shards: 4,
-            chunk_trials: 4,
             ..FleetConfig::default()
         };
         let outcome = run_fleet(&plan, &cfg, &Telemetry::disabled()).expect("fleet runs");
@@ -513,7 +505,6 @@ mod tests {
         let cfg = FleetConfig {
             workers: vec![addr_live, addr_drain.clone()],
             shards: 2,
-            chunk_trials: 4,
             ..FleetConfig::default()
         };
         let outcome = run_fleet(&plan, &cfg, &Telemetry::disabled()).expect("fleet survives");
@@ -543,7 +534,6 @@ mod tests {
         let cfg = FleetConfig {
             workers: vec![addr_live, addr_dead],
             shards: 3,
-            chunk_trials: 4,
             ..FleetConfig::default()
         };
         let outcome = run_fleet(&plan, &cfg, &telemetry).expect("fleet survives one death");

@@ -133,13 +133,13 @@ impl WorkerLink {
     }
 
     /// Runs trials `start .. end` as one shard attempt, handing every
-    /// streamed chunk's tallies to `on_chunk` (the checkpoint). A chunk
+    /// streamed chunk's tallies to `on_chunk` (the checkpoint). The worker
+    /// daemon streams chunks at its own checkpoint cadence. A chunk
     /// `on_chunk` refuses ends the attempt as a rejection.
     pub fn run_shard(
         &mut self,
         plan_json: &Value,
         (start, end): (u64, u64),
-        chunk_trials: usize,
         on_chunk: &mut dyn FnMut(&Tallies) -> Result<(), String>,
     ) -> AttemptEnd {
         let req = request(
@@ -148,7 +148,6 @@ impl WorkerLink {
                 ("plan".into(), plan_json.clone()),
                 ("start".into(), Value::UInt(start)),
                 ("end".into(), Value::UInt(end)),
-                ("chunk_trials".into(), Value::UInt(chunk_trials as u64)),
             ],
         );
         let client = match self.client() {
@@ -284,7 +283,7 @@ mod tests {
         let timeout = Duration::from_secs(5);
         let mut link = WorkerLink::new(&addr, timeout, timeout);
         assert_eq!(link.ping(), Ping::Healthy);
-        let end = link.run_shard(&Value::Null, (0, 4), 4, &mut |_| {
+        let end = link.run_shard(&Value::Null, (0, 4), &mut |_| {
             Err("tallies do not line up".to_string())
         });
         assert!(

@@ -59,8 +59,8 @@ impl JobState {
 pub enum CancelOutcome {
     /// The job had already finished; nothing to cancel.
     AlreadyTerminal,
-    /// The job is running; the flag is set and the worker will stop at the
-    /// next chunk boundary.
+    /// The job is running; the flag is set and the worker will stop at its
+    /// next checkpoint.
     RunningFlagged,
     /// The job was still queued and this call transitioned it to
     /// `Cancelled`.
@@ -251,14 +251,14 @@ impl JobCore {
         }
     }
 
-    /// Records cumulative progress (called by the running worker between
-    /// chunks).
+    /// Records cumulative progress (called by the running worker at each
+    /// checkpoint).
     pub(crate) fn note_progress(&self, trials_done: u64) {
         self.trials_done.store(trials_done, Ordering::Relaxed);
     }
 
     /// Accumulates accuracy-campaign progress (called by the running
-    /// worker between chunks with that chunk's newly evaluated trials, and
+    /// worker at each checkpoint with its newly evaluated trials, and
     /// at recovery with the checkpointed prefix).
     pub(crate) fn note_accuracy(&self, correct: u64, evaluated: u64) {
         self.correct_trials.fetch_add(correct, Ordering::Relaxed);
@@ -274,7 +274,7 @@ impl JobCore {
     }
 
     /// Requests cancellation. A queued job transitions to `Cancelled`
-    /// immediately; a running one stops at its next chunk boundary.
+    /// immediately; a running one stops at its next checkpoint.
     ///
     /// Note: a `JobCore` may serve several coalesced job ids — cancelling
     /// any one of them cancels the shared campaign for all of them.

@@ -7,8 +7,8 @@
 //! terminal jobs are restored as queryable records, and in-flight jobs are
 //! re-queued with the per-point tallies of their checkpointed chunks
 //! merged back in, so only the un-checkpointed suffix is recomputed.
-//! Chunk-boundary invariance (report bytes do not depend on chunk size or
-//! boundaries) makes the resumed report byte-identical to an
+//! Checkpoint invariance (report bytes do not depend on where or how often
+//! a run checkpoints) makes the resumed report byte-identical to an
 //! uninterrupted run.
 //!
 //! ## Record format
@@ -68,8 +68,9 @@ pub enum JournalRecord {
         /// Job id.
         job: u64,
     },
-    /// A chunk of trials completed; `tallies` sum the chunk's results and
-    /// `trials_done` is the cumulative count including this chunk.
+    /// A checkpoint: the contiguous completed prefix advanced; `tallies`
+    /// sum the results of the trials since the previous checkpoint and
+    /// `trials_done` is the cumulative count including them.
     Chunk {
         /// Job id.
         job: u64,
@@ -220,6 +221,8 @@ pub struct Journal {
     fsync_every: u64,
     appended_since_sync: u64,
     records_appended: u64,
+    bytes_appended: u64,
+    fsyncs: u64,
 }
 
 impl Journal {
@@ -250,6 +253,8 @@ impl Journal {
             fsync_every,
             appended_since_sync: 0,
             records_appended: 0,
+            bytes_appended: 0,
+            fsyncs: 0,
         })
     }
 
@@ -264,6 +269,7 @@ impl Journal {
         line.push('\n');
         self.file.write_all(line.as_bytes())?;
         self.records_appended += 1;
+        self.bytes_appended += line.len() as u64;
         self.appended_since_sync += 1;
         if self.fsync_every > 0 && self.appended_since_sync >= self.fsync_every {
             self.sync()?;
@@ -275,12 +281,23 @@ impl Journal {
     pub fn sync(&mut self) -> io::Result<()> {
         self.file.sync_all()?;
         self.appended_since_sync = 0;
+        self.fsyncs += 1;
         Ok(())
     }
 
     /// Lifetime records appended through this handle.
     pub fn records_appended(&self) -> u64 {
         self.records_appended
+    }
+
+    /// Lifetime bytes appended through this handle, newlines included.
+    pub fn bytes_appended(&self) -> u64 {
+        self.bytes_appended
+    }
+
+    /// Lifetime fsyncs issued through this handle.
+    pub fn fsyncs(&self) -> u64 {
+        self.fsyncs
     }
 }
 

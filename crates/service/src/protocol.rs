@@ -314,10 +314,8 @@ pub fn dispatch(
                     return Ok(Outcome::Continue);
                 }
             };
-            let chunk_trials = request
-                .get("chunk_trials")
-                .and_then(Value::as_u64)
-                .unwrap_or(64) as usize;
+            // Older coordinators also send `chunk_trials`; it is ignored —
+            // this daemon streams at its own checkpoint cadence.
             // Structural range checks happen before acceptance; bounds
             // against the plan's trial count surface from the service as
             // a later `bad_shard` line.
@@ -332,13 +330,14 @@ pub fn dispatch(
                 ("start".into(), Value::UInt(start)),
                 ("end".into(), Value::UInt(end)),
             ]))?;
-            // Stream every chunk's per-point tallies: the coordinator's
-            // checkpoint. If the coordinator goes away the failed emit
+            // Stream each checkpoint's per-point tallies, at the daemon's
+            // checkpoint cadence: the coordinator's checkpoint and
+            // heartbeat. If the coordinator goes away the failed emit
             // cancels the shard; if this daemon starts draining, the shard
-            // stops at the next chunk boundary and the coordinator
-            // re-assigns the remainder elsewhere.
+            // stops at the next checkpoint and the coordinator re-assigns
+            // the remainder elsewhere.
             let mut io_err: Option<std::io::Error> = None;
-            let result = service.run_shard(&plan, start, end, chunk_trials, |cp| {
+            let result = service.run_shard(&plan, start, end, |cp| {
                 let line = ok_response(vec![
                     ("event".into(), Value::Str("shard_chunk".into())),
                     ("trials_done".into(), Value::UInt(cp.progress.trials_done)),

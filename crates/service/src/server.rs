@@ -57,6 +57,10 @@ fn write_line(stream: &mut TcpStream, line: &str) -> std::io::Result<()> {
 }
 
 fn handle_connection(service: ServiceHandle, stream: TcpStream, self_addr: std::net::SocketAddr) {
+    // Frames are whole lines written in one call each: send them at once
+    // instead of holding the next small frame behind Nagle's algorithm
+    // until the peer's delayed ACK arrives.
+    let _ = stream.set_nodelay(true);
     let mut writer = match stream.try_clone() {
         Ok(w) => w,
         Err(_) => return,
@@ -154,4 +158,48 @@ pub fn run_server(addr: &str, service: &ServiceHandle) -> std::io::Result<()> {
     let listener = TcpListener::bind(addr)?;
     println!("nvpim-serviced listening on {}", listener.local_addr()?);
     serve(service, listener)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::{request, Client};
+    use crate::service::ServiceConfig;
+
+    /// Both ends of a protocol connection disable Nagle's algorithm, so a
+    /// small frame written after another never waits for a delayed ACK.
+    #[test]
+    fn both_ends_of_a_connection_set_nodelay() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let addr = listener.local_addr().expect("local addr");
+        let service = ServiceHandle::start(ServiceConfig {
+            workers: 1,
+            ..ServiceConfig::default()
+        });
+        for connect in [
+            Client::connect as fn(&str) -> std::io::Result<Client>,
+            |addr| {
+                Client::connect_with_timeouts(addr, Some(std::time::Duration::from_secs(5)), None)
+            },
+        ] {
+            let mut client = connect(&addr.to_string()).expect("connect");
+            let (accepted, _) = listener.accept().expect("accept");
+            let server_end = accepted.try_clone().expect("clone accepted socket");
+            let connection = {
+                let service = service.clone();
+                std::thread::spawn(move || handle_connection(service, accepted, addr))
+            };
+            // A served request proves the connection loop is past its setup.
+            let pong = client.request(&request("ping", vec![])).expect("ping");
+            assert_eq!(
+                pong.get("event").and_then(serde::Value::as_str),
+                Some("pong")
+            );
+            assert!(client.socket().nodelay().expect("client nodelay"));
+            assert!(server_end.nodelay().expect("server nodelay"));
+            drop(client);
+            connection.join().expect("connection thread");
+        }
+        service.shutdown();
+    }
 }

@@ -39,9 +39,14 @@ pub struct ServiceConfig {
     /// Maximum queued (not yet running) jobs before submissions are
     /// rejected with `queue_full` (backpressure).
     pub queue_capacity: usize,
-    /// Trials per execution chunk — the granularity of progress events and
-    /// cancellation checks. Chunking never affects report bytes.
-    pub chunk_trials: usize,
+    /// Checkpoint cadence in milliseconds: a running job journals a
+    /// `chunk` checkpoint, streams progress and checks for cancellation or
+    /// drain at most this often (and once at the end), and a `run_shard`
+    /// stream sends a `shard_chunk` frame — its heartbeat — at the same
+    /// cadence. It bounds what a crash loses, and a cancel or drain takes
+    /// effect within it plus one task. `0` checkpoints on every advance of
+    /// the completed prefix. The cadence never affects report bytes.
+    pub checkpoint_ms: u64,
     /// Admission budget: a submission (or a `run_shard` range) with more
     /// trials than this is rejected with `plan_too_large` instead of
     /// queued, and a journaled job over it fails on replay instead of
@@ -58,7 +63,7 @@ pub struct ServiceConfig {
     /// resubmission.
     pub max_cached_reports: usize,
     /// Opt-in structured NDJSON event log: when set, the service appends
-    /// one event per job transition (and per executed chunk) to this file,
+    /// one event per job transition (and per checkpoint) to this file,
     /// each line carrying a `trace` id correlating a job's whole history.
     /// `None` (the default) logs nothing.
     pub log_json: Option<std::path::PathBuf>,
@@ -66,10 +71,10 @@ pub struct ServiceConfig {
     /// job journal (`jobs.journal`) and a disk-backed report store
     /// (`reports/`) under it: on startup the journal is replayed,
     /// completed reports are restored, and in-flight campaigns resume
-    /// from their last checkpointed chunk — byte-identically, thanks to
-    /// chunk invariance. `None` (the default) keeps all state in memory.
+    /// from their last checkpoint — byte-identically, thanks to checkpoint
+    /// invariance. `None` (the default) keeps all state in memory.
     pub state_dir: Option<std::path::PathBuf>,
-    /// Retry budget per job for *panicking* attempts: a chunk that panics
+    /// Retry budget per job for *panicking* attempts: a task that panics
     /// (a buggy scheme plugin, say) is contained by `catch_unwind` and the
     /// job retried from its last checkpoint up to this many times before
     /// failing terminally. Deterministic `SweepError`s never retry.
@@ -89,7 +94,7 @@ pub struct ServiceConfig {
     /// Graceful-drain budget for shutdown. `None` (the default) keeps the
     /// legacy behaviour: shutdown runs every queued job to completion
     /// before exiting. `Some(ms)` switches shutdown to a *drain*: new
-    /// work is rejected, running jobs stop at their next chunk boundary
+    /// work is rejected, running jobs stop at their next checkpoint
     /// (their checkpoints already journaled), queued jobs are abandoned
     /// to journal replay, and the daemon exits within roughly this budget
     /// even if a job is wedged. Health probes (`ping`) report
@@ -103,7 +108,7 @@ impl Default for ServiceConfig {
         Self {
             workers: 2,
             queue_capacity: 64,
-            chunk_trials: 64,
+            checkpoint_ms: DEFAULT_CHECKPOINT_MS,
             max_trials_per_job: DEFAULT_MAX_TRIALS_PER_JOB,
             max_tracked_jobs: 4096,
             max_cached_reports: crate::store::DEFAULT_REPORT_CAPACITY,
@@ -117,6 +122,11 @@ impl Default for ServiceConfig {
         }
     }
 }
+
+/// Default [`ServiceConfig::checkpoint_ms`]: well inside the fleet's 2 s
+/// default heartbeat deadline, since `shard_chunk` frames double as
+/// heartbeats.
+pub const DEFAULT_CHECKPOINT_MS: u64 = 250;
 
 /// Default [`ServiceConfig::max_trials_per_job`]: ten billion trials, hours
 /// of compute on one daemon and far beyond the paper's campaigns.
@@ -319,6 +329,11 @@ struct Counters {
     journal_replayed: AtomicU64,
     /// Shard ranges executed to completion (`run_shard`).
     shards_executed: AtomicU64,
+    /// Checkpoints handed to job observers (each journals a `chunk`
+    /// record on a durable daemon).
+    job_checkpoints: AtomicU64,
+    /// Checkpoints streamed as `shard_chunk` frames.
+    shard_checkpoints: AtomicU64,
 }
 
 struct Inner {
@@ -392,6 +407,11 @@ impl Inner {
                 eprintln!("nvpim-serviced: journal append failed: {err}");
             }
         }
+    }
+
+    /// The checkpoint cadence jobs and shards run with.
+    fn checkpoint_every(&self) -> Duration {
+        Duration::from_millis(self.cfg.checkpoint_ms)
     }
 
     /// The execution backend campaigns run on: the configured test
@@ -901,6 +921,44 @@ impl ServiceHandle {
             "Accuracy-campaign predictions matching the clean model.",
             stats.accuracy_trials_correct,
         );
+        // Durable-path cost: what the journal wrote, and how often the
+        // engine checkpointed (every job checkpoint is one journal record
+        // on a durable daemon; every shard checkpoint is one wire frame).
+        let (records, bytes, fsyncs) = self.inner.journal.as_ref().map_or((0, 0, 0), |journal| {
+            let journal = lock_unpoisoned(journal);
+            (
+                journal.records_appended(),
+                journal.bytes_appended(),
+                journal.fsyncs(),
+            )
+        });
+        counter(
+            "journal_records_total",
+            "Records appended to the job journal.",
+            records,
+        );
+        counter(
+            "journal_bytes_total",
+            "Bytes appended to the job journal.",
+            bytes,
+        );
+        counter("journal_fsyncs_total", "Journal fsyncs issued.", fsyncs);
+        let _ = writeln!(
+            out,
+            "# HELP nvpim_checkpoints_total Checkpoints taken, by path \
+             (job: journaled job checkpoints; shard: streamed shard_chunk frames)."
+        );
+        let _ = writeln!(out, "# TYPE nvpim_checkpoints_total counter");
+        for (path, count) in [
+            ("job", &self.inner.counters.job_checkpoints),
+            ("shard", &self.inner.counters.shard_checkpoints),
+        ] {
+            let _ = writeln!(
+                out,
+                "nvpim_checkpoints_total{{path=\"{path}\"}} {}",
+                count.load(Ordering::Relaxed)
+            );
+        }
         let _ = writeln!(out, "# HELP nvpim_queue_depth Jobs currently queued.");
         let _ = writeln!(out, "# TYPE nvpim_queue_depth gauge");
         let _ = writeln!(out, "nvpim_queue_depth {}", stats.queue_depth);
@@ -918,10 +976,12 @@ impl ServiceHandle {
         out
     }
 
-    /// Runs one shard of a campaign synchronously on the calling thread:
-    /// trials `start .. end` of the plan's trial list, invoking `observer`
-    /// with every chunk's tallies (the streaming seam `run_shard`
-    /// connections checkpoint through), and returns the shard's tallies.
+    /// Runs one shard of a campaign synchronously on the calling thread
+    /// (helped by the process-wide pool): trials `start .. end` of the
+    /// plan's trial list, invoking `observer` with the tallies of each
+    /// checkpoint, at most once per [`ServiceConfig::checkpoint_ms`] (the
+    /// streaming seam `run_shard` connections checkpoint through), and
+    /// returns the shard's tallies.
     ///
     /// Shards bypass the job queue — they are driven by a fleet
     /// coordinator that owns scheduling — but share the process-wide
@@ -939,8 +999,7 @@ impl ServiceHandle {
         plan: &SweepPlan,
         start: u64,
         end: u64,
-        chunk_trials: usize,
-        observer: impl FnMut(ChunkCheckpoint<'_>) -> CampaignControl,
+        mut observer: impl FnMut(ChunkCheckpoint<'_>) -> CampaignControl,
     ) -> Result<Tallies, ServiceError> {
         let inner = &self.inner;
         if inner.shutting_down.load(Ordering::SeqCst) || inner.draining.load(Ordering::SeqCst) {
@@ -954,7 +1013,19 @@ impl ServiceHandle {
                 .map_err(ServiceError::InvalidPlan)?
         };
         let run_started = std::time::Instant::now();
-        let result = prepared.run_shard(inner.backend(), start, end, chunk_trials, observer);
+        let result = prepared.run_shard(
+            inner.backend(),
+            start,
+            end,
+            inner.checkpoint_every(),
+            |checkpoint| {
+                inner
+                    .counters
+                    .shard_checkpoints
+                    .fetch_add(1, Ordering::Relaxed);
+                observer(checkpoint)
+            },
+        );
         let run_nanos = run_started.elapsed().as_nanos() as u64;
         inner
             .counters
@@ -1003,7 +1074,7 @@ impl ServiceHandle {
 
     /// Begins a graceful drain: new submissions are rejected, queued jobs
     /// are abandoned to journal replay, and running jobs stop at their
-    /// next chunk boundary *without* being journaled as cancelled — they
+    /// next checkpoint *without* being journaled as cancelled — they
     /// stay in-flight in the journal, so a restart resumes them from
     /// their last checkpoint. Non-blocking; `ping` reports
     /// `draining: true` from here on, and the daemon keeps answering
@@ -1018,7 +1089,7 @@ impl ServiceHandle {
     /// Drains with a bounded budget: [`Self::begin_drain`], then waits up
     /// to `grace` for workers to checkpoint and exit. Returns `true` when
     /// every worker exited within the budget; `false` means at least one
-    /// worker is wedged mid-chunk and is left detached (its last
+    /// worker is wedged mid-task and is left detached (its last
     /// journaled checkpoint still makes restart-resume exact).
     pub fn drain_with_grace(&self, grace: Duration) -> bool {
         self.begin_drain();
@@ -1059,7 +1130,7 @@ impl ServiceHandle {
             Some(grace) => {
                 if !self.drain_with_grace(grace) {
                     eprintln!(
-                        "nvpim-serviced: drain grace elapsed with a worker still mid-chunk; \
+                        "nvpim-serviced: drain grace elapsed with a worker still mid-task; \
                          exiting on the last journaled checkpoint"
                     );
                 }
@@ -1363,7 +1434,7 @@ fn run_job(inner: &Inner, item: WorkItem) {
 }
 
 /// One execution attempt: prepare through the shared schedule cache, run
-/// resumably from the shared checkpoint (journaling every chunk), and
+/// resumably from the shared checkpoint (journaling every checkpoint), and
 /// drive the job to its terminal state. Panics propagate to [`run_job`].
 fn run_attempt(inner: &Inner, core: &Arc<JobCore>, plan: &SweepPlan, checkpoint: &Mutex<Tallies>) {
     // Compile through the process-wide shared cache; the lock is held
@@ -1398,11 +1469,18 @@ fn run_attempt(inner: &Inner, core: &Arc<JobCore>, plan: &SweepPlan, checkpoint:
     let resume = lock_unpoisoned(checkpoint).clone();
     let resumed_trials = resume.trials();
     let run_started = std::time::Instant::now();
-    let outcome =
-        prepared.run_chunked_resumable(inner.backend(), inner.cfg.chunk_trials, resume, |chunk| {
+    let outcome = prepared.run_chunked_resumable(
+        inner.backend(),
+        inner.checkpoint_every(),
+        resume,
+        |chunk| {
             let trials_done = chunk.progress.trials_done;
+            inner
+                .counters
+                .job_checkpoints
+                .fetch_add(1, Ordering::Relaxed);
             // Journal before merging into the in-memory checkpoint: a
-            // crash between the two merely recomputes one chunk.
+            // crash between the two merely recomputes one checkpoint.
             inner.journal_append(&JournalRecord::Chunk {
                 job: core.id,
                 trials_done,
@@ -1437,7 +1515,8 @@ fn run_attempt(inner: &Inner, core: &Arc<JobCore>, plan: &SweepPlan, checkpoint:
             } else {
                 CampaignControl::Continue
             }
-        });
+        },
+    );
     let run_nanos = run_started.elapsed().as_nanos() as u64;
     inner
         .counters
@@ -1480,7 +1559,7 @@ fn run_attempt(inner: &Inner, core: &Arc<JobCore>, plan: &SweepPlan, checkpoint:
                 // Stopped by a graceful drain, not a client: the job stays
                 // *in-flight* in the journal (no terminal record), so a
                 // restart over the same state dir resumes it from the
-                // chunk checkpoint this attempt just journaled.
+                // checkpoint this attempt just journaled.
                 inner.emit_event(
                     core.id,
                     &core.digest,
@@ -1519,6 +1598,7 @@ fn run_attempt(inner: &Inner, core: &Arc<JobCore>, plan: &SweepPlan, checkpoint:
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nvpim_sweep::ScalarBackend;
 
     fn tiny_plan(seed: u64) -> SweepPlan {
         let mut plan = SweepPlan::quick();
@@ -1630,7 +1710,6 @@ mod tests {
         let service = ServiceHandle::start(ServiceConfig {
             workers: 1,
             queue_capacity: 1,
-            chunk_trials: 4,
             ..Default::default()
         });
         // Distinct digests so nothing coalesces: vary the seed.
@@ -1664,7 +1743,7 @@ mod tests {
         // Whole-campaign shard through the service == direct engine run.
         let mut streamed = Tallies::new();
         let tallies = service
-            .run_shard(&plan, 0, total, 4, |cp| {
+            .run_shard(&plan, 0, total, |cp| {
                 streamed.merge(cp.new_tallies);
                 CampaignControl::Continue
             })
@@ -1684,12 +1763,12 @@ mod tests {
         assert_eq!(stats.trials_executed, total);
         // Bad ranges are structured errors, not panics.
         assert!(matches!(
-            service.run_shard(&plan, 3, 2, 4, |_| CampaignControl::Continue),
+            service.run_shard(&plan, 3, 2, |_| CampaignControl::Continue),
             Err(ServiceError::BadShard(_))
         ));
         service.shutdown();
         assert!(matches!(
-            service.run_shard(&plan, 0, total, 4, |_| CampaignControl::Continue),
+            service.run_shard(&plan, 0, total, |_| CampaignControl::Continue),
             Err(ServiceError::ShuttingDown)
         ));
     }
@@ -1700,7 +1779,10 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let cfg = ServiceConfig {
             workers: 1,
-            chunk_trials: 1, // fine-grained drain points
+            // One-trial tasks and a checkpoint per prefix advance: fine-
+            // grained drain points.
+            checkpoint_ms: 0,
+            execution_backend: Some(&ScalarBackend),
             state_dir: Some(dir.clone()),
             shutdown_grace_ms: Some(5_000),
             ..Default::default()
@@ -1761,7 +1843,6 @@ mod tests {
         let service = ServiceHandle::start(ServiceConfig {
             workers: 1,
             queue_capacity: 8,
-            chunk_trials: 64,
             ..Default::default()
         });
         let low = service.submit(tiny_plan(10), 1).unwrap();
@@ -1778,11 +1859,14 @@ mod tests {
         let service = ServiceHandle::start(ServiceConfig {
             workers: 1,
             queue_capacity: 8,
-            chunk_trials: 1, // fine-grained cancellation points
+            // One-trial tasks and a checkpoint per prefix advance: fine-
+            // grained cancellation points.
+            checkpoint_ms: 0,
+            execution_backend: Some(&ScalarBackend),
             ..Default::default()
         });
         let mut plan = tiny_plan(20);
-        plan.seeds_per_point = 64; // long enough to catch mid-run
+        plan.seeds_per_point = 640; // long enough to catch mid-run
         let out = service.submit(plan, 0).unwrap();
         // Wait for it to start, then cancel.
         while service.status(out.job).unwrap().state == "queued" {
@@ -1806,7 +1890,6 @@ mod tests {
         let service = ServiceHandle::start(ServiceConfig {
             workers: 1,
             queue_capacity: 8,
-            chunk_trials: 4,
             ..Default::default()
         });
         let mut long = tiny_plan(50);

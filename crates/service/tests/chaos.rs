@@ -3,7 +3,7 @@
 //! Six failure families, per the robustness tentpole:
 //!
 //! 1. **Checkpoint/resume byte-identity** — a crafted journal (exactly what
-//!    a daemon killed at a chunk boundary leaves behind) is replayed for
+//!    a daemon killed after its second checkpoint leaves behind) is replayed for
 //!    every estimator on the campaign path and on the scalar oracle
 //!    (injected through the `ServiceConfig::execution_backend` seam); the
 //!    resumed report must be byte-identical to an uninterrupted run.
@@ -78,22 +78,23 @@ fn submit_record(plan: &SweepPlan, job: u64) -> JournalRecord {
     }
 }
 
-/// The tallies of a campaign's first `chunks` four-trial chunks, one entry
-/// per chunk — exactly what a worker killed at the next chunk boundary
-/// would have journaled.
+/// The tallies of a campaign's first `chunks` four-trial prefix segments,
+/// one entry per segment — exactly the `chunk` records a worker killed
+/// after checkpointing trials `0 .. 4 * chunks` in four-trial steps would
+/// have journaled. Each segment runs as a shard of its own, so the
+/// geometry does not depend on when the engine's clock fires.
 fn first_chunks(plan: &SweepPlan, backend: &dyn ExecutionBackend, chunks: usize) -> Vec<Tallies> {
     let mut cache = ScheduleCache::new();
     let prepared = prepare_campaign(plan, &mut cache).expect("prepare");
-    let mut captured = Vec::new();
-    let _ = prepared.run_chunked_resumable(backend, 4, Tallies::new(), |checkpoint| {
-        captured.push(checkpoint.new_tallies.clone());
-        if captured.len() < chunks {
-            CampaignControl::Continue
-        } else {
-            CampaignControl::Cancel
-        }
-    });
-    captured
+    (0..chunks as u64)
+        .map(|chunk| {
+            prepared
+                .run_shard(backend, 4 * chunk, 4 * (chunk + 1), Duration::MAX, |_| {
+                    CampaignControl::Continue
+                })
+                .expect("segment runs")
+        })
+        .collect()
 }
 
 /// Tentpole assertion 1: for both estimator modes, on the campaign path
@@ -140,7 +141,7 @@ fn resume_from_checkpoint_is_byte_identical_across_backends_and_estimators() {
 
             let service = ServiceHandle::start(ServiceConfig {
                 workers: 1,
-                chunk_trials: 4,
+                checkpoint_ms: 0,
                 execution_backend: Some(backend),
                 state_dir: Some(dir.clone()),
                 ..ServiceConfig::default()
@@ -222,7 +223,7 @@ fn accuracy_job_resumes_from_checkpoint_byte_identically() {
 
     let service = ServiceHandle::start(ServiceConfig {
         workers: 1,
-        chunk_trials: 4,
+        checkpoint_ms: 0,
         state_dir: Some(dir.clone()),
         ..ServiceConfig::default()
     });
@@ -327,7 +328,7 @@ fn injected_panic_retries_from_checkpoint_and_stays_byte_identical() {
     let clean = run_campaign(&plan).expect("clean run").to_json();
     let service = ServiceHandle::start(ServiceConfig {
         workers: 1,
-        chunk_trials: 4,
+        checkpoint_ms: 0,
         max_job_retries: 2,
         retry_backoff_ms: 1,
         execution_backend: Some(PanicAfterN::leaked(POISON, 5, true)),
@@ -356,7 +357,7 @@ fn persistent_panic_fails_only_its_own_job_and_pool_survives() {
     let clean_a = run_campaign(&healthy_a).expect("clean run").to_json();
     let service = ServiceHandle::start(ServiceConfig {
         workers: 2,
-        chunk_trials: 4,
+        checkpoint_ms: 0,
         max_job_retries: 1,
         retry_backoff_ms: 1,
         execution_backend: Some(PanicAfterN::leaked(POISON, 0, false)),
@@ -444,7 +445,7 @@ fn torn_journal_tail_recovers_and_survives_a_second_restart() {
 
     let service = ServiceHandle::start(ServiceConfig {
         workers: 1,
-        chunk_trials: 4,
+        checkpoint_ms: 0,
         state_dir: Some(dir.clone()),
         ..ServiceConfig::default()
     });
@@ -544,7 +545,7 @@ fn corrupt_store_entry_recomputes_byte_identical_report() {
 
     let service = ServiceHandle::start(ServiceConfig {
         workers: 1,
-        chunk_trials: 4,
+        checkpoint_ms: 0,
         state_dir: Some(dir.clone()),
         ..ServiceConfig::default()
     });
@@ -584,8 +585,8 @@ fn spawn_daemon_process(dir: &Path) -> (std::process::Child, String) {
             "127.0.0.1:0",
             "--workers",
             "1",
-            "--chunk-trials",
-            "4",
+            "--checkpoint-ms",
+            "0",
             "--state-dir",
         ])
         .arg(dir)
@@ -604,7 +605,7 @@ fn spawn_daemon_process(dir: &Path) -> (std::process::Child, String) {
 /// outcomes, killed-in-flight and killed-after-done, must recover.)
 #[test]
 fn sigkill_and_restart_recovers_byte_identical_report() {
-    let plan = SweepPlan::quick(); // 72 trials, 18 chunks of 4
+    let plan = SweepPlan::quick(); // 72 trials, a checkpoint per task
     let clean = run_campaign(&plan).expect("clean run").to_json();
     let digest = plan.content_digest();
     let plan_value: Value = serde_json::from_str(&plan.canonical_json()).expect("plan JSON parses");
@@ -689,7 +690,14 @@ fn sigkill_and_restart_recovers_byte_identical_report() {
 /// Spawns a stateless fleet worker daemon on an OS-assigned port.
 fn spawn_fleet_worker() -> (std::process::Child, String) {
     let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_nvpim-serviced"))
-        .args(["--addr", "127.0.0.1:0", "--workers", "1"])
+        .args([
+            "--addr",
+            "127.0.0.1:0",
+            "--workers",
+            "1",
+            "--checkpoint-ms",
+            "0",
+        ])
         .stdout(std::process::Stdio::piped())
         .stderr(std::process::Stdio::null())
         .spawn()
@@ -741,9 +749,9 @@ fn fleet_survives_sigkill_and_sigstop_with_byte_identical_reports() {
         .enumerate()
     {
         // Trial cost varies severalfold across the protection schemes
-        // inside one plan — 360 seeds per point and 45-trial chunks keep a
-        // multi-second chaos window for each estimator while even the
-        // slowest single chunk stays far below the heartbeat deadline.
+        // inside one plan — 360 seeds per point keep a multi-second chaos
+        // window for each estimator, and workers checkpointing every task
+        // stream far inside the heartbeat deadline.
         let plan = fleet_chaos_plan(0xf1ee_7002 + j as u64, estimator, 360);
         let started = Instant::now();
         let clean = run_campaign(&plan).expect("clean run").to_json();
@@ -754,7 +762,6 @@ fn fleet_survives_sigkill_and_sigstop_with_byte_identical_reports() {
         let cfg = FleetConfig {
             workers: daemons.iter().map(|(_, addr)| addr.clone()).collect(),
             shards: 9,
-            chunk_trials: 45,
             heartbeat_timeout_ms: 2_000,
             retry_backoff_ms: 10,
             ..FleetConfig::default()
@@ -1125,12 +1132,12 @@ fn an_admitted_poison_plan_runs_in_flat_memory_and_cancels() {
     let _ = child.wait();
 }
 
-/// Mean bytes of the `chunk` records a job journals at `chunk_trials`.
-fn mean_chunk_record_bytes(plan: &SweepPlan, chunk_trials: usize) -> usize {
-    let dir = state_dir(&format!("chunk-bytes-{chunk_trials}"));
+/// Journal bytes and `chunk` records of one job run at `checkpoint_ms`.
+fn journal_cost(plan: &SweepPlan, checkpoint_ms: u64) -> (usize, Vec<usize>) {
+    let dir = state_dir(&format!("journal-cost-{checkpoint_ms}"));
     let service = ServiceHandle::start(ServiceConfig {
         workers: 1,
-        chunk_trials,
+        checkpoint_ms,
         journal_fsync_records: 0,
         state_dir: Some(dir.clone()),
         ..ServiceConfig::default()
@@ -1141,28 +1148,49 @@ fn mean_chunk_record_bytes(plan: &SweepPlan, chunk_trials: usize) -> usize {
         .expect("job completes");
     service.shutdown();
     let journal = std::fs::read_to_string(dir.join(JOURNAL_FILE)).expect("read journal");
-    let chunks: Vec<&str> = journal
+    let chunks = journal
         .lines()
         .filter(|line| line.contains(r#""rec":"chunk""#))
+        .map(str::len)
         .collect();
-    assert_eq!(
-        chunks.len() as u64,
-        plan.trial_count().div_ceil(chunk_trials as u64)
-    );
     let _ = std::fs::remove_dir_all(&dir);
-    chunks.iter().map(|line| line.len()).sum::<usize>() / chunks.len()
+    (journal.len(), chunks)
 }
 
-/// A journal `chunk` record costs the same bytes whether its chunk ran 4
-/// trials or 128: it carries per-point tallies, not per-trial outcomes.
+/// What one campaign journals is bounded independently of the checkpoint
+/// cadence: a `chunk` record carries per-point tallies, so it costs bytes
+/// per point it covers, never per trial, and there is at most one record
+/// per task (64 trials of one point) however often the clock fires.
 #[test]
-fn journal_chunk_bytes_do_not_depend_on_chunk_trials() {
+fn journal_bytes_per_campaign_do_not_depend_on_the_cadence() {
     let mut plan = tiny_plan(0xb17e);
     plan.seeds_per_point = 256;
-    let small = mean_chunk_record_bytes(&plan, 4);
-    let large = mean_chunk_record_bytes(&plan, 128);
-    assert!(
-        large < small + small / 4,
-        "4-trial chunks: {small} B/record, 128-trial chunks: {large} B/record"
+    let tasks = plan.point_count() * 256 / 64;
+    // One checkpoint covering every trial of every point: the largest
+    // record the plan can produce.
+    let (whole_bytes, whole) = journal_cost(&plan, u64::MAX);
+    assert_eq!(
+        whole.len(),
+        1,
+        "a cadence longer than the run checkpoints once"
     );
+    let largest = whole[0];
+    let envelope = whole_bytes - largest;
+    let bound = envelope + tasks * largest;
+    for checkpoint_ms in [0, 250] {
+        let (bytes, chunks) = journal_cost(&plan, checkpoint_ms);
+        assert!(
+            (1..=tasks).contains(&chunks.len()),
+            "{checkpoint_ms} ms: {} chunk records for {tasks} tasks",
+            chunks.len()
+        );
+        assert!(
+            chunks.iter().all(|&len| len <= largest),
+            "{checkpoint_ms} ms: a record outgrew the whole-campaign record ({largest} B)"
+        );
+        assert!(
+            bytes <= bound,
+            "{checkpoint_ms} ms: {bytes} B journaled, bound {bound} B"
+        );
+    }
 }

@@ -7,7 +7,7 @@ use std::time::Duration;
 
 use nvpim_service::protocol::{dispatch, Outcome};
 use nvpim_service::service::{ServiceConfig, ServiceHandle};
-use nvpim_sweep::SweepPlan;
+use nvpim_sweep::{ScalarBackend, SweepPlan};
 use serde::Value;
 
 fn tiny_plan(seed: u64) -> SweepPlan {
@@ -137,7 +137,7 @@ fn event_log_records_the_job_lifecycle_as_valid_ndjson() {
     ));
     let service = ServiceHandle::start(ServiceConfig {
         workers: 1,
-        chunk_trials: 4,
+        checkpoint_ms: 0,
         log_json: Some(log_path.clone()),
         ..Default::default()
     });
@@ -188,7 +188,9 @@ fn cancelled_jobs_emit_a_cancelled_event() {
         std::env::temp_dir().join(format!("nvpim-events-cancel-{}.ndjson", std::process::id()));
     let service = ServiceHandle::start(ServiceConfig {
         workers: 1,
-        chunk_trials: 1,
+        // One-trial tasks, a checkpoint (and cancellation check) after each.
+        checkpoint_ms: 0,
+        execution_backend: Some(&ScalarBackend),
         log_json: Some(log_path.clone()),
         ..Default::default()
     });
@@ -221,7 +223,7 @@ fn coalesced_submissions_trace_back_to_the_primary_job() {
     ));
     let service = ServiceHandle::start(ServiceConfig {
         workers: 1,
-        chunk_trials: 1,
+        checkpoint_ms: 0,
         log_json: Some(log_path.clone()),
         ..Default::default()
     });
@@ -249,4 +251,69 @@ fn coalesced_submissions_trace_back_to_the_primary_job() {
         coalesced[0].get("onto_job").and_then(Value::as_u64),
         Some(first.job)
     );
+}
+
+/// Value of one series in a `metrics` exposition.
+fn metric(text: &str, series: &str) -> u64 {
+    text.lines()
+        .find_map(|line| line.strip_prefix(series)?.strip_prefix(' '))
+        .and_then(|value| value.trim().parse().ok())
+        .unwrap_or_else(|| panic!("series {series} missing from:\n{text}"))
+}
+
+/// A durable paper-scale submit at the default cadence journals submit,
+/// start, its checkpoints and done: one checkpoint unless the run outlasts
+/// a cadence period, so at most five records. `metrics` shows what the
+/// journal wrote and how often jobs and shards checkpointed.
+#[test]
+fn durable_paper_scale_submit_journals_at_most_five_records() {
+    let dir = std::env::temp_dir().join(format!("nvpim-journal-cost-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let service = ServiceHandle::start(ServiceConfig {
+        workers: 1,
+        state_dir: Some(dir.clone()),
+        ..Default::default()
+    });
+    let mut plan = SweepPlan::paper_scale();
+    plan.campaign_seed = 0x10c0_5eed;
+    let job = service.submit(plan, 0).unwrap().job;
+    service.wait(job, Some(Duration::from_secs(120))).unwrap();
+
+    let text = service.metrics_text();
+    let journal = std::fs::read_to_string(dir.join(nvpim_service::journal::JOURNAL_FILE))
+        .expect("journal written");
+    let records = metric(&text, "nvpim_journal_records_total");
+    assert!(
+        (4..=5).contains(&records),
+        "{records} journal records for one campaign:\n{journal}"
+    );
+    assert_eq!(journal.lines().count() as u64, records);
+    assert_eq!(
+        metric(&text, "nvpim_journal_bytes_total"),
+        journal.len() as u64
+    );
+    assert_eq!(
+        metric(&text, "nvpim_journal_fsyncs_total"),
+        records,
+        "the durable default syncs every record"
+    );
+    assert_eq!(
+        metric(&text, "nvpim_checkpoints_total{path=\"job\"}"),
+        records - 3,
+        "every journaled chunk record is one job checkpoint"
+    );
+    assert_eq!(metric(&text, "nvpim_checkpoints_total{path=\"shard\"}"), 0);
+
+    // Shards checkpoint on their own path and journal nothing.
+    let shard_plan = tiny_plan(95);
+    service
+        .run_shard(&shard_plan, 0, shard_plan.trial_count(), |_| {
+            nvpim_sweep::CampaignControl::Continue
+        })
+        .unwrap();
+    let text = service.metrics_text();
+    assert!(metric(&text, "nvpim_checkpoints_total{path=\"shard\"}") >= 1);
+    assert_eq!(metric(&text, "nvpim_journal_records_total"), records);
+    service.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -13,7 +13,7 @@ use std::time::Duration;
 use nvpim_service::client::{request, Client};
 use nvpim_service::service::{ServiceConfig, ServiceHandle};
 use nvpim_sweep::{
-    ExecutionBackend, PointContext, PointTally, SlicedBackend, SweepPlan, TrialArena,
+    ExecutionBackend, PointContext, PointTally, ScalarBackend, SlicedBackend, SweepPlan, TrialArena,
 };
 use serde::Value;
 
@@ -154,14 +154,16 @@ fn mid_job_cancel_returns_structured_errors_and_pool_survives() {
     let (addr, daemon) = spawn_daemon(ServiceConfig {
         workers: 1,
         queue_capacity: 8,
-        chunk_trials: 1,
+        // One-trial tasks, a checkpoint (and cancellation check) after each.
+        checkpoint_ms: 0,
+        execution_backend: Some(&ScalarBackend),
         ..Default::default()
     });
     let mut client = Client::connect(&addr).expect("connect");
 
-    // A long job (3 points × 200 seeds = 600 trials at chunk size 1).
+    // A long job (9 points × 400 seeds = 3,600 one-trial tasks).
     let mut plan = SweepPlan::quick();
-    plan.seeds_per_point = 200;
+    plan.seeds_per_point = 400;
     plan.campaign_seed = 103;
     let plan_value: Value = serde_json::from_str(&plan.canonical_json()).expect("parses");
     let accepted = client
@@ -223,9 +225,10 @@ fn mid_job_cancel_returns_structured_errors_and_pool_survives() {
 const HOLD_LIMIT: Duration = Duration::from_secs(20);
 
 /// A test backend: runs exactly like [`SlicedBackend`], except that every
-/// trial after the first `first_chunk` plan-ordered trials waits (at most
-/// [`HOLD_LIMIT`]) until [`Self::release`] — so a job cannot finish before
-/// a waiting client has seen its progress.
+/// task after the first `first_chunk` plan-ordered trials — the first
+/// task, hence the first checkpoint — waits (at most [`HOLD_LIMIT`]) until
+/// [`Self::release`], whichever thread runs it. So a job cannot finish
+/// before a waiting client has seen its progress.
 #[derive(Debug)]
 struct HoldAfterFirstChunk {
     first_chunk: u64,
@@ -284,13 +287,14 @@ fn submit_wait_streams_progress_then_byte_identical_result() {
     let mut plan = SweepPlan::quick();
     plan.seeds_per_point = 96;
     plan.campaign_seed = 105;
-    // The job is held at its second chunk until this client has read a
-    // progress frame, so it cannot finish between two progress polls.
-    let hold = HoldAfterFirstChunk::leaked(4, plan.seeds_per_point);
+    // The job is held after its first task (64 lanes of point 0) until this
+    // client has read a progress frame, so it cannot finish between two
+    // progress polls.
+    let hold = HoldAfterFirstChunk::leaked(64, plan.seeds_per_point);
     let (addr, daemon) = spawn_daemon(ServiceConfig {
         workers: 1,
         queue_capacity: 8,
-        chunk_trials: 4,
+        checkpoint_ms: 0,
         execution_backend: Some(hold),
         ..Default::default()
     });
@@ -337,7 +341,7 @@ fn submit_wait_streams_progress_then_byte_identical_result() {
         direct.to_json()
     );
     // The hold keeps the job running until the first progress frame
-    // arrived; later chunks may finish between polls and go unreported.
+    // arrived; later checkpoints may land between polls and go unreported.
     assert!(progress_events >= 1, "expected streamed progress events");
 
     shutdown(&addr, daemon);
@@ -351,7 +355,7 @@ fn four_concurrent_clients_get_identical_cached_reports() {
     let (addr, daemon) = spawn_daemon(ServiceConfig {
         workers: 2,
         queue_capacity: 16,
-        chunk_trials: 8,
+        checkpoint_ms: 0,
         ..Default::default()
     });
     let mut plan = SweepPlan::quick();
@@ -540,13 +544,16 @@ fn ping_reports_liveness_over_the_wire() {
     shutdown(&addr, daemon);
 }
 
-/// `run_shard` streams `shard_accepted`, per-chunk tally checkpoints, and
-/// `shard_done`; the streamed tallies merge into the exact byte-identical
-/// report of a whole-campaign run. Bad ranges get the structured
-/// `bad_shard` error, not a teardown.
+/// `run_shard` streams `shard_accepted`, tally checkpoints of contiguous
+/// prefix segments, and `shard_done`; the streamed tallies merge into the
+/// exact byte-identical report of a whole-campaign run. Bad ranges get the
+/// structured `bad_shard` error, not a teardown.
 #[test]
 fn run_shard_streams_resumable_chunk_checkpoints() {
-    let (addr, daemon) = spawn_daemon(ServiceConfig::default());
+    let (addr, daemon) = spawn_daemon(ServiceConfig {
+        checkpoint_ms: 0,
+        ..ServiceConfig::default()
+    });
     let mut plan = SweepPlan::quick();
     plan.seeds_per_point = 2;
     plan.campaign_seed = 0x5a4d;
@@ -561,6 +568,8 @@ fn run_shard_streams_resumable_chunk_checkpoints() {
                 ("plan".to_string(), plan_value.clone()),
                 ("start".to_string(), Value::UInt(0)),
                 ("end".to_string(), Value::UInt(total)),
+                // Sent by coordinators that predate checkpoint cadences:
+                // accepted and ignored, the daemon streams at its own.
                 ("chunk_trials".to_string(), Value::UInt(4)),
             ],
         ))
@@ -581,14 +590,18 @@ fn run_shard_streams_resumable_chunk_checkpoints() {
                     line.get("tallies").expect("chunk tallies"),
                 )
                 .expect("tallies decode");
-                // A 4-trial chunk of a 2-seed plan touches 2 or 3 points.
-                assert!(chunk.iter().count() <= 3);
+                // Each frame extends the streamed prefix by exactly the
+                // trials it carries.
+                let done = line
+                    .get("trials_done")
+                    .and_then(Value::as_u64)
+                    .expect("trials_done");
+                assert!(
+                    chunk.covers_range(tallies.trials(), done, plan.seeds_per_point),
+                    "frame ending at {done} is not the next prefix segment"
+                );
                 tallies.merge(&chunk);
                 chunks += 1;
-                assert_eq!(
-                    line.get("trials_done").and_then(Value::as_u64),
-                    Some(tallies.trials())
-                );
             }
             Some("shard_done") => {
                 assert_eq!(line.get("trials").and_then(Value::as_u64), Some(total));
@@ -598,7 +611,7 @@ fn run_shard_streams_resumable_chunk_checkpoints() {
         }
     }
     assert_eq!(tallies.trials(), total);
-    assert_eq!(chunks, total.div_ceil(4));
+    assert!(chunks >= 1);
 
     // The streamed tallies aggregate to the exact single-run report.
     let mut cache = nvpim_sweep::ScheduleCache::new();
@@ -838,4 +851,19 @@ fn client_recv_reassembles_dribbled_and_coalesced_frames() {
     peer.join().expect("peer thread");
     assert!(client.recv().expect("clean eof").is_none());
     assert_eq!(client.bytes_received(), written);
+}
+
+/// `nvpim-serviced` refuses a checkpoint cadence that could starve a fleet
+/// coordinator's heartbeat deadline: 1 s is half the default 2 s.
+#[test]
+fn daemon_refuses_a_checkpoint_cadence_of_a_second_or_more() {
+    for cadence in ["1000", "60000"] {
+        let output = std::process::Command::new(env!("CARGO_BIN_EXE_nvpim-serviced"))
+            .args(["--addr", "127.0.0.1:0", "--checkpoint-ms", cadence])
+            .output()
+            .expect("run nvpim-serviced");
+        assert_eq!(output.status.code(), Some(2), "--checkpoint-ms {cadence}");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(stderr.contains("--checkpoint-ms"), "{stderr}");
+    }
 }

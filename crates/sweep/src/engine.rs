@@ -12,12 +12,14 @@
 //! * **Order-independent aggregation** — trial outcomes fold into
 //!   per-point integer tallies, whose sums do not depend on the order they
 //!   were added in, so the report is byte-identical for any thread count
-//!   (`RAYON_NUM_THREADS=1` vs default), chunk size or shard geometry.
+//!   (`RAYON_NUM_THREADS=1` vs default), checkpoint cadence or shard
+//!   geometry.
 //! * **Bounded memory** — trial coordinates are walked arithmetically and
 //!   never materialised, so memory does not grow with the trial count.
 
-use std::collections::HashMap;
-use std::sync::Arc;
+use std::collections::{BTreeMap, HashMap};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::time::{Duration, Instant};
 
 use nvpim_compiler::netlist::Netlist;
 use nvpim_compiler::schedule::{map_netlist, RowSchedule};
@@ -33,7 +35,6 @@ use nvpim_workloads::mnist::{self, MnistAccuracyBaseline, MnistAccuracyModel, Sy
 use nvpim_workloads::Benchmark;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use rayon::prelude::*;
 
 use crate::plan::{CampaignKind, EstimatorMode, ProtectionConfig, SweepPlan, SweepWorkload};
 use crate::report::{
@@ -537,9 +538,9 @@ pub struct TrialArena {
     outcomes: Vec<TrialOutcome>,
     /// Per-thread telemetry accumulator: plain `u64` arrays the hot path
     /// records into with no shared-atomic traffic. Folds into the shared
-    /// sink on drop — which the rayon `map_init` loop triggers at the end
-    /// of every parallel chunk. Disabled (all no-ops, zero clock reads) for
-    /// arenas built with [`TrialArena::new`].
+    /// sink after every task the engine runs in the arena and on drop.
+    /// Disabled (all no-ops, zero clock reads) for arenas built with
+    /// [`TrialArena::new`].
     telemetry: LocalTelemetry,
 }
 
@@ -551,7 +552,7 @@ impl TrialArena {
     }
 
     /// Creates an empty arena whose trials record phase timings and
-    /// counters into `sink` (folded at chunk boundaries, see
+    /// counters into `sink` (folded once per task, see
     /// [`LocalTelemetry`]). A disabled sink behaves exactly like
     /// [`TrialArena::new`].
     pub fn with_telemetry(sink: &Telemetry) -> Self {
@@ -1094,16 +1095,16 @@ impl TrialHarness {
     }
 }
 
-/// Whether a chunked campaign should keep running after a progress event.
+/// Whether a campaign should keep running after a checkpoint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CampaignControl {
-    /// Keep executing the remaining chunks.
+    /// Keep executing the remaining trials.
     Continue,
     /// Abort the campaign; `run_chunked` returns [`SweepError::Cancelled`].
     Cancel,
 }
 
-/// A progress snapshot delivered to the observer after every chunk.
+/// A progress snapshot delivered to the observer at every checkpoint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CampaignProgress {
     /// Trials completed so far.
@@ -1123,22 +1124,24 @@ impl CampaignProgress {
     }
 }
 
-/// What [`PreparedCampaign::run_chunked_resumable`]'s observer sees after
-/// each chunk: cumulative progress plus the per-point tallies of the
-/// trials the chunk just computed. Merging every chunk's `new_tallies`
-/// yields a checkpoint from which a restarted campaign resumes without
-/// recomputing — tallies merge in any order, and the merged tallies
-/// aggregate into byte-identical report JSON.
+/// What [`PreparedCampaign::run_chunked_resumable`]'s observer sees at each
+/// checkpoint: cumulative progress plus the per-point tallies of the
+/// trials between the previous checkpoint and this one — the next segment
+/// of the contiguous completed prefix of the trial list. Merging every
+/// checkpoint's `new_tallies` yields a prefix from which a restarted
+/// campaign resumes without recomputing — tallies merge in any order, and
+/// the merged tallies aggregate into byte-identical report JSON.
 #[derive(Debug, Clone, Copy)]
 pub struct ChunkCheckpoint<'a> {
     /// Cumulative progress, including any resumed prefix.
     pub progress: CampaignProgress,
-    /// Tallies of the trials this chunk just computed.
+    /// Tallies of the trials completed since the previous checkpoint.
     pub new_tallies: &'a Tallies,
 }
 
 /// A validated plan with every point resolved and every schedule compiled,
-/// ready to run trials — possibly in observable, cancellable chunks.
+/// ready to run trials — possibly with observable, cancellable
+/// checkpoints.
 ///
 /// Produced by [`prepare_campaign`]. Preparation is the only phase that
 /// needs the (shared, mutable) [`ScheduleCache`]; execution borrows nothing
@@ -1328,8 +1331,8 @@ pub fn prepare_campaign_with_telemetry(
     })
 }
 
-/// One parallel work item of a chunk: `count` consecutive trials of one
-/// point, fused according to the backend's [`ExecutionBackend::task_width`].
+/// One parallel work item: `count` consecutive trials of one point, fused
+/// according to the backend's [`ExecutionBackend::task_width`].
 #[derive(Debug, Clone, Copy)]
 struct TrialTask {
     /// Point index within the prepared campaign.
@@ -1338,13 +1341,123 @@ struct TrialTask {
     first: u64,
     /// Number of consecutive trials (1 for scalar tasks, up to 64 lanes
     /// for sliced batches).
-    count: u32,
+    count: u64,
 }
 
-/// Trials one parallel wave runs at most. A chunk larger than this runs
-/// as several waves, so the task list — and with it memory — stays bounded
-/// for any chunk size, `usize::MAX` included.
-const WAVE_TRIALS: u64 = 1 << 14;
+/// Tasks claimed but not yet folded into the contiguous completed prefix,
+/// at most. Participants that get this far ahead of the slowest unfinished
+/// task wait, so memory stays bounded for any trial count and any mix of
+/// fast and slow tasks.
+const MAX_TASKS_IN_FLIGHT: u64 = 1024;
+
+/// What one run's participants share: the lazily cut task sequence and the
+/// completed-prefix bookkeeping.
+struct Pipeline {
+    state: Mutex<PipelineState>,
+    /// Signalled whenever the prefix advances or the run stops.
+    advanced: Condvar,
+}
+
+struct PipelineState {
+    /// Next trial to cut a task from (plan-ordered trial index).
+    cursor: u64,
+    /// End of the run's trial range.
+    end: u64,
+    /// Sequence number the next claimed task gets.
+    next_seq: u64,
+    /// Sequence number of the first task not yet folded into the prefix.
+    prefix_seq: u64,
+    /// Finished tasks past the prefix, by sequence number.
+    finished: BTreeMap<u64, (usize, u64, PointTally)>,
+    /// Trials folded into the prefix so far.
+    prefix_trials: u64,
+    /// Tallies of the prefix trials not yet handed to the observer.
+    segment: Tallies,
+    /// Set on cancellation or a task panic: nothing more is claimed.
+    stopped: bool,
+}
+
+impl Pipeline {
+    /// Locks the shared state, ignoring poison: tasks run outside the lock
+    /// and no update under it can panic, so the state is always whole.
+    fn lock(&self) -> MutexGuard<'_, PipelineState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn stop(&self) {
+        self.lock().stopped = true;
+        self.advanced.notify_all();
+    }
+}
+
+/// Sets the pipeline's stop flag if a task unwinds, so no participant waits
+/// for a prefix that can no longer advance.
+struct StopOnUnwind<'a>(&'a Pipeline);
+
+impl Drop for StopOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.stop();
+        }
+    }
+}
+
+/// Why a participant found nothing to claim.
+enum Idle {
+    /// Every task is claimed, or the run stopped.
+    Exhausted,
+    /// The in-flight window is full: wait for the prefix to advance.
+    WindowFull,
+}
+
+impl PipelineState {
+    /// Cuts and claims the next task: trials of one point, at most the
+    /// backend's width, never crossing a point boundary.
+    fn claim(
+        &mut self,
+        backend: &dyn ExecutionBackend,
+        points: &[PointContext],
+        seeds_per_point: u64,
+    ) -> Result<(u64, TrialTask), Idle> {
+        if self.stopped || self.cursor >= self.end {
+            return Err(Idle::Exhausted);
+        }
+        if self.next_seq >= self.prefix_seq + MAX_TASKS_IN_FLIGHT {
+            return Err(Idle::WindowFull);
+        }
+        let point = (self.cursor / seeds_per_point) as usize;
+        let first = self.cursor % seeds_per_point;
+        let width = backend.task_width(&points[point]).max(1) as u64;
+        let count = width
+            .min(seeds_per_point - first)
+            .min(self.end - self.cursor);
+        self.cursor += count;
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        Ok((
+            seq,
+            TrialTask {
+                point,
+                first,
+                count,
+            },
+        ))
+    }
+
+    /// Records a finished task and folds every task now contiguous with
+    /// the prefix into the pending segment. Returns whether the prefix
+    /// advanced.
+    fn finish(&mut self, seq: u64, task: TrialTask, tally: PointTally) -> bool {
+        self.finished.insert(seq, (task.point, task.count, tally));
+        let before = self.prefix_seq;
+        while let Some((point, count, tally)) = self.finished.remove(&self.prefix_seq) {
+            self.segment.add(point, &tally);
+            self.prefix_trials += count;
+            self.prefix_seq += 1;
+        }
+        self.prefix_seq > before
+    }
+}
 
 /// Splits the plan-ordered trial range `from .. to` into
 /// `(point, first trial, trial count)` runs, one per point it touches,
@@ -1508,7 +1621,7 @@ impl PreparedCampaign {
     /// Attaches a telemetry sink: subsequent `run*` calls record per-phase
     /// spans (fault injection, gate execution, analytic clean settle,
     /// estimator redraw, aggregation) and first-class counters into it,
-    /// folded per worker thread at chunk boundaries. Telemetry never
+    /// folded per participating thread once per task. Telemetry never
     /// changes report bytes.
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
         self.telemetry = telemetry;
@@ -1529,18 +1642,19 @@ impl PreparedCampaign {
     /// Never fails after successful preparation; the `Result` mirrors
     /// [`Self::run_chunked`].
     pub fn run(&self) -> Result<SweepReport, SweepError> {
-        self.run_chunked(usize::MAX, |_| CampaignControl::Continue)
+        self.run_chunked(Duration::MAX, |_| CampaignControl::Continue)
     }
 
-    /// Runs the campaign in chunks of at most `chunk_trials` trials,
-    /// invoking `observer` after each chunk with cumulative progress.
+    /// Runs the campaign as one parallel run, invoking `observer` with
+    /// cumulative progress at most once per `checkpoint_every` (and always
+    /// once at the end).
     ///
-    /// Chunking never changes results: trials are cut from one plan-ordered
-    /// list and every trial's seed derives from its plan coordinates alone,
-    /// so the report is byte-identical for **any** chunk size and thread
-    /// count. The observer return value makes jobs cancellable between
-    /// chunks without poisoning anything — a cancelled campaign simply
-    /// stops scheduling further chunks.
+    /// The checkpoint cadence never changes results: every trial's seed
+    /// derives from its plan coordinates alone and tallies merge in any
+    /// order, so the report is byte-identical for **any** cadence and
+    /// thread count. The observer return value makes jobs cancellable at
+    /// checkpoints without poisoning anything — a cancelled campaign
+    /// simply stops claiming tasks.
     ///
     /// # Errors
     ///
@@ -1549,26 +1663,30 @@ impl PreparedCampaign {
     /// the report, never raised.
     pub fn run_chunked(
         &self,
-        chunk_trials: usize,
+        checkpoint_every: Duration,
         mut observer: impl FnMut(CampaignProgress) -> CampaignControl,
     ) -> Result<SweepReport, SweepError> {
-        self.run_chunked_resumable(&SlicedBackend, chunk_trials, Tallies::new(), |checkpoint| {
-            observer(checkpoint.progress)
-        })
+        self.run_chunked_resumable(
+            &SlicedBackend,
+            checkpoint_every,
+            Tallies::new(),
+            |checkpoint| observer(checkpoint.progress),
+        )
     }
 
     /// [`Self::run_chunked`] on an explicit `backend` (the service passes
-    /// [`SlicedBackend`] unless a test substitutes another) with a **chunk
-    /// checkpoint surface**: the observer additionally receives the
-    /// tallies of the trials each chunk computed, and previously
-    /// checkpointed tallies can be injected via `resume` so a restarted
-    /// campaign re-executes only the trials after its last checkpoint.
+    /// [`SlicedBackend`] unless a test substitutes another) with a
+    /// **checkpoint surface**: the observer additionally receives the
+    /// tallies of the trials completed since the previous checkpoint, and
+    /// previously checkpointed tallies can be injected via `resume` so a
+    /// restarted campaign re-executes only the trials after its last
+    /// checkpoint.
     ///
     /// `resume` must hold the tallies of a prefix of the plan-ordered trial
-    /// list (the merged `new_tallies` of the chunks run so far); the run
-    /// continues at trial `resume.trials()`. Resume is legal because every
-    /// trial outcome is a pure function of `(point, campaign seed, trial
-    /// index)` and tallies merge in any order: a run resumed from any
+    /// list (the merged `new_tallies` of the checkpoints seen so far); the
+    /// run continues at trial `resume.trials()`. Resume is legal because
+    /// every trial outcome is a pure function of `(point, campaign seed,
+    /// trial index)` and tallies merge in any order: a run resumed from any
     /// prefix aggregates into a report **byte-identical** to an
     /// uninterrupted run (asserted by the service's chaos suite).
     ///
@@ -1580,7 +1698,7 @@ impl PreparedCampaign {
     pub fn run_chunked_resumable(
         &self,
         backend: &dyn ExecutionBackend,
-        chunk_trials: usize,
+        checkpoint_every: Duration,
         resume: Tallies,
         mut observer: impl FnMut(ChunkCheckpoint<'_>) -> CampaignControl,
     ) -> Result<SweepReport, SweepError> {
@@ -1593,13 +1711,13 @@ impl PreparedCampaign {
             )));
         }
         let mut tallies = resume;
-        tallies.merge(&self.execute(backend, chunk_trials, 0, done, total, &mut observer)?);
+        tallies.merge(&self.execute(backend, checkpoint_every, 0, done, total, &mut observer)?);
         self.report_from_tallies(&tallies)
     }
 
     /// Runs **one shard** of the campaign: trials `start .. end` of the
-    /// same plan-ordered trial list [`Self::run_chunked_resumable`] cuts
-    /// chunks from, returning the shard's tallies rather than a report.
+    /// same plan-ordered trial list [`Self::run_chunked_resumable`] runs,
+    /// returning the shard's tallies rather than a report.
     ///
     /// This is the scatter half of distributed campaigns: a coordinator
     /// splits `[0, trial_count)` into contiguous ranges (see
@@ -1607,7 +1725,7 @@ impl PreparedCampaign {
     /// tallies, and aggregates them via [`Self::report_from_tallies`] into
     /// a report **byte-identical** to a single-node run. A shard cut short
     /// resumes by running the rest of its range as a shard of its own: the
-    /// checkpointed chunks' tallies stay merged where they were received.
+    /// checkpointed tallies stay merged where they were received.
     ///
     /// Checkpoint progress is shard-local: `trials_done` counts the
     /// shard's trials run so far out of `trials_total == end - start`.
@@ -1622,7 +1740,7 @@ impl PreparedCampaign {
         backend: &dyn ExecutionBackend,
         start: u64,
         end: u64,
-        chunk_trials: usize,
+        checkpoint_every: Duration,
         mut observer: impl FnMut(ChunkCheckpoint<'_>) -> CampaignControl,
     ) -> Result<Tallies, SweepError> {
         let total = self.trial_count();
@@ -1631,7 +1749,7 @@ impl PreparedCampaign {
                 "shard range {start}..{end} is invalid for a campaign of {total} trials"
             )));
         }
-        self.execute(backend, chunk_trials, start, start, end, &mut observer)
+        self.execute(backend, checkpoint_every, start, start, end, &mut observer)
     }
 
     /// Aggregates complete tallies — e.g. shard tallies merged by a fleet
@@ -1656,100 +1774,154 @@ impl PreparedCampaign {
         Ok(self.aggregate_report(tallies))
     }
 
-    /// Executes trials `from .. end` of the plan-ordered trial list in
-    /// chunks of at most `chunk_trials`, handing each chunk's tallies to
-    /// `observer` with progress counted from `start` (the first trial of
-    /// the whole run, resumed prefix included) against `end - start`, and
-    /// returns the tallies of every trial it ran.
+    /// Executes trials `from .. end` of the plan-ordered trial list as one
+    /// run on the persistent rayon pool and returns the tallies of every
+    /// trial it ran.
+    ///
+    /// Tasks (one point's consecutive trials, up to the backend's width)
+    /// are cut lazily and claimed one at a time by the calling thread and
+    /// up to `current_num_threads() - 1` pool helpers, at most
+    /// [`MAX_TASKS_IN_FLIGHT`] ahead of the contiguous completed prefix.
+    /// The calling thread also collects: between its own tasks it hands
+    /// `observer` the tallies of the prefix trials completed since the
+    /// previous checkpoint, once the prefix has advanced and
+    /// `checkpoint_every` has passed since the previous checkpoint, and
+    /// always when the prefix reaches `end`. Progress counts from `start`
+    /// (the first trial of the whole run, resumed prefix included) against
+    /// `end - start`. An empty range emits no checkpoint.
+    ///
+    /// A cancel takes effect at the checkpoint that returns it: no further
+    /// task is claimed, tasks already running finish and are discarded.
     fn execute(
         &self,
         backend: &dyn ExecutionBackend,
-        chunk_trials: usize,
+        checkpoint_every: Duration,
         start: u64,
         from: u64,
         end: u64,
         observer: &mut dyn FnMut(ChunkCheckpoint<'_>) -> CampaignControl,
     ) -> Result<Tallies, SweepError> {
-        let chunk_trials = chunk_trials.max(1) as u64;
-        let mut tallies = Tallies::new();
-        let mut cursor = from;
-        while cursor < end {
-            let chunk_end = end.min(cursor.saturating_add(chunk_trials));
-            let mut new_tallies = Tallies::new();
-            let mut wave = cursor;
-            while wave < chunk_end {
-                let wave_end = chunk_end.min(wave.saturating_add(WAVE_TRIALS));
-                for (point, tally) in self.run_wave(backend, wave, wave_end) {
-                    new_tallies.add(point, &tally);
-                }
-                wave = wave_end;
-            }
-            cursor = chunk_end;
-            let checkpoint = ChunkCheckpoint {
-                progress: CampaignProgress {
-                    trials_done: cursor - start,
-                    trials_total: end - start,
-                },
-                new_tallies: &new_tallies,
-            };
-            if observer(checkpoint) == CampaignControl::Cancel {
-                return Err(SweepError::Cancelled);
-            }
-            tallies.merge(&new_tallies);
-        }
-        Ok(tallies)
-    }
-
-    /// Runs trials `from .. to` in parallel, returning one tally per task.
-    fn run_wave(
-        &self,
-        backend: &dyn ExecutionBackend,
-        from: u64,
-        to: u64,
-    ) -> Vec<(usize, PointTally)> {
-        // Group runs of consecutive trials of one point into tasks of the
-        // backend's width (1 for scalar, up to 64 lanes for sliced points
-        // whose scheme declares the capability). Grouping is pure
-        // scheduling: every trial's outcome remains a function of
-        // `(point, seed)` alone, so the tallies are identical for any task
-        // shape, chunk size, thread count and backend.
-        let mut tasks: Vec<TrialTask> = Vec::new();
-        for (point, first, count) in point_spans(from, to, self.plan.seeds_per_point) {
-            let width = backend.task_width(&self.points[point]).max(1) as u64;
-            let mut trial = first;
-            while trial < first + count {
-                let n = width.min(first + count - trial);
-                tasks.push(TrialTask {
-                    point,
-                    first: trial,
-                    count: n as u32,
-                });
-                trial += n;
-            }
-        }
-        // `map_init` hands each worker thread a private `TrialArena`
-        // (arrays + buffers reset in place per task), so steady-state
-        // trials allocate nothing.
+        let pipeline = Pipeline {
+            state: Mutex::new(PipelineState {
+                cursor: from,
+                end,
+                next_seq: 0,
+                prefix_seq: 0,
+                finished: BTreeMap::new(),
+                prefix_trials: 0,
+                segment: Tallies::new(),
+                stopped: false,
+            }),
+            advanced: Condvar::new(),
+        };
+        let seeds_per_point = self.plan.seeds_per_point;
         let campaign_seed = self.plan.campaign_seed;
         let points = &self.points;
         let telemetry = &self.telemetry;
-        tasks
-            .into_par_iter()
-            .map_init(
-                move || TrialArena::with_telemetry(telemetry),
-                move |arena, task| {
-                    let tally = backend.run_task(
-                        &points[task.point],
-                        campaign_seed,
-                        task.point as u64,
-                        task.first,
-                        task.count as usize,
-                        arena,
-                    );
-                    (task.point, tally)
-                },
-            )
-            .collect()
+        let run_task = |arena: &mut TrialArena, seq: u64, task: TrialTask| {
+            let guard = StopOnUnwind(&pipeline);
+            let tally = backend.run_task(
+                &points[task.point],
+                campaign_seed,
+                task.point as u64,
+                task.first,
+                task.count as usize,
+                arena,
+            );
+            drop(guard);
+            // Fold this participant's phase timings into the shared sink
+            // per task, so live metrics trail the run by one task.
+            arena.flush_telemetry();
+            if pipeline.lock().finish(seq, task, tally) {
+                pipeline.advanced.notify_all();
+            }
+        };
+        let helper = || {
+            let mut arena = TrialArena::with_telemetry(telemetry);
+            let mut state = pipeline.lock();
+            loop {
+                match state.claim(backend, points, seeds_per_point) {
+                    Ok((seq, task)) => {
+                        drop(state);
+                        run_task(&mut arena, seq, task);
+                        state = pipeline.lock();
+                    }
+                    Err(Idle::Exhausted) => return,
+                    Err(Idle::WindowFull) => {
+                        state = pipeline
+                            .advanced
+                            .wait(state)
+                            .unwrap_or_else(PoisonError::into_inner);
+                    }
+                }
+            }
+        };
+        let helpers = rayon::current_num_threads()
+            .min(usize::try_from(end - from).unwrap_or(usize::MAX))
+            .saturating_sub(1);
+        rayon::in_place_scope(|scope| {
+            for _ in 0..helpers {
+                scope.spawn(|_| helper());
+            }
+            let mut arena = TrialArena::with_telemetry(telemetry);
+            let mut tallies = Tallies::new();
+            let mut last_checkpoint = Instant::now();
+            let mut reported = 0u64;
+            loop {
+                let mut state = pipeline.lock();
+                if state.stopped {
+                    // A task panicked; the scope re-raises it.
+                    return Err(SweepError::Cancelled);
+                }
+                let complete = state.prefix_trials == end - from;
+                let waited = last_checkpoint.elapsed();
+                if state.prefix_trials > reported && (complete || waited >= checkpoint_every) {
+                    let segment = std::mem::take(&mut state.segment);
+                    reported = state.prefix_trials;
+                    drop(state);
+                    let control = observer(ChunkCheckpoint {
+                        progress: CampaignProgress {
+                            trials_done: from - start + reported,
+                            trials_total: end - start,
+                        },
+                        new_tallies: &segment,
+                    });
+                    last_checkpoint = Instant::now();
+                    if control == CampaignControl::Cancel {
+                        pipeline.stop();
+                        return Err(SweepError::Cancelled);
+                    }
+                    tallies.merge(&segment);
+                    continue;
+                }
+                if complete {
+                    return Ok(tallies);
+                }
+                match state.claim(backend, points, seeds_per_point) {
+                    Ok((seq, task)) => {
+                        drop(state);
+                        run_task(&mut arena, seq, task);
+                    }
+                    // Helpers hold the remaining tasks: wake on the next
+                    // prefix advance, or when a pending checkpoint falls due.
+                    Err(_) if state.prefix_trials > reported => {
+                        let due = checkpoint_every.saturating_sub(waited);
+                        drop(
+                            pipeline
+                                .advanced
+                                .wait_timeout(state, due)
+                                .unwrap_or_else(PoisonError::into_inner),
+                        );
+                    }
+                    Err(_) => drop(
+                        pipeline
+                            .advanced
+                            .wait(state)
+                            .unwrap_or_else(PoisonError::into_inner),
+                    ),
+                }
+            }
+        })
     }
 
     /// Aggregates tallies covering every trial of the campaign, per point
@@ -1817,7 +1989,7 @@ pub fn shard_ranges(trials_total: u64, shards: usize) -> Vec<(u64, u64)> {
 }
 
 /// Runs a full campaign: compiles each point's schedule once (shared via
-/// a fresh [`ScheduleCache`]), fans the trials out with rayon, and
+/// a fresh [`ScheduleCache`]), fans the trials out on the rayon pool, and
 /// aggregates outcomes into a deterministic [`SweepReport`].
 ///
 /// Long-running callers (the `nvpim-service` daemon) should instead call
@@ -1848,7 +2020,7 @@ pub fn run_campaign_on(
     let mut cache = ScheduleCache::new();
     prepare_campaign(plan, &mut cache)?.run_chunked_resumable(
         backend,
-        usize::MAX,
+        Duration::MAX,
         Tallies::new(),
         |_| CampaignControl::Continue,
     )
@@ -1960,25 +2132,52 @@ mod tests {
         assert!((mixed.output_error_rate - 1.0).abs() < f64::EPSILON);
     }
 
+    /// Cadences every run must be byte-identical under: a checkpoint on
+    /// every prefix advance, the daemon default, and only the final one.
+    const CADENCES: [Duration; 3] = [
+        Duration::ZERO,
+        Duration::from_millis(250),
+        Duration::from_millis(u64::MAX),
+    ];
+
     #[test]
-    fn chunked_runs_are_byte_identical_for_any_chunk_size() {
+    fn checkpoints_are_contiguous_prefix_segments_at_any_cadence() {
         let mut plan = SweepPlan::quick();
-        plan.seeds_per_point = 5;
+        plan.seeds_per_point = 70; // ragged 64-lane tasks
         let baseline = run_campaign(&plan).unwrap().to_json();
-        for chunk in [1usize, 3, 7, 1000] {
-            let mut cache = ScheduleCache::new();
-            let prepared = prepare_campaign(&plan, &mut cache).unwrap();
-            let mut events = 0u64;
-            let report = prepared
-                .run_chunked(chunk, |p| {
-                    events += 1;
-                    assert!(p.trials_done <= p.trials_total);
-                    CampaignControl::Continue
-                })
-                .unwrap();
-            assert_eq!(report.to_json(), baseline, "chunk size {chunk}");
-            let expected_chunks = plan.trial_count().div_ceil(chunk as u64);
-            assert_eq!(events, expected_chunks);
+        let mut cache = ScheduleCache::new();
+        let prepared = prepare_campaign(&plan, &mut cache).unwrap();
+        let total = prepared.trial_count();
+        for backend in [&ScalarBackend as &dyn ExecutionBackend, &SlicedBackend] {
+            for cadence in CADENCES {
+                let mut done = 0u64;
+                let mut events = 0u64;
+                let report = prepared
+                    .run_chunked_resumable(backend, cadence, Tallies::new(), |cp| {
+                        // Each checkpoint extends the previous one's prefix
+                        // by exactly the trials it carries.
+                        assert!(cp.progress.trials_done > done, "{cadence:?}");
+                        assert_eq!(cp.progress.trials_total, total);
+                        assert!(
+                            cp.new_tallies.covers_range(
+                                done,
+                                cp.progress.trials_done,
+                                plan.seeds_per_point
+                            ),
+                            "{cadence:?}: segment {done}..{} is not contiguous",
+                            cp.progress.trials_done
+                        );
+                        done = cp.progress.trials_done;
+                        events += 1;
+                        CampaignControl::Continue
+                    })
+                    .unwrap();
+                assert_eq!(done, total, "the last checkpoint carries the whole range");
+                assert_eq!(report.to_json(), baseline, "{backend:?} at {cadence:?}");
+                if cadence == Duration::from_millis(u64::MAX) {
+                    assert_eq!(events, 1, "only the final checkpoint");
+                }
+            }
         }
     }
 
@@ -2018,7 +2217,9 @@ mod tests {
                 .rev()
             {
                 let shard = prepared
-                    .run_shard(backend, start, end, 4, |_| CampaignControl::Continue)
+                    .run_shard(backend, start, end, Duration::ZERO, |_| {
+                        CampaignControl::Continue
+                    })
                     .unwrap();
                 assert!(shard.covers_range(start, end, plan.seeds_per_point));
                 merged.merge(&shard);
@@ -2037,44 +2238,45 @@ mod tests {
         let total = prepared.trial_count();
         let (start, end) = (total / 4, 3 * total / 4);
 
-        // First pass: checkpoint the first two chunks' tallies, then die.
+        // First pass: keep the first checkpoint's tallies, then die.
         let mut checkpointed = Tallies::new();
-        let mut chunks = 0;
+        let mut done = 0;
         let err = prepared
-            .run_shard(backend, start, end, 3, |cp| {
+            .run_shard(backend, start, end, Duration::ZERO, |cp| {
                 checkpointed.merge(cp.new_tallies);
-                chunks += 1;
-                if chunks == 2 {
-                    CampaignControl::Cancel
-                } else {
-                    CampaignControl::Continue
-                }
+                done = cp.progress.trials_done;
+                CampaignControl::Cancel
             })
             .unwrap_err();
         assert_eq!(err, SweepError::Cancelled);
-        assert_eq!(checkpointed.trials(), 6);
+        assert_eq!(checkpointed.trials(), done);
+        assert!(checkpointed.covers_range(start, start + done, plan.seeds_per_point));
 
         // Second pass runs only the rest of the range; merged with the
         // checkpoint it equals a clean one-pass shard.
         let mut rest = prepared
-            .run_shard(backend, start + 6, end, 3, |cp| {
-                assert_eq!(cp.progress.trials_total, end - start - 6);
+            .run_shard(backend, start + done, end, Duration::ZERO, |cp| {
+                assert_eq!(cp.progress.trials_total, end - start - done);
                 CampaignControl::Continue
             })
             .unwrap();
         rest.merge(&checkpointed);
         let clean = prepared
-            .run_shard(backend, start, end, 1000, |_| CampaignControl::Continue)
+            .run_shard(backend, start, end, Duration::MAX, |_| {
+                CampaignControl::Continue
+            })
             .unwrap();
         assert_eq!(rest, clean);
 
         // Range and merge validation.
         assert!(matches!(
-            prepared.run_shard(backend, 5, 4, 1, |_| CampaignControl::Continue),
+            prepared.run_shard(backend, 5, 4, Duration::ZERO, |_| CampaignControl::Continue),
             Err(SweepError::BadCheckpoint(_))
         ));
         assert!(matches!(
-            prepared.run_shard(backend, 0, total + 1, 1, |_| CampaignControl::Continue),
+            prepared.run_shard(backend, 0, total + 1, Duration::ZERO, |_| {
+                CampaignControl::Continue
+            }),
             Err(SweepError::BadCheckpoint(_))
         ));
         assert!(matches!(
@@ -2093,10 +2295,14 @@ mod tests {
         // as the prefix 0..4, but split across two points.
         let spp = plan.seeds_per_point;
         let middle = prepared
-            .run_shard(backend, spp - 2, spp + 2, 64, |_| CampaignControl::Continue)
+            .run_shard(backend, spp - 2, spp + 2, Duration::ZERO, |_| {
+                CampaignControl::Continue
+            })
             .unwrap();
         assert!(matches!(
-            prepared.run_chunked_resumable(backend, 4, middle, |_| CampaignControl::Continue),
+            prepared.run_chunked_resumable(backend, Duration::ZERO, middle, |_| {
+                CampaignControl::Continue
+            }),
             Err(SweepError::BadCheckpoint(_))
         ));
     }
@@ -2117,7 +2323,8 @@ mod tests {
     #[test]
     fn a_billion_trial_campaign_starts_in_bounded_memory() {
         // Nothing the engine keeps grows with the trial count: cancelling
-        // after a few chunks costs a few chunks, not a per-trial list.
+        // after a few checkpoints costs a few in-flight windows, not a
+        // per-trial list.
         let mut plan = SweepPlan::quick();
         plan.seeds_per_point = 1_000_000_000 / plan.point_count() as u64;
         let mut cache = ScheduleCache::new();
@@ -2126,14 +2333,16 @@ mod tests {
             let mut prefix = Tallies::new();
             prefix.merge(
                 &prepared
-                    .run_shard(&SlicedBackend, 0, 64, 64, |_| CampaignControl::Continue)
+                    .run_shard(&SlicedBackend, 0, 64, Duration::ZERO, |_| {
+                        CampaignControl::Continue
+                    })
                     .unwrap(),
             );
             prefix
         }] {
             let mut chunks = 0;
             let err = prepared
-                .run_chunked_resumable(&SlicedBackend, 4096, resume, |cp| {
+                .run_chunked_resumable(&SlicedBackend, Duration::ZERO, resume, |cp| {
                     chunks += 1;
                     assert!(cp.new_tallies.iter().count() <= 2);
                     if chunks == 3 {
@@ -2156,8 +2365,8 @@ mod tests {
         let prepared = prepare_campaign(&plan, &mut cache).unwrap();
         let mut seen = Vec::new();
         let err = prepared
-            .run_chunked(8, |p| {
-                seen.push(p.trials_done);
+            .run_chunked_resumable(&ScalarBackend, Duration::ZERO, Tallies::new(), |cp| {
+                seen.push(cp.progress.trials_done);
                 if seen.len() == 2 {
                     CampaignControl::Cancel
                 } else {
@@ -2166,7 +2375,11 @@ mod tests {
             })
             .unwrap_err();
         assert_eq!(err, SweepError::Cancelled);
-        assert_eq!(seen, vec![8, 16]);
+        // No checkpoint follows the one that cancelled.
+        assert!(
+            seen.len() <= 2 && seen.windows(2).all(|w| w[0] < w[1]),
+            "{seen:?}"
+        );
     }
 
     #[test]

@@ -10,6 +10,8 @@
 //! `RAYON_NUM_THREADS` is process-global (see `determinism.rs`), so this
 //! file varies parallelism through backends and chunk sizes only.
 
+use std::time::Duration;
+
 use nvpim_sim::technology::Technology;
 use nvpim_sweep::{
     prepare_campaign, run_campaign, run_campaign_on, CampaignControl, CampaignKind, EstimatorMode,
@@ -60,14 +62,17 @@ fn accuracy_reports_are_byte_identical_across_backends_chunks_and_runs() {
     let scalar = run_campaign_on(&plan, &ScalarBackend).unwrap().to_json();
     assert_eq!(baseline_json, scalar, "scalar backend must agree");
 
-    for chunk in [1usize, 7] {
+    for cadence in [Duration::ZERO, Duration::from_millis(7)] {
         let mut cache = ScheduleCache::new();
-        let chunked = prepare_campaign(&plan, &mut cache)
+        let checkpointed = prepare_campaign(&plan, &mut cache)
             .unwrap()
-            .run_chunked(chunk, |_| CampaignControl::Continue)
+            .run_chunked(cadence, |_| CampaignControl::Continue)
             .unwrap()
             .to_json();
-        assert_eq!(baseline_json, chunked, "chunk size {chunk} must agree");
+        assert_eq!(
+            baseline_json, checkpointed,
+            "checkpoint cadence {cadence:?} must agree"
+        );
     }
 }
 

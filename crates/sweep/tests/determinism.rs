@@ -1,6 +1,7 @@
 //! Campaign-level determinism: the serialized report must be a pure
-//! function of the plan — independent of thread count and repeatable
-//! across runs — and distinct campaign seeds must actually change results.
+//! function of the plan — independent of thread count and checkpoint
+//! cadence, and repeatable across runs — and distinct campaign seeds must
+//! actually change results.
 //!
 //! NOTE: this file must contain exactly one `#[test]`, because it mutates
 //! the process-global `RAYON_NUM_THREADS` variable — sibling tests in the
@@ -9,18 +10,37 @@
 //! the environment belong in other test files (separate binaries, which
 //! cargo runs sequentially).
 
+use std::time::Duration;
+
 use nvpim_sweep::{
     prepare_campaign, run_campaign, run_campaign_on, CampaignControl, ScalarBackend, ScheduleCache,
     SweepPlan,
 };
 
-fn run_chunked_json(plan: &SweepPlan, chunk: usize) -> String {
+/// Checkpoint cadences: one checkpoint per prefix advance, the daemon
+/// default, and only the final one.
+const CADENCES: [Duration; 3] = [
+    Duration::ZERO,
+    Duration::from_millis(250),
+    Duration::from_millis(u64::MAX),
+];
+
+/// Runs `plan` with a checkpoint every `cadence`, checking that the
+/// observer saw strictly increasing progress ending at the full count.
+fn run_checkpointed_json(plan: &SweepPlan, cadence: Duration) -> String {
     let mut cache = ScheduleCache::new();
-    prepare_campaign(plan, &mut cache)
+    let mut done = 0;
+    let report = prepare_campaign(plan, &mut cache)
         .unwrap()
-        .run_chunked(chunk, |_| CampaignControl::Continue)
+        .run_chunked(cadence, |progress| {
+            assert!(progress.trials_done > done, "progress must advance");
+            done = progress.trials_done;
+            CampaignControl::Continue
+        })
         .unwrap()
-        .to_json()
+        .to_json();
+    assert_eq!(done, plan.trial_count(), "the last checkpoint is the total");
+    report
 }
 
 #[test]
@@ -30,12 +50,17 @@ fn report_json_is_byte_identical_across_thread_counts_and_runs() {
     std::env::set_var("RAYON_NUM_THREADS", "1");
     let single_threaded = run_campaign(&plan).unwrap().to_json();
     let single_threaded_again = run_campaign(&plan).unwrap().to_json();
-    let single_threaded_chunked = run_chunked_json(&plan, 5);
     let single_threaded_scalar = run_campaign_on(&plan, &ScalarBackend).unwrap().to_json();
+    let mut checkpointed = Vec::new();
+    for threads in ["1", "4"] {
+        std::env::set_var("RAYON_NUM_THREADS", threads);
+        for cadence in CADENCES {
+            checkpointed.push((threads, cadence, run_checkpointed_json(&plan, cadence)));
+        }
+    }
 
     std::env::set_var("RAYON_NUM_THREADS", "4");
     let four_threads = run_campaign(&plan).unwrap().to_json();
-    let four_threads_chunked = run_chunked_json(&plan, 7);
     let four_threads_scalar = run_campaign_on(&plan, &ScalarBackend).unwrap().to_json();
 
     std::env::remove_var("RAYON_NUM_THREADS");
@@ -53,20 +78,18 @@ fn report_json_is_byte_identical_across_thread_counts_and_runs() {
         single_threaded, default_threads,
         "default thread count must not change the report"
     );
-    // The packed-arena engine hands per-thread arenas to arbitrary trial
-    // subsets; neither chunking nor the thread count those chunks fan out
-    // to may leak into report bytes.
-    assert_eq!(
-        single_threaded, single_threaded_chunked,
-        "chunked single-thread run must match"
-    );
-    assert_eq!(
-        single_threaded, four_threads_chunked,
-        "chunked multi-thread run must match"
-    );
+    // Tasks are claimed dynamically by whichever thread is free, and
+    // checkpoints cut the completed prefix wherever the clock says; neither
+    // may leak into report bytes.
+    for (threads, cadence, json) in &checkpointed {
+        assert_eq!(
+            &single_threaded, json,
+            "RAYON_NUM_THREADS={threads} with a checkpoint every {cadence:?} must match"
+        );
+    }
     // The scalar backend is the reference semantics: the (default) sliced
     // backend must emit the same bytes at every thread count — lane
-    // batching, like chunking, is pure scheduling.
+    // batching, like checkpointing, is pure scheduling.
     assert_eq!(
         single_threaded, single_threaded_scalar,
         "sliced vs scalar backend must agree at one thread"

@@ -9,7 +9,7 @@
 //! classification) and — opt-in via `NVPIM_BENCH_GUARD=1` — the wall-clock
 //! overhead budget.
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use nvpim_sweep::{
     prepare_campaign_with_telemetry, run_campaign_on, CampaignControl, EstimatorMode,
@@ -30,7 +30,7 @@ fn run_with_sink(
     let mut cache = ScheduleCache::new();
     let report = prepare_campaign_with_telemetry(plan, &mut cache, telemetry.clone())
         .expect("plan prepares")
-        .run_chunked_resumable(backend, usize::MAX, Tallies::new(), |_| {
+        .run_chunked_resumable(backend, Duration::MAX, Tallies::new(), |_| {
             CampaignControl::Continue
         })
         .expect("campaign runs");
