@@ -483,8 +483,8 @@ fn cmd_run(args: &[String]) {
     }
 }
 
-/// Prints the `run --timings` per-phase breakdown and counter table to
-/// stderr.
+/// Prints the `run --timings` per-phase breakdown and the counters the
+/// run moved to stderr.
 fn print_timings(snap: &nvpim::TelemetrySnapshot) {
     eprintln!();
     eprintln!(
@@ -507,10 +507,15 @@ fn print_timings(snap: &nvpim::TelemetrySnapshot) {
             mean_us
         );
     }
+    // The registry also holds the daemon's counters, which a local run
+    // never moves: list only the counters this run moved.
     eprintln!();
     eprintln!("{:<24} {:>10}", "counter", "value");
     for counter in Counter::ALL {
-        eprintln!("{:<24} {:>10}", counter.name(), snap.counter(counter));
+        let value = snap.counter(counter);
+        if value != 0 {
+            eprintln!("{:<24} {:>10}", counter.name(), value);
+        }
     }
 }
 

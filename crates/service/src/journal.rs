@@ -42,6 +42,7 @@ use std::io::{self, BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
 
 use nvpim_sweep::Tallies;
+use nvpim_telemetry::{Counter, Telemetry};
 use serde::{Serialize, Value};
 
 /// File name of the job journal under the daemon's state directory.
@@ -213,16 +214,16 @@ impl JournalRecord {
 ///
 /// `fsync_every = n` syncs the file to disk after every `n`-th appended
 /// record (`1` = sync every record, the durable default; `0` = never sync
-/// explicitly, leaving flush timing to the OS).
+/// explicitly, leaving flush timing to the OS). Records, bytes and fsyncs
+/// are counted into the telemetry sink attached with
+/// [`Journal::with_telemetry`].
 #[derive(Debug)]
 pub struct Journal {
     file: File,
     path: PathBuf,
     fsync_every: u64,
     appended_since_sync: u64,
-    records_appended: u64,
-    bytes_appended: u64,
-    fsyncs: u64,
+    telemetry: Telemetry,
 }
 
 impl Journal {
@@ -252,10 +253,15 @@ impl Journal {
             path,
             fsync_every,
             appended_since_sync: 0,
-            records_appended: 0,
-            bytes_appended: 0,
-            fsyncs: 0,
+            telemetry: Telemetry::disabled(),
         })
+    }
+
+    /// Records this journal's appends and fsyncs into `telemetry`.
+    #[must_use]
+    pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
+        self.telemetry = telemetry;
+        self
     }
 
     /// Path of the journal file.
@@ -268,8 +274,8 @@ impl Journal {
         let mut line = record.to_line();
         line.push('\n');
         self.file.write_all(line.as_bytes())?;
-        self.records_appended += 1;
-        self.bytes_appended += line.len() as u64;
+        self.telemetry.add(Counter::JournalRecords, 1);
+        self.telemetry.add(Counter::JournalBytes, line.len() as u64);
         self.appended_since_sync += 1;
         if self.fsync_every > 0 && self.appended_since_sync >= self.fsync_every {
             self.sync()?;
@@ -281,23 +287,8 @@ impl Journal {
     pub fn sync(&mut self) -> io::Result<()> {
         self.file.sync_all()?;
         self.appended_since_sync = 0;
-        self.fsyncs += 1;
+        self.telemetry.add(Counter::JournalFsyncs, 1);
         Ok(())
-    }
-
-    /// Lifetime records appended through this handle.
-    pub fn records_appended(&self) -> u64 {
-        self.records_appended
-    }
-
-    /// Lifetime bytes appended through this handle, newlines included.
-    pub fn bytes_appended(&self) -> u64 {
-        self.bytes_appended
-    }
-
-    /// Lifetime fsyncs issued through this handle.
-    pub fn fsyncs(&self) -> u64 {
-        self.fsyncs
     }
 }
 

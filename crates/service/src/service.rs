@@ -15,7 +15,7 @@ use nvpim_sweep::{
     prepare_campaign_with_telemetry, CampaignControl, CampaignKind, ChunkCheckpoint, EstimatorMode,
     ExecutionBackend, ScheduleCache, SlicedBackend, SweepError, SweepPlan, Tallies,
 };
-use nvpim_telemetry::{Counter as TelemetryCounter, EventLog, Phase, Telemetry};
+use nvpim_telemetry::{Counter, EventLog, Phase, Telemetry};
 use serde::{Serialize, Value};
 
 use crate::job::{JobCore, JobId, JobState};
@@ -298,44 +298,6 @@ struct WorkItem {
     resume: Tallies,
 }
 
-#[derive(Default)]
-struct Counters {
-    submitted: AtomicU64,
-    completed: AtomicU64,
-    failed: AtomicU64,
-    cancelled: AtomicU64,
-    coalesced: AtomicU64,
-    rejected: AtomicU64,
-    /// Trials actually executed (completed + the partial progress of
-    /// cancelled campaigns).
-    trials_executed: AtomicU64,
-    /// Total campaign wall time across the worker pool, in nanoseconds.
-    busy_nanos: AtomicU64,
-    /// Accepted submissions whose plan ran in stratified estimator mode.
-    estimator_jobs: AtomicU64,
-    /// Accepted submissions whose plan ran the accuracy campaign kind.
-    accuracy_jobs: AtomicU64,
-    /// Accuracy trials that produced a prediction (newly executed only).
-    accuracy_evaluated: AtomicU64,
-    /// Of those, predictions matching the clean model's.
-    accuracy_correct: AtomicU64,
-    /// Job attempts retried after a contained panic.
-    retried: AtomicU64,
-    /// Jobs restored from the journal at startup.
-    recovered: AtomicU64,
-    /// Checkpointed chunks resumed instead of recomputed.
-    resumed_chunks: AtomicU64,
-    /// Journal records replayed at startup.
-    journal_replayed: AtomicU64,
-    /// Shard ranges executed to completion (`run_shard`).
-    shards_executed: AtomicU64,
-    /// Checkpoints handed to job observers (each journals a `chunk`
-    /// record on a durable daemon).
-    job_checkpoints: AtomicU64,
-    /// Checkpoints streamed as `shard_chunk` frames.
-    shard_checkpoints: AtomicU64,
-}
-
 struct Inner {
     cfg: ServiceConfig,
     queue: BoundedPriorityQueue<WorkItem>,
@@ -346,17 +308,17 @@ struct Inner {
     schedule_cache: Mutex<ScheduleCache>,
     store: Mutex<ReportStore>,
     next_id: AtomicU64,
-    counters: Counters,
     shutting_down: AtomicBool,
     /// Set by [`ServiceHandle::begin_drain`]: the daemon is still serving
     /// reads (`status`/`result`/`stats`/`ping`) but accepts no new work
     /// and is checkpointing in-flight jobs for a bounded exit.
     draining: AtomicBool,
     workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
-    /// Always-enabled telemetry sink shared by every campaign this service
-    /// runs: pipeline phase timings, first-class counters, per-scheme /
-    /// per-backend trial counters and the queue-wait / run-latency
-    /// histograms all land here.
+    /// Always-enabled telemetry sink: the service's one counter registry.
+    /// Every campaign's phase timings and engine counters, the job, cache,
+    /// store and journal counters, the per-scheme trial counters and the
+    /// queue-wait / run-latency histograms all land here, and `stats` and
+    /// `metrics` both read it.
     telemetry: Telemetry,
     /// Opt-in NDJSON event log (see [`ServiceConfig::log_json`]).
     event_log: Option<EventLog>,
@@ -460,6 +422,7 @@ impl ServiceHandle {
                 .map_err(|e| eprintln!("nvpim-service: cannot open event log {path:?}: {e}"))
                 .ok()
         });
+        let telemetry = Telemetry::new();
         let (store, journal, replay) = match cfg.state_dir.as_deref() {
             None => (
                 ReportStore::with_capacity(cfg.max_cached_reports),
@@ -489,7 +452,7 @@ impl ServiceHandle {
                         );
                     })
                     .ok()
-                    .map(Mutex::new);
+                    .map(|journal| Mutex::new(journal.with_telemetry(telemetry.clone())));
                 (store, journal, replay)
             }
         };
@@ -500,13 +463,12 @@ impl ServiceHandle {
             jobs: Mutex::new(HashMap::new()),
             active: Mutex::new(HashMap::new()),
             schedule_cache: Mutex::new(ScheduleCache::new()),
-            store: Mutex::new(store),
+            store: Mutex::new(store.with_telemetry(telemetry.clone())),
             next_id: AtomicU64::new(next_id),
-            counters: Counters::default(),
             shutting_down: AtomicBool::new(false),
             draining: AtomicBool::new(false),
             workers: Mutex::new(Vec::new()),
-            telemetry: Telemetry::new(),
+            telemetry,
             event_log,
             journal,
         });
@@ -546,13 +508,10 @@ impl ServiceHandle {
         plan.validate().map_err(ServiceError::InvalidPlan)?;
         admit(inner, plan.trial_count())?;
         if plan.estimator != EstimatorMode::Exact {
-            inner
-                .counters
-                .estimator_jobs
-                .fetch_add(1, Ordering::Relaxed);
+            inner.telemetry.add(Counter::EstimatorJobs, 1);
         }
         if plan.kind == CampaignKind::Accuracy {
-            inner.counters.accuracy_jobs.fetch_add(1, Ordering::Relaxed);
+            inner.telemetry.add(Counter::AccuracyJobs, 1);
         }
         let digest = plan.content_digest();
         let trials_total = plan.trial_count();
@@ -565,7 +524,7 @@ impl ServiceHandle {
             jobs.insert(id, core);
             evict_terminal_jobs(&mut jobs, inner.cfg.max_tracked_jobs, id);
             drop(jobs);
-            inner.counters.submitted.fetch_add(1, Ordering::Relaxed);
+            inner.telemetry.add(Counter::JobsSubmitted, 1);
             inner.emit_event(
                 id,
                 &digest,
@@ -604,8 +563,8 @@ impl ServiceHandle {
                     let existing = Arc::clone(existing);
                     let primary = existing.id;
                     lock_unpoisoned(&inner.jobs).insert(id, existing);
-                    inner.counters.submitted.fetch_add(1, Ordering::Relaxed);
-                    inner.counters.coalesced.fetch_add(1, Ordering::Relaxed);
+                    inner.telemetry.add(Counter::JobsSubmitted, 1);
+                    inner.telemetry.add(Counter::JobsCoalesced, 1);
                     inner.emit_event(
                         id,
                         &digest,
@@ -654,7 +613,7 @@ impl ServiceHandle {
                 }
                 // Only genuine backpressure counts as a rejection; a push
                 // refused by a closing queue is a shutdown, not load-shed.
-                inner.counters.rejected.fetch_add(1, Ordering::Relaxed);
+                inner.telemetry.add(Counter::JobsRejected, 1);
                 return Err(ServiceError::Overloaded {
                     retry_after_ms: overload_retry_hint_ms(inner),
                 });
@@ -668,7 +627,7 @@ impl ServiceHandle {
         jobs.insert(id, core);
         evict_terminal_jobs(&mut jobs, inner.cfg.max_tracked_jobs, id);
         drop(jobs);
-        inner.counters.submitted.fetch_add(1, Ordering::Relaxed);
+        inner.telemetry.add(Counter::JobsSubmitted, 1);
         inner.emit_event(
             id,
             &digest,
@@ -762,10 +721,7 @@ impl ServiceHandle {
             // cancelled run; counting here too would double-count.
             CancelOutcome::RunningFlagged => Ok(true),
             CancelOutcome::CancelledWhileQueued => {
-                self.inner
-                    .counters
-                    .cancelled
-                    .fetch_add(1, Ordering::Relaxed);
+                self.inner.telemetry.add(Counter::JobsCancelled, 1);
                 self.inner
                     .journal_append(&JournalRecord::Cancelled { job: core.id });
                 Ok(true)
@@ -773,20 +729,18 @@ impl ServiceHandle {
         }
     }
 
-    /// Aggregate counters.
+    /// Aggregate counters, read from one telemetry snapshot plus the live
+    /// queue and cache sizes.
     pub fn stats(&self) -> ServiceStats {
         let inner = &self.inner;
-        let (sched_entries, sched_hits, sched_compiles) = {
-            let cache = lock_unpoisoned(&inner.schedule_cache);
-            (cache.len(), cache.hits(), cache.compiles())
+        let t = inner.telemetry.snapshot();
+        let trials_executed = t.counter(Counter::ServiceTrialsExecuted);
+        let busy_secs = t.counter(Counter::ServiceBusyNanos) as f64 / 1e9;
+        let latency = |name: &str| {
+            t.histograms
+                .get(name)
+                .and_then(LatencySummary::from_nanos_histogram)
         };
-        let (store_entries, store_hits, store_misses) = {
-            let store = lock_unpoisoned(&inner.store);
-            (store.len(), store.hits(), store.misses())
-        };
-        let trials_executed = inner.counters.trials_executed.load(Ordering::Relaxed);
-        let busy_secs = inner.counters.busy_nanos.load(Ordering::Relaxed) as f64 / 1e9;
-        let telemetry = inner.telemetry.snapshot();
         ServiceStats {
             workers: inner.cfg.workers,
             trials_executed,
@@ -797,182 +751,65 @@ impl ServiceHandle {
             },
             queue_capacity: inner.queue.capacity(),
             queue_depth: inner.queue.len(),
-            jobs_submitted: inner.counters.submitted.load(Ordering::Relaxed),
-            jobs_completed: inner.counters.completed.load(Ordering::Relaxed),
-            jobs_failed: inner.counters.failed.load(Ordering::Relaxed),
-            jobs_cancelled: inner.counters.cancelled.load(Ordering::Relaxed),
-            jobs_coalesced: inner.counters.coalesced.load(Ordering::Relaxed),
-            jobs_rejected: inner.counters.rejected.load(Ordering::Relaxed),
-            jobs_retried: inner.counters.retried.load(Ordering::Relaxed),
-            recovered_jobs: inner.counters.recovered.load(Ordering::Relaxed),
-            resumed_chunks: inner.counters.resumed_chunks.load(Ordering::Relaxed),
-            journal_records_replayed: inner.counters.journal_replayed.load(Ordering::Relaxed),
-            shards_executed: inner.counters.shards_executed.load(Ordering::Relaxed),
-            report_cache_entries: store_entries,
-            report_cache_hits: store_hits,
-            report_cache_misses: store_misses,
-            schedule_cache_entries: sched_entries,
-            schedule_cache_hits: sched_hits,
-            schedule_cache_compiles: sched_compiles,
-            estimator_jobs: inner.counters.estimator_jobs.load(Ordering::Relaxed),
-            accuracy_jobs: inner.counters.accuracy_jobs.load(Ordering::Relaxed),
-            accuracy_trials_evaluated: inner.counters.accuracy_evaluated.load(Ordering::Relaxed),
-            accuracy_trials_correct: inner.counters.accuracy_correct.load(Ordering::Relaxed),
-            clean_settled_trials: telemetry.counter(TelemetryCounter::CleanSettledTrials),
-            clean_settled_batches: telemetry.counter(TelemetryCounter::CleanSettledBatches),
-            estimator_redraws: telemetry.counter(TelemetryCounter::EstimatorRedraws),
-            queue_wait: telemetry
-                .histograms
-                .get("queue_wait_ns")
-                .and_then(LatencySummary::from_nanos_histogram),
-            run_latency: telemetry
-                .histograms
-                .get("run_latency_ns")
-                .and_then(LatencySummary::from_nanos_histogram),
+            jobs_submitted: t.counter(Counter::JobsSubmitted),
+            jobs_completed: t.counter(Counter::JobsCompleted),
+            jobs_failed: t.counter(Counter::JobsFailed),
+            jobs_cancelled: t.counter(Counter::JobsCancelled),
+            jobs_coalesced: t.counter(Counter::JobsCoalesced),
+            jobs_rejected: t.counter(Counter::JobsRejected),
+            jobs_retried: t.counter(Counter::JobRetries),
+            recovered_jobs: t.counter(Counter::RecoveredJobs),
+            resumed_chunks: t.counter(Counter::ResumedChunks),
+            journal_records_replayed: t.counter(Counter::JournalRecordsReplayed),
+            shards_executed: t.counter(Counter::ShardsExecuted),
+            report_cache_entries: lock_unpoisoned(&inner.store).len(),
+            report_cache_hits: t.counter(Counter::ReportCacheHits),
+            report_cache_misses: t.counter(Counter::ReportCacheMisses),
+            schedule_cache_entries: lock_unpoisoned(&inner.schedule_cache).len(),
+            schedule_cache_hits: t.counter(Counter::ScheduleCacheHits),
+            schedule_cache_compiles: t.counter(Counter::ScheduleCompiles),
+            estimator_jobs: t.counter(Counter::EstimatorJobs),
+            accuracy_jobs: t.counter(Counter::AccuracyJobs),
+            accuracy_trials_evaluated: t.counter(Counter::AccuracyTrialsEvaluated),
+            accuracy_trials_correct: t.counter(Counter::AccuracyTrialsCorrect),
+            clean_settled_trials: t.counter(Counter::CleanSettledTrials),
+            clean_settled_batches: t.counter(Counter::CleanSettledBatches),
+            estimator_redraws: t.counter(Counter::EstimatorRedraws),
+            queue_wait: latency("queue_wait_ns"),
+            run_latency: latency("run_latency_ns"),
         }
     }
 
-    /// The service's always-on telemetry sink (phase timings, first-class
-    /// counters, per-scheme/per-backend trial counters, latency
-    /// histograms).
+    /// The service's always-on telemetry sink: its one counter registry
+    /// (phase timings, engine and service counters, per-scheme trial
+    /// counters, latency histograms).
     pub fn telemetry(&self) -> &Telemetry {
         &self.inner.telemetry
     }
 
     /// Renders the full metrics payload as Prometheus-style text
-    /// exposition: service-level job/queue/cache series first, then every
-    /// telemetry series (phase timings, counters, latency summaries). The
-    /// `metrics` protocol command returns exactly this text.
+    /// exposition: every telemetry series, then the two live gauges
+    /// (`nvpim_queue_depth`, `nvpim_report_cache_entries`). The `metrics`
+    /// protocol command returns exactly this text.
     pub fn metrics_text(&self) -> String {
         use std::fmt::Write as _;
-        let stats = self.stats();
-        let mut out = String::new();
-        let mut counter = |name: &str, help: &str, value: u64| {
-            let _ = writeln!(out, "# HELP nvpim_{name} {help}");
-            let _ = writeln!(out, "# TYPE nvpim_{name} counter");
-            let _ = writeln!(out, "nvpim_{name} {value}");
-        };
-        counter(
-            "jobs_submitted_total",
-            "Submissions accepted (including cached and coalesced).",
-            stats.jobs_submitted,
-        );
-        counter(
-            "jobs_completed_total",
-            "Campaigns run to completion.",
-            stats.jobs_completed,
-        );
-        counter(
-            "jobs_failed_total",
-            "Campaigns that failed.",
-            stats.jobs_failed,
-        );
-        counter(
-            "jobs_cancelled_total",
-            "Jobs cancelled.",
-            stats.jobs_cancelled,
-        );
-        counter(
-            "jobs_coalesced_total",
-            "Submissions attached to an identical in-flight job.",
-            stats.jobs_coalesced,
-        );
-        counter(
-            "jobs_rejected_total",
-            "Submissions rejected by queue backpressure.",
-            stats.jobs_rejected,
-        );
-        // Retry/recovery/journal-replay counters are first-class telemetry
-        // counters (`nvpim_job_retries_total`, `nvpim_recovered_jobs_total`,
-        // `nvpim_resumed_chunks_total`, `nvpim_journal_records_replayed_total`)
-        // and render with the telemetry block appended below.
-        counter(
-            "service_trials_executed_total",
-            "Monte Carlo trials executed across all campaigns.",
-            stats.trials_executed,
-        );
-        counter(
-            "report_cache_hits_total",
-            "Submissions served byte-identically from the report store.",
-            stats.report_cache_hits,
-        );
-        counter(
-            "report_cache_misses_total",
-            "Report store lookups that missed.",
-            stats.report_cache_misses,
-        );
-        counter(
-            "estimator_jobs_total",
-            "Submissions requesting the stratified estimator.",
-            stats.estimator_jobs,
-        );
-        counter(
-            "accuracy_jobs_total",
-            "Submissions running the inference-accuracy campaign kind.",
-            stats.accuracy_jobs,
-        );
-        counter(
-            "accuracy_trials_evaluated_total",
-            "Accuracy-campaign trials that produced a prediction.",
-            stats.accuracy_trials_evaluated,
-        );
-        counter(
-            "accuracy_trials_correct_total",
-            "Accuracy-campaign predictions matching the clean model.",
-            stats.accuracy_trials_correct,
-        );
-        // Durable-path cost: what the journal wrote, and how often the
-        // engine checkpointed (every job checkpoint is one journal record
-        // on a durable daemon; every shard checkpoint is one wire frame).
-        let (records, bytes, fsyncs) = self.inner.journal.as_ref().map_or((0, 0, 0), |journal| {
-            let journal = lock_unpoisoned(journal);
+        let mut out = self.inner.telemetry.render_prometheus();
+        for (name, help, value) in [
             (
-                journal.records_appended(),
-                journal.bytes_appended(),
-                journal.fsyncs(),
-            )
-        });
-        counter(
-            "journal_records_total",
-            "Records appended to the job journal.",
-            records,
-        );
-        counter(
-            "journal_bytes_total",
-            "Bytes appended to the job journal.",
-            bytes,
-        );
-        counter("journal_fsyncs_total", "Journal fsyncs issued.", fsyncs);
-        let _ = writeln!(
-            out,
-            "# HELP nvpim_checkpoints_total Checkpoints taken, by path \
-             (job: journaled job checkpoints; shard: streamed shard_chunk frames)."
-        );
-        let _ = writeln!(out, "# TYPE nvpim_checkpoints_total counter");
-        for (path, count) in [
-            ("job", &self.inner.counters.job_checkpoints),
-            ("shard", &self.inner.counters.shard_checkpoints),
+                "queue_depth",
+                "Jobs currently queued.",
+                self.inner.queue.len(),
+            ),
+            (
+                "report_cache_entries",
+                "Distinct reports in the content-addressed store.",
+                lock_unpoisoned(&self.inner.store).len(),
+            ),
         ] {
-            let _ = writeln!(
-                out,
-                "nvpim_checkpoints_total{{path=\"{path}\"}} {}",
-                count.load(Ordering::Relaxed)
-            );
+            let _ = writeln!(out, "# HELP nvpim_{name} {help}");
+            let _ = writeln!(out, "# TYPE nvpim_{name} gauge");
+            let _ = writeln!(out, "nvpim_{name} {value}");
         }
-        let _ = writeln!(out, "# HELP nvpim_queue_depth Jobs currently queued.");
-        let _ = writeln!(out, "# TYPE nvpim_queue_depth gauge");
-        let _ = writeln!(out, "nvpim_queue_depth {}", stats.queue_depth);
-        let _ = writeln!(
-            out,
-            "# HELP nvpim_report_cache_entries Distinct reports in the content-addressed store."
-        );
-        let _ = writeln!(out, "# TYPE nvpim_report_cache_entries gauge");
-        let _ = writeln!(
-            out,
-            "nvpim_report_cache_entries {}",
-            stats.report_cache_entries
-        );
-        out.push_str(&self.inner.telemetry.render_prometheus());
         out
     }
 
@@ -1019,28 +856,20 @@ impl ServiceHandle {
             end,
             inner.checkpoint_every(),
             |checkpoint| {
-                inner
-                    .counters
-                    .shard_checkpoints
-                    .fetch_add(1, Ordering::Relaxed);
+                inner.telemetry.add(Counter::ShardCheckpoints, 1);
                 observer(checkpoint)
             },
         );
-        let run_nanos = run_started.elapsed().as_nanos() as u64;
-        inner
-            .counters
-            .busy_nanos
-            .fetch_add(run_nanos, Ordering::Relaxed);
+        inner.telemetry.add(
+            Counter::ServiceBusyNanos,
+            run_started.elapsed().as_nanos() as u64,
+        );
         match result {
             Ok(tallies) => {
                 inner
-                    .counters
-                    .trials_executed
-                    .fetch_add(tallies.trials(), Ordering::Relaxed);
-                inner
-                    .counters
-                    .shards_executed
-                    .fetch_add(1, Ordering::Relaxed);
+                    .telemetry
+                    .add(Counter::ServiceTrialsExecuted, tallies.trials());
+                inner.telemetry.add(Counter::ShardsExecuted, 1);
                 Ok(tallies)
             }
             Err(SweepError::Cancelled) => Err(ServiceError::JobCancelled),
@@ -1206,14 +1035,9 @@ fn credit_labeled_trials(inner: &Inner, plan: &SweepPlan, trials: u64) {
 /// service: terminal jobs become queryable records, in-flight jobs
 /// re-queue with their checkpointed tallies.
 fn restore_replayed_jobs(inner: &Arc<Inner>, replay: journal::Replay) {
-    let records = replay.records_replayed;
-    inner
-        .counters
-        .journal_replayed
-        .store(records, Ordering::Relaxed);
     inner
         .telemetry
-        .add(TelemetryCounter::JournalRecordsReplayed, records);
+        .add(Counter::JournalRecordsReplayed, replay.records_replayed);
     for job in replay.jobs {
         let id = job.id;
         let digest = job.digest.clone();
@@ -1254,8 +1078,7 @@ fn restore_replayed_jobs(inner: &Arc<Inner>, replay: journal::Replay) {
         };
         let state = core.state().label().to_string();
         lock_unpoisoned(&inner.jobs).insert(id, core);
-        inner.counters.recovered.fetch_add(1, Ordering::Relaxed);
-        inner.telemetry.add(TelemetryCounter::RecoveredJobs, 1);
+        inner.telemetry.add(Counter::RecoveredJobs, 1);
         inner.emit_event(
             id,
             &digest,
@@ -1319,21 +1142,16 @@ fn restore_in_flight(inner: &Arc<Inner>, job: &journal::ReplayedJob) -> Arc<JobC
         .try_push(item, job.priority.min(9) as u8)
         .is_err()
     {
-        let error = "recovered job could not re-queue (queue full at startup)".to_string();
-        inner.journal_append(&JournalRecord::Failed {
-            job: job.id,
-            error: error.clone(),
-        });
-        core.fail(error);
+        fail_job(
+            inner,
+            &core,
+            "recovered job could not re-queue (queue full at startup)".to_string(),
+        );
         return core;
     }
     inner
-        .counters
-        .resumed_chunks
-        .fetch_add(job.chunks_accepted, Ordering::Relaxed);
-    inner
         .telemetry
-        .add(TelemetryCounter::ResumedChunks, job.chunks_accepted);
+        .add(Counter::ResumedChunks, job.chunks_accepted);
     lock_unpoisoned(&inner.active).insert(job.digest.clone(), Arc::clone(&core));
     core
 }
@@ -1396,8 +1214,7 @@ fn run_job(inner: &Inner, item: WorkItem) {
         let message = panic_message(payload.as_ref());
         if attempt < inner.cfg.max_job_retries && !core.cancel_requested() {
             attempt += 1;
-            inner.counters.retried.fetch_add(1, Ordering::Relaxed);
-            inner.telemetry.add(TelemetryCounter::JobRetries, 1);
+            inner.telemetry.add(Counter::JobRetries, 1);
             inner.emit_event(
                 core.id,
                 &core.digest,
@@ -1416,21 +1233,28 @@ fn run_job(inner: &Inner, item: WorkItem) {
             }
             continue;
         }
-        let error = format!("campaign panicked: {message}");
-        inner.counters.failed.fetch_add(1, Ordering::Relaxed);
-        inner.journal_append(&JournalRecord::Failed {
-            job: core.id,
-            error: error.clone(),
-        });
-        inner.emit_event(
-            core.id,
-            &core.digest,
-            "failed",
-            vec![("error".to_string(), Value::Str(error.clone()))],
-        );
-        core.fail(error);
+        fail_job(inner, &core, format!("campaign panicked: {message}"));
         return;
     }
+}
+
+/// Drives a job to the terminal `Failed` state: counts it, journals the
+/// failure, logs the event, then wakes waiters. Counters and the journal
+/// precede the (waiter-waking) state transition, so a client that
+/// observed the failure also observes them.
+fn fail_job(inner: &Inner, core: &JobCore, error: String) {
+    inner.telemetry.add(Counter::JobsFailed, 1);
+    inner.journal_append(&JournalRecord::Failed {
+        job: core.id,
+        error: error.clone(),
+    });
+    inner.emit_event(
+        core.id,
+        &core.digest,
+        "failed",
+        vec![("error".to_string(), Value::Str(error.clone()))],
+    );
+    core.fail(error);
 }
 
 /// One execution attempt: prepare through the shared schedule cache, run
@@ -1448,23 +1272,7 @@ fn run_attempt(inner: &Inner, core: &Arc<JobCore>, plan: &SweepPlan, checkpoint:
     };
     let prepared = match prepared {
         Ok(prepared) => prepared,
-        Err(err) => {
-            // Counters precede the (waiter-waking) state transition so
-            // a client that observed completion also observes them.
-            inner.counters.failed.fetch_add(1, Ordering::Relaxed);
-            inner.journal_append(&JournalRecord::Failed {
-                job: core.id,
-                error: err.to_string(),
-            });
-            inner.emit_event(
-                core.id,
-                &core.digest,
-                "failed",
-                vec![("error".to_string(), Value::Str(err.to_string()))],
-            );
-            core.fail(err.to_string());
-            return;
-        }
+        Err(err) => return fail_job(inner, core, err.to_string()),
     };
     let resume = lock_unpoisoned(checkpoint).clone();
     let resumed_trials = resume.trials();
@@ -1475,10 +1283,7 @@ fn run_attempt(inner: &Inner, core: &Arc<JobCore>, plan: &SweepPlan, checkpoint:
         resume,
         |chunk| {
             let trials_done = chunk.progress.trials_done;
-            inner
-                .counters
-                .job_checkpoints
-                .fetch_add(1, Ordering::Relaxed);
+            inner.telemetry.add(Counter::JobCheckpoints, 1);
             // Journal before merging into the in-memory checkpoint: a
             // crash between the two merely recomputes one checkpoint.
             inner.journal_append(&JournalRecord::Chunk {
@@ -1492,14 +1297,10 @@ fn run_attempt(inner: &Inner, core: &Arc<JobCore>, plan: &SweepPlan, checkpoint:
             let (correct, evaluated) = (new.correct_trials, new.evaluated_trials);
             if evaluated > 0 {
                 core.note_accuracy(correct, evaluated);
+                inner.telemetry.add(Counter::AccuracyTrialsCorrect, correct);
                 inner
-                    .counters
-                    .accuracy_correct
-                    .fetch_add(correct, Ordering::Relaxed);
-                inner
-                    .counters
-                    .accuracy_evaluated
-                    .fetch_add(evaluated, Ordering::Relaxed);
+                    .telemetry
+                    .add(Counter::AccuracyTrialsEvaluated, evaluated);
             }
             inner.emit_event(
                 core.id,
@@ -1518,16 +1319,13 @@ fn run_attempt(inner: &Inner, core: &Arc<JobCore>, plan: &SweepPlan, checkpoint:
         },
     );
     let run_nanos = run_started.elapsed().as_nanos() as u64;
-    inner
-        .counters
-        .busy_nanos
-        .fetch_add(run_nanos, Ordering::Relaxed);
+    inner.telemetry.add(Counter::ServiceBusyNanos, run_nanos);
     inner
         .telemetry
         .record_histogram("run_latency_ns", run_nanos);
-    inner.counters.trials_executed.fetch_add(
+    inner.telemetry.add(
+        Counter::ServiceTrialsExecuted,
         core.trials_done().saturating_sub(resumed_trials),
-        Ordering::Relaxed,
     );
     match outcome {
         Ok(report) => {
@@ -1540,7 +1338,7 @@ fn run_attempt(inner: &Inner, core: &Arc<JobCore>, plan: &SweepPlan, checkpoint:
             // journal record, so replay can trust a `done` record to have
             // its report on disk.
             lock_unpoisoned(&inner.store).insert(core.digest.clone(), Arc::clone(&json));
-            inner.counters.completed.fetch_add(1, Ordering::Relaxed);
+            inner.telemetry.add(Counter::JobsCompleted, 1);
             credit_labeled_trials(inner, plan, core.trials_total);
             inner.journal_append(&JournalRecord::Done { job: core.id });
             inner.emit_event(
@@ -1568,7 +1366,7 @@ fn run_attempt(inner: &Inner, core: &Arc<JobCore>, plan: &SweepPlan, checkpoint:
                 );
                 return;
             }
-            inner.counters.cancelled.fetch_add(1, Ordering::Relaxed);
+            inner.telemetry.add(Counter::JobsCancelled, 1);
             inner.journal_append(&JournalRecord::Cancelled { job: core.id });
             inner.emit_event(
                 core.id,
@@ -1578,20 +1376,7 @@ fn run_attempt(inner: &Inner, core: &Arc<JobCore>, plan: &SweepPlan, checkpoint:
             );
             core.mark_cancelled();
         }
-        Err(err) => {
-            inner.counters.failed.fetch_add(1, Ordering::Relaxed);
-            inner.journal_append(&JournalRecord::Failed {
-                job: core.id,
-                error: err.to_string(),
-            });
-            inner.emit_event(
-                core.id,
-                &core.digest,
-                "failed",
-                vec![("error".to_string(), Value::Str(err.to_string()))],
-            );
-            core.fail(err.to_string());
-        }
+        Err(err) => fail_job(inner, core, err.to_string()),
     }
 }
 

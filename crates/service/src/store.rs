@@ -28,6 +28,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use nvpim_sweep::digest::{sha256, to_hex};
+use nvpim_telemetry::{Counter, Telemetry};
 
 /// Default report-count cap used by [`ReportStore::new`].
 pub const DEFAULT_REPORT_CAPACITY: usize = 1024;
@@ -38,6 +39,9 @@ pub const DEFAULT_REPORT_CAPACITY: usize = 1024;
 /// bounded separately by `ServiceConfig::max_tracked_jobs`). An evicted
 /// plan simply recomputes on resubmission; determinism guarantees the
 /// recomputed bytes are identical.
+///
+/// Lookups count hits and misses (and discarded corrupt entries) into the
+/// telemetry sink attached with [`ReportStore::with_telemetry`].
 #[derive(Debug)]
 pub struct ReportStore {
     entries: HashMap<String, Arc<String>>,
@@ -46,9 +50,7 @@ pub struct ReportStore {
     capacity: usize,
     /// Durable tier directory; `None` keeps the store purely in memory.
     dir: Option<PathBuf>,
-    hits: u64,
-    misses: u64,
-    corrupt_discarded: u64,
+    telemetry: Telemetry,
 }
 
 impl Default for ReportStore {
@@ -70,10 +72,15 @@ impl ReportStore {
             order: VecDeque::new(),
             capacity: capacity.max(1),
             dir: None,
-            hits: 0,
-            misses: 0,
-            corrupt_discarded: 0,
+            telemetry: Telemetry::disabled(),
         }
+    }
+
+    /// Records this store's lookups into `telemetry`.
+    #[must_use]
+    pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
+        self.telemetry = telemetry;
+        self
     }
 
     /// A store backed by a durable on-disk tier under `dir` (created if
@@ -97,16 +104,16 @@ impl ReportStore {
     /// integrity-verifying the file before trusting (and re-caching) it.
     pub fn get(&mut self, digest: &str) -> Option<Arc<String>> {
         if let Some(report) = self.entries.get(digest) {
-            self.hits += 1;
+            self.telemetry.add(Counter::ReportCacheHits, 1);
             return Some(Arc::clone(report));
         }
         if let Some(report) = self.load_from_disk(digest) {
-            self.hits += 1;
+            self.telemetry.add(Counter::ReportCacheHits, 1);
             let report = Arc::new(report);
             self.cache_in_memory(digest.to_string(), Arc::clone(&report));
             return Some(report);
         }
-        self.misses += 1;
+        self.telemetry.add(Counter::ReportCacheMisses, 1);
         None
     }
 
@@ -170,7 +177,7 @@ impl ReportStore {
     /// Reads and verifies a durable-tier entry. Corrupt entries (header
     /// hash does not match a fresh hash of the body) are deleted and
     /// counted; the caller sees a plain miss.
-    fn load_from_disk(&mut self, digest: &str) -> Option<String> {
+    fn load_from_disk(&self, digest: &str) -> Option<String> {
         let path = self.disk_path(digest)?;
         let raw = fs::read_to_string(&path).ok()?;
         match raw.split_once('\n') {
@@ -178,7 +185,7 @@ impl ReportStore {
                 Some(body.to_string())
             }
             _ => {
-                self.corrupt_discarded += 1;
+                self.telemetry.add(Counter::ReportStoreCorruptDiscarded, 1);
                 let _ = fs::remove_file(&path);
                 None
             }
@@ -193,22 +200,6 @@ impl ReportStore {
     /// Whether the store holds no reports.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    /// Lifetime lookup hits (submissions served without recompute).
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Lifetime lookup misses.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Durable-tier entries deleted because their contents no longer
-    /// hashed to their header (detected on read).
-    pub fn corrupt_discarded(&self) -> u64 {
-        self.corrupt_discarded
     }
 }
 
@@ -246,24 +237,31 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
         let digest = "ab".repeat(32);
         let report = Arc::new(String::from("{\"schema_version\":1}"));
+        let telemetry = Telemetry::new();
+        let count = |counter| telemetry.snapshot().counter(counter);
         {
             let mut store = ReportStore::persistent(4, &dir).unwrap();
             store.insert(digest.clone(), Arc::clone(&report));
         }
         // A fresh handle over the same directory serves the bytes back.
-        let mut reopened = ReportStore::persistent(4, &dir).unwrap();
+        let mut reopened = ReportStore::persistent(4, &dir)
+            .unwrap()
+            .with_telemetry(telemetry.clone());
         assert_eq!(
             reopened.get(&digest).as_deref().map(String::as_str),
             Some(report.as_str())
         );
-        assert_eq!(reopened.hits(), 1);
+        assert_eq!(count(Counter::ReportCacheHits), 1);
         // Corrupt the file body: the header hash no longer matches, so the
         // entry is discarded and the lookup misses.
         let path = dir.join(format!("{digest}.json"));
         fs::write(&path, "deadbeef\n{\"schema_version\":1}").unwrap();
-        let mut tampered = ReportStore::persistent(4, &dir).unwrap();
+        let mut tampered = ReportStore::persistent(4, &dir)
+            .unwrap()
+            .with_telemetry(telemetry.clone());
         assert!(tampered.get(&digest).is_none());
-        assert_eq!(tampered.corrupt_discarded(), 1);
+        assert_eq!(count(Counter::ReportStoreCorruptDiscarded), 1);
+        assert_eq!(count(Counter::ReportCacheMisses), 1);
         assert!(!path.exists(), "corrupt entry deleted");
         // Hostile digests never touch the filesystem.
         let mut hostile = ReportStore::persistent(4, &dir).unwrap();
@@ -273,14 +271,16 @@ mod tests {
 
     #[test]
     fn hit_returns_the_exact_stored_bytes() {
-        let mut store = ReportStore::new();
+        let telemetry = Telemetry::new();
+        let mut store = ReportStore::new().with_telemetry(telemetry.clone());
         assert!(store.get("d1").is_none());
         let report = Arc::new(String::from("{\"x\":1}"));
         store.insert("d1".into(), Arc::clone(&report));
         let back = store.get("d1").unwrap();
         assert!(Arc::ptr_eq(&back, &report));
-        assert_eq!(store.hits(), 1);
-        assert_eq!(store.misses(), 1);
+        let snap = telemetry.snapshot();
+        assert_eq!(snap.counter(Counter::ReportCacheHits), 1);
+        assert_eq!(snap.counter(Counter::ReportCacheMisses), 1);
         assert_eq!(store.len(), 1);
     }
 }

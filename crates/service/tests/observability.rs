@@ -7,7 +7,8 @@ use std::time::Duration;
 
 use nvpim_service::protocol::{dispatch, Outcome};
 use nvpim_service::service::{ServiceConfig, ServiceHandle};
-use nvpim_sweep::{ScalarBackend, SweepPlan};
+use nvpim_service::ServiceError;
+use nvpim_sweep::{ProtectionConfig, ScalarBackend, SweepPlan, SweepWorkload};
 use serde::Value;
 
 fn tiny_plan(seed: u64) -> SweepPlan {
@@ -125,7 +126,270 @@ fn metrics_round_trip_exposes_core_series_and_stays_monotone() {
     assert_eq!(stats.queue_wait.as_ref().map(|s| s.count), Some(2));
     assert_eq!(stats.run_latency.as_ref().map(|s| s.count), Some(2));
     assert!(stats.trials_per_sec.unwrap_or(0.0) > 0.0);
+
+    // Every other kind of traffic: a cache hit, a job that fails at
+    // preparation, two accuracy jobs (the second reuses the first's
+    // kernels), a cancel and a fleet shard.
+    assert!(service.submit(tiny_plan(90), 0).unwrap().cached);
+    let mut spills = tiny_plan(95);
+    spills.workloads = vec![SweepWorkload::Multiplier { bits: 24 }];
+    spills.protections = vec![ProtectionConfig::TRIM];
+    let failed = service.submit(spills, 0).unwrap();
+    assert!(matches!(
+        service.wait(failed.job, None),
+        Err(ServiceError::JobFailed(_))
+    ));
+    for seed in [1, 2] {
+        let mut accuracy = SweepPlan::accuracy_quick();
+        accuracy.seeds_per_point = 2;
+        accuracy.campaign_seed = seed;
+        let job = service.submit(accuracy, 0).unwrap().job;
+        service.wait(job, None).unwrap();
+    }
+    let mut long = tiny_plan(96);
+    long.seeds_per_point = 64;
+    let blocker = service.submit(long, 9).unwrap();
+    let victim = service.submit(tiny_plan(97), 0).unwrap();
+    assert!(service.cancel(victim.job).unwrap());
+    assert!(matches!(
+        service.wait(victim.job, None),
+        Err(ServiceError::JobCancelled)
+    ));
+    service.wait(blocker.job, None).unwrap();
+    let shard = tiny_plan(98);
+    service
+        .run_shard(&shard, 0, shard.trial_count(), |_| {
+            nvpim_sweep::CampaignControl::Continue
+        })
+        .unwrap();
+
+    let stats = roundtrip(&service, r#"{"cmd":"stats"}"#)[0]
+        .get("stats")
+        .cloned()
+        .expect("stats payload");
+    let text = roundtrip(&service, r#"{"cmd":"metrics"}"#)[0]
+        .get("metrics")
+        .and_then(Value::as_str)
+        .unwrap()
+        .to_string();
+    assert_well_formed(&text);
+    assert_agrees(&stats, &text);
+    for field in [
+        "jobs_failed",
+        "jobs_cancelled",
+        "report_cache_hits",
+        "accuracy_jobs",
+        "shards_executed",
+        "schedule_cache_hits",
+    ] {
+        assert!(stat(&stats, field) > 0, "{field} never moved: {stats:?}");
+    }
+    let samples = sample_names(&text);
+    for series in STABLE_SERIES {
+        assert!(samples.contains(*series), "{series} is no longer exported");
+    }
+    for phase in PHASES {
+        for family in ["nvpim_phase_spans_total", "nvpim_phase_nanos_total"] {
+            let series = format!("{family}{{phase=\"{phase}\"}}");
+            assert!(samples.contains(&series), "{series} is no longer exported");
+        }
+    }
     service.shutdown();
+}
+
+/// Series that scrapers, perfbench and CI read by name (phase series
+/// aside, see [`PHASES`]). Series may be added, never dropped.
+const STABLE_SERIES: &[&str] = &[
+    "nvpim_jobs_submitted_total",
+    "nvpim_jobs_completed_total",
+    "nvpim_jobs_failed_total",
+    "nvpim_jobs_cancelled_total",
+    "nvpim_jobs_coalesced_total",
+    "nvpim_jobs_rejected_total",
+    "nvpim_service_trials_executed_total",
+    "nvpim_report_cache_hits_total",
+    "nvpim_report_cache_misses_total",
+    "nvpim_estimator_jobs_total",
+    "nvpim_accuracy_jobs_total",
+    "nvpim_accuracy_trials_evaluated_total",
+    "nvpim_accuracy_trials_correct_total",
+    "nvpim_journal_records_total",
+    "nvpim_journal_bytes_total",
+    "nvpim_journal_fsyncs_total",
+    "nvpim_checkpoints_total{path=\"job\"}",
+    "nvpim_checkpoints_total{path=\"shard\"}",
+    "nvpim_queue_depth",
+    "nvpim_report_cache_entries",
+    "nvpim_clean_settled_trials_total",
+    "nvpim_clean_settled_batches_total",
+    "nvpim_estimator_redraws_total",
+    "nvpim_trials_executed_total",
+    "nvpim_schedule_compiles_total",
+    "nvpim_schedule_cache_hits_total",
+    "nvpim_job_retries_total",
+    "nvpim_recovered_jobs_total",
+    "nvpim_resumed_chunks_total",
+    "nvpim_journal_records_replayed_total",
+    "nvpim_shards_reassigned_total",
+    "nvpim_worker_evictions_total",
+    "nvpim_heartbeat_misses_total",
+    "nvpim_trials_by_scheme{scheme=\"ECiM\"}",
+    "nvpim_queue_wait_ns{quantile=\"0.5\"}",
+    "nvpim_queue_wait_ns{quantile=\"0.95\"}",
+    "nvpim_queue_wait_ns{quantile=\"0.99\"}",
+    "nvpim_queue_wait_ns_sum",
+    "nvpim_queue_wait_ns_count",
+    "nvpim_run_latency_ns{quantile=\"0.5\"}",
+    "nvpim_run_latency_ns{quantile=\"0.95\"}",
+    "nvpim_run_latency_ns{quantile=\"0.99\"}",
+    "nvpim_run_latency_ns_sum",
+    "nvpim_run_latency_ns_count",
+];
+
+/// The pipeline phases, each exported as a span-count and a nanosecond
+/// series.
+const PHASES: &[&str] = &[
+    "plan_validation",
+    "schedule_compile",
+    "schedule_cache_hit",
+    "clean_probe",
+    "fault_injection",
+    "gate_execution",
+    "analytic_clean_settle",
+    "estimator_redraw",
+    "aggregation",
+    "report_serialization",
+];
+
+/// `stats.<field>` as an integer.
+fn stat(stats: &Value, field: &str) -> u64 {
+    stats
+        .get(field)
+        .and_then(Value::as_u64)
+        .unwrap_or_else(|| panic!("stats.{field} missing or not an integer"))
+}
+
+/// Sample names (labels included) of a text exposition.
+fn sample_names(text: &str) -> std::collections::BTreeSet<String> {
+    text.lines()
+        .filter(|line| !line.starts_with('#'))
+        .filter_map(|line| line.rsplit_once(' ').map(|(name, _)| name.to_string()))
+        .collect()
+}
+
+/// Every `stats` key equals the series it is exported as, or is on the
+/// short list of keys that have no series (configuration and derived
+/// rates). A new `stats` field must be added to one of the two lists.
+fn assert_agrees(stats: &Value, text: &str) {
+    const SERIES: &[(&str, &str)] = &[
+        ("trials_executed", "nvpim_service_trials_executed_total"),
+        ("queue_depth", "nvpim_queue_depth"),
+        ("jobs_submitted", "nvpim_jobs_submitted_total"),
+        ("jobs_completed", "nvpim_jobs_completed_total"),
+        ("jobs_failed", "nvpim_jobs_failed_total"),
+        ("jobs_cancelled", "nvpim_jobs_cancelled_total"),
+        ("jobs_coalesced", "nvpim_jobs_coalesced_total"),
+        ("jobs_rejected", "nvpim_jobs_rejected_total"),
+        ("jobs_retried", "nvpim_job_retries_total"),
+        ("recovered_jobs", "nvpim_recovered_jobs_total"),
+        ("resumed_chunks", "nvpim_resumed_chunks_total"),
+        (
+            "journal_records_replayed",
+            "nvpim_journal_records_replayed_total",
+        ),
+        ("shards_executed", "nvpim_shards_executed_total"),
+        ("report_cache_entries", "nvpim_report_cache_entries"),
+        ("report_cache_hits", "nvpim_report_cache_hits_total"),
+        ("report_cache_misses", "nvpim_report_cache_misses_total"),
+        ("schedule_cache_hits", "nvpim_schedule_cache_hits_total"),
+        ("schedule_cache_compiles", "nvpim_schedule_compiles_total"),
+        ("estimator_jobs", "nvpim_estimator_jobs_total"),
+        ("accuracy_jobs", "nvpim_accuracy_jobs_total"),
+        (
+            "accuracy_trials_evaluated",
+            "nvpim_accuracy_trials_evaluated_total",
+        ),
+        (
+            "accuracy_trials_correct",
+            "nvpim_accuracy_trials_correct_total",
+        ),
+        ("clean_settled_trials", "nvpim_clean_settled_trials_total"),
+        ("clean_settled_batches", "nvpim_clean_settled_batches_total"),
+        ("estimator_redraws", "nvpim_estimator_redraws_total"),
+    ];
+    const NO_SERIES: &[&str] = &[
+        "workers",
+        "trials_per_sec",
+        "queue_capacity",
+        "schedule_cache_entries",
+        "queue_wait",
+        "run_latency",
+    ];
+    let Value::Object(fields) = stats else {
+        panic!("stats is not an object: {stats:?}");
+    };
+    for (key, _) in fields {
+        assert!(
+            SERIES.iter().any(|(field, _)| field == key) || NO_SERIES.contains(&key.as_str()),
+            "stats.{key} is neither mapped to a series nor listed as having none"
+        );
+    }
+    for (field, series) in SERIES {
+        assert_eq!(
+            stat(stats, field),
+            metric(text, series),
+            "stats.{field} disagrees with {series}"
+        );
+    }
+    for (field, series) in [
+        ("queue_wait", "nvpim_queue_wait_ns_count"),
+        ("run_latency", "nvpim_run_latency_ns_count"),
+    ] {
+        let count = stats.get(field).and_then(|s| s.get("count"));
+        assert_eq!(
+            count.and_then(Value::as_u64),
+            Some(metric(text, series)),
+            "stats.{field}.count disagrees with {series}"
+        );
+    }
+}
+
+/// Every sample's family has exactly one `# TYPE` line, and every `# TYPE`
+/// line has at least one sample. A summary's `_sum` and `_count` samples
+/// belong to the summary's family.
+fn assert_well_formed(text: &str) {
+    let mut types = std::collections::BTreeMap::<&str, usize>::new();
+    for line in text.lines() {
+        if let Some(rest) = line.strip_prefix("# TYPE ") {
+            *types.entry(rest.split(' ').next().unwrap()).or_default() += 1;
+        }
+    }
+    for (family, count) in &types {
+        assert_eq!(*count, 1, "{family} has {count} TYPE lines");
+    }
+    let family_of = |sample: &str| -> Option<String> {
+        let name = sample.split('{').next().unwrap();
+        [
+            name,
+            name.trim_end_matches("_sum"),
+            name.trim_end_matches("_count"),
+        ]
+        .into_iter()
+        .find(|f| types.contains_key(f))
+        .map(str::to_string)
+    };
+    let mut sampled = std::collections::BTreeSet::new();
+    for sample in sample_names(text) {
+        let family = family_of(&sample)
+            .unwrap_or_else(|| panic!("sample {sample} has no TYPE line:\n{text}"));
+        sampled.insert(family);
+    }
+    for family in types.keys() {
+        assert!(
+            sampled.contains(*family),
+            "TYPE {family} has no sample:\n{text}"
+        );
+    }
 }
 
 #[test]

@@ -53,21 +53,35 @@ pub struct CompiledKernel {
 }
 
 /// Schedule-cache key: the workload (a `Copy` enum — no per-lookup string
-/// allocation) plus the row layout's `(total, metadata, cells_per_value)`
-/// columns.
-type LayoutKey = (SweepWorkload, (usize, usize, usize));
+/// allocation), the campaign kind (an accuracy campaign runs a different
+/// netlist for the same workload) and the row layout's `(total, metadata,
+/// cells_per_value)` columns.
+type LayoutKey = (SweepWorkload, CampaignKind, (usize, usize, usize));
 
-/// Cache of compiled schedules keyed by `(workload, row layout)`.
+/// The row netlist a campaign of `kind` runs for `workload`: the
+/// workload's own netlist, or for accuracy campaigns the shared MAC chain
+/// every hidden neuron executes (it depends only on the weight width).
+fn campaign_netlist(workload: SweepWorkload, kind: CampaignKind) -> Netlist {
+    match kind {
+        CampaignKind::Error => workload.netlist(),
+        CampaignKind::Accuracy => {
+            mnist::row_netlist_with_terms(accuracy_weight_bits(workload), mnist::EVAL_PIXELS)
+        }
+    }
+}
+
+/// Cache of compiled schedules keyed by `(workload, campaign kind, row
+/// layout)`.
 ///
 /// Technologies never affect the layout, and distinct protection schemes
 /// frequently share one (e.g. every technology's ECiM design), so a
-/// campaign compiles far fewer schedules than it has points.
+/// campaign compiles far fewer schedules than it has points. The cache
+/// keeps no counters: each lookup records a compile or a hit into the
+/// telemetry sink it is given.
 #[derive(Debug, Default)]
 pub struct ScheduleCache {
     entries: HashMap<LayoutKey, Arc<CompiledKernel>>,
-    netlists: HashMap<SweepWorkload, Netlist>,
-    hits: u64,
-    compiles: u64,
+    netlists: HashMap<(SweepWorkload, CampaignKind), Netlist>,
 }
 
 impl ScheduleCache {
@@ -86,22 +100,11 @@ impl ScheduleCache {
         self.entries.is_empty()
     }
 
-    /// Lifetime count of lookups served from the cache without compiling.
-    ///
-    /// A long-running service shares one cache across every job, so this
-    /// counter (exposed through the service's `stats` command) is the
-    /// observable proof that resubmitted plans recompile nothing.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Lifetime count of lookups that had to compile a schedule.
-    pub fn compiles(&self) -> u64 {
-        self.compiles
-    }
-
-    /// Returns the compiled kernel for `(workload, config.row_layout())`,
-    /// compiling (and validating) it on first use.
+    /// Returns the compiled kernel a `kind` campaign runs for `workload`
+    /// under `config.row_layout()`, compiling (and validating) it on first
+    /// use. The lookup is timed into `telemetry` as a
+    /// [`Phase::ScheduleCompile`] or [`Phase::ScheduleCacheHit`] span and
+    /// counted as a compile or a hit.
     ///
     /// # Errors
     ///
@@ -111,11 +114,15 @@ impl ScheduleCache {
     pub fn get_or_compile(
         &mut self,
         workload: SweepWorkload,
+        kind: CampaignKind,
         config: &DesignConfig,
+        telemetry: &Telemetry,
     ) -> Result<Arc<CompiledKernel>, SweepError> {
+        let span = telemetry.span_start();
         let layout = config.row_layout();
         let key = (
             workload,
+            kind,
             (
                 layout.total_columns,
                 layout.metadata_columns,
@@ -123,17 +130,18 @@ impl ScheduleCache {
             ),
         );
         if let Some(kernel) = self.entries.get(&key) {
-            self.hits += 1;
+            telemetry.span_end(Phase::ScheduleCacheHit, span);
+            telemetry.add(TelemetryCounter::ScheduleCacheHits, 1);
             return Ok(Arc::clone(kernel));
         }
         // Netlist synthesis is itself cached: every layout of a workload
-        // shares one netlist build.
+        // shares one netlist build. The kernel's copy is taken after
+        // mapping, so mapping never holds two copies at once.
         let netlist = self
             .netlists
-            .entry(workload)
-            .or_insert_with(|| workload.netlist())
-            .clone();
-        let schedule = map_netlist(&netlist, layout).map_err(|err| SweepError::Map {
+            .entry((workload, kind))
+            .or_insert_with(|| campaign_netlist(workload, kind));
+        let schedule = map_netlist(netlist, layout).map_err(|err| SweepError::Map {
             workload: workload.name(),
             detail: err.to_string(),
         })?;
@@ -146,9 +154,13 @@ impl ScheduleCache {
                 ),
             });
         }
-        self.compiles += 1;
-        let kernel = Arc::new(CompiledKernel { netlist, schedule });
+        let kernel = Arc::new(CompiledKernel {
+            netlist: netlist.clone(),
+            schedule,
+        });
         self.entries.insert(key, Arc::clone(&kernel));
+        telemetry.span_end(Phase::ScheduleCompile, span);
+        telemetry.add(TelemetryCounter::ScheduleCompiles, 1);
         Ok(kernel)
     }
 }
@@ -261,8 +273,6 @@ const ACCURACY_IMAGE_STREAM: u64 = 0xACC0_1A6E_0DA7_A5E7;
 pub(crate) struct AccuracyContext {
     pub(crate) model: MnistAccuracyModel,
     pub(crate) baseline: MnistAccuracyBaseline,
-    /// The shared 49-term MAC netlist every hidden neuron executes.
-    pub(crate) netlist: Netlist,
     /// Row input bits, indexed `[image][neuron]`.
     inputs: Vec<Vec<Vec<bool>>>,
     /// Fault-free accumulator output bits, indexed `[image][neuron]`.
@@ -305,7 +315,6 @@ impl AccuracyContext {
         Self {
             model,
             baseline,
-            netlist,
             inputs,
             expected,
         }
@@ -502,9 +511,9 @@ pub fn derive_trial_seed(campaign_seed: u64, point_index: u64, trial_index: u64)
 }
 
 /// The `(input_rng_seed, fault_injector_seed)` pair a trial derives from
-/// its base seed — the engine's exact stream split, exposed so external
-/// trial reconstructions (e.g. the `trial_throughput` bench's legacy mode)
-/// replay the very same inputs and fault pattern as the engine path.
+/// its base seed — the engine's exact stream split, exposed so code
+/// outside the engine that rebuilds a trial replays the very same inputs
+/// and fault pattern as the engine path.
 pub fn trial_stream_seeds(base_seed: u64) -> (u64, u64) {
     (mix(base_seed ^ 0x1), mix(base_seed ^ 0x2))
 }
@@ -965,8 +974,12 @@ impl TrialHarness {
         config: DesignConfig,
         gate_error_rate: f64,
     ) -> Result<Self, SweepError> {
-        let mut cache = ScheduleCache::new();
-        let kernel = cache.get_or_compile(workload, &config)?;
+        let kernel = ScheduleCache::new().get_or_compile(
+            workload,
+            CampaignKind::Error,
+            &config,
+            &Telemetry::disabled(),
+        )?;
         let shape = WorkloadShape::new(workload.name(), 1, 1);
         let estimate = evaluate_schedule(&kernel.schedule, &shape, &config);
         let executor = Arc::new(ProtectedExecutor::new(config.clone()));
@@ -988,8 +1001,8 @@ impl TrialHarness {
     }
 
     /// Disables the analytic zero-fault fast path (and conditioning), so
-    /// every trial simulates in full — the pre-fast-path reference, used by
-    /// benches to measure the historical hot path.
+    /// every trial simulates in full — the reference benches and tests
+    /// compare the fast path against.
     pub fn without_analytic_fast_path(mut self) -> Self {
         self.ctx.clean = None;
         self.ctx.conditioned = false;
@@ -1189,13 +1202,7 @@ pub fn prepare_campaign_with_telemetry(
     telemetry.time(Phase::PlanValidation, || plan.validate())?;
     let mut points: Vec<PointContext> = Vec::with_capacity(plan.point_count());
     let mut layouts_used: Vec<*const CompiledKernel> = Vec::new();
-    // Accuracy campaigns compile their kernels outside the shared
-    // `ScheduleCache`: its keys are `(workload, layout)` and the accuracy
-    // netlist differs from the workload's error-campaign netlist, so sharing
-    // the cache would collide. The campaign-local maps below give accuracy
-    // points the same compile-once behaviour.
     let mut accuracy_contexts: HashMap<SweepWorkload, Arc<AccuracyContext>> = HashMap::new();
-    let mut accuracy_kernels: HashMap<LayoutKey, Arc<CompiledKernel>> = HashMap::new();
     for &workload in &plan.workloads {
         for &technology in &plan.technologies {
             for &protection in &plan.protections {
@@ -1212,68 +1219,7 @@ pub fn prepare_campaign_with_telemetry(
                 } else {
                     None
                 };
-                // Classify the lookup as a compile or a cache hit by the
-                // cache's own lifetime counters, so the span lands in the
-                // right phase even though the decision is the cache's.
-                let span = telemetry.span_start();
-                let kernel = if let Some(accuracy) = &accuracy {
-                    let layout = config.row_layout();
-                    let key = (
-                        workload,
-                        (
-                            layout.total_columns,
-                            layout.metadata_columns,
-                            layout.cells_per_value,
-                        ),
-                    );
-                    match accuracy_kernels.get(&key) {
-                        Some(kernel) => {
-                            let kernel = Arc::clone(kernel);
-                            telemetry.span_end(Phase::ScheduleCacheHit, span);
-                            telemetry.add(TelemetryCounter::ScheduleCacheHits, 1);
-                            kernel
-                        }
-                        None => {
-                            let schedule =
-                                map_netlist(&accuracy.netlist, layout).map_err(|err| {
-                                    SweepError::Map {
-                                        workload: workload.name(),
-                                        detail: err.to_string(),
-                                    }
-                                })?;
-                            if !schedule.is_directly_executable() {
-                                return Err(SweepError::NotDirectlyExecutable {
-                                    workload: workload.name(),
-                                    layout_label: format!(
-                                        "{} cols, {} metadata, {} cells/value",
-                                        layout.total_columns,
-                                        layout.metadata_columns,
-                                        layout.cells_per_value
-                                    ),
-                                });
-                            }
-                            let kernel = Arc::new(CompiledKernel {
-                                netlist: accuracy.netlist.clone(),
-                                schedule,
-                            });
-                            accuracy_kernels.insert(key, Arc::clone(&kernel));
-                            telemetry.span_end(Phase::ScheduleCompile, span);
-                            telemetry.add(TelemetryCounter::ScheduleCompiles, 1);
-                            kernel
-                        }
-                    }
-                } else {
-                    let compiles_before = cache.compiles();
-                    let kernel = cache.get_or_compile(workload, &config)?;
-                    if cache.compiles() > compiles_before {
-                        telemetry.span_end(Phase::ScheduleCompile, span);
-                        telemetry.add(TelemetryCounter::ScheduleCompiles, 1);
-                    } else {
-                        telemetry.span_end(Phase::ScheduleCacheHit, span);
-                        telemetry.add(TelemetryCounter::ScheduleCacheHits, 1);
-                    }
-                    kernel
-                };
+                let kernel = cache.get_or_compile(workload, plan.kind, &config, &telemetry)?;
                 let ptr = Arc::as_ptr(&kernel);
                 if !layouts_used.contains(&ptr) {
                     layouts_used.push(ptr);
@@ -2046,16 +1992,21 @@ mod tests {
             mul_bits: 4,
         };
         let mut cache = ScheduleCache::new();
+        let off = Telemetry::disabled();
         let a = cache
             .get_or_compile(
                 workload,
+                CampaignKind::Error,
                 &ProtectionConfig::ECIM.design_config(Technology::SttMram),
+                &off,
             )
             .unwrap();
         let b = cache
             .get_or_compile(
                 workload,
+                CampaignKind::Error,
                 &ProtectionConfig::ECIM.design_config(Technology::ReRam),
+                &off,
             )
             .unwrap();
         // Same layout → the exact same Arc, not a recompilation.
@@ -2065,7 +2016,9 @@ mod tests {
         let c = cache
             .get_or_compile(
                 workload,
+                CampaignKind::Error,
                 &ProtectionConfig::TRIM.design_config(Technology::SttMram),
+                &off,
             )
             .unwrap();
         assert!(!Arc::ptr_eq(&a, &c));
@@ -2083,8 +2036,14 @@ mod tests {
         };
         let protection = ProtectionConfig::ECIM;
         let config = protection.design_config(Technology::SttMram);
-        let mut cache = ScheduleCache::new();
-        let kernel = cache.get_or_compile(workload, &config).unwrap();
+        let kernel = ScheduleCache::new()
+            .get_or_compile(
+                workload,
+                CampaignKind::Error,
+                &config,
+                &Telemetry::disabled(),
+            )
+            .unwrap();
         let ctx = PointContext::new(
             workload,
             protection,
@@ -2386,16 +2345,55 @@ mod tests {
     fn warm_cache_preparation_compiles_nothing_and_reports_identically() {
         let plan = SweepPlan::quick();
         let mut cache = ScheduleCache::new();
-        let cold = prepare_campaign(&plan, &mut cache).unwrap();
-        let compiles_after_cold = cache.compiles();
+        let telemetry = Telemetry::new();
+        let lookups = |t: &Telemetry| {
+            let snap = t.snapshot();
+            (
+                snap.counter(TelemetryCounter::ScheduleCompiles),
+                snap.counter(TelemetryCounter::ScheduleCacheHits),
+            )
+        };
+        let cold = prepare_campaign_with_telemetry(&plan, &mut cache, telemetry.clone()).unwrap();
+        let (compiles_after_cold, hits_after_cold) = lookups(&telemetry);
         assert!(compiles_after_cold > 0);
-        assert_eq!(cache.hits() + cache.compiles(), 3); // one lookup per (wl, tech, prot)
+        assert_eq!(hits_after_cold + compiles_after_cold, 3); // one lookup per (wl, tech, prot)
 
-        let warm = prepare_campaign(&plan, &mut cache).unwrap();
-        assert_eq!(cache.compiles(), compiles_after_cold, "no recompilation");
+        let warm = prepare_campaign_with_telemetry(&plan, &mut cache, telemetry.clone()).unwrap();
+        let (compiles, hits) = lookups(&telemetry);
+        assert_eq!(compiles, compiles_after_cold, "no recompilation");
+        assert_eq!(hits, hits_after_cold + 3);
         // `schedules_compiled` in the report reflects schedules *used*, so
         // warm and cold runs emit byte-identical JSON.
         assert_eq!(cold.run().unwrap().to_json(), warm.run().unwrap().to_json());
+    }
+
+    #[test]
+    fn accuracy_kernels_compile_once_per_cache_not_per_campaign() {
+        let mut cache = ScheduleCache::new();
+        let telemetry = Telemetry::new();
+        let mut plan = SweepPlan::accuracy_quick();
+        plan.seeds_per_point = 1;
+        let first = prepare_campaign_with_telemetry(&plan, &mut cache, telemetry.clone()).unwrap();
+        let compiles = telemetry
+            .snapshot()
+            .counter(TelemetryCounter::ScheduleCompiles);
+        assert!(compiles > 0);
+        plan.campaign_seed ^= 1;
+        let second = prepare_campaign_with_telemetry(&plan, &mut cache, telemetry.clone()).unwrap();
+        assert_eq!(
+            telemetry
+                .snapshot()
+                .counter(TelemetryCounter::ScheduleCompiles),
+            compiles,
+            "a second accuracy campaign reuses the cached kernels"
+        );
+        // Schedules used stay a per-campaign figure.
+        assert_eq!(first.schedules_used, second.schedules_used);
+        // The error-campaign kernel of the same workload is a separate entry.
+        let entries = cache.len();
+        plan.kind = CampaignKind::Error;
+        prepare_campaign(&plan, &mut cache).unwrap();
+        assert!(cache.len() > entries);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!
 //! * [`plan::SweepPlan`] — the cartesian product of workload × technology ×
 //!   protection scheme (× gate style) × gate-error-rate grid, times N seeds;
-//! * [`engine::ScheduleCache`] — compiled `(netlist, layout)` schedules are
+//! * [`engine::ScheduleCache`] — compiled `(workload, kind, layout)` schedules are
 //!   shared by every trial instead of recompiled per trial;
 //! * [`engine::run_campaign`] — expands the plan into independent trials,
 //!   runs them in parallel via `rayon` with per-trial `ChaCha8Rng` seeds

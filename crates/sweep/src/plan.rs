@@ -254,7 +254,7 @@ impl std::str::FromStr for EstimatorMode {
 /// prediction. Per-point reports gain an `accuracy` block (task accuracy,
 /// top-1 delta vs the clean baseline, Wilson interval) next to the error
 /// counters, and `schema_version` bumps to 3.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum CampaignKind {
     /// Fault/error-counter campaign over random operand vectors (the
     /// historical behaviour; serialized plans omit the key).

@@ -48,19 +48,36 @@ pub fn render_prometheus(snapshot: &TelemetrySnapshot) -> String {
         );
     }
 
+    let mut family = "";
     for counter in Counter::ALL {
-        let name = counter.name();
-        let _ = writeln!(out, "# HELP {PREFIX}_{name}_total Event counter.");
-        let _ = writeln!(out, "# TYPE {PREFIX}_{name}_total counter");
-        let _ = writeln!(out, "{PREFIX}_{name}_total {}", snapshot.counter(counter));
+        if counter.family() != family {
+            family = counter.family();
+            let _ = writeln!(out, "# HELP {PREFIX}_{family}_total {}", counter.help());
+            let _ = writeln!(out, "# TYPE {PREFIX}_{family}_total counter");
+        }
+        let value = snapshot.counter(counter);
+        match counter.label() {
+            Some((label, v)) => {
+                let _ = writeln!(out, "{PREFIX}_{family}_total{{{label}=\"{v}\"}} {value}");
+            }
+            None => {
+                let _ = writeln!(out, "{PREFIX}_{family}_total {value}");
+            }
+        }
     }
 
-    if !snapshot.labeled.is_empty() {
-        let _ = writeln!(out, "# HELP {PREFIX}_labeled_total Labeled event counters.");
-        let _ = writeln!(out, "# TYPE {PREFIX}_labeled_total counter");
-        for (key, value) in &snapshot.labeled {
-            let _ = writeln!(out, "{PREFIX}_{key} {value}");
+    // Labeled keys render as `family{label="value"}`; keys of one family
+    // share the `family{` prefix, so they are adjacent in key order.
+    let mut family = "";
+    for (key, value) in &snapshot.labeled {
+        let (name, labels) = key.split_once('{').unwrap_or((key, ""));
+        if name != family {
+            family = name;
+            let label = labels.split_once('=').map_or("", |(label, _)| label);
+            let _ = writeln!(out, "# HELP {PREFIX}_{name} Event counter by {label}.");
+            let _ = writeln!(out, "# TYPE {PREFIX}_{name} counter");
         }
+        let _ = writeln!(out, "{PREFIX}_{key} {value}");
     }
 
     for (name, hist) in &snapshot.histograms {
@@ -87,6 +104,7 @@ pub fn render_prometheus(snapshot: &TelemetrySnapshot) -> String {
 mod tests {
     use super::*;
     use crate::Telemetry;
+    use std::collections::{BTreeMap, BTreeSet};
 
     #[test]
     fn exposition_contains_core_series_and_is_deterministic() {
@@ -115,7 +133,56 @@ mod tests {
             assert!(text.contains(&format!("phase=\"{}\"", phase.name())));
         }
         for counter in Counter::ALL {
-            assert!(text.contains(&format!("nvpim_{}_total 0", counter.name())));
+            let series = match counter.label() {
+                Some((label, value)) => {
+                    format!("nvpim_{}_total{{{label}=\"{value}\"}} 0", counter.family())
+                }
+                None => format!("nvpim_{}_total 0", counter.family()),
+            };
+            assert!(text.contains(&series), "{series} missing");
+        }
+    }
+
+    /// Every sample belongs to exactly one `# TYPE` family, and every
+    /// `# TYPE` family has at least one sample (summary `_sum`/`_count`
+    /// samples belong to their summary's family).
+    #[test]
+    fn every_family_has_one_type_line_and_a_sample() {
+        let tel = Telemetry::new();
+        tel.add_labeled("trials_by_scheme", "scheme", "trim", 12);
+        tel.add_labeled("trials_by_scheme", "scheme", "ecim", 3);
+        tel.add_labeled("fleet_worker_trials", "worker", "a:1", 5);
+        tel.record_histogram("queue_wait_ns", 900);
+        let text = tel.render_prometheus();
+        let mut types: BTreeMap<&str, usize> = BTreeMap::new();
+        let mut sampled: BTreeSet<&str> = BTreeSet::new();
+        for line in text.lines() {
+            if let Some(rest) = line.strip_prefix("# TYPE ") {
+                *types.entry(rest.split(' ').next().unwrap()).or_default() += 1;
+            } else if !line.starts_with('#') {
+                let name = line.split(['{', ' ']).next().unwrap();
+                sampled.insert(name);
+            }
+        }
+        assert!(types.values().all(|&n| n == 1), "duplicate TYPE: {types:?}");
+        for name in &sampled {
+            let family = [
+                *name,
+                name.trim_end_matches("_sum"),
+                name.trim_end_matches("_count"),
+            ];
+            assert!(
+                family.iter().any(|f| types.contains_key(f)),
+                "{name} has no TYPE line"
+            );
+        }
+        for family in types.keys() {
+            assert!(
+                sampled.iter().any(|s| s == family
+                    || s.strip_prefix(family)
+                        .is_some_and(|r| r == "_sum" || r == "_count")),
+                "TYPE {family} has no sample"
+            );
         }
     }
 }

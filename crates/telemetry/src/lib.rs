@@ -40,7 +40,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Shared recording state behind an enabled [`Telemetry`] handle.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct Shared {
     phase_count: [AtomicU64; PHASE_COUNT],
     phase_nanos: [AtomicU64; PHASE_COUNT],
@@ -52,6 +52,19 @@ struct Shared {
     /// Named latency histograms (e.g. queue wait, job run latency),
     /// recorded per job.
     histograms: Mutex<BTreeMap<&'static str, Histogram>>,
+}
+
+// Arrays longer than 32 have no derived `Default`.
+impl Default for Shared {
+    fn default() -> Self {
+        Self {
+            phase_count: Default::default(),
+            phase_nanos: Default::default(),
+            counters: [const { AtomicU64::new(0) }; COUNTER_COUNT],
+            labeled: Mutex::default(),
+            histograms: Mutex::default(),
+        }
+    }
 }
 
 /// A cheap, clonable handle to a telemetry sink.
@@ -227,7 +240,7 @@ impl Telemetry {
 /// the end of every parallel chunk (the rayon `map_init` state is dropped
 /// when the chunk's collect finishes). The shared sink therefore sees one
 /// fold per thread per chunk, never one write per trial.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct LocalTelemetry {
     sink: Telemetry,
     enabled: bool,
@@ -252,7 +265,7 @@ impl LocalTelemetry {
     /// Creates a disabled accumulator (all operations no-ops).
     #[must_use]
     pub fn disabled() -> Self {
-        Self::default()
+        Self::new(&Telemetry::disabled())
     }
 
     /// Whether this accumulator records anything.
@@ -305,6 +318,12 @@ impl LocalTelemetry {
     }
 }
 
+impl Default for LocalTelemetry {
+    fn default() -> Self {
+        Self::disabled()
+    }
+}
+
 impl Drop for LocalTelemetry {
     fn drop(&mut self) {
         self.flush();
@@ -312,7 +331,7 @@ impl Drop for LocalTelemetry {
 }
 
 /// A point-in-time copy of everything a [`Telemetry`] sink has recorded.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct TelemetrySnapshot {
     /// Completed span counts per phase, indexed by [`Phase::index`].
     pub phase_count: [u64; PHASE_COUNT],
@@ -324,6 +343,18 @@ pub struct TelemetrySnapshot {
     pub labeled: BTreeMap<String, u64>,
     /// Named latency histograms.
     pub histograms: BTreeMap<String, Histogram>,
+}
+
+impl Default for TelemetrySnapshot {
+    fn default() -> Self {
+        Self {
+            phase_count: [0; PHASE_COUNT],
+            phase_nanos: [0; PHASE_COUNT],
+            counters: [0; COUNTER_COUNT],
+            labeled: BTreeMap::new(),
+            histograms: BTreeMap::new(),
+        }
+    }
 }
 
 impl TelemetrySnapshot {
