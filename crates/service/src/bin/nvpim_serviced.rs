@@ -10,11 +10,15 @@
 //! Binds the address (default `127.0.0.1:7171`; use port `0` for an
 //! OS-assigned port), prints `nvpim-serviced listening on <addr>`, and
 //! serves the NDJSON protocol until a client sends `{"cmd":"shutdown"}`.
+//! A shutdown drains: running campaigns stop at their next checkpoint,
+//! queued ones never start, and the daemon exits within
+//! `--shutdown-grace-ms` (default 5000).
 //!
 //! With `--state-dir`, the daemon keeps a durable job journal and a
 //! disk-backed report store under that directory and recovers jobs —
 //! including in-flight campaigns, resumed from their last checkpoint — on
-//! restart. `--checkpoint-ms` sets how often a running campaign
+//! restart, drained ones included. Without it, the jobs a shutdown stops
+//! end `cancelled`. `--checkpoint-ms` sets how often a running campaign
 //! checkpoints (the crash-loss window); see `docs/robustness.md`.
 
 use nvpim_service::flags::value_of;
@@ -53,10 +57,10 @@ fn main() {
              --journal-fsync-every N fsync the journal every N records; 0 = never (default 1)\n  \
              --max-trials-per-job N  reject plans (and shard ranges) over N trials with\n                          \
              `plan_too_large` (default 10000000000)\n  \
-             --shutdown-grace-ms N   graceful drain: shutdown stops in-flight jobs at their\n                          \
-             next checkpoint and exits within ~N ms, leaving queued and\n                          \
-             in-flight jobs in the journal for restart resume (default:\n                          \
-             run every queued job to completion before exiting)"
+             --shutdown-grace-ms N   shutdown drains: running jobs stop at their next checkpoint,\n                          \
+             queued jobs never start, and the daemon exits within ~N ms;\n                          \
+             with --state-dir they resume on restart, without it they\n                          \
+             end cancelled (default 5000)"
         );
         return;
     }
@@ -99,12 +103,11 @@ fn main() {
             "--journal-fsync-every",
             defaults.journal_fsync_records as usize,
         ) as u64,
-        shutdown_grace_ms: value_of(&args, "--shutdown-grace-ms").map(|text| {
-            text.parse().unwrap_or_else(|_| {
-                eprintln!("nvpim-serviced: --shutdown-grace-ms expects a number, got `{text}`");
-                std::process::exit(2);
-            })
-        }),
+        shutdown_grace_ms: numeric_arg(
+            &args,
+            "--shutdown-grace-ms",
+            defaults.shutdown_grace_ms as usize,
+        ) as u64,
         ..defaults
     };
     let service = ServiceHandle::start(cfg);

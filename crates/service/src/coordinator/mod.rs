@@ -495,10 +495,7 @@ mod tests {
     #[test]
     fn draining_worker_is_unschedulable_not_fatal() {
         let (addr_live, _svc_live) = spawn_daemon(ServiceConfig::default());
-        let (addr_drain, svc_drain) = spawn_daemon(ServiceConfig {
-            shutdown_grace_ms: Some(2_000),
-            ..ServiceConfig::default()
-        });
+        let (addr_drain, svc_drain) = spawn_daemon(ServiceConfig::default());
         svc_drain.begin_drain();
         let plan = tiny_plan();
         let baseline = nvpim_sweep::run_campaign(&plan).expect("baseline runs");

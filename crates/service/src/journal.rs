@@ -37,6 +37,7 @@
 //! replaced per-trial `outcomes` arrays — is discarded on its own and
 //! replay continues.
 
+use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{self, BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
@@ -360,6 +361,7 @@ pub fn replay(path: &Path) -> io::Result<Replay> {
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(out),
         Err(e) => return Err(e),
     };
+    let mut jobs = ReplayedJobs::default();
     let reader = BufReader::new(file);
     for line in reader.lines() {
         let line = line?;
@@ -373,7 +375,7 @@ pub fn replay(path: &Path) -> io::Result<Replay> {
             break;
         };
         let applied = match JournalRecord::from_value(&value) {
-            Ok(record) => apply(&mut out.jobs, record),
+            Ok(record) => apply(&mut jobs, record),
             Err(_) => false,
         };
         if applied {
@@ -382,13 +384,29 @@ pub fn replay(path: &Path) -> io::Result<Replay> {
             out.records_discarded += 1;
         }
     }
+    out.jobs = jobs.jobs;
     out.next_id = out.jobs.iter().map(|j| j.id + 1).max().unwrap_or(1);
     Ok(out)
 }
 
+/// The jobs reconstructed so far, in submit order, indexed by id so each
+/// record finds its job in constant time.
+#[derive(Default)]
+struct ReplayedJobs {
+    jobs: Vec<ReplayedJob>,
+    /// Job id → position in `jobs`.
+    index: HashMap<u64, usize>,
+}
+
+impl ReplayedJobs {
+    fn get_mut(&mut self, job: u64) -> Option<&mut ReplayedJob> {
+        self.index.get(&job).map(|&at| &mut self.jobs[at])
+    }
+}
+
 /// Applies one record to the reconstructed job list. Returns whether the
 /// record was accepted.
-fn apply(jobs: &mut Vec<ReplayedJob>, record: JournalRecord) -> bool {
+fn apply(jobs: &mut ReplayedJobs, record: JournalRecord) -> bool {
     match record {
         JournalRecord::Submit {
             job,
@@ -397,10 +415,11 @@ fn apply(jobs: &mut Vec<ReplayedJob>, record: JournalRecord) -> bool {
             trials_total,
             plan_json,
         } => {
-            if jobs.iter().any(|j| j.id == job) {
+            if jobs.index.contains_key(&job) {
                 return false; // duplicate submit: first wins
             }
-            jobs.push(ReplayedJob {
+            jobs.index.insert(job, jobs.jobs.len());
+            jobs.jobs.push(ReplayedJob {
                 id: job,
                 digest,
                 priority,
@@ -413,7 +432,7 @@ fn apply(jobs: &mut Vec<ReplayedJob>, record: JournalRecord) -> bool {
             });
             true
         }
-        JournalRecord::Start { job } => match jobs.iter_mut().find(|j| j.id == job) {
+        JournalRecord::Start { job } => match jobs.get_mut(job) {
             Some(j) => {
                 j.started = true;
                 true
@@ -425,7 +444,7 @@ fn apply(jobs: &mut Vec<ReplayedJob>, record: JournalRecord) -> bool {
             trials_done,
             tallies,
         } => {
-            let Some(j) = jobs.iter_mut().find(|j| j.id == job) else {
+            let Some(j) = jobs.get_mut(job) else {
                 return false;
             };
             let expected = j.tallies.trials().saturating_add(tallies.trials());
@@ -444,8 +463,8 @@ fn apply(jobs: &mut Vec<ReplayedJob>, record: JournalRecord) -> bool {
     }
 }
 
-fn set_terminal(jobs: &mut [ReplayedJob], job: u64, terminal: ReplayedTerminal) -> bool {
-    match jobs.iter_mut().find(|j| j.id == job) {
+fn set_terminal(jobs: &mut ReplayedJobs, job: u64, terminal: ReplayedTerminal) -> bool {
+    match jobs.get_mut(job) {
         Some(j) if j.terminal.is_none() => {
             j.terminal = Some(terminal);
             true
@@ -550,9 +569,65 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
     }
 
+    /// Replay finds each record's job by id in constant time: replaying
+    /// 2N `submit`/`start`/`done` triples costs about twice N, not four
+    /// times. A ratio of medians, so the bound holds on a slow host.
+    #[test]
+    fn replay_time_grows_linearly_with_the_journal() {
+        const N: u64 = 2_000;
+        let dir = std::env::temp_dir().join(format!("nvpim-journal-linear-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let write = |jobs: u64, name: &str| {
+            let path = dir.join(name);
+            let mut text = String::new();
+            for job in 1..=jobs {
+                for record in [
+                    JournalRecord::Submit {
+                        job,
+                        digest: format!("{job:064x}"),
+                        priority: 0,
+                        trials_total: 1,
+                        plan_json: "{}".into(),
+                    },
+                    JournalRecord::Start { job },
+                    JournalRecord::Done { job },
+                ] {
+                    text.push_str(&record.to_line());
+                    text.push('\n');
+                }
+            }
+            std::fs::write(&path, text).unwrap();
+            path
+        };
+        let (small, large) = (write(N, "small.journal"), write(2 * N, "large.journal"));
+        let time = |path: &Path, jobs: u64| {
+            let started = std::time::Instant::now();
+            let replay = replay(path).unwrap();
+            let elapsed = started.elapsed();
+            assert_eq!(replay.records_replayed, 3 * jobs);
+            elapsed
+        };
+        let (mut small_runs, mut large_runs) = (Vec::new(), Vec::new());
+        for _ in 0..3 {
+            small_runs.push(time(&small, N));
+            large_runs.push(time(&large, 2 * N));
+        }
+        small_runs.sort();
+        large_runs.sort();
+        let ratio = large_runs[1].as_secs_f64() / small_runs[1].as_secs_f64();
+        let _ = std::fs::remove_dir_all(&dir);
+        assert!(
+            ratio <= 2.5,
+            "replaying {} jobs took {ratio:.2}x the time of {N} ({:?} vs {:?})",
+            2 * N,
+            large_runs[1],
+            small_runs[1]
+        );
+    }
+
     #[test]
     fn inconsistent_chunks_and_duplicate_terminals_are_discarded() {
-        let mut jobs = Vec::new();
+        let mut jobs = ReplayedJobs::default();
         assert!(apply(
             &mut jobs,
             JournalRecord::Submit {
@@ -572,7 +647,7 @@ mod tests {
                 tallies: tallies(1),
             },
         ));
-        assert!(jobs[0].tallies.is_empty());
+        assert!(jobs.jobs[0].tallies.is_empty());
         // Chunk for an unknown job: rejected.
         assert!(!apply(
             &mut jobs,
@@ -592,7 +667,7 @@ mod tests {
         ));
         assert!(!apply(&mut jobs, JournalRecord::Done { job: 1 }));
         assert_eq!(
-            jobs[0].terminal,
+            jobs.jobs[0].terminal,
             Some(ReplayedTerminal::Failed("boom".into()))
         );
     }

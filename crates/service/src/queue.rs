@@ -4,7 +4,8 @@
 //! (the caller gets its item back) instead of blocking the submitting
 //! connection — the service turns that into a structured `queue_full`
 //! error, which is the backpressure signal clients act on. Workers block
-//! on [`BoundedPriorityQueue::pop`] until an item or queue closure arrives.
+//! on [`BoundedPriorityQueue::pop`] until an item arrives or the queue is
+//! abandoned.
 //!
 //! Ordering: higher priority first; equal priorities are FIFO (by
 //! submission sequence number), so a stream of same-priority jobs is
@@ -47,11 +48,8 @@ impl<T> Ord for Entry<T> {
 struct Inner<T> {
     heap: BinaryHeap<Entry<T>>,
     next_seq: u64,
-    closed: bool,
     /// Abandoned queues refuse pushes *and* hand out nothing: `pop`
-    /// returns `None` immediately even with items still queued. The
-    /// graceful-drain mode — queued jobs stay journaled for replay
-    /// instead of running to completion before exit.
+    /// returns `None` immediately even with items still queued.
     abandoned: bool,
 }
 
@@ -88,7 +86,6 @@ impl<T> BoundedPriorityQueue<T> {
             inner: Mutex::new(Inner {
                 heap: BinaryHeap::new(),
                 next_seq: 0,
-                closed: false,
                 abandoned: false,
             }),
             not_empty: Condvar::new(),
@@ -116,10 +113,10 @@ impl<T> BoundedPriorityQueue<T> {
     /// # Errors
     ///
     /// Returns the item back when the queue is full (backpressure) or
-    /// closed, without blocking.
+    /// abandoned, without blocking.
     pub fn try_push(&self, item: T, priority: u8) -> Result<(), T> {
         let mut inner = self.lock_inner();
-        if inner.closed || inner.heap.len() >= self.capacity {
+        if inner.abandoned || inner.heap.len() >= self.capacity {
             return Err(item);
         }
         let seq = inner.next_seq;
@@ -135,7 +132,7 @@ impl<T> BoundedPriorityQueue<T> {
     }
 
     /// Blocks until an item is available (returning the highest-priority
-    /// one) or the queue is closed and drained (returning `None`).
+    /// one) or the queue is abandoned (returning `None`).
     pub fn pop(&self) -> Option<T> {
         let mut inner = self.lock_inner();
         loop {
@@ -145,9 +142,6 @@ impl<T> BoundedPriorityQueue<T> {
             if let Some(entry) = inner.heap.pop() {
                 return Some(entry.item);
             }
-            if inner.closed {
-                return None;
-            }
             inner = self
                 .not_empty
                 .wait(inner)
@@ -155,23 +149,12 @@ impl<T> BoundedPriorityQueue<T> {
         }
     }
 
-    /// Closes the queue: further pushes fail, and blocked/future `pop`s
-    /// return `None` once the heap drains.
-    pub fn close(&self) {
-        self.lock_inner().closed = true;
-        self.not_empty.notify_all();
-    }
-
-    /// Closes *and abandons* the queue: further pushes fail and every
-    /// `pop` — blocked or future — returns `None` immediately, leaving
-    /// queued items unserved. Drain mode: abandoned items are already in
-    /// the write-ahead journal, so a restart replays them instead of this
-    /// process running them to completion.
+    /// Closes the queue for good: further pushes fail and every `pop` —
+    /// blocked or future — returns `None` immediately, leaving queued
+    /// items unserved. The service's stop: its owner either leaves them
+    /// to journal replay or cancels them.
     pub fn abandon(&self) {
-        let mut inner = self.lock_inner();
-        inner.closed = true;
-        inner.abandoned = true;
-        drop(inner);
+        self.lock_inner().abandoned = true;
         self.not_empty.notify_all();
     }
 }
@@ -187,11 +170,10 @@ mod tests {
         q.try_push("low-1", 1).unwrap();
         q.try_push("high", 5).unwrap();
         q.try_push("low-2", 1).unwrap();
-        q.close();
         assert_eq!(q.pop(), Some("high"));
         assert_eq!(q.pop(), Some("low-1"));
         assert_eq!(q.pop(), Some("low-2"));
-        assert_eq!(q.pop(), None);
+        assert!(q.is_empty());
     }
 
     #[test]
@@ -202,7 +184,7 @@ mod tests {
         assert_eq!(q.try_push(3, 9), Err(3));
         assert_eq!(q.pop(), Some(1));
         q.try_push(3, 0).unwrap();
-        q.close();
+        q.abandon();
         assert_eq!(q.try_push(4, 0), Err(4));
     }
 
@@ -216,14 +198,6 @@ mod tests {
         assert_eq!(q.len(), 2);
         assert_eq!(q.pop(), None);
         assert_eq!(q.try_push(3, 0), Err(3));
-
-        // A blocked pop wakes up with None too.
-        let q = Arc::new(BoundedPriorityQueue::<u32>::new(4));
-        let q2 = Arc::clone(&q);
-        let handle = std::thread::spawn(move || q2.pop());
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        q.abandon();
-        assert_eq!(handle.join().unwrap(), None);
     }
 
     #[test]
@@ -238,7 +212,7 @@ mod tests {
         let q3 = Arc::clone(&q);
         let handle = std::thread::spawn(move || q3.pop());
         std::thread::sleep(std::time::Duration::from_millis(20));
-        q.close();
+        q.abandon();
         assert_eq!(handle.join().unwrap(), None);
     }
 }

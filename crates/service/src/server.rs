@@ -88,16 +88,18 @@ fn handle_connection(service: ServiceHandle, stream: TcpStream, self_addr: std::
                 match outcome {
                     Ok(Outcome::Continue) => {}
                     Ok(Outcome::Shutdown) => {
-                        // Graceful drain when a grace budget is configured,
-                        // legacy run-everything shutdown otherwise. In drain
-                        // mode the daemon keeps serving other connections
-                        // (ping answers `draining: true`) while workers
-                        // checkpoint; `finish_stop` blocks this connection
-                        // thread until the stop completes and flips
+                        // The daemon keeps serving other connections (ping
+                        // answers `draining: true`) while workers
+                        // checkpoint; `shutdown` blocks this connection
+                        // thread until the drain completes and flips
                         // `shutting_down`, after which the accept loop can
                         // observe it and exit.
-                        service.begin_stop();
-                        service.finish_stop();
+                        if !service.shutdown() {
+                            eprintln!(
+                                "nvpim-serviced: drain grace elapsed with a worker still \
+                                 mid-task; exiting without it"
+                            );
+                        }
                         // Wake the accept loop so it can observe the flag.
                         // A wildcard bind address (0.0.0.0 / ::) is not
                         // connectable everywhere — dial loopback instead.
@@ -122,8 +124,8 @@ fn handle_connection(service: ServiceHandle, stream: TcpStream, self_addr: std::
     }
 }
 
-/// Serves connections on `listener` until a `shutdown` request arrives,
-/// then drains and joins the service's worker pool.
+/// Serves connections on `listener` until a `shutdown` request has
+/// drained the service's worker pool.
 ///
 /// # Errors
 ///
@@ -135,15 +137,17 @@ pub fn serve(service: &ServiceHandle, listener: TcpListener) -> std::io::Result<
         if service.is_shutting_down() {
             break;
         }
-        match stream {
-            Ok(stream) => {
-                let service = service.clone();
-                std::thread::spawn(move || handle_connection(service, stream, self_addr));
-            }
-            Err(_) => continue,
+        let Ok(stream) = stream else { continue };
+        let connection = service.clone();
+        // A refused thread costs this one connection (the stream drops
+        // with the closure), never the accept loop.
+        if let Err(err) = std::thread::Builder::new()
+            .name("nvpim-conn".to_string())
+            .spawn(move || handle_connection(connection, stream, self_addr))
+        {
+            eprintln!("nvpim-serviced: cannot start a connection thread ({err}); dropped it");
         }
     }
-    service.finish_stop();
     Ok(())
 }
 

@@ -18,7 +18,7 @@ use nvpim_sweep::{
 use nvpim_telemetry::{Counter, EventLog, Phase, Telemetry};
 use serde::{Serialize, Value};
 
-use crate::job::{JobCore, JobId, JobState};
+use crate::job::{CancelOutcome, JobCore, JobId, JobState};
 use crate::journal::{self, Journal, JournalRecord, ReplayedTerminal};
 use crate::queue::BoundedPriorityQueue;
 use crate::store::ReportStore;
@@ -91,16 +91,16 @@ pub struct ServiceConfig {
     /// the [`ScalarBackend`](nvpim_sweep::ScalarBackend) oracle or
     /// fault-injecting fakes (the chaos suite's panicking backend).
     pub execution_backend: Option<&'static dyn ExecutionBackend>,
-    /// Graceful-drain budget for shutdown. `None` (the default) keeps the
-    /// legacy behaviour: shutdown runs every queued job to completion
-    /// before exiting. `Some(ms)` switches shutdown to a *drain*: new
-    /// work is rejected, running jobs stop at their next checkpoint
-    /// (their checkpoints already journaled), queued jobs are abandoned
-    /// to journal replay, and the daemon exits within roughly this budget
-    /// even if a job is wedged. Health probes (`ping`) report
-    /// `draining: true` throughout so fleet coordinators treat the node
-    /// as unschedulable rather than dead.
-    pub shutdown_grace_ms: Option<u64>,
+    /// Drain budget of [`ServiceHandle::shutdown`], in milliseconds. A
+    /// stop rejects new work, abandons queued jobs and stops running ones
+    /// at their next checkpoint, then waits at most this long for the
+    /// workers to exit, so the daemon exits within roughly this budget
+    /// even if a job is wedged. With a state dir the stopped jobs stay in
+    /// flight in the journal and resume on restart; without one they are
+    /// cancelled. Health probes (`ping`) report `draining: true`
+    /// throughout so fleet coordinators treat the node as unschedulable
+    /// rather than dead.
+    pub shutdown_grace_ms: u64,
 }
 
 impl Default for ServiceConfig {
@@ -118,7 +118,7 @@ impl Default for ServiceConfig {
             retry_backoff_ms: 50,
             journal_fsync_records: 1,
             execution_backend: None,
-            shutdown_grace_ms: None,
+            shutdown_grace_ms: DEFAULT_SHUTDOWN_GRACE_MS,
         }
     }
 }
@@ -131,6 +131,10 @@ pub const DEFAULT_CHECKPOINT_MS: u64 = 250;
 /// Default [`ServiceConfig::max_trials_per_job`]: ten billion trials, hours
 /// of compute on one daemon and far beyond the paper's campaigns.
 pub const DEFAULT_MAX_TRIALS_PER_JOB: u64 = 10_000_000_000;
+
+/// Default [`ServiceConfig::shutdown_grace_ms`]: twenty default checkpoint
+/// intervals, ample for every running job to reach its next checkpoint.
+pub const DEFAULT_SHUTDOWN_GRACE_MS: u64 = 5_000;
 
 /// What `submit` tells the client about its new job.
 #[derive(Debug, Clone, Serialize)]
@@ -502,7 +506,7 @@ impl ServiceHandle {
     /// [`ServiceError::Overloaded`].
     pub fn submit(&self, plan: SweepPlan, priority: u8) -> Result<SubmitOutcome, ServiceError> {
         let inner = &self.inner;
-        if inner.shutting_down.load(Ordering::SeqCst) || inner.draining.load(Ordering::SeqCst) {
+        if inner.draining.load(Ordering::SeqCst) {
             return Err(ServiceError::ShuttingDown);
         }
         plan.validate().map_err(ServiceError::InvalidPlan)?;
@@ -606,13 +610,11 @@ impl ServiceHandle {
                 // would resurrect a job the client was told to retry.
                 inner.journal_append(&JournalRecord::Cancelled { job: id });
                 drop(active);
-                if inner.shutting_down.load(Ordering::SeqCst)
-                    || inner.draining.load(Ordering::SeqCst)
-                {
+                if inner.draining.load(Ordering::SeqCst) {
                     return Err(ServiceError::ShuttingDown);
                 }
                 // Only genuine backpressure counts as a rejection; a push
-                // refused by a closing queue is a shutdown, not load-shed.
+                // refused by an abandoned queue is a stop, not load-shed.
                 inner.telemetry.add(Counter::JobsRejected, 1);
                 return Err(ServiceError::Overloaded {
                     retry_after_ms: overload_retry_hint_ms(inner),
@@ -713,7 +715,6 @@ impl ServiceHandle {
     ///
     /// [`ServiceError::UnknownJob`].
     pub fn cancel(&self, job: JobId) -> Result<bool, ServiceError> {
-        use crate::job::CancelOutcome;
         let core = self.job(job).ok_or(ServiceError::UnknownJob(job))?;
         match core.request_cancel() {
             CancelOutcome::AlreadyTerminal => Ok(false),
@@ -827,7 +828,7 @@ impl ServiceHandle {
     ///
     /// # Errors
     ///
-    /// [`ServiceError::ShuttingDown`] while draining or shutting down,
+    /// [`ServiceError::ShuttingDown`] once a stop has begun,
     /// [`ServiceError::InvalidPlan`], [`ServiceError::PlanTooLarge`] for a
     /// range over the admission budget, [`ServiceError::BadShard`] for bad
     /// ranges, and [`ServiceError::JobCancelled`] when the observer cancels.
@@ -839,7 +840,7 @@ impl ServiceHandle {
         mut observer: impl FnMut(ChunkCheckpoint<'_>) -> CampaignControl,
     ) -> Result<Tallies, ServiceError> {
         let inner = &self.inner;
-        if inner.shutting_down.load(Ordering::SeqCst) || inner.draining.load(Ordering::SeqCst) {
+        if inner.draining.load(Ordering::SeqCst) {
             return Err(ServiceError::ShuttingDown);
         }
         plan.validate().map_err(ServiceError::InvalidPlan)?;
@@ -878,54 +879,60 @@ impl ServiceHandle {
         }
     }
 
-    /// Whether shutdown has begun.
+    /// Whether a stop has finished draining: the daemon stops serving.
     pub fn is_shutting_down(&self) -> bool {
         self.inner.shutting_down.load(Ordering::SeqCst)
     }
 
-    /// Whether the service is draining (bounded graceful exit in
-    /// progress): still answering reads, accepting no new work.
+    /// Whether a stop has begun: the service still answers reads but
+    /// accepts no new work.
     pub fn is_draining(&self) -> bool {
         self.inner.draining.load(Ordering::SeqCst)
     }
 
-    /// The configured graceful-drain budget, if any.
-    pub fn shutdown_grace(&self) -> Option<Duration> {
-        self.inner.cfg.shutdown_grace_ms.map(Duration::from_millis)
-    }
-
-    /// Begins shutdown: rejects new submissions and closes the queue so
-    /// workers exit after draining. Non-blocking.
-    pub fn begin_shutdown(&self) {
-        self.inner.shutting_down.store(true, Ordering::SeqCst);
-        self.inner.queue.close();
-    }
-
-    /// Begins a graceful drain: new submissions are rejected, queued jobs
-    /// are abandoned to journal replay, and running jobs stop at their
-    /// next checkpoint *without* being journaled as cancelled — they
-    /// stay in-flight in the journal, so a restart resumes them from
-    /// their last checkpoint. Non-blocking; `ping` reports
+    /// Begins a stop: new submissions are rejected and the queue is
+    /// abandoned. With a journal, queued jobs stay in flight there and
+    /// running jobs stop at their next checkpoint *without* a terminal
+    /// record, so a restart resumes them from that checkpoint. Without
+    /// one nothing could resume them, so every in-flight job is
+    /// cancelled and its waiters wake. Non-blocking; `ping` reports
     /// `draining: true` from here on, and the daemon keeps answering
     /// reads (status/result/ping) until the drain completes — a draining
     /// worker is unschedulable, not dead. `shutting_down` flips only when
-    /// [`Self::drain_with_grace`] finishes.
+    /// [`Self::shutdown`] finishes.
     pub fn begin_drain(&self) {
-        self.inner.draining.store(true, Ordering::SeqCst);
-        self.inner.queue.abandon();
+        let inner = &self.inner;
+        inner.draining.store(true, Ordering::SeqCst);
+        inner.queue.abandon();
+        if inner.journal.is_none() {
+            // Taken after `abandon`: a submission holds `active` across
+            // its push and registration, so every job that got queued is
+            // registered here by now.
+            for core in lock_unpoisoned(&inner.active).values() {
+                // Running jobs are counted by the worker that observes
+                // the cancelled run.
+                if core.request_cancel() == CancelOutcome::CancelledWhileQueued {
+                    inner.telemetry.add(Counter::JobsCancelled, 1);
+                }
+            }
+        }
     }
 
-    /// Drains with a bounded budget: [`Self::begin_drain`], then waits up
-    /// to `grace` for workers to checkpoint and exit. Returns `true` when
-    /// every worker exited within the budget; `false` means at least one
-    /// worker is wedged mid-task and is left detached (its last
-    /// journaled checkpoint still makes restart-resume exact).
-    pub fn drain_with_grace(&self, grace: Duration) -> bool {
+    /// Stops the service: [`Self::begin_drain`], then waits up to
+    /// [`ServiceConfig::shutdown_grace_ms`] for the workers to checkpoint
+    /// and exit. Returns `true` when every worker exited within the
+    /// budget; `false` means at least one is wedged mid-task and is left
+    /// detached (its last journaled checkpoint still makes restart-resume
+    /// exact). Idempotent: a second call returns once the first is done.
+    pub fn shutdown(&self) -> bool {
         self.begin_drain();
-        let deadline = std::time::Instant::now() + grace;
-        let handles = std::mem::take(&mut *lock_unpoisoned(&self.inner.workers));
+        let deadline =
+            std::time::Instant::now() + Duration::from_millis(self.inner.cfg.shutdown_grace_ms);
+        // Held for the whole wait, so a concurrent call cannot report the
+        // stop finished while this one is still waiting.
+        let mut workers = lock_unpoisoned(&self.inner.workers);
         let mut clean = true;
-        for handle in handles {
+        for handle in workers.drain(..) {
             while !handle.is_finished() && std::time::Instant::now() < deadline {
                 std::thread::sleep(Duration::from_millis(2));
             }
@@ -938,43 +945,6 @@ impl ServiceHandle {
         // Drain complete (or budget spent): now the daemon stops serving.
         self.inner.shutting_down.store(true, Ordering::SeqCst);
         clean
-    }
-
-    /// Begins the configured stop mode: a graceful drain when
-    /// [`ServiceConfig::shutdown_grace_ms`] is set, the legacy
-    /// run-everything shutdown otherwise. Non-blocking.
-    pub fn begin_stop(&self) {
-        if self.inner.cfg.shutdown_grace_ms.is_some() {
-            self.begin_drain();
-        } else {
-            self.begin_shutdown();
-        }
-    }
-
-    /// Completes the configured stop mode (blocking): drains within the
-    /// grace budget when one is configured, otherwise runs every queued
-    /// job to completion and joins the pool.
-    pub fn finish_stop(&self) {
-        match self.shutdown_grace() {
-            Some(grace) => {
-                if !self.drain_with_grace(grace) {
-                    eprintln!(
-                        "nvpim-serviced: drain grace elapsed with a worker still mid-task; \
-                         exiting on the last journaled checkpoint"
-                    );
-                }
-            }
-            None => self.shutdown(),
-        }
-    }
-
-    /// Shuts down and joins the worker pool. Queued jobs drain first.
-    pub fn shutdown(&self) {
-        self.begin_shutdown();
-        let handles = std::mem::take(&mut *lock_unpoisoned(&self.inner.workers));
-        for handle in handles {
-            let _ = handle.join();
-        }
     }
 }
 
@@ -1353,11 +1323,15 @@ fn run_attempt(inner: &Inner, core: &Arc<JobCore>, plan: &SweepPlan, checkpoint:
             core.complete(json);
         }
         Err(SweepError::Cancelled) => {
-            if inner.draining.load(Ordering::SeqCst) && !core.cancel_requested() {
-                // Stopped by a graceful drain, not a client: the job stays
+            if inner.draining.load(Ordering::SeqCst)
+                && inner.journal.is_some()
+                && !core.cancel_requested()
+            {
+                // Stopped by a drain, not a client: the job stays
                 // *in-flight* in the journal (no terminal record), so a
                 // restart over the same state dir resumes it from the
-                // checkpoint this attempt just journaled.
+                // checkpoint this attempt just journaled. Without a
+                // journal it is cancelled below.
                 inner.emit_event(
                     core.id,
                     &core.digest,
@@ -1569,7 +1543,6 @@ mod tests {
             checkpoint_ms: 0,
             execution_backend: Some(&ScalarBackend),
             state_dir: Some(dir.clone()),
-            shutdown_grace_ms: Some(5_000),
             ..Default::default()
         };
         let service = ServiceHandle::start(cfg.clone());
@@ -1581,7 +1554,7 @@ mod tests {
         while service.status(active.job).unwrap().state == "queued" {
             std::thread::sleep(Duration::from_millis(1));
         }
-        assert!(service.drain_with_grace(Duration::from_secs(5)));
+        assert!(service.shutdown());
         assert!(service.is_draining());
         // Neither job was journaled terminal: both are still in flight.
         assert_eq!(service.status(queued.job).unwrap().state, "queued");
@@ -1593,10 +1566,7 @@ mod tests {
         // A restart over the same state dir resumes both jobs — the
         // running one past its checkpointed chunks — and their reports
         // match clean runs byte-for-byte.
-        let service2 = ServiceHandle::start(ServiceConfig {
-            shutdown_grace_ms: None,
-            ..cfg
-        });
+        let service2 = ServiceHandle::start(cfg);
         let recovered_running = service2
             .wait(active.job, Some(Duration::from_secs(60)))
             .unwrap();
@@ -1728,15 +1698,62 @@ mod tests {
     fn shutdown_drains_and_rejects_new_work() {
         let service = ServiceHandle::start(ServiceConfig {
             workers: 2,
+            checkpoint_ms: 0,
+            execution_backend: Some(&ScalarBackend),
             ..Default::default()
         });
-        let out = service.submit(tiny_plan(30), 0).unwrap();
-        service.shutdown();
-        // The queued job completed before workers exited.
-        assert!(service.result(out.job).is_ok());
+        let mut long = tiny_plan(30);
+        long.seeds_per_point = 640;
+        let out = service.submit(long, 0).unwrap();
+        assert!(service.shutdown());
+        assert!(service.is_draining() && service.is_shutting_down());
+        // No state dir: the drained job cannot resume, so it is cancelled
+        // instead of run to completion.
+        assert!(matches!(
+            service.result(out.job),
+            Err(ServiceError::JobCancelled)
+        ));
         assert!(matches!(
             service.submit(tiny_plan(31), 0),
             Err(ServiceError::ShuttingDown)
         ));
+        // A second stop is a no-op.
+        assert!(service.shutdown());
+    }
+
+    #[test]
+    fn memory_only_shutdown_cancels_running_and_queued_jobs_and_wakes_waiters() {
+        let service = ServiceHandle::start(ServiceConfig {
+            workers: 1,
+            checkpoint_ms: 0,
+            execution_backend: Some(&ScalarBackend),
+            ..Default::default()
+        });
+        let mut long = tiny_plan(32);
+        long.seeds_per_point = 640;
+        let running = service.submit(long, 9).unwrap().job;
+        let queued = service.submit(tiny_plan(33), 0).unwrap().job;
+        while service.status(running).unwrap().state == "queued" {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(service.status(queued).unwrap().state, "queued");
+        let waiters: Vec<_> = [running, queued]
+            .into_iter()
+            .map(|job| {
+                let service = service.clone();
+                std::thread::spawn(move || service.wait(job, Some(Duration::from_secs(30))))
+            })
+            .collect();
+
+        let started = std::time::Instant::now();
+        assert!(service.shutdown(), "the running job reached a checkpoint");
+        assert!(started.elapsed() < Duration::from_millis(DEFAULT_SHUTDOWN_GRACE_MS));
+        for waiter in waiters {
+            assert!(matches!(
+                waiter.join().unwrap(),
+                Err(ServiceError::JobCancelled)
+            ));
+        }
+        assert_eq!(service.stats().jobs_cancelled, 2);
     }
 }

@@ -219,6 +219,61 @@ fn mid_job_cancel_returns_structured_errors_and_pool_survives() {
     shutdown(&addr, daemon);
 }
 
+/// A memory-only daemon cannot resume what a stop leaves behind, so the
+/// stop cancels it: a client waiting on a running job over one connection
+/// gets a terminal `job_cancelled` frame when another connection sends
+/// `shutdown`, instead of hanging or waiting out the whole campaign.
+#[test]
+fn shutdown_cancels_a_waited_job_on_a_memory_only_daemon() {
+    let (addr, daemon) = spawn_daemon(ServiceConfig {
+        workers: 1,
+        checkpoint_ms: 0,
+        execution_backend: Some(&ScalarBackend),
+        ..Default::default()
+    });
+    let mut plan = SweepPlan::quick();
+    plan.seeds_per_point = 400;
+    plan.campaign_seed = 106;
+    let plan_value: Value = serde_json::from_str(&plan.canonical_json()).expect("parses");
+    let mut waiter = Client::connect_with_timeouts(
+        &addr,
+        Some(Duration::from_secs(5)),
+        Some(Duration::from_secs(20)),
+    )
+    .expect("connect");
+    waiter
+        .send(&request(
+            "submit",
+            vec![
+                ("plan".to_string(), plan_value),
+                ("wait".to_string(), Value::Bool(true)),
+            ],
+        ))
+        .expect("send");
+    let accepted = waiter.recv().expect("recv").expect("accepted line");
+    assert_eq!(
+        accepted.get("event").and_then(Value::as_str),
+        Some("accepted")
+    );
+    loop {
+        let line = waiter.recv().expect("recv").expect("progress line");
+        assert_eq!(line.get("event").and_then(Value::as_str), Some("progress"));
+        if line.get("state").and_then(Value::as_str) == Some("running") {
+            break;
+        }
+    }
+
+    let stopper = std::thread::spawn(move || shutdown(&addr, daemon));
+    let terminal = loop {
+        let line = waiter.recv().expect("a terminal frame").expect("line");
+        if line.get("event").and_then(Value::as_str) != Some("progress") {
+            break line;
+        }
+    };
+    assert_eq!(error_code(&terminal), "job_cancelled");
+    stopper.join().expect("daemon stops");
+}
+
 /// Longest a [`HoldAfterFirstChunk`] holds a trial: long enough for any
 /// client to read a frame, short enough that a broken stream fails the
 /// test instead of hanging it.

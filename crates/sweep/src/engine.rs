@@ -1908,9 +1908,9 @@ impl PreparedCampaign {
 
 /// Splits `[0, trials_total)` into at most `shards` contiguous, non-empty
 /// ranges as evenly as possible (earlier ranges get the remainder). The
-/// coordinator's scatter geometry: concatenating the ranges in order
-/// reconstructs the full plan-ordered trial list, so shard outcomes spliced
-/// in shard order aggregate byte-identically to a single-node run.
+/// coordinator's scatter geometry: the ranges partition the plan-ordered
+/// trial list, and shard tallies merge in any order, so the merged report
+/// is byte-identical to a single-node run.
 ///
 /// Returns fewer than `shards` ranges when the campaign has fewer trials
 /// than shards, and no ranges for an empty campaign. `shards == 0` is
@@ -1936,12 +1936,13 @@ pub fn shard_ranges(trials_total: u64, shards: usize) -> Vec<(u64, u64)> {
 
 /// Runs a full campaign: compiles each point's schedule once (shared via
 /// a fresh [`ScheduleCache`]), fans the trials out on the rayon pool, and
-/// aggregates outcomes into a deterministic [`SweepReport`].
+/// aggregates per-point tallies into a deterministic [`SweepReport`].
 ///
 /// Long-running callers (the `nvpim-service` daemon) should instead call
-/// [`prepare_campaign`] with a shared cache and [`PreparedCampaign::run_chunked`]
-/// for progress reporting and cancellation; this convenience wrapper is the
-/// one-shot path and produces byte-identical reports.
+/// [`prepare_campaign`] with a shared cache and
+/// [`PreparedCampaign::run_chunked_resumable`] for checkpoints, progress,
+/// cancellation and resume; this convenience wrapper is the one-shot path
+/// and produces byte-identical reports.
 ///
 /// # Errors
 ///
