@@ -139,7 +139,6 @@ pub fn print_scheme_registry() {
             vec![
                 scheme.wire_name().to_string(),
                 scheme.name().to_string(),
-                caps.sliceable.to_string(),
                 caps.detect_only.to_string(),
                 caps.parity_bits.to_string(),
                 caps.metadata_columns.to_string(),
@@ -151,7 +150,6 @@ pub fn print_scheme_registry() {
         &[
             "scheme",
             "display",
-            "sliceable",
             "detect-only",
             "parity bits",
             "metadata cols",

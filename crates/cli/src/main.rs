@@ -626,7 +626,6 @@ fn cmd_schemes(args: &[String]) {
                 Value::Object(vec![
                     ("scheme".into(), Value::Str(scheme.wire_name().into())),
                     ("display".into(), Value::Str(scheme.name().into())),
-                    ("sliceable".into(), Value::Bool(caps.sliceable)),
                     ("detect_only".into(), Value::Bool(caps.detect_only)),
                     ("parity_bits".into(), Value::UInt(caps.parity_bits as u64)),
                     (
@@ -647,10 +646,9 @@ fn cmd_schemes(args: &[String]) {
         return;
     }
     println!(
-        "{:<16} {:<16} {:>9} {:>11} {:>11} {:>16} {:>15} {:>14} {:>9} {:>13}",
+        "{:<16} {:<16} {:>11} {:>11} {:>16} {:>15} {:>14} {:>9} {:>13}",
         "scheme",
         "display",
-        "sliceable",
         "detect-only",
         "parity bits",
         "metadata columns",
@@ -661,10 +659,9 @@ fn cmd_schemes(args: &[String]) {
     );
     for (scheme, caps) in rows {
         println!(
-            "{:<16} {:<16} {:>9} {:>11} {:>11} {:>16} {:>15} {:>14} {:>9} {:>13}",
+            "{:<16} {:<16} {:>11} {:>11} {:>16} {:>15} {:>14} {:>9} {:>13}",
             scheme.wire_name(),
             scheme.name(),
-            caps.sliceable,
             caps.detect_only,
             caps.parity_bits,
             caps.metadata_columns,

@@ -34,10 +34,6 @@ use crate::system::CostBreakdown;
 /// by the registry-completeness tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SchemeCapabilities {
-    /// Whether the scheme implements the lane-batched (bit-sliced) run path.
-    /// A sliceable scheme's operation sequence must be a pure function of
-    /// the schedule (never of the data), so 64 trials can share one program.
-    pub sliceable: bool,
     /// Whether the scheme only detects errors (it never writes corrections
     /// back; detections are accounted as would-be retries).
     pub detect_only: bool,
@@ -130,12 +126,6 @@ pub trait SchemeRuntime: std::fmt::Debug + Sync {
     // Capabilities
     // ------------------------------------------------------------------
 
-    /// Whether this scheme implements [`Self::run_sliced`]. Declaring
-    /// `true` without implementing it fails the registry-completeness
-    /// suite; declaring `false` simply routes every trial through the
-    /// scalar path.
-    fn sliceable(&self) -> bool;
-
     /// Whether the scheme is detection-only (no correction write-backs).
     fn detect_only(&self) -> bool {
         false
@@ -178,7 +168,6 @@ pub trait SchemeRuntime: std::fmt::Debug + Sync {
     /// the individual declarations; override only to annotate more).
     fn capabilities(&self, config: &DesignConfig) -> SchemeCapabilities {
         SchemeCapabilities {
-            sliceable: self.sliceable(),
             detect_only: self.detect_only(),
             parity_bits: self.parity_bits(config),
             metadata_columns: self.metadata_columns(config),
@@ -233,9 +222,10 @@ pub trait SchemeRuntime: std::fmt::Debug + Sync {
 
     /// Runs up to 64 trials of `schedule` at once on the bit-sliced array,
     /// mirroring [`Self::run_scalar`] lane for lane (same gate order, same
-    /// per-op fault-decision order). Only called when [`Self::sliceable`]
-    /// returns `true`; the default panics so a scheme cannot silently claim
-    /// a capability it does not implement.
+    /// per-op fault-decision order, same stuck-at pinning on every store).
+    /// This is the path every campaign runs; the operation sequence must be
+    /// a pure function of the schedule, and data-dependent recovery is
+    /// written per lane (see [`crate::schemes::detect_recompute`]).
     #[allow(clippy::too_many_arguments)]
     fn run_sliced(
         &self,
@@ -246,13 +236,7 @@ pub trait SchemeRuntime: std::fmt::Debug + Sync {
         row: usize,
         inputs: &[u64],
         scratch: &mut SlicedExecScratch,
-    ) -> Result<SlicedRunReport, ProtectedExecError> {
-        let _ = (exec, netlist, schedule, array, row, inputs, scratch);
-        panic!(
-            "scheme `{}` declares no sliced run path (sliceable() is false)",
-            self.wire_name()
-        );
-    }
+    ) -> Result<SlicedRunReport, ProtectedExecError>;
 }
 
 /// The compile-time scheme registry, in stable wire order. `FromStr`,

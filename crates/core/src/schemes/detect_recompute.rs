@@ -13,7 +13,7 @@
 //! is bounded — one logic level, the detection granularity — and is
 //! data-driven only in *whether* it runs, never in the in-array operation
 //! sequence, which stays a pure function of the schedule. That keeps the
-//! scheme sliceable (64 lanes share one gate program; recompute patches
+//! scheme lane-batched (64 lanes share one gate program; recompute patches
 //! only the mismatching lanes with no RNG consumption) and keeps its
 //! zero-fault trials analytically settleable.
 //!
@@ -83,10 +83,6 @@ impl SchemeRuntime for DetectRecomputeScheme {
 
     fn metadata_columns(&self, _config: &DesignConfig) -> usize {
         METADATA_COLUMNS
-    }
-
-    fn sliceable(&self) -> bool {
-        true
     }
 
     fn detect_only(&self) -> bool {
@@ -498,10 +494,8 @@ fn sliced_flush_and_recompute(
                 // Lane surgery: only the mismatching lanes receive the
                 // verified write; stuck cells pin it exactly like the
                 // scalar write-verified port.
-                let (sa0, sa1) = array.injector().stuck_masks(row, col);
-                let stored_ideal = (ideal & !sa0) | sa1;
-                let after = (before & !mismatch) | (stored_ideal & mismatch);
-                array.set_cell(row, col, after);
+                array.write_masked_lanes(row, col, ideal, mismatch);
+                let after = array.cell(row, col);
                 let mut fixed = (before ^ after) & !(after ^ ideal) & mismatch & valid;
                 while fixed != 0 {
                     let lane = fixed.trailing_zeros() as usize;

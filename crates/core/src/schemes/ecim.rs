@@ -47,10 +47,6 @@ impl SchemeRuntime for EcimScheme {
         2 * config.parity_bits() + 2 * (2 * config.parity_blocks_per_side)
     }
 
-    fn sliceable(&self) -> bool {
-        true
-    }
-
     fn parity_bits(&self, config: &DesignConfig) -> usize {
         config.parity_bits()
     }
@@ -567,10 +563,12 @@ fn sliced_flush_chunk(
             LevelDecode::CorrectedData { position } => {
                 errors_detected[lane] += 1;
                 // A single-error code flips exactly one data bit: write
-                // back the negation of what this lane's read returned.
+                // back the negation of what this lane's read returned. A
+                // stuck cell keeps its pinned value, but the write-back is
+                // counted all the same, as on the scalar path.
                 let col = chunk_cols[position];
-                let word = array.cell(row, col) ^ (1u64 << lane);
-                array.set_cell(row, col, word);
+                let flipped = !array.cell(row, col);
+                array.write_masked_lanes(row, col, flipped, 1u64 << lane);
                 corrections_written_back[lane] += 1;
             }
             LevelDecode::CorrectedMeta => {

@@ -129,10 +129,6 @@ impl SchemeRuntime for ParityDetectScheme {
         METADATA_COLUMNS
     }
 
-    fn sliceable(&self) -> bool {
-        true
-    }
-
     fn detect_only(&self) -> bool {
         true
     }

@@ -38,10 +38,6 @@ impl SchemeRuntime for TrimScheme {
         3
     }
 
-    fn sliceable(&self) -> bool {
-        true
-    }
-
     fn checker_cost(&self, config: &DesignConfig) -> CheckerCostModel {
         CheckerCostModel::for_majority(config.data_bits())
     }
@@ -325,7 +321,8 @@ fn sliced_flush_level(
             report.errors_detected[lane] += 1;
         }
         // Write the voted value back into every copy that disagreed —
-        // per (gate, copy) plane, only the mismatching lanes flip.
+        // per (gate, copy) plane, only the mismatching lanes are written,
+        // and stuck cells pin them as on the scalar path.
         for (g, cols) in level_outputs.iter().enumerate() {
             let v = voted[g];
             for (copy_idx, plane) in [&*copy_a, &*copy_b, &*copy_c].into_iter().enumerate() {
@@ -333,9 +330,7 @@ fn sliced_flush_level(
                 if diff == 0 {
                     continue;
                 }
-                let col = cols[copy_idx];
-                let word = array.cell(row, col) ^ diff;
-                array.set_cell(row, col, word);
+                array.write_masked_lanes(row, cols[copy_idx], v, diff);
                 while diff != 0 {
                     let lane = diff.trailing_zeros() as usize;
                     diff &= diff - 1;

@@ -31,10 +31,6 @@ impl SchemeRuntime for UnprotectedScheme {
         0
     }
 
-    fn sliceable(&self) -> bool {
-        true
-    }
-
     fn checker_cost(&self, _config: &DesignConfig) -> CheckerCostModel {
         // No Checker at all: a zero-width majority voter costs nothing.
         CheckerCostModel::for_majority(0)

@@ -5,8 +5,8 @@
 //! [`SlicedExecutor`] validates a compiled [`RowSchedule`] and dispatches
 //! to the scheme's
 //! [`SchemeRuntime::run_sliced`](crate::scheme::SchemeRuntime::run_sliced)
-//! (per-scheme paths live in [`crate::schemes`]; a scheme opts in by
-//! declaring the `sliceable` capability). The array is a
+//! (per-scheme paths live in [`crate::schemes`]; every scheme implements
+//! one). The array is a
 //! [`SlicedPimArray`] whose cells each hold one `u64` of 64 independent
 //! trial lanes. The *operation sequence* of a protected run is a pure
 //! function of the schedule (gate order, parity folds, logic-level check
@@ -383,7 +383,7 @@ mod tests {
                 let seeds: Vec<u64> = (0..lanes).map(|l| 0xFACE ^ (l as u64) << 3).collect();
 
                 let sliced_exec = SlicedExecutor::new(config.clone());
-                let mut array = SlicedPimArray::standard_row();
+                let mut array = SlicedPimArray::standard_rows(1);
                 array.reset_for_batch(rates, &seeds);
                 let mut scratch = SlicedExecScratch::new();
                 let report = sliced_exec
@@ -464,7 +464,7 @@ mod tests {
             DesignConfig::unprotected(Technology::SttMram).row_layout(),
         )
         .unwrap();
-        let mut array = SlicedPimArray::standard_row();
+        let mut array = SlicedPimArray::standard_rows(1);
         array.reset_for_batch(ErrorRates::NONE, &[1, 2, 3]);
         let mut scratch = SlicedExecScratch::new();
         let err = exec.run_batch(&netlist, &schedule, &mut array, 0, &[0; 16], &mut scratch);

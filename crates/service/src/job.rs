@@ -75,6 +75,9 @@ struct Slot {
     /// Total run duration, frozen at the terminal transition (so the
     /// reported rate stops decaying once the job is done).
     run_elapsed: Option<Duration>,
+    /// Set when the service stopped with the job still in flight: waiters
+    /// wake without a terminal state.
+    stopped: bool,
 }
 
 /// Shared state of one campaign execution (possibly serving several
@@ -142,6 +145,7 @@ impl JobCore {
                 report: None,
                 run_started: None,
                 run_elapsed: None,
+                stopped: false,
             }),
             terminal: Condvar::new(),
         })
@@ -174,6 +178,7 @@ impl JobCore {
                 report,
                 run_started: None,
                 run_elapsed: None,
+                stopped: false,
             }),
             terminal: Condvar::new(),
         })
@@ -202,6 +207,7 @@ impl JobCore {
                 report: Some(report),
                 run_started: None,
                 run_elapsed: None,
+                stopped: false,
             }),
             terminal: Condvar::new(),
         })
@@ -323,6 +329,13 @@ impl JobCore {
         self.terminal.notify_all();
     }
 
+    /// Wakes every waiter for good: the service has stopped, and the job
+    /// stays queued or running (a journaled job resumes on restart).
+    pub(crate) fn release_waiters(&self) {
+        self.lock_slot().stopped = true;
+        self.terminal.notify_all();
+    }
+
     /// Transitions to `Done` with the finished report.
     pub(crate) fn complete(&self, report: Arc<String>) {
         self.trials_done.store(self.trials_total, Ordering::Relaxed);
@@ -339,15 +352,16 @@ impl JobCore {
         self.finish(JobState::Cancelled, None);
     }
 
-    /// Blocks until the job reaches a terminal state (or the timeout
-    /// elapses), returning the state observed last.
+    /// Blocks until the job reaches a terminal state, the service stops
+    /// with the job in flight (see [`Self::release_waiters`]) or the
+    /// timeout elapses, returning the state observed last.
     pub fn wait_terminal(&self, timeout: Option<Duration>) -> JobState {
         // `checked_add` guards against client-supplied huge timeouts
         // (u64::MAX ms would overflow `Instant` addition and panic); an
         // unrepresentable deadline simply waits without one.
         let deadline = timeout.and_then(|t| Instant::now().checked_add(t));
         let mut slot = self.lock_slot();
-        while !slot.state.is_terminal() {
+        while !slot.state.is_terminal() && !slot.stopped {
             match deadline {
                 None => {
                     slot = self

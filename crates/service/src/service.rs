@@ -700,10 +700,13 @@ impl ServiceHandle {
     /// # Errors
     ///
     /// As [`Self::result`]; [`ServiceError::NotDone`] means the timeout
-    /// elapsed first.
+    /// elapsed first, and [`ServiceError::ShuttingDown`] that the service
+    /// stopped with the job still in flight.
     pub fn wait(&self, job: JobId, timeout: Option<Duration>) -> Result<Arc<String>, ServiceError> {
         let core = self.job(job).ok_or(ServiceError::UnknownJob(job))?;
-        core.wait_terminal(timeout);
+        if !core.wait_terminal(timeout).is_terminal() && self.is_shutting_down() {
+            return Err(ServiceError::ShuttingDown);
+        }
         self.result(job)
     }
 
@@ -942,8 +945,12 @@ impl ServiceHandle {
                 clean = false;
             }
         }
-        // Drain complete (or budget spent): now the daemon stops serving.
+        // Drain complete (or budget spent): now the daemon stops serving,
+        // and nothing waits for the jobs the drain left in flight.
         self.inner.shutting_down.store(true, Ordering::SeqCst);
+        for core in lock_unpoisoned(&self.inner.jobs).values() {
+            core.release_waiters();
+        }
         clean
     }
 }
@@ -1588,6 +1595,48 @@ mod tests {
             "the drained running job must resume from its checkpoint: {stats:?}"
         );
         service2.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn waiters_on_jobs_a_journaled_stop_leaves_in_flight_wake() {
+        let dir = std::env::temp_dir().join(format!("nvpim-drain-wait-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let service = ServiceHandle::start(ServiceConfig {
+            workers: 1,
+            checkpoint_ms: 0,
+            execution_backend: Some(&ScalarBackend),
+            state_dir: Some(dir.clone()),
+            ..Default::default()
+        });
+        let mut running = tiny_plan(80);
+        running.seeds_per_point = 64;
+        let active = service.submit(running, 9).unwrap();
+        let queued = service.submit(tiny_plan(81), 0).unwrap();
+        while service.status(active.job).unwrap().state == "queued" {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert!(service.shutdown());
+        // Wait on detached threads, so a waiter that never wakes fails the
+        // test at the timeout instead of hanging it.
+        let (tx, rx) = std::sync::mpsc::channel();
+        for job in [active.job, queued.job] {
+            let (service, tx) = (service.clone(), tx.clone());
+            std::thread::spawn(move || {
+                let _ = tx.send((job, service.wait(job, None)));
+            });
+        }
+        for _ in 0..2 {
+            let (job, result) = rx
+                .recv_timeout(Duration::from_secs(10))
+                .expect("wait on a job left in flight by the stop must return");
+            assert!(
+                matches!(result, Err(ServiceError::ShuttingDown)),
+                "job {job}: {result:?}"
+            );
+        }
+        // The jobs themselves stay in flight, to resume on restart.
+        assert_eq!(service.status(queued.job).unwrap().state, "queued");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -715,6 +715,36 @@ fn signal(pid: u32, sig: &str) {
     assert!(status.success(), "kill {sig} {pid} failed");
 }
 
+/// The daemon at `addr`'s `nvpim_checkpoints_total{path="shard"}` series:
+/// the shard checkpoints it has streamed so far. `None` if it cannot be
+/// read.
+fn shard_checkpoints(addr: &str) -> Option<u64> {
+    let mut client = Client::connect(addr).ok()?;
+    let response = client.request(&request("metrics", vec![])).ok()?;
+    let text = response.get("metrics")?.as_str()?;
+    Some(
+        text.lines()
+            .find_map(|line| line.strip_prefix("nvpim_checkpoints_total{path=\"shard\"} "))
+            .map_or(0, |value| value.trim().parse().unwrap_or(0)),
+    )
+}
+
+/// Polls the daemon at `addr` until its shard-checkpoint series exceeds
+/// `above`, and returns the new value. `None` when `over()` says the
+/// campaign has ended first, the series cannot be read, or a minute has
+/// passed.
+fn await_shard_checkpoints(addr: &str, above: u64, over: impl Fn() -> bool) -> Option<u64> {
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while !over() && Instant::now() < deadline {
+        let seen = shard_checkpoints(addr)?;
+        if seen > above {
+            return Some(seen);
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    None
+}
+
 /// A heavyweight-per-trial fleet plan: one 16-bit multiplier workload
 /// across the paper's protection trio and a dense error-rate grid — 9
 /// points, `seeds_per_point` seeds each. The dense rates keep the
@@ -737,11 +767,10 @@ fn fleet_chaos_plan(seed: u64, estimator: EstimatorMode, seeds_per_point: u64) -
 /// both chaos victims must be evicted, and the shard hand-offs must be
 /// recorded in the fleet stats and the telemetry registry.
 ///
-/// Chaos timing is self-calibrating: the signals land at fractions of the
-/// *measured* single-node duration. Three workers need at least ~1/3 of
-/// that wall clock (more after each loss), so at 15% and 30% both victims
-/// are still mid-shard — per-shard compute is ~1/9 of the single-node run
-/// while the scheduling gaps between shards are sub-millisecond.
+/// The signals follow the victims' own progress, read from each daemon's
+/// shard-checkpoint series: worker 0 is SIGKILLed once it has streamed a
+/// shard checkpoint, and worker 1 SIGSTOPped once it has streamed another
+/// since the kill — so both are mid-shard, whatever the host's speed.
 #[test]
 fn fleet_survives_sigkill_and_sigstop_with_byte_identical_reports() {
     for (j, estimator) in [EstimatorMode::Exact, EstimatorMode::Stratified]
@@ -753,9 +782,7 @@ fn fleet_survives_sigkill_and_sigstop_with_byte_identical_reports() {
         // window for each estimator, and workers checkpointing every task
         // stream far inside the heartbeat deadline.
         let plan = fleet_chaos_plan(0xf1ee_7002 + j as u64, estimator, 360);
-        let started = Instant::now();
         let clean = run_campaign(&plan).expect("clean run").to_json();
-        let single = started.elapsed();
 
         let mut daemons: Vec<(std::process::Child, String)> =
             (0..3).map(|_| spawn_fleet_worker()).collect();
@@ -767,13 +794,21 @@ fn fleet_survives_sigkill_and_sigstop_with_byte_identical_reports() {
             ..FleetConfig::default()
         };
         let telemetry = Telemetry::new();
-        let fleet_result = std::thread::scope(|scope| {
+        let (fleet_result, chaos) = std::thread::scope(|scope| {
             let fleet = scope.spawn(|| run_fleet(&plan, &cfg, &telemetry));
-            std::thread::sleep(single.mul_f64(0.15));
-            daemons[0].0.kill().expect("SIGKILL worker 0");
-            std::thread::sleep(single.mul_f64(0.15));
-            signal(daemons[1].0.id(), "-STOP");
-            fleet.join().expect("fleet thread")
+            let over = || fleet.is_finished();
+            let mut chaos = || -> Result<(), &str> {
+                await_shard_checkpoints(&daemons[0].1, 0, over)
+                    .ok_or("worker 0 streamed no shard checkpoint")?;
+                daemons[0].0.kill().expect("SIGKILL worker 0");
+                let since = shard_checkpoints(&daemons[1].1).ok_or("worker 1 has no metrics")?;
+                await_shard_checkpoints(&daemons[1].1, since, over)
+                    .ok_or("worker 1 streamed no shard checkpoint after the kill")?;
+                signal(daemons[1].0.id(), "-STOP");
+                Ok(())
+            };
+            let chaos = chaos();
+            (fleet.join().expect("fleet thread"), chaos)
         });
 
         // Clean up the processes before asserting so a failed assertion
@@ -784,6 +819,7 @@ fn fleet_survives_sigkill_and_sigstop_with_byte_identical_reports() {
             let _ = child.wait();
         }
 
+        chaos.unwrap_or_else(|miss| panic!("chaos missed its window ({estimator:?}): {miss}"));
         let outcome = fleet_result.expect("fleet survives the chaos");
         assert_eq!(
             outcome.report.to_json(),

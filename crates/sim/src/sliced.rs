@@ -347,11 +347,11 @@ impl SlicedPimArray {
         }
     }
 
-    /// One 256-column row — the shape a single-row Monte Carlo trial uses
-    /// (the paper's standard 256×256 array computes row-parallel; each
-    /// trial exercises one row).
-    pub fn standard_row() -> Self {
-        Self::new(1, 256)
+    /// The first `rows` rows of the paper's standard 256×256 array, which
+    /// computes row-parallel: an error trial exercises one row, an accuracy
+    /// trial one per hidden neuron.
+    pub fn standard_rows(rows: usize) -> Self {
+        Self::new(rows, 256)
     }
 
     /// Number of rows.
@@ -381,9 +381,10 @@ impl SlicedPimArray {
         self.cells[self.idx(row, col)]
     }
 
-    /// Overwrites the lane word of cell (`row`, `col`) — the sliced `poke`.
+    /// Overwrites the lane word of cell (`row`, `col`). Private: every
+    /// public store pins stuck-at lanes, as the scalar storing sites do.
     #[inline]
-    pub fn set_cell(&mut self, row: usize, col: usize, word: u64) {
+    fn set_cell(&mut self, row: usize, col: usize, word: u64) {
         let i = self.idx(row, col);
         self.cells[i] = word;
     }
@@ -414,14 +415,17 @@ impl SlicedPimArray {
         self.write_lanes(row, col, if value { u64::MAX } else { 0 });
     }
 
-    /// The verified periphery write the recompute schemes use: a reliable
-    /// store with no transient fault decision (consumes no RNG), but stuck
-    /// cells still pin their lanes — rewriting cannot repair broken
-    /// hardware. Mirrors the scalar array's `write_verified`.
+    /// Writes `values` into the lanes set in `lanes` only; the other lanes
+    /// keep their stored bits. The per-lane write-back of a correction or a
+    /// recompute: a reliable store with no transient fault decision
+    /// (consumes no RNG), but stuck cells still pin the written lanes, as
+    /// in the scalar array's `write_cell` and `write_verified` — rewriting
+    /// cannot repair broken hardware.
     #[inline]
-    pub fn write_verified_lanes(&mut self, row: usize, col: usize, values: u64) {
+    pub fn write_masked_lanes(&mut self, row: usize, col: usize, values: u64, lanes: u64) {
+        let before = self.cell(row, col);
         let stored = self.pin_defects(row, col, values);
-        self.set_cell(row, col, stored);
+        self.set_cell(row, col, (before & !lanes) | (stored & lanes));
     }
 
     /// Presets a contiguous column range of `row` to `value` in all lanes
@@ -765,9 +769,11 @@ mod tests {
             sliced.gate_thr(0, &[0, 1, 4, 5], 7);
             sliced.gate_xor2(0, 2, 3, 8, 9, 10);
             sliced.preset_range(0, 12..20, round % 2 == 0);
-            sliced.write_verified_lanes(0, 11, if round % 2 == 0 { u64::MAX } else { 0 });
+            // A write-back to every third lane, a different third each round.
+            let written = 0x9249_2492_4924_9249u64.rotate_left(round as u32);
+            sliced.write_masked_lanes(0, 11, if round % 2 == 0 { u64::MAX } else { 0 }, written);
             sliced.gate_nor(0, &[10, 6], &[2]);
-            for scalar in &mut scalars {
+            for (lane, scalar) in scalars.iter_mut().enumerate() {
                 scalar
                     .execute_gate_with(GateKind::NOR22, 0, &[0, 1], &[4, 5])
                     .unwrap();
@@ -779,7 +785,9 @@ mod tests {
                     .unwrap();
                 scalar.execute_xor2_step(0, 2, 3, 8, 9, 10).unwrap();
                 scalar.preset_cells(0, 12..20, round % 2 == 0).unwrap();
-                scalar.write_verified(0, 11, round % 2 == 0).unwrap();
+                if (written >> lane) & 1 == 1 {
+                    scalar.write_verified(0, 11, round % 2 == 0).unwrap();
+                }
                 scalar
                     .execute_gate_with(GateKind::NOR2, 0, &[10, 6], &[2])
                     .unwrap();

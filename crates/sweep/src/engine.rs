@@ -29,7 +29,7 @@ use nvpim_core::sliced::{SlicedExecScratch, SlicedExecutor};
 use nvpim_core::system::{evaluate_schedule, WorkloadShape};
 use nvpim_sim::array::PimArray;
 use nvpim_sim::fault::{ErrorRates, FaultInjector, FaultSite};
-use nvpim_sim::sliced::{SlicedFaultInjector, SlicedPimArray, LANES};
+use nvpim_sim::sliced::{SlicedPimArray, LANES};
 use nvpim_telemetry::{Counter as TelemetryCounter, LocalTelemetry, Phase, Telemetry};
 use nvpim_workloads::mnist::{self, MnistAccuracyBaseline, MnistAccuracyModel, SyntheticMnist};
 use nvpim_workloads::Benchmark;
@@ -233,14 +233,11 @@ pub(crate) fn capture_clean_profile(
         let candidate = CleanProfile {
             decisions: array.fault_injector().decision_count(FaultSite::GateOutput),
             outcome: TrialOutcome {
-                faults_injected: 0,
                 checks: report.checks,
                 errors_detected: report.errors_detected,
                 corrections_written_back: report.corrections_written_back,
                 uncorrectable: report.uncorrectable,
-                wrong_output_bits: 0,
-                exec_error: None,
-                correct: None,
+                ..TrialOutcome::default()
             },
         };
         match &profile {
@@ -320,9 +317,9 @@ impl AccuracyContext {
         }
     }
 
-    /// Number of evaluation images.
-    pub(crate) fn image_count(&self) -> usize {
-        self.inputs.len()
+    /// The evaluation image a trial with `input_seed` classifies.
+    fn image_of(&self, input_seed: u64) -> usize {
+        (input_seed % self.inputs.len() as u64) as usize
     }
 
     /// The cached once-per-campaign clean-run baseline accuracy (the clean
@@ -383,7 +380,7 @@ pub struct PointContext {
     /// (plan-level, 0.0 for defect-free campaigns).
     pub(crate) stuck_at_rate: f64,
     /// Accuracy-campaign state shared by every point of the workload
-    /// (`None` for error campaigns — the historical trial path).
+    /// (`None` for error campaigns).
     pub(crate) accuracy: Option<Arc<AccuracyContext>>,
 }
 
@@ -478,21 +475,6 @@ impl PointContext {
         }
         .with_stuck_at(self.stuck_at_rate)
     }
-
-    /// Whether this point's trials can run on the sliced backend with
-    /// bit-identical results: the **scheme** must declare the lane-batched
-    /// run path (a registry capability, not an engine special case) and
-    /// the fault regime must be gate-only (always true for plan-derived
-    /// points) at a rate the lane-masked injector reproduces exactly.
-    /// Points that fail either check run single scalar trials inside
-    /// [`SlicedBackend`]. Accuracy points always run scalar: their trials
-    /// interleave `EVAL_HIDDEN` row programs with periphery
-    /// classification, which the lane-batched path does not model.
-    pub fn sliceable(&self) -> bool {
-        self.config.scheme.runtime().sliceable()
-            && SlicedFaultInjector::supports(&self.rates())
-            && self.accuracy.is_none()
-    }
 }
 
 /// SplitMix64-style mix used for per-trial seed derivation.
@@ -526,8 +508,9 @@ pub fn trial_stream_seeds(base_seed: u64) -> (u64, u64) {
 /// creates one arena per worker via `map_init`, so steady-state trials
 /// allocate nothing.
 ///
-/// For the sliced backend the arena additionally holds a `TrialBatch`:
-/// the transposed 64-lane array, the lane-word input/expected buffers and
+/// For lane batches the arena additionally holds the transposed 64-lane
+/// array (one row for error trials, one per hidden neuron for accuracy
+/// trials) and a `TrialBatch`: the lane-word input/expected buffers and
 /// the [`SlicedExecScratch`] — reset in place per batch, with per-lane
 /// fault logs reusing their capacity.
 ///
@@ -542,6 +525,7 @@ pub struct TrialArena {
     expected: Vec<bool>,
     eval_values: Vec<bool>,
     scratch: ExecScratch,
+    lane_array: Option<SlicedPimArray>,
     batch: TrialBatch,
     /// A batch task's outcomes, reused across tasks until they are tallied.
     outcomes: Vec<TrialOutcome>,
@@ -578,13 +562,12 @@ impl TrialArena {
     }
 }
 
-/// The sliced-backend half of a [`TrialArena`]: everything a 64-lane batch
-/// needs, reusable across batches of different points, technologies and
-/// codes with no steady-state allocation. Crate-private — callers only
-/// ever touch it through [`TrialArena`].
+/// The lane buffers of a [`TrialArena`]: everything a 64-lane batch needs
+/// besides its array, reusable across batches of different points,
+/// technologies and codes with no steady-state allocation. Crate-private —
+/// callers only ever touch it through [`TrialArena`].
 #[derive(Debug, Default)]
 pub(crate) struct TrialBatch {
-    array: Option<SlicedPimArray>,
     /// Per-lane fault seeds of the current batch.
     fault_seeds: Vec<u64>,
     /// Per-lane input seeds of the current batch (kept alongside the fault
@@ -596,8 +579,6 @@ pub(crate) struct TrialBatch {
     eval_words: Vec<u64>,
     /// Transposed fault-free reference outputs.
     expected_words: Vec<u64>,
-    /// Per-lane wrong-output-bit counters.
-    wrong_bits: Vec<u64>,
     scratch: SlicedExecScratch,
 }
 
@@ -695,20 +676,12 @@ pub fn run_trial(ctx: &PointContext, base_seed: u64, arena: &mut TrialArena) -> 
                 corrections_written_back: report.corrections_written_back,
                 uncorrectable: report.uncorrectable,
                 wrong_output_bits: wrong_bits,
-                exec_error: None,
-                correct: None,
+                ..TrialOutcome::default()
             }
         }
-        Err(err) => TrialOutcome {
-            faults_injected: array.fault_injector().fault_count() as u64,
-            checks: 0,
-            errors_detected: 0,
-            corrections_written_back: 0,
-            uncorrectable: 0,
-            wrong_output_bits: 0,
-            exec_error: Some(err.to_string()),
-            correct: None,
-        },
+        Err(err) => {
+            TrialOutcome::exec_failed(array.fault_injector().fault_count() as u64, err.to_string())
+        }
     };
     telemetry.span_end(Phase::GateExecution, span);
     telemetry.add(TelemetryCounter::TrialsExecuted, 1);
@@ -742,20 +715,11 @@ fn run_accuracy_trial(
     array.reset_for_trial(ctx.config.technology, rates, fault_seed);
     telemetry.span_end(Phase::FaultInjection, span);
 
-    let image = (input_seed % accuracy.image_count() as u64) as usize;
+    let image = accuracy.image_of(input_seed);
     let netlist = &ctx.kernel.netlist;
 
     let span = telemetry.span_start();
-    let mut outcome = TrialOutcome {
-        faults_injected: 0,
-        checks: 0,
-        errors_detected: 0,
-        corrections_written_back: 0,
-        uncorrectable: 0,
-        wrong_output_bits: 0,
-        exec_error: None,
-        correct: None,
-    };
+    let mut outcome = TrialOutcome::default();
     let mut hidden_sums = [0u64; mnist::EVAL_HIDDEN];
     for (neuron, sum_slot) in hidden_sums.iter_mut().enumerate() {
         let inputs = &accuracy.inputs[image][neuron];
@@ -788,16 +752,10 @@ fn run_accuracy_trial(
             Err(err) => {
                 // Mirror the scalar error path: zeroed counters, the fault
                 // count so far, no prediction.
-                let failed = TrialOutcome {
-                    faults_injected: array.fault_injector().fault_count() as u64,
-                    checks: 0,
-                    errors_detected: 0,
-                    corrections_written_back: 0,
-                    uncorrectable: 0,
-                    wrong_output_bits: 0,
-                    exec_error: Some(err.to_string()),
-                    correct: None,
-                };
+                let failed = TrialOutcome::exec_failed(
+                    array.fault_injector().fault_count() as u64,
+                    err.to_string(),
+                );
                 telemetry.span_end(Phase::GateExecution, span);
                 telemetry.add(TelemetryCounter::TrialsExecuted, 1);
                 return failed;
@@ -815,10 +773,9 @@ fn run_accuracy_trial(
 /// Executes trials `first_trial .. first_trial + lanes` of one point as a
 /// single sliced batch (one trial per `u64` lane), appending one
 /// [`TrialOutcome`] per trial — in trial order, bit-identical to `lanes`
-/// scalar [`run_trial`] calls with the same coordinates. Public for
-/// out-of-crate [`ExecutionBackend`] implementations; callers must only
-/// use it on points whose [`PointContext::sliceable`] returns `true` and
-/// with `1..=64` lanes.
+/// scalar [`run_trial`] calls with the same coordinates, for error and
+/// accuracy points alike. Public for out-of-crate [`ExecutionBackend`]
+/// implementations; callers must pass `1..=64` lanes.
 pub fn run_trial_batch(
     ctx: &PointContext,
     campaign_seed: u64,
@@ -829,9 +786,12 @@ pub fn run_trial_batch(
     out: &mut Vec<TrialOutcome>,
 ) {
     debug_assert!((1..=LANES).contains(&lanes));
-    let netlist = &ctx.kernel.netlist;
-    let batch = &mut arena.batch;
-    let telemetry = &mut arena.telemetry;
+    let TrialArena {
+        lane_array,
+        batch,
+        telemetry,
+        ..
+    } = arena;
 
     // Per-lane seeds: lane k replays trial `first_trial + k`'s exact input
     // and fault streams. Fault seeds come first so the batch can settle
@@ -845,7 +805,17 @@ pub fn run_trial_batch(
         batch.input_seeds.push(input_seed);
     }
 
-    let array = batch.array.get_or_insert_with(SlicedPimArray::standard_row);
+    // An accuracy trial runs one row program per hidden neuron, on rows
+    // `0..EVAL_HIDDEN`; an error trial runs its workload's on row 0.
+    let rows = if ctx.accuracy.is_some() {
+        mnist::EVAL_HIDDEN
+    } else {
+        1
+    };
+    if lane_array.as_ref().is_some_and(|a| a.rows() != rows) {
+        *lane_array = None;
+    }
+    let array = lane_array.get_or_insert_with(|| SlicedPimArray::standard_rows(rows));
     let window = ctx.clean.as_ref().map_or(0, |c| c.decisions);
     if ctx.conditioned {
         // Stratified mode: redraw every lane's first gate fault from the
@@ -881,76 +851,113 @@ pub fn run_trial_batch(
     }
 
     let span = telemetry.span_start();
-    batch.input_words.clear();
-    batch.input_words.resize(netlist.inputs.len(), 0);
-    for (lane, &input_seed) in batch.input_seeds.iter().enumerate() {
-        let mut input_rng = ChaCha8Rng::seed_from_u64(input_seed);
-        for word in batch.input_words.iter_mut() {
-            *word |= u64::from(input_rng.gen_bool(0.5)) << lane;
-        }
-    }
-    netlist.evaluate_lanes_into(
-        &batch.input_words,
-        &mut batch.eval_words,
-        &mut batch.expected_words,
-    );
-
-    match ctx.sliced.run_batch(
-        netlist,
-        &ctx.kernel.schedule,
-        array,
-        0,
-        &batch.input_words,
-        &mut batch.scratch,
-    ) {
-        Ok(report) => {
-            // Per-lane wrong-output-bit counts: word-parallel diff against
-            // the reference, then a popcount-bounded lane scan.
-            batch.wrong_bits.clear();
-            batch.wrong_bits.resize(lanes, 0);
-            let valid = array.injector().valid_mask();
-            for (got, want) in batch.scratch.output_words.iter().zip(&batch.expected_words) {
-                let mut diff = (got ^ want) & valid;
-                while diff != 0 {
-                    let lane = diff.trailing_zeros() as usize;
-                    diff &= diff - 1;
-                    batch.wrong_bits[lane] += 1;
-                }
-            }
-            for lane in 0..lanes {
-                out.push(TrialOutcome {
-                    faults_injected: array.injector().lane_fault_count(lane) as u64,
-                    checks: report.checks,
-                    errors_detected: report.errors_detected[lane],
-                    corrections_written_back: report.corrections_written_back[lane],
-                    uncorrectable: report.uncorrectable[lane],
-                    wrong_output_bits: batch.wrong_bits[lane],
-                    exec_error: None,
-                    correct: None,
-                });
-            }
-        }
-        Err(err) => {
-            // Validation failures precede every fault draw, so all lanes
-            // fail identically with zero injected faults — exactly the
-            // scalar error outcome.
-            let message = err.to_string();
-            for _ in 0..lanes {
-                out.push(TrialOutcome {
-                    faults_injected: 0,
-                    checks: 0,
-                    errors_detected: 0,
-                    corrections_written_back: 0,
-                    uncorrectable: 0,
-                    wrong_output_bits: 0,
-                    exec_error: Some(message.clone()),
-                    correct: None,
-                });
-            }
-        }
-    }
+    let first = out.len();
+    out.resize(first + lanes, TrialOutcome::default());
+    run_batch_rows(ctx, array, batch, &mut out[first..]);
     telemetry.span_end(Phase::GateExecution, span);
     telemetry.add(TelemetryCounter::TrialsExecuted, lanes as u64);
+}
+
+/// ORs `bits` into bit `lane` of `words`, one word per bit.
+fn load_lane(words: &mut [u64], bits: &[bool], lane: usize) {
+    for (word, &bit) in words.iter_mut().zip(bits) {
+        *word |= u64::from(bit) << lane;
+    }
+}
+
+/// Runs a reset batch's row programs and fills one outcome per lane. An
+/// error lane draws random inputs from its input stream and runs one row
+/// program; an accuracy lane runs the `EVAL_HIDDEN` row programs of the
+/// image its input stream picks, then classifies its own hidden sums, as
+/// [`run_accuracy_trial`] does.
+fn run_batch_rows(
+    ctx: &PointContext,
+    array: &mut SlicedPimArray,
+    batch: &mut TrialBatch,
+    outcomes: &mut [TrialOutcome],
+) {
+    let netlist = &ctx.kernel.netlist;
+    let TrialBatch {
+        input_seeds,
+        input_words,
+        eval_words,
+        expected_words,
+        scratch,
+        ..
+    } = batch;
+    let mut hidden_sums = [[0u64; mnist::EVAL_HIDDEN]; LANES];
+    for row in 0..array.rows() {
+        input_words.clear();
+        input_words.resize(netlist.inputs.len(), 0);
+        if let Some(accuracy) = &ctx.accuracy {
+            expected_words.clear();
+            expected_words.resize(netlist.outputs.len(), 0);
+            for (lane, &input_seed) in input_seeds.iter().enumerate() {
+                let image = accuracy.image_of(input_seed);
+                load_lane(input_words, &accuracy.inputs[image][row], lane);
+                load_lane(expected_words, &accuracy.expected[image][row], lane);
+            }
+        } else {
+            for (lane, &input_seed) in input_seeds.iter().enumerate() {
+                let mut input_rng = ChaCha8Rng::seed_from_u64(input_seed);
+                for word in input_words.iter_mut() {
+                    *word |= u64::from(input_rng.gen_bool(0.5)) << lane;
+                }
+            }
+            netlist.evaluate_lanes_into(input_words, eval_words, expected_words);
+        }
+        let report = match ctx.sliced.run_batch(
+            netlist,
+            &ctx.kernel.schedule,
+            array,
+            row,
+            input_words,
+            scratch,
+        ) {
+            Ok(report) => report,
+            Err(err) => {
+                // As on the scalar path: zeroed counters, the faults so far
+                // (none: validation precedes every fault draw), no
+                // prediction.
+                let message = err.to_string();
+                for (lane, outcome) in outcomes.iter_mut().enumerate() {
+                    let faults = array.injector().lane_fault_count(lane) as u64;
+                    *outcome = TrialOutcome::exec_failed(faults, message.clone());
+                }
+                return;
+            }
+        };
+        // Per-lane wrong-output-bit counts: word-parallel diff against the
+        // reference, then a popcount-bounded lane scan.
+        let valid = array.injector().valid_mask();
+        for (got, want) in scratch.output_words.iter().zip(&*expected_words) {
+            let mut diff = (got ^ want) & valid;
+            while diff != 0 {
+                let lane = diff.trailing_zeros() as usize;
+                diff &= diff - 1;
+                outcomes[lane].wrong_output_bits += 1;
+            }
+        }
+        for (lane, (outcome, sums)) in outcomes.iter_mut().zip(&mut hidden_sums).enumerate() {
+            outcome.checks += report.checks;
+            outcome.errors_detected += report.errors_detected[lane];
+            outcome.corrections_written_back += report.corrections_written_back[lane];
+            outcome.uncorrectable += report.uncorrectable[lane];
+            if ctx.accuracy.is_some() {
+                for (i, &word) in scratch.output_words.iter().enumerate() {
+                    sums[row] |= ((word >> lane) & 1) << i;
+                }
+            }
+        }
+    }
+    for (lane, outcome) in outcomes.iter_mut().enumerate() {
+        outcome.faults_injected = array.injector().lane_fault_count(lane) as u64;
+        if let Some(accuracy) = &ctx.accuracy {
+            let image = accuracy.image_of(input_seeds[lane]);
+            let prediction = accuracy.model.classify_from_sums(&hidden_sums[lane]);
+            outcome.correct = Some(prediction == accuracy.baseline.clean_predictions[image]);
+        }
+    }
 }
 
 /// A standalone single-point trial runner: one workload compiled under one
@@ -1080,8 +1087,7 @@ impl TrialHarness {
     ///
     /// # Panics
     ///
-    /// Panics if `count` is 0 or exceeds 64, or if the point is not
-    /// sliceable (see the backend docs; every plan-derived point is).
+    /// Panics if `count` is 0 or exceeds 64.
     pub fn run_trial_batch(
         &self,
         campaign_seed: u64,
@@ -1093,7 +1099,6 @@ impl TrialHarness {
             (1..=LANES).contains(&count),
             "a sliced batch runs 1..={LANES} trials, got {count}"
         );
-        assert!(self.ctx.sliceable(), "point is not sliceable");
         let mut out = Vec::with_capacity(count);
         run_trial_batch(
             &self.ctx,
@@ -1429,10 +1434,8 @@ pub(crate) fn point_spans(
 
 /// How one task of consecutive trials of a single point executes. Task
 /// grouping, the parallel loop and aggregation all dispatch through this
-/// trait. Campaigns always run on [`SlicedBackend`], which picks the lane
-/// path per point from a scheme-reported capability
-/// ([`SchemeRuntime::sliceable`](nvpim_core::scheme::SchemeRuntime::sliceable)).
-/// The trait is otherwise a test seam: [`ScalarBackend`] is the reference
+/// trait. Campaigns always run on [`SlicedBackend`], which runs every point
+/// lane-batched. The trait is otherwise a test seam: [`ScalarBackend`] is the reference
 /// oracle the equivalence suites compare against (via [`run_campaign_on`]),
 /// and the service's chaos suite substitutes fault-injecting fakes.
 ///
@@ -1459,24 +1462,6 @@ pub trait ExecutionBackend: std::fmt::Debug + Send + Sync {
     ) -> PointTally;
 }
 
-/// Tallies trials `first_trial .. first_trial + count` run one at a time
-/// on the scalar path.
-fn tally_scalar_trials(
-    point: &PointContext,
-    campaign_seed: u64,
-    point_index: u64,
-    first_trial: u64,
-    count: usize,
-    arena: &mut TrialArena,
-) -> PointTally {
-    let mut tally = PointTally::default();
-    for trial in first_trial..first_trial + count as u64 {
-        let seed = derive_trial_seed(campaign_seed, point_index, trial);
-        tally.record(&run_trial(point, seed, arena));
-    }
-    tally
-}
-
 /// The reference oracle: one trial at a time on the scalar bit-packed
 /// array. Campaigns never select it; the equivalence suites run it through
 /// [`run_campaign_on`] to check [`SlicedBackend`] byte for byte.
@@ -1497,24 +1482,24 @@ impl ExecutionBackend for ScalarBackend {
         count: usize,
         arena: &mut TrialArena,
     ) -> PointTally {
-        tally_scalar_trials(point, campaign_seed, point_index, first_trial, count, arena)
+        let mut tally = PointTally::default();
+        for trial in first_trial..first_trial + count as u64 {
+            let seed = derive_trial_seed(campaign_seed, point_index, trial);
+            tally.record(&run_trial(point, seed, arena));
+        }
+        tally
     }
 }
 
 /// The execution path every campaign runs on: up to 64 trials at once, one
-/// per `u64` lane, on the transposed bit-sliced array — for points whose
-/// scheme declares the lane-batched run path; everything else transparently
-/// falls back to single scalar trials with identical bytes.
+/// per `u64` lane, on the transposed bit-sliced array — error and accuracy
+/// points alike, with the bytes of [`ScalarBackend`].
 #[derive(Debug)]
 pub struct SlicedBackend;
 
 impl ExecutionBackend for SlicedBackend {
-    fn task_width(&self, point: &PointContext) -> usize {
-        if point.sliceable() {
-            LANES
-        } else {
-            1
-        }
+    fn task_width(&self, _point: &PointContext) -> usize {
+        LANES
     }
 
     fn run_task(
@@ -1526,16 +1511,6 @@ impl ExecutionBackend for SlicedBackend {
         count: usize,
         arena: &mut TrialArena,
     ) -> PointTally {
-        if !point.sliceable() {
-            return tally_scalar_trials(
-                point,
-                campaign_seed,
-                point_index,
-                first_trial,
-                count,
-                arena,
-            );
-        }
         let mut out = std::mem::take(&mut arena.outcomes);
         out.clear();
         run_trial_batch(
@@ -2324,22 +2299,18 @@ mod tests {
         let mut cache = ScheduleCache::new();
         let prepared = prepare_campaign(&plan, &mut cache).unwrap();
         let mut seen = Vec::new();
+        // Cancel at the first checkpoint: every non-empty run emits one,
+        // while a second exists only if the caller collects before the
+        // helpers finish the run.
         let err = prepared
             .run_chunked_resumable(&ScalarBackend, Duration::ZERO, Tallies::new(), |cp| {
                 seen.push(cp.progress.trials_done);
-                if seen.len() == 2 {
-                    CampaignControl::Cancel
-                } else {
-                    CampaignControl::Continue
-                }
+                CampaignControl::Cancel
             })
             .unwrap_err();
         assert_eq!(err, SweepError::Cancelled);
         // No checkpoint follows the one that cancelled.
-        assert!(
-            seen.len() <= 2 && seen.windows(2).all(|w| w[0] < w[1]),
-            "{seen:?}"
-        );
+        assert_eq!(seen.len(), 1, "{seen:?}");
     }
 
     #[test]

@@ -6,8 +6,9 @@ use serde::{Serialize, Value};
 use crate::engine::PointContext;
 use crate::plan::{CampaignKind, EstimatorMode, SweepPlan};
 
-/// Raw counters from one Monte Carlo trial.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Raw counters from one Monte Carlo trial. The default is a trial that
+/// injected, checked and corrected nothing.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TrialOutcome {
     /// Faults the injector actually fired during the trial.
     pub faults_injected: u64,
@@ -30,6 +31,16 @@ pub struct TrialOutcome {
 }
 
 impl TrialOutcome {
+    /// A trial that failed to execute: zeroed counters, the `faults` fired
+    /// before the failure and no prediction.
+    pub fn exec_failed(faults: u64, message: String) -> Self {
+        Self {
+            faults_injected: faults,
+            exec_error: Some(message),
+            ..Self::default()
+        }
+    }
+
     /// Whether the final output was wrong (a failed trial).
     pub fn failed(&self) -> bool {
         self.wrong_output_bits > 0

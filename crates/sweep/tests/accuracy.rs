@@ -12,10 +12,11 @@
 
 use std::time::Duration;
 
+use nvpim_core::config::{GateStyle, ProtectionScheme};
 use nvpim_sim::technology::Technology;
 use nvpim_sweep::{
     prepare_campaign, run_campaign, run_campaign_on, CampaignControl, CampaignKind, EstimatorMode,
-    ProtectionConfig, ScalarBackend, ScheduleCache, SweepError, SweepPlan, SweepWorkload,
+    ProtectionConfig, ScalarBackend, ScheduleCache, SweepError, SweepPlan, SweepWorkload, Tallies,
 };
 use nvpim_workloads::Benchmark;
 
@@ -73,6 +74,49 @@ fn accuracy_reports_are_byte_identical_across_backends_chunks_and_runs() {
             baseline_json, checkpointed,
             "checkpoint cadence {cadence:?} must agree"
         );
+    }
+}
+
+/// Accuracy points run lane-batched, and every registered scheme's lane
+/// batch replays the scalar oracle byte for byte under stuck-at defects and
+/// transient faults: five schemes over one partial batch, then TRiM over a
+/// full 64-lane batch plus a one-lane tail. (ECiM costs the debug-build
+/// oracle four times what TRiM does per trial.)
+#[test]
+fn accuracy_reports_match_the_scalar_oracle_for_every_scheme() {
+    let mut plan = accuracy_plan(&[1e-3], 0.02, 9);
+    plan.protections = ProtectionScheme::all()
+        .map(|scheme| ProtectionConfig {
+            scheme,
+            gate_style: GateStyle::MultiOutput,
+        })
+        .collect();
+    let mut full_batch = accuracy_plan(&[1e-3], 0.02, 65);
+    full_batch.protections = vec![ProtectionConfig::TRIM];
+    for plan in [plan, full_batch] {
+        let prepared = prepare_campaign(&plan, &mut ScheduleCache::new()).unwrap();
+        let sliced = prepared.run().unwrap();
+        let scalar = prepared
+            .run_chunked_resumable(&ScalarBackend, Duration::MAX, Tallies::new(), |_| {
+                CampaignControl::Continue
+            })
+            .unwrap();
+        assert_eq!(
+            sliced.to_json(),
+            scalar.to_json(),
+            "{} seeds per point",
+            plan.seeds_per_point
+        );
+        for point in &sliced.points {
+            assert!(point.errors_detected > 0 || point.protection.starts_with("unprotected"));
+            if point.protection.starts_with("ECiM") || point.protection.starts_with("TRiM") {
+                assert!(
+                    point.corrections_written_back > 0,
+                    "{}: corrections must meet the defects",
+                    point.protection
+                );
+            }
+        }
     }
 }
 

@@ -32,9 +32,11 @@ fn both_backends(plan: &SweepPlan) -> (String, String) {
 #[test]
 fn reports_are_byte_identical_across_the_technology_scheme_rate_grid() {
     // Every technology × every protection design point (both gate styles)
-    // × two error rates. 20 seeds per point is deliberately not a multiple
-    // of 64, so every point ends in a ragged lane batch.
-    let plan = SweepPlan {
+    // × two error rates, then the ReRAM crossbar with 2% stuck-at cells, so
+    // every correction write-back also meets pinned cells. 20 seeds per
+    // point is deliberately not a multiple of 64, so every point ends in a
+    // ragged lane batch.
+    let grid = SweepPlan {
         workloads: vec![mac()],
         technologies: Technology::ALL.to_vec(),
         protections: vec![
@@ -51,12 +53,23 @@ fn reports_are_byte_identical_across_the_technology_scheme_rate_grid() {
         kind: CampaignKind::Error,
         stuck_at_rate: 0.0,
     };
-    let (scalar, sliced) = both_backends(&plan);
-    assert_eq!(scalar, sliced, "grid reports must be byte-identical");
-    assert!(
-        scalar.contains("\"faults_injected\""),
-        "report shape sanity check"
-    );
+    let defective = SweepPlan {
+        technologies: vec![Technology::ReramCrossbar],
+        stuck_at_rate: 0.02,
+        ..grid.clone()
+    };
+    for plan in [grid, defective] {
+        let (scalar, sliced) = both_backends(&plan);
+        assert_eq!(
+            scalar, sliced,
+            "grid reports must be byte-identical at stuck-at {}",
+            plan.stuck_at_rate
+        );
+        assert!(
+            scalar.contains("\"faults_injected\""),
+            "report shape sanity check"
+        );
+    }
 }
 
 #[test]

@@ -2,8 +2,8 @@
 //! [`SchemeRuntime`](nvpim_core::scheme::SchemeRuntime) — including ones
 //! added after the engine shipped, like `ParityDetect` — must round-trip
 //! through every identity surface (names, plan JSON, content digests) and
-//! honour its declared capabilities (a scheme claiming the sliced run path
-//! must produce lane-for-lane scalar-identical trials).
+//! honour its declared capabilities (and every scheme's required sliced run
+//! path must produce lane-for-lane scalar-identical trials).
 
 use std::str::FromStr;
 
@@ -28,10 +28,7 @@ fn registry_protections() -> Vec<ProtectionConfig> {
 }
 
 /// The registry-completeness gate: a scheme may not be registered without a
-/// usable identity and a consistent capability sheet. This is the test
-/// that fails when someone registers a scheme but forgets its sliced
-/// capability declaration (the declared capability is *exercised*, not
-/// just read).
+/// usable identity and a consistent capability sheet.
 #[test]
 fn every_registered_scheme_declares_consistent_capabilities() {
     let mut wire_names = std::collections::HashSet::new();
@@ -63,7 +60,6 @@ fn every_registered_scheme_declares_consistent_capabilities() {
         let caps = runtime.capabilities(&config);
         assert_eq!(caps.metadata_columns, config.metadata_columns(), "{wire}");
         assert_eq!(caps.cells_per_value, config.cells_per_value(), "{wire}");
-        assert_eq!(caps.sliceable, runtime.sliceable(), "{wire}");
         assert_eq!(caps.detect_only, runtime.detect_only(), "{wire}");
         let layout = config.row_layout();
         assert_eq!(layout.metadata_columns, caps.metadata_columns, "{wire}");
@@ -89,7 +85,7 @@ fn every_registered_scheme_declares_consistent_capabilities() {
         ProtectionScheme::from_str("DetectRecompute").unwrap(),
         Technology::SttMram,
     ));
-    assert!(caps.recompute && caps.stuck_at_aware && caps.sliceable);
+    assert!(caps.recompute && caps.stuck_at_aware);
 }
 
 /// DetectRecompute's lane-batched path is bit-identical to its scalar path
@@ -136,11 +132,8 @@ fn detect_recompute_runs_lane_for_lane_with_stuck_at_defects() {
     }
 }
 
-/// A scheme that *declares* the sliced capability must *implement* it:
-/// a lane batch of its trials is bit-identical to the same trials run
-/// one-by-one on the scalar path. A scheme registered with
-/// `sliceable() == true` but no `run_sliced` implementation panics here
-/// (the trait's default), failing the suite.
+/// Every scheme's sliced run path is exercised: a lane batch of its trials
+/// is bit-identical to the same trials run one-by-one on the scalar path.
 #[test]
 fn declared_sliced_capability_is_exercised_for_every_scheme() {
     let workload = SweepWorkload::Mac {
@@ -149,9 +142,6 @@ fn declared_sliced_capability_is_exercised_for_every_scheme() {
     };
     for protection in registry_protections() {
         let config = protection.design_config(Technology::SttMram);
-        if !protection.scheme.runtime().sliceable() {
-            continue;
-        }
         let harness = TrialHarness::new(workload, protection, config, 1.5e-3)
             .unwrap_or_else(|e| panic!("{}: {e}", protection.label()));
         let mut arena = TrialArena::new();
