@@ -43,8 +43,8 @@ pub const LANES: usize = lanes::LANES;
 /// Only *gate-output* faults are modeled, because that is the regime the
 /// sweep engine runs (write/read/retention rates of zero consume neither
 /// RNG state nor skip counters in the scalar injector, so omitting them
-/// changes nothing). [`SlicedFaultInjector::supports`] gates backend
-/// selection on exactly that condition.
+/// changes nothing). [`SlicedFaultInjector::supports`] states exactly
+/// that condition, and [`SlicedFaultInjector::reset`] asserts it.
 #[derive(Debug, Clone, Default)]
 pub struct SlicedFaultInjector {
     gate_rate: f64,
@@ -199,6 +199,14 @@ impl SlicedFaultInjector {
         } else {
             self.min_next.saturating_sub(self.event_index)
         }
+    }
+
+    /// Gate-output fault decisions the batch made since the last reset,
+    /// each one a decision in every lane. In a fault-free batch it equals
+    /// what a scalar injector running any one lane's trial alone reports
+    /// as [`FaultInjector::decision_count`] for [`FaultSite::GateOutput`].
+    pub fn decision_count(&self) -> u64 {
+        self.event_index
     }
 
     /// Mask of the valid (active) lanes.

@@ -186,69 +186,37 @@ pub(crate) struct CleanProfile {
     pub(crate) outcome: TrialOutcome,
 }
 
-/// Probes one design point with two fault-free trials on different inputs
+/// Probes one design point with two fault-free trials on different inputs,
+/// run as one 2-lane batch on the lane engine the point's trials run on,
 /// and returns the shared clean profile, or `None` when the point cannot
 /// legally settle zero-fault trials analytically (scheme opt-out, probe
 /// disagreement, or a probe that faulted/failed/errored).
-pub(crate) fn capture_clean_profile(
-    config: &DesignConfig,
-    kernel: &CompiledKernel,
-    executor: &ProtectedExecutor,
-) -> Option<CleanProfile> {
-    if !config.scheme.runtime().analytic_clean() {
+pub(crate) fn capture_clean_profile(point: &PointContext) -> Option<CleanProfile> {
+    if !point.config.scheme.runtime().analytic_clean() {
         return None;
     }
-    let netlist = &kernel.netlist;
-    let mut profile: Option<CleanProfile> = None;
-    let mut inputs = Vec::new();
-    let mut eval_values = Vec::new();
-    let mut expected = Vec::new();
-    let mut scratch = ExecScratch::default();
-    for probe_seed in [0xC1EA_0001u64, 0xC1EA_0002] {
-        let mut input_rng = ChaCha8Rng::seed_from_u64(probe_seed);
-        inputs.clear();
-        inputs.extend((0..netlist.inputs.len()).map(|_| input_rng.gen_bool(0.5)));
-        netlist.evaluate_into(&inputs, &mut eval_values, &mut expected);
-        let mut array = PimArray::standard(config.technology);
-        array.reset_for_trial(config.technology, ErrorRates::NONE, probe_seed);
-        let report = executor
-            .run_with_scratch(
-                netlist,
-                &kernel.schedule,
-                &mut array,
-                0,
-                &inputs,
-                &mut scratch,
-            )
-            .ok()?;
-        let wrong_bits = report
-            .outputs
-            .iter()
-            .zip(&expected)
-            .filter(|(got, want)| got != want)
-            .count();
-        if wrong_bits != 0 || array.fault_injector().fault_count() != 0 {
-            return None;
-        }
-        let candidate = CleanProfile {
-            decisions: array.fault_injector().decision_count(FaultSite::GateOutput),
-            outcome: TrialOutcome {
-                checks: report.checks,
-                errors_detected: report.errors_detected,
-                corrections_written_back: report.corrections_written_back,
-                uncorrectable: report.uncorrectable,
-                ..TrialOutcome::default()
-            },
-        };
-        match &profile {
-            None => profile = Some(candidate),
-            // The two probes used different inputs; any divergence falsifies
-            // the scheme's input-independence claim for this point.
-            Some(first) if *first != candidate => return None,
-            Some(_) => {}
-        }
+    // Lane k draws its inputs from `probe_seeds[k]` as its input stream.
+    let probe_seeds = [0xC1EA_0001u64, 0xC1EA_0002];
+    let mut array = SlicedPimArray::standard_rows(1);
+    array.reset_for_batch(ErrorRates::NONE, &probe_seeds);
+    let mut batch = TrialBatch::default();
+    batch.input_seeds.extend(probe_seeds);
+    let mut outcomes = [TrialOutcome::default(), TrialOutcome::default()];
+    run_batch_rows(point, &mut array, &mut batch, &mut outcomes);
+    let [first, second] = outcomes;
+    // The two probes used different inputs; any divergence falsifies the
+    // scheme's input-independence claim for this point.
+    if first != second
+        || first.exec_error.is_some()
+        || first.faults_injected != 0
+        || first.wrong_output_bits != 0
+    {
+        return None;
     }
-    profile
+    Some(CleanProfile {
+        decisions: array.injector().decision_count(),
+        outcome: first,
+    })
 }
 
 /// Evaluation images of an accuracy campaign. Trials cycle through them by
@@ -348,9 +316,8 @@ pub struct PointContext {
     pub(crate) config: DesignConfig,
     pub(crate) gate_error_rate: f64,
     pub(crate) kernel: Arc<CompiledKernel>,
-    pub(crate) executor: Arc<ProtectedExecutor>,
-    /// Lane-batched executor for the same design point (the sliced
-    /// backend); shares the point's compiled schedule.
+    /// Lane-batched executor for the design point; shares the point's
+    /// compiled schedule.
     pub(crate) sliced: Arc<SlicedExecutor>,
     /// Analytic single-row time estimate (ns) from the system model.
     pub(crate) est_time_ns: f64,
@@ -385,22 +352,20 @@ pub struct PointContext {
 }
 
 impl PointContext {
-    /// Assembles a point, formatting its report labels exactly once (the
-    /// scheme's `&'static str` display name plus the gate-style and
-    /// technology labels) so the per-point aggregation path allocates no
-    /// fresh formatting.
-    #[allow(clippy::too_many_arguments)]
+    /// Assembles a design point at rate 0 with no clean profile: its lane
+    /// executor, its analytic estimate and its report labels, built once
+    /// per design (the scheme's `&'static str` display name plus the
+    /// gate-style and technology labels) so the per-point aggregation path
+    /// allocates no fresh formatting. Callers clone it per rate.
     pub(crate) fn new(
         workload: SweepWorkload,
         protection: ProtectionConfig,
         config: DesignConfig,
-        gate_error_rate: f64,
         kernel: Arc<CompiledKernel>,
-        executor: Arc<ProtectedExecutor>,
-        sliced: Arc<SlicedExecutor>,
-        est_time_ns: f64,
-        est_energy_fj: f64,
     ) -> Self {
+        let shape = WorkloadShape::new(workload.name(), 1, 1);
+        let estimate = evaluate_schedule(&kernel.schedule, &shape, &config);
+        let sliced = Arc::new(SlicedExecutor::new(config.clone()));
         let workload_name = workload.name();
         let technology_label = config.technology.to_string();
         let protection_label = protection.label();
@@ -408,12 +373,11 @@ impl PointContext {
             workload,
             protection,
             config,
-            gate_error_rate,
+            gate_error_rate: 0.0,
             kernel,
-            executor,
             sliced,
-            est_time_ns,
-            est_energy_fj,
+            est_time_ns: estimate.time_ns,
+            est_energy_fj: estimate.energy_fj,
             workload_name,
             technology_label,
             protection_label,
@@ -582,13 +546,19 @@ pub(crate) struct TrialBatch {
     scratch: SlicedExecScratch,
 }
 
-/// Executes one Monte Carlo trial of `ctx` in `arena` on the scalar path.
+/// Executes one Monte Carlo trial of `ctx` in `arena` on the scalar path,
+/// driven by `executor` (built for `ctx`'s design configuration).
 /// `base_seed` comes from [`derive_trial_seed`]. Public so out-of-crate
 /// [`ExecutionBackend`] implementations can compose the engine's exact
 /// per-trial semantics.
-pub fn run_trial(ctx: &PointContext, base_seed: u64, arena: &mut TrialArena) -> TrialOutcome {
+pub fn run_trial(
+    ctx: &PointContext,
+    executor: &ProtectedExecutor,
+    base_seed: u64,
+    arena: &mut TrialArena,
+) -> TrialOutcome {
     if let Some(accuracy) = &ctx.accuracy {
-        return run_accuracy_trial(ctx, accuracy, base_seed, arena);
+        return run_accuracy_trial(ctx, executor, accuracy, base_seed, arena);
     }
     // Independent streams for input generation and fault injection.
     let (input_seed, fault_seed) = trial_stream_seeds(base_seed);
@@ -654,35 +624,30 @@ pub fn run_trial(ctx: &PointContext, base_seed: u64, arena: &mut TrialArena) -> 
     inputs.extend((0..netlist.inputs.len()).map(|_| input_rng.gen_bool(0.5)));
     netlist.evaluate_into(inputs, eval_values, expected);
 
-    let outcome = match ctx.executor.run_with_scratch(
-        netlist,
-        &ctx.kernel.schedule,
-        array,
-        0,
-        inputs,
-        scratch,
-    ) {
-        Ok(report) => {
-            let wrong_bits = report
-                .outputs
-                .iter()
-                .zip(expected.iter())
-                .filter(|(got, want)| got != want)
-                .count() as u64;
-            TrialOutcome {
-                faults_injected: array.fault_injector().fault_count() as u64,
-                checks: report.checks,
-                errors_detected: report.errors_detected,
-                corrections_written_back: report.corrections_written_back,
-                uncorrectable: report.uncorrectable,
-                wrong_output_bits: wrong_bits,
-                ..TrialOutcome::default()
+    let outcome =
+        match executor.run_with_scratch(netlist, &ctx.kernel.schedule, array, 0, inputs, scratch) {
+            Ok(report) => {
+                let wrong_bits = report
+                    .outputs
+                    .iter()
+                    .zip(expected.iter())
+                    .filter(|(got, want)| got != want)
+                    .count() as u64;
+                TrialOutcome {
+                    faults_injected: array.fault_injector().fault_count() as u64,
+                    checks: report.checks,
+                    errors_detected: report.errors_detected,
+                    corrections_written_back: report.corrections_written_back,
+                    uncorrectable: report.uncorrectable,
+                    wrong_output_bits: wrong_bits,
+                    ..TrialOutcome::default()
+                }
             }
-        }
-        Err(err) => {
-            TrialOutcome::exec_failed(array.fault_injector().fault_count() as u64, err.to_string())
-        }
-    };
+            Err(err) => TrialOutcome::exec_failed(
+                array.fault_injector().fault_count() as u64,
+                err.to_string(),
+            ),
+        };
     telemetry.span_end(Phase::GateExecution, span);
     telemetry.add(TelemetryCounter::TrialsExecuted, 1);
     outcome
@@ -697,6 +662,7 @@ pub fn run_trial(ctx: &PointContext, base_seed: u64, arena: &mut TrialArena) -> 
 /// degradation is attributable to the injected faults alone.
 fn run_accuracy_trial(
     ctx: &PointContext,
+    executor: &ProtectedExecutor,
     accuracy: &AccuracyContext,
     base_seed: u64,
     arena: &mut TrialArena,
@@ -724,7 +690,7 @@ fn run_accuracy_trial(
     for (neuron, sum_slot) in hidden_sums.iter_mut().enumerate() {
         let inputs = &accuracy.inputs[image][neuron];
         let expected = &accuracy.expected[image][neuron];
-        match ctx.executor.run_with_scratch(
+        match executor.run_with_scratch(
             netlist,
             &ctx.kernel.schedule,
             array,
@@ -967,6 +933,7 @@ fn run_batch_rows(
 #[derive(Debug)]
 pub struct TrialHarness {
     ctx: PointContext,
+    executor: ProtectedExecutor,
 }
 
 impl TrialHarness {
@@ -987,24 +954,11 @@ impl TrialHarness {
             &config,
             &Telemetry::disabled(),
         )?;
-        let shape = WorkloadShape::new(workload.name(), 1, 1);
-        let estimate = evaluate_schedule(&kernel.schedule, &shape, &config);
-        let executor = Arc::new(ProtectedExecutor::new(config.clone()));
-        let sliced = Arc::new(SlicedExecutor::new(config.clone()));
-        let clean = capture_clean_profile(&config, &kernel, &executor);
-        let mut ctx = PointContext::new(
-            workload,
-            protection,
-            config,
-            gate_error_rate,
-            kernel,
-            executor,
-            sliced,
-            estimate.time_ns,
-            estimate.energy_fj,
-        );
-        ctx.clean = clean;
-        Ok(Self { ctx })
+        let executor = ProtectedExecutor::new(config.clone());
+        let mut ctx = PointContext::new(workload, protection, config, kernel);
+        ctx.clean = capture_clean_profile(&ctx);
+        ctx.gate_error_rate = gate_error_rate;
+        Ok(Self { ctx, executor })
     }
 
     /// Disables the analytic zero-fault fast path (and conditioning), so
@@ -1051,9 +1005,9 @@ impl TrialHarness {
         &self.ctx.kernel
     }
 
-    /// The executor driving this point.
+    /// The scalar executor [`Self::run_trial`] drives.
     pub fn executor(&self) -> &ProtectedExecutor {
-        &self.ctx.executor
+        &self.executor
     }
 
     /// The design configuration of this point.
@@ -1076,6 +1030,7 @@ impl TrialHarness {
     ) -> TrialOutcome {
         run_trial(
             &self.ctx,
+            &self.executor,
             derive_trial_seed(campaign_seed, 0, trial_index),
             arena,
         )
@@ -1229,38 +1184,22 @@ pub fn prepare_campaign_with_telemetry(
                 if !layouts_used.contains(&ptr) {
                     layouts_used.push(ptr);
                 }
-                let shape = WorkloadShape::new(workload.name(), 1, 1);
-                let estimate = evaluate_schedule(&kernel.schedule, &shape, &config);
-                let executor = Arc::new(ProtectedExecutor::new(config.clone()));
-                let sliced = Arc::new(SlicedExecutor::new(config.clone()));
+                let mut design = PointContext::new(workload, protection, config, kernel);
+                design.stuck_at_rate = plan.stuck_at_rate;
+                design.accuracy = accuracy;
                 // One clean-profile capture per (workload, technology,
                 // protection) — rates share it, since a fault-free trial is
                 // rate-independent by construction. Accuracy campaigns and
                 // defect-bearing plans run without the analytic fast path:
                 // with stuck-at defects a zero-transient-fault trial is not
                 // clean, and accuracy trials never settle analytically.
-                let clean = if accuracy.is_some() || plan.stuck_at_rate != 0.0 {
-                    None
-                } else {
-                    telemetry.time(Phase::CleanProbe, || {
-                        capture_clean_profile(&config, &kernel, &executor)
-                    })
-                };
+                if design.accuracy.is_none() && design.stuck_at_rate == 0.0 {
+                    design.clean =
+                        telemetry.time(Phase::CleanProbe, || capture_clean_profile(&design));
+                }
                 for &gate_error_rate in &plan.gate_error_rates {
-                    let mut point = PointContext::new(
-                        workload,
-                        protection,
-                        config.clone(),
-                        gate_error_rate,
-                        Arc::clone(&kernel),
-                        Arc::clone(&executor),
-                        Arc::clone(&sliced),
-                        estimate.time_ns,
-                        estimate.energy_fj,
-                    );
-                    point.clean = clean.clone();
-                    point.stuck_at_rate = plan.stuck_at_rate;
-                    point.accuracy = accuracy.clone();
+                    let mut point = design.clone();
+                    point.gate_error_rate = gate_error_rate;
                     // Conditioning requires a verified window and a rate
                     // where "at least one fault" is neither impossible nor
                     // certain; other points fall back to plain Monte Carlo
@@ -1482,10 +1421,11 @@ impl ExecutionBackend for ScalarBackend {
         count: usize,
         arena: &mut TrialArena,
     ) -> PointTally {
+        let executor = ProtectedExecutor::new(point.config.clone());
         let mut tally = PointTally::default();
         for trial in first_trial..first_trial + count as u64 {
             let seed = derive_trial_seed(campaign_seed, point_index, trial);
-            tally.record(&run_trial(point, seed, arena));
+            tally.record(&run_trial(point, &executor, seed, arena));
         }
         tally
     }
@@ -2020,17 +1960,7 @@ mod tests {
                 &Telemetry::disabled(),
             )
             .unwrap();
-        let ctx = PointContext::new(
-            workload,
-            protection,
-            config.clone(),
-            1e-3,
-            kernel,
-            Arc::new(ProtectedExecutor::new(config.clone())),
-            Arc::new(SlicedExecutor::new(config)),
-            0.0,
-            0.0,
-        );
+        let ctx = PointContext::new(workload, protection, config, kernel);
         let broken = TrialOutcome {
             faults_injected: 0,
             checks: 0,

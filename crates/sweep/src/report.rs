@@ -286,13 +286,15 @@ impl Tallies {
     }
 
     /// Decodes the [`Serialize`] encoding: an array of objects, each a
-    /// `point` index plus every [`PointTally`] counter.
+    /// `point` index plus every [`PointTally`] counter, in strictly
+    /// increasing point order (the order [`Serialize`] writes), so decoding
+    /// runs in time linear in the entry count.
     ///
     /// # Errors
     ///
-    /// A description naming the malformed entry or field, or an entry
-    /// whose counters no set of trials could produce (more failures than
-    /// executed trials, say).
+    /// A description naming the malformed entry or field, an entry out of
+    /// point order or repeating a point, or an entry whose counters no set
+    /// of trials could produce (more failures than executed trials, say).
     pub fn from_json_value(value: &Value) -> Result<Self, String> {
         let entries = value.as_array().ok_or("tallies must be an array")?;
         let mut tallies = Tallies::new();
@@ -312,7 +314,14 @@ impl Tallies {
             if !tally.is_consistent() {
                 return Err(format!("tally of point {point} is inconsistent"));
             }
-            tallies.add(point, &tally);
+            if let Some(&(previous, _)) = tallies.points.last() {
+                if point <= previous {
+                    return Err(format!(
+                        "tally of point {point} follows point {previous}: points must strictly increase"
+                    ));
+                }
+            }
+            tallies.points.push((point, tally));
         }
         Ok(tallies)
     }
@@ -782,11 +791,19 @@ mod tests {
 
         let mut inconsistent = serde_json::to_string(&tallies).unwrap();
         inconsistent = inconsistent.replacen(r#""failed_trials":0"#, r#""failed_trials":9"#, 1);
+        // The two entries swapped, and the first one twice.
+        let inner = &encoded[1..encoded.len() - 1];
+        let split = inner.find("},{").unwrap() + 1;
+        let (first, second) = (&inner[..split], &inner[split + 1..]);
+        let descending = format!("[{second},{first}]");
+        let duplicated = format!("[{first},{first}]");
         for bad in [
             r#"{}"#,
             r#"[{"point":0}]"#,
             r#"[{"point":-1,"trials":1}]"#,
             inconsistent.as_str(),
+            descending.as_str(),
+            duplicated.as_str(),
         ] {
             let value = serde_json::from_str(bad).unwrap();
             assert!(Tallies::from_json_value(&value).is_err(), "{bad}");

@@ -15,13 +15,16 @@
 //!    carry no `estimator` key, and every registered scheme passes the
 //!    analytic-clean cross-check the fast path's legality rests on.
 
-use nvpim_sim::fault::FaultInjector;
+use nvpim_core::config::{GateStyle, ProtectionScheme};
+use nvpim_sim::array::PimArray;
+use nvpim_sim::fault::{ErrorRates, FaultInjector, FaultSite};
 use nvpim_sim::technology::Technology;
 use nvpim_sweep::{
-    run_campaign, EstimatorMode, ProtectionConfig, SweepPlan, SweepWorkload, TrialHarness,
+    run_campaign, EstimatorMode, ProtectionConfig, SweepPlan, SweepWorkload, Telemetry,
+    TelemetryCounter, TrialArena, TrialHarness,
 };
 use proptest::prelude::*;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 fn grid_plan(estimator: EstimatorMode, seeds_per_point: u64) -> SweepPlan {
@@ -144,33 +147,88 @@ fn exact_mode_reports_keep_schema_version_one_and_no_estimator_key() {
     );
 }
 
+/// The decision window of `harness`'s design, measured on the scalar
+/// oracle: one fault-free trial on the first clean probe's inputs.
+fn scalar_clean_decisions(harness: &TrialHarness) -> u64 {
+    let probe_seed = 0xC1EA_0001;
+    let technology = harness.config().technology;
+    let netlist = &harness.kernel().netlist;
+    let mut input_rng = ChaCha8Rng::seed_from_u64(probe_seed);
+    let inputs: Vec<bool> = (0..netlist.inputs.len())
+        .map(|_| input_rng.gen_bool(0.5))
+        .collect();
+    let mut array = PimArray::standard(technology);
+    array.reset_for_trial(technology, ErrorRates::NONE, probe_seed);
+    harness
+        .executor()
+        .run(netlist, &harness.kernel().schedule, &mut array, 0, &inputs)
+        .expect("clean scalar trial runs");
+    array.fault_injector().decision_count(FaultSite::GateOutput)
+}
+
 #[test]
 fn every_registered_scheme_passes_the_analytic_clean_cross_check() {
     // The fast path's legality check: two clean probes with different
     // inputs must agree on the decision window and the clean outcome for
-    // every registered scheme (each declares `analytic_clean`).
-    for protection in ProtectionConfig::registry_sweep() {
-        let harness = TrialHarness::new(
-            SweepWorkload::Mac {
-                acc_bits: 8,
-                mul_bits: 4,
-            },
-            protection,
-            protection.design_config(Technology::SttMram),
-            1e-4,
-        )
-        .unwrap();
-        let decisions = harness.clean_decisions().unwrap_or_else(|| {
-            panic!(
-                "{} failed the clean-profile cross-check",
-                protection.label()
-            )
-        });
-        assert!(
-            decisions > 0,
-            "{} must make gate decisions",
-            protection.label()
-        );
+    // every registered scheme (each declares `analytic_clean`), on every
+    // gate style, technology and kernel. The profile is captured on the
+    // lane engine; the scalar oracle must measure the same window, and a
+    // batch the profile settles must match trials simulated in full.
+    let workloads = [
+        SweepWorkload::Mac {
+            acc_bits: 8,
+            mul_bits: 4,
+        },
+        SweepWorkload::RippleAdd { bits: 8 },
+    ];
+    for scheme in ProtectionScheme::all() {
+        for gate_style in [GateStyle::MultiOutput, GateStyle::SingleOutput] {
+            let protection = ProtectionConfig { scheme, gate_style };
+            for technology in Technology::ALL_EXTENDED {
+                for workload in workloads {
+                    let label = format!(
+                        "{} on {technology}, {}",
+                        protection.label(),
+                        workload.name()
+                    );
+                    let harness = TrialHarness::new(
+                        workload,
+                        protection,
+                        protection.design_config(technology),
+                        0.0,
+                    )
+                    .unwrap();
+                    let decisions = harness
+                        .clean_decisions()
+                        .unwrap_or_else(|| panic!("{label} failed the clean-profile cross-check"));
+                    assert!(decisions > 0, "{label} must make gate decisions");
+                    assert_eq!(
+                        decisions,
+                        scalar_clean_decisions(&harness),
+                        "{label}: lane-captured decision window differs from the scalar oracle's"
+                    );
+
+                    let sink = Telemetry::new();
+                    let mut arena = TrialArena::with_telemetry(&sink);
+                    let settled = harness.run_trial_batch(0xC1EA, 0, 64, &mut arena);
+                    arena.flush_telemetry();
+                    assert_eq!(
+                        sink.counter(TelemetryCounter::CleanSettledBatches),
+                        1,
+                        "{label}: the rate-0 batch must settle on the clean profile"
+                    );
+                    let full = harness.without_analytic_fast_path();
+                    let mut arena = TrialArena::new();
+                    let simulated: Vec<_> = (0..64)
+                        .map(|t| full.run_trial(0xC1EA, t, &mut arena))
+                        .collect();
+                    assert_eq!(
+                        settled, simulated,
+                        "{label}: the clean profile's outcome differs from a full simulation"
+                    );
+                }
+            }
+        }
     }
 }
 
