@@ -2,9 +2,9 @@
 //! the unprotected iso-area baseline, with multi-output gates.
 //!
 //! Pass `--sweep` to additionally run the Monte Carlo fault-injection
-//! campaign (protection efficacy alongside the analytic cost table),
-//! `--connect HOST:PORT` to run it on a remote `nvpim-serviced`, or
-//! `--serve HOST:PORT` to stay up as a campaign daemon afterwards.
+//! campaign (protection efficacy alongside the analytic cost table). The
+//! same campaign runs on a daemon with `nvpim-cli submit --quick --wait`
+//! (or `--paper-scale`).
 
 use nvpim_bench::{finish_harness, print_table, sweep_suite, HarnessOptions};
 use nvpim_sim::technology::Technology;

@@ -34,12 +34,6 @@ pub struct HarnessOptions {
     /// Additionally run a Monte Carlo fault-injection campaign
     /// (`nvpim-sweep`) alongside the analytic table.
     pub sweep: bool,
-    /// Run the campaign through a remote `nvpim-serviced` at this address
-    /// instead of in-process (`--connect HOST:PORT`).
-    pub connect: Option<String>,
-    /// After the table, start an `nvpim-serviced` daemon on this address
-    /// and serve campaigns until a `shutdown` request (`--serve HOST:PORT`).
-    pub serve: Option<String>,
 }
 
 impl HarnessOptions {
@@ -59,13 +53,11 @@ impl HarnessOptions {
     /// Parses options from an explicit argument list (testable core of
     /// [`Self::from_args`]).
     pub fn parse(args: &[String]) -> Self {
-        use nvpim::service::flags::{has_flag, value_of};
+        use nvpim::service::flags::has_flag;
         Self {
             quick: has_flag(args, "--quick"),
             json: has_flag(args, "--json"),
             sweep: has_flag(args, "--sweep"),
-            connect: value_of(args, "--connect"),
-            serve: value_of(args, "--serve"),
         }
     }
 
@@ -207,7 +199,11 @@ pub fn print_json<T: Serialize>(value: &T) {
 /// each protection scheme, with detection / correction / silent-error
 /// counters per campaign point.
 pub fn run_monte_carlo_sweep(opts: &HarnessOptions) {
-    let plan = selected_plan(opts);
+    let plan = if opts.quick {
+        nvpim::SweepPlan::quick()
+    } else {
+        nvpim::SweepPlan::paper_scale()
+    };
     println!(
         "\nMonte Carlo fault sweep — {} points x {} seeds = {} trials",
         plan.point_count(),
@@ -267,92 +263,15 @@ pub fn run_monte_carlo_sweep(opts: &HarnessOptions) {
     }
 }
 
-/// The shared tail of every harness binary: emit JSON when requested, run
-/// the Monte Carlo campaign (`--sweep` locally, `--connect` through a
-/// remote daemon), and finally enter daemon mode for `--serve`.
-///
-/// Previously this block — and the `--sweep` handling inside it — was
-/// copy-pasted into each binary; the binaries now delegate here.
+/// The shared tail of every harness binary: emit JSON when requested, then
+/// run the `--sweep` Monte Carlo campaign. To run that campaign on a daemon
+/// instead, submit the same named plan with `nvpim-cli submit --wait`.
 pub fn finish_harness<T: Serialize>(opts: &HarnessOptions, rows: &T) {
     if opts.json {
         print_json(rows);
     }
-    if let Some(addr) = &opts.connect {
-        run_remote_sweep(addr, opts);
-    } else if opts.sweep {
+    if opts.sweep {
         run_monte_carlo_sweep(opts);
-    }
-    if let Some(addr) = &opts.serve {
-        serve_campaigns(addr, opts);
-    }
-}
-
-/// The campaign plan selected by the shared options.
-fn selected_plan(opts: &HarnessOptions) -> nvpim::SweepPlan {
-    if opts.quick {
-        nvpim::SweepPlan::quick()
-    } else {
-        nvpim::SweepPlan::paper_scale()
-    }
-}
-
-/// Runs the `--sweep` campaign on a remote `nvpim-serviced` (`--connect`):
-/// submits the plan, waits, and prints the returned report JSON — which is
-/// byte-identical to a local `run_campaign` of the same plan.
-pub fn run_remote_sweep(addr: &str, opts: &HarnessOptions) {
-    use serde::Value;
-
-    let plan = selected_plan(opts);
-    let plan_value: Value =
-        serde_json::from_str(&plan.canonical_json()).expect("canonical plan JSON parses");
-    let mut client = nvpim::service::Client::connect(addr)
-        .unwrap_or_else(|e| panic!("connecting to nvpim-serviced at {addr}: {e}"));
-    let accepted = client
-        .request(&nvpim::service::client::request(
-            "submit",
-            vec![("plan".to_string(), plan_value)],
-        ))
-        .expect("submit request");
-    assert_eq!(
-        accepted.get("ok").and_then(Value::as_bool),
-        Some(true),
-        "submit failed: {accepted:?}"
-    );
-    let job = accepted.get("job").and_then(Value::as_u64).expect("job id");
-    eprintln!(
-        "submitted campaign to {addr} as job {job} (cached: {})",
-        accepted
-            .get("cached")
-            .and_then(Value::as_bool)
-            .unwrap_or(false)
-    );
-    let result = client
-        .request(&nvpim::service::client::request(
-            "result",
-            vec![
-                ("job".to_string(), Value::UInt(job)),
-                ("wait".to_string(), Value::Bool(true)),
-            ],
-        ))
-        .expect("result request");
-    assert_eq!(
-        result.get("ok").and_then(Value::as_bool),
-        Some(true),
-        "campaign failed: {result:?}"
-    );
-    let report = result.get("report").expect("result carries a report");
-    println!(
-        "{}",
-        serde_json::to_string_pretty(report).expect("report serializes")
-    );
-}
-
-/// Starts an in-process campaign service on `addr` (`--serve`) and serves
-/// the NDJSON protocol until a client sends `shutdown`.
-pub fn serve_campaigns(addr: &str, _opts: &HarnessOptions) {
-    let service = nvpim::service::ServiceHandle::start(nvpim::service::ServiceConfig::default());
-    if let Err(e) = nvpim::service::run_server(addr, &service) {
-        panic!("serving campaigns on {addr}: {e}");
     }
 }
 
@@ -384,24 +303,14 @@ mod tests {
 
     #[test]
     fn parse_handles_service_flags() {
-        let args: Vec<String> = [
-            "bin",
-            "--quick",
-            "--sweep",
-            "--connect",
-            "127.0.0.1:7171",
-            "--serve",
-            "0.0.0.0:9",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
+        let args: Vec<String> = ["bin", "--quick", "--sweep", "--unknown"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
         let opts = HarnessOptions::parse(&args);
         assert!(opts.quick && opts.sweep && !opts.json);
-        assert_eq!(opts.connect.as_deref(), Some("127.0.0.1:7171"));
-        assert_eq!(opts.serve.as_deref(), Some("0.0.0.0:9"));
-        // Flags without values parse as absent, not as panics.
-        let bare: Vec<String> = ["bin", "--connect"].iter().map(|s| s.to_string()).collect();
-        assert_eq!(HarnessOptions::parse(&bare).connect, None);
+        let json: Vec<String> = ["bin", "--json"].iter().map(|s| s.to_string()).collect();
+        let opts = HarnessOptions::parse(&json);
+        assert!(opts.json && !opts.quick && !opts.sweep);
     }
 }

@@ -17,6 +17,7 @@
 //! nvpim-cli run     --fleet HOST:PORT[,HOST:PORT...]               # sharded
 //!                   [--shards N] [--heartbeat-ms N]
 //!                   [--max-reassignments N] (--plan ... | --quick | ...)
+//!                   [--stats-out PATH] [--metrics-out PATH]
 //! nvpim-cli schemes [--json]        # the protection-scheme registry
 //! ```
 //!
@@ -37,7 +38,10 @@
 //! `run --fleet` shards the campaign across several daemons through the
 //! fleet coordinator (see `docs/robustness.md`); the merged report on
 //! stdout is byte-identical to a local `run` of the same plan even when
-//! workers die, stall, or drain mid-campaign.
+//! workers die, stall, or drain mid-campaign. `--stats-out` writes the
+//! fleet stats (per-worker accounting, evictions) as JSON and
+//! `--metrics-out` the fleet counters as Prometheus text; a one-line
+//! summary always lands on stderr.
 //!
 //! `submit --wait` streams progress to stderr and prints the final report
 //! JSON (pretty, byte-identical to a direct `run_campaign` of the same
@@ -57,7 +61,7 @@ use nvpim::service::flags::{has_flag, value_of};
 use nvpim::sweep::{prepare_campaign_with_telemetry, ScheduleCache};
 use nvpim::telemetry::{Counter, Phase, Telemetry};
 use nvpim::{CampaignKind, EstimatorMode, SweepPlan};
-use serde::Value;
+use serde::{Serialize, Value};
 
 const DEFAULT_ADDR: &str = "127.0.0.1:7171";
 
@@ -86,17 +90,17 @@ fn plan_value(args: &[String]) -> Value {
 
 /// Decodes the same plan selection locally (for `run`).
 fn plan_local(args: &[String]) -> SweepPlan {
-    if has_flag(args, "--quick") {
-        return SweepPlan::quick();
-    }
-    if has_flag(args, "--paper-scale") {
-        return SweepPlan::paper_scale();
-    }
-    if has_flag(args, "--accuracy-quick") {
-        return SweepPlan::accuracy_quick();
-    }
     let value = plan_value(args);
-    SweepPlan::from_json_value(&value).unwrap_or_else(|e| die(e))
+    match value.as_str() {
+        Some(name) => {
+            SweepPlan::named(name).unwrap_or_else(|| die(format!("unknown named plan `{name}`")))
+        }
+        None => SweepPlan::from_json_value(&value).unwrap_or_else(|e| die(e)),
+    }
+}
+
+fn write_or_die(path: &str, contents: &str) {
+    std::fs::write(path, contents).unwrap_or_else(|e| die(format!("writing {path}: {e}")));
 }
 
 /// The shared daemon-connection settings: address, timeouts and the
@@ -451,6 +455,13 @@ fn cmd_run(args: &[String]) {
         let telemetry = Telemetry::new();
         let outcome = run_fleet(&plan, &cfg, &telemetry).unwrap_or_else(|e| die(e));
         println!("{}", outcome.report.to_json());
+        if let Some(path) = value_of(args, "--stats-out") {
+            let stats = serde_json::to_string(&outcome.stats.to_json()).unwrap_or_default();
+            write_or_die(&path, &stats);
+        }
+        if let Some(path) = value_of(args, "--metrics-out") {
+            write_or_die(&path, &telemetry.snapshot().render_prometheus());
+        }
         eprintln!(
             "fleet: {} shard(s) across {} worker(s); {} reassigned, {} eviction(s), \
              {} heartbeat miss(es)",

@@ -1,6 +1,5 @@
 //! A minimal blocking client for the NDJSON protocol, shared by
-//! `nvpim-cli`, the harness binaries' `--connect` mode and the protocol
-//! tests.
+//! `nvpim-cli`, the fleet coordinator and the protocol tests.
 //!
 //! The client assumes nothing about TCP framing: writes loop until the
 //! whole line is on the wire (a single `write` may be short), and reads

@@ -54,7 +54,7 @@ impl JobState {
 /// [`CancelledWhileQueued`](Self::CancelledWhileQueued) is the unique
 /// party that performed it — which is what lets the service count each
 /// cancellation exactly once (running jobs are counted by the worker when
-/// `run_chunked` reports `Cancelled`).
+/// `run_shard` reports `Cancelled`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CancelOutcome {
     /// The job had already finished; nothing to cancel.

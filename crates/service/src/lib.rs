@@ -18,8 +18,8 @@
 //!   per-chunk progress events.
 //! * [`server`] — the TCP front end behind the `nvpim-serviced` binary.
 //! * [`client`] — the blocking client used by `nvpim-cli` and the tests.
-//! * [`coordinator`] — the fleet layer behind the `nvpim-coordinator`
-//!   binary: shards one campaign's trial grid across several daemons,
+//! * [`coordinator`] — the fleet layer behind `nvpim-cli run --fleet`:
+//!   shards one campaign's trial grid across several daemons,
 //!   health-checks them over the protocol, and re-assigns shards away
 //!   from dead, stalled, or draining workers without recomputing their
 //!   checkpointed chunks. Checkpoints everywhere — journal records, shard

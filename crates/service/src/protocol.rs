@@ -114,14 +114,9 @@ fn to_value<T: Serialize>(v: &T) -> Value {
 /// `"quick"` / `"paper_scale"` / `"accuracy_quick"`.
 fn decode_plan(value: &Value) -> Result<SweepPlan, String> {
     if let Some(name) = value.as_str() {
-        return match name {
-            "quick" => Ok(SweepPlan::quick()),
-            "paper_scale" => Ok(SweepPlan::paper_scale()),
-            "accuracy_quick" => Ok(SweepPlan::accuracy_quick()),
-            other => Err(format!(
-                "unknown named plan `{other}` (expected quick, paper_scale or accuracy_quick)"
-            )),
-        };
+        return SweepPlan::named(name).ok_or_else(|| {
+            format!("unknown named plan `{name}` (expected quick, paper_scale or accuracy_quick)")
+        });
     }
     SweepPlan::from_json_value(value).map_err(|e| e.to_string())
 }

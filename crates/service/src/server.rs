@@ -153,7 +153,7 @@ pub fn serve(service: &ServiceHandle, listener: TcpListener) -> std::io::Result<
 
 /// Binds `addr`, announces the bound address on stdout, and serves forever
 /// (until a `shutdown` request). This is the whole `nvpim-serviced` main
-/// loop, also reachable from the harness binaries' `--serve` flag.
+/// loop.
 ///
 /// # Errors
 ///

@@ -1235,8 +1235,10 @@ fn fail_job(inner: &Inner, core: &JobCore, error: String) {
 }
 
 /// One execution attempt: prepare through the shared schedule cache, run
-/// resumably from the shared checkpoint (journaling every checkpoint), and
-/// drive the job to its terminal state. Panics propagate to [`run_job`].
+/// the trials after the shared checkpoint as one shard of the campaign
+/// (journaling every checkpoint), aggregate the checkpoint into the report,
+/// and drive the job to its terminal state. Panics propagate to
+/// [`run_job`].
 fn run_attempt(inner: &Inner, core: &Arc<JobCore>, plan: &SweepPlan, checkpoint: &Mutex<Tallies>) {
     // Compile through the process-wide shared cache; the lock is held
     // only for preparation, never while trials run. The campaign runs
@@ -1251,15 +1253,34 @@ fn run_attempt(inner: &Inner, core: &Arc<JobCore>, plan: &SweepPlan, checkpoint:
         Ok(prepared) => prepared,
         Err(err) => return fail_job(inner, core, err.to_string()),
     };
-    let resume = lock_unpoisoned(checkpoint).clone();
-    let resumed_trials = resume.trials();
+    let total = prepared.trial_count();
+    // The checkpoint must tally exactly the first `resumed_trials` trials:
+    // the run below skips them, so tallies of any other trials would
+    // aggregate into a wrong report.
+    let (resumed_trials, is_prefix) = {
+        let resume = lock_unpoisoned(checkpoint);
+        let done = resume.trials();
+        (
+            done,
+            done <= total && resume.covers_range(0, done, plan.seeds_per_point),
+        )
+    };
+    if !is_prefix {
+        let err = SweepError::BadCheckpoint(format!(
+            "checkpoint tallies {resumed_trials} trials that are not a prefix of the \
+             campaign's {total} trials"
+        ));
+        return fail_job(inner, core, err.to_string());
+    }
     let run_started = std::time::Instant::now();
-    let outcome = prepared.run_chunked_resumable(
+    let ran = prepared.run_shard(
         inner.backend(),
+        resumed_trials,
+        total,
         inner.checkpoint_every(),
-        resume,
         |chunk| {
-            let trials_done = chunk.progress.trials_done;
+            // Journal records and job progress count the whole campaign.
+            let trials_done = resumed_trials + chunk.progress.trials_done;
             inner.telemetry.add(Counter::JobCheckpoints, 1);
             // Journal before merging into the in-memory checkpoint: a
             // crash between the two merely recomputes one checkpoint.
@@ -1295,6 +1316,7 @@ fn run_attempt(inner: &Inner, core: &Arc<JobCore>, plan: &SweepPlan, checkpoint:
             }
         },
     );
+    let outcome = ran.and_then(|_| prepared.report_from_tallies(&lock_unpoisoned(checkpoint)));
     let run_nanos = run_started.elapsed().as_nanos() as u64;
     inner.telemetry.add(Counter::ServiceBusyNanos, run_nanos);
     inner
@@ -1595,6 +1617,66 @@ mod tests {
             "the drained running job must resume from its checkpoint: {stats:?}"
         );
         service2.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn resume_rejects_tallies_that_are_not_a_prefix() {
+        let dir = std::env::temp_dir().join(format!("nvpim-bad-prefix-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let plan = tiny_plan(90);
+        let spp = plan.seeds_per_point;
+        // Four trials straddling point boundaries: as many trials as the
+        // prefix 0..4, but trials 1..5, split across three points.
+        let mut cache = ScheduleCache::new();
+        let straddle = nvpim_sweep::prepare_campaign(&plan, &mut cache)
+            .unwrap()
+            .run_shard(
+                &nvpim_sweep::SlicedBackend,
+                spp - 1,
+                spp + 3,
+                Duration::ZERO,
+                |_| CampaignControl::Continue,
+            )
+            .unwrap();
+        assert_eq!(straddle.trials(), 4);
+        {
+            let mut journal = journal::Journal::open(dir.join(journal::JOURNAL_FILE), 0).unwrap();
+            for record in [
+                JournalRecord::Submit {
+                    job: 1,
+                    digest: plan.content_digest(),
+                    priority: 0,
+                    trials_total: plan.trial_count(),
+                    plan_json: plan.canonical_json(),
+                },
+                JournalRecord::Start { job: 1 },
+                JournalRecord::Chunk {
+                    job: 1,
+                    trials_done: 4,
+                    tallies: straddle,
+                },
+            ] {
+                journal.append(&record).unwrap();
+            }
+        }
+        let service = ServiceHandle::start(ServiceConfig {
+            workers: 1,
+            state_dir: Some(dir.clone()),
+            ..Default::default()
+        });
+        let err = service
+            .wait(1, Some(Duration::from_secs(60)))
+            .expect_err("a checkpoint that is not a prefix must fail the job");
+        let ServiceError::JobFailed(message) = err else {
+            panic!("unexpected error {err:?}");
+        };
+        assert!(
+            message.starts_with("invalid resume checkpoint — "),
+            "{message}"
+        );
+        assert_eq!(service.stats().trials_executed, 0, "no trial ran");
+        service.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
     }
 

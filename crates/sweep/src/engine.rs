@@ -1073,7 +1073,8 @@ impl TrialHarness {
 pub enum CampaignControl {
     /// Keep executing the remaining trials.
     Continue,
-    /// Abort the campaign; `run_chunked` returns [`SweepError::Cancelled`].
+    /// Stop the run; [`PreparedCampaign::run_shard`] returns
+    /// [`SweepError::Cancelled`].
     Cancel,
 }
 
@@ -1086,27 +1087,16 @@ pub struct CampaignProgress {
     pub trials_total: u64,
 }
 
-impl CampaignProgress {
-    /// Completion percentage in `[0, 100]`.
-    pub fn percent(&self) -> f64 {
-        if self.trials_total == 0 {
-            100.0
-        } else {
-            100.0 * self.trials_done as f64 / self.trials_total as f64
-        }
-    }
-}
-
-/// What [`PreparedCampaign::run_chunked_resumable`]'s observer sees at each
-/// checkpoint: cumulative progress plus the per-point tallies of the
+/// What [`PreparedCampaign::run_shard`]'s observer sees at each
+/// checkpoint: the run's progress plus the per-point tallies of the
 /// trials between the previous checkpoint and this one — the next segment
-/// of the contiguous completed prefix of the trial list. Merging every
+/// of the contiguous completed prefix of the run's range. Merging every
 /// checkpoint's `new_tallies` yields a prefix from which a restarted
 /// campaign resumes without recomputing — tallies merge in any order, and
 /// the merged tallies aggregate into byte-identical report JSON.
 #[derive(Debug, Clone, Copy)]
 pub struct ChunkCheckpoint<'a> {
-    /// Cumulative progress, including any resumed prefix.
+    /// Progress within the run's range (`trials_total == end - start`).
     pub progress: CampaignProgress,
     /// Tallies of the trials completed since the previous checkpoint.
     pub new_tallies: &'a Tallies,
@@ -1128,8 +1118,8 @@ pub struct PreparedCampaign {
     /// *not* of cache warmth — so reports stay byte-identical whether the
     /// schedules were compiled fresh or served from a warm cache).
     schedules_used: usize,
-    /// Telemetry sink execution records into (disabled by default — see
-    /// [`PreparedCampaign::with_telemetry`]). Never affects report bytes.
+    /// Telemetry sink execution records into (disabled unless attached by
+    /// [`prepare_campaign_with_telemetry`]). Never affects report bytes.
     telemetry: Telemetry,
 }
 
@@ -1479,123 +1469,54 @@ impl PreparedCampaign {
         self.plan.trial_count()
     }
 
-    /// Attaches a telemetry sink: subsequent `run*` calls record per-phase
-    /// spans (fault injection, gate execution, analytic clean settle,
-    /// estimator redraw, aggregation) and first-class counters into it,
-    /// folded per participating thread once per task. Telemetry never
-    /// changes report bytes.
-    pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
-        self.telemetry = telemetry;
-        self
-    }
-
-    /// The telemetry sink this campaign records into (disabled unless set
-    /// by [`prepare_campaign_with_telemetry`] or
-    /// [`Self::with_telemetry`]).
-    pub fn telemetry(&self) -> &Telemetry {
-        &self.telemetry
-    }
-
-    /// Runs every trial in one shot (no progress events, not cancellable).
+    /// Runs every trial in one shot (no progress events, not cancellable):
+    /// [`Self::run_shard`] over the whole trial list, aggregated by
+    /// [`Self::report_from_tallies`].
     ///
     /// # Errors
     ///
     /// Never fails after successful preparation; the `Result` mirrors
-    /// [`Self::run_chunked`].
+    /// [`Self::run_shard`].
     pub fn run(&self) -> Result<SweepReport, SweepError> {
-        self.run_chunked(Duration::MAX, |_| CampaignControl::Continue)
+        self.run_whole(&SlicedBackend)
     }
 
-    /// Runs the campaign as one parallel run, invoking `observer` with
-    /// cumulative progress at most once per `checkpoint_every` (and always
-    /// once at the end).
-    ///
-    /// The checkpoint cadence never changes results: every trial's seed
-    /// derives from its plan coordinates alone and tallies merge in any
-    /// order, so the report is byte-identical for **any** cadence and
-    /// thread count. The observer return value makes jobs cancellable at
-    /// checkpoints without poisoning anything — a cancelled campaign
-    /// simply stops claiming tasks.
-    ///
-    /// # Errors
-    ///
-    /// [`SweepError::Cancelled`] when the observer returns
-    /// [`CampaignControl::Cancel`]; trial execution errors are recorded in
-    /// the report, never raised.
-    pub fn run_chunked(
-        &self,
-        checkpoint_every: Duration,
-        mut observer: impl FnMut(CampaignProgress) -> CampaignControl,
-    ) -> Result<SweepReport, SweepError> {
-        self.run_chunked_resumable(
-            &SlicedBackend,
-            checkpoint_every,
-            Tallies::new(),
-            |checkpoint| observer(checkpoint.progress),
-        )
-    }
-
-    /// [`Self::run_chunked`] on an explicit `backend` (the service passes
-    /// [`SlicedBackend`] unless a test substitutes another) with a
-    /// **checkpoint surface**: the observer additionally receives the
-    /// tallies of the trials completed since the previous checkpoint, and
-    /// previously checkpointed tallies can be injected via `resume` so a
-    /// restarted campaign re-executes only the trials after its last
-    /// checkpoint.
-    ///
-    /// `resume` must hold the tallies of a prefix of the plan-ordered trial
-    /// list (the merged `new_tallies` of the checkpoints seen so far); the
-    /// run continues at trial `resume.trials()`. Resume is legal because
-    /// every trial outcome is a pure function of `(point, campaign seed,
-    /// trial index)` and tallies merge in any order: a run resumed from any
-    /// prefix aggregates into a report **byte-identical** to an
-    /// uninterrupted run (asserted by the service's chaos suite).
-    ///
-    /// # Errors
-    ///
-    /// [`SweepError::BadCheckpoint`] when `resume` is not the tally of a
-    /// prefix of this campaign's trial list; otherwise as
-    /// [`Self::run_chunked`].
-    pub fn run_chunked_resumable(
-        &self,
-        backend: &dyn ExecutionBackend,
-        checkpoint_every: Duration,
-        resume: Tallies,
-        mut observer: impl FnMut(ChunkCheckpoint<'_>) -> CampaignControl,
-    ) -> Result<SweepReport, SweepError> {
-        let total = self.trial_count();
-        let done = resume.trials();
-        if done > total || !resume.covers_range(0, done, self.plan.seeds_per_point) {
-            return Err(SweepError::BadCheckpoint(format!(
-                "checkpoint tallies {done} trials that are not a prefix of the campaign's \
-                 {total} trials"
-            )));
-        }
-        let mut tallies = resume;
-        tallies.merge(&self.execute(backend, checkpoint_every, 0, done, total, &mut observer)?);
+    /// [`Self::run`] on an explicit backend.
+    fn run_whole(&self, backend: &dyn ExecutionBackend) -> Result<SweepReport, SweepError> {
+        let tallies = self.run_shard(backend, 0, self.trial_count(), Duration::MAX, |_| {
+            CampaignControl::Continue
+        })?;
         self.report_from_tallies(&tallies)
     }
 
-    /// Runs **one shard** of the campaign: trials `start .. end` of the
-    /// same plan-ordered trial list [`Self::run_chunked_resumable`] runs,
-    /// returning the shard's tallies rather than a report.
+    /// Runs trials `start .. end` of the plan-ordered trial list on
+    /// `backend` (campaigns pass [`SlicedBackend`]; tests substitute
+    /// others) and returns their tallies — the one way to run trials.
     ///
-    /// This is the scatter half of distributed campaigns: a coordinator
-    /// splits `[0, trial_count)` into contiguous ranges (see
-    /// [`shard_ranges`]), runs each on any worker, merges the returned
-    /// tallies, and aggregates them via [`Self::report_from_tallies`] into
-    /// a report **byte-identical** to a single-node run. A shard cut short
-    /// resumes by running the rest of its range as a shard of its own: the
-    /// checkpointed tallies stay merged where they were received.
+    /// A whole campaign is the shard `0 .. trial_count`; a fleet
+    /// coordinator splits `[0, trial_count)` into contiguous ranges (see
+    /// [`shard_ranges`]) and runs each on any worker; a campaign or shard
+    /// cut short resumes by running the rest of its range as a shard of
+    /// its own, its checkpointed tallies staying merged where they were
+    /// received. Merged tallies aggregate via [`Self::report_from_tallies`]
+    /// into a report **byte-identical** to one uninterrupted run, because
+    /// every trial outcome is a pure function of `(point, campaign seed,
+    /// trial index)` and tallies merge in any order.
     ///
-    /// Checkpoint progress is shard-local: `trials_done` counts the
-    /// shard's trials run so far out of `trials_total == end - start`.
+    /// The observer sees a [`ChunkCheckpoint`] at most once per
+    /// `checkpoint_every` (and always once at the end of a non-empty
+    /// range): progress within the range (`trials_done` out of
+    /// `trials_total == end - start`) and the tallies of the trials
+    /// completed since the previous checkpoint. The cadence never changes
+    /// results. Returning [`CampaignControl::Cancel`] stops the run at that
+    /// checkpoint without poisoning anything.
     ///
     /// # Errors
     ///
     /// [`SweepError::BadCheckpoint`] when the range is inverted or exceeds
     /// the campaign's trial count; [`SweepError::Cancelled`] when the
-    /// observer says so.
+    /// observer says so. Trial execution errors are recorded in the
+    /// tallies, never raised.
     pub fn run_shard(
         &self,
         backend: &dyn ExecutionBackend,
@@ -1610,7 +1531,7 @@ impl PreparedCampaign {
                 "shard range {start}..{end} is invalid for a campaign of {total} trials"
             )));
         }
-        self.execute(backend, checkpoint_every, start, start, end, &mut observer)
+        self.execute(backend, checkpoint_every, start, end, &mut observer)
     }
 
     /// Aggregates complete tallies — e.g. shard tallies merged by a fleet
@@ -1635,7 +1556,7 @@ impl PreparedCampaign {
         Ok(self.aggregate_report(tallies))
     }
 
-    /// Executes trials `from .. end` of the plan-ordered trial list as one
+    /// Executes trials `start .. end` of the plan-ordered trial list as one
     /// run on the persistent rayon pool and returns the tallies of every
     /// trial it ran.
     ///
@@ -1647,9 +1568,8 @@ impl PreparedCampaign {
     /// `observer` the tallies of the prefix trials completed since the
     /// previous checkpoint, once the prefix has advanced and
     /// `checkpoint_every` has passed since the previous checkpoint, and
-    /// always when the prefix reaches `end`. Progress counts from `start`
-    /// (the first trial of the whole run, resumed prefix included) against
-    /// `end - start`. An empty range emits no checkpoint.
+    /// always when the prefix reaches `end`. Progress counts the prefix
+    /// against `end - start`. An empty range emits no checkpoint.
     ///
     /// A cancel takes effect at the checkpoint that returns it: no further
     /// task is claimed, tasks already running finish and are discarded.
@@ -1658,13 +1578,12 @@ impl PreparedCampaign {
         backend: &dyn ExecutionBackend,
         checkpoint_every: Duration,
         start: u64,
-        from: u64,
         end: u64,
         observer: &mut dyn FnMut(ChunkCheckpoint<'_>) -> CampaignControl,
     ) -> Result<Tallies, SweepError> {
         let pipeline = Pipeline {
             state: Mutex::new(PipelineState {
-                cursor: from,
+                cursor: start,
                 end,
                 next_seq: 0,
                 prefix_seq: 0,
@@ -1718,7 +1637,7 @@ impl PreparedCampaign {
             }
         };
         let helpers = rayon::current_num_threads()
-            .min(usize::try_from(end - from).unwrap_or(usize::MAX))
+            .min(usize::try_from(end - start).unwrap_or(usize::MAX))
             .saturating_sub(1);
         rayon::in_place_scope(|scope| {
             for _ in 0..helpers {
@@ -1734,7 +1653,7 @@ impl PreparedCampaign {
                     // A task panicked; the scope re-raises it.
                     return Err(SweepError::Cancelled);
                 }
-                let complete = state.prefix_trials == end - from;
+                let complete = state.prefix_trials == end - start;
                 let waited = last_checkpoint.elapsed();
                 if state.prefix_trials > reported && (complete || waited >= checkpoint_every) {
                     let segment = std::mem::take(&mut state.segment);
@@ -1742,7 +1661,7 @@ impl PreparedCampaign {
                     drop(state);
                     let control = observer(ChunkCheckpoint {
                         progress: CampaignProgress {
-                            trials_done: from - start + reported,
+                            trials_done: reported,
                             trials_total: end - start,
                         },
                         new_tallies: &segment,
@@ -1855,7 +1774,7 @@ pub fn shard_ranges(trials_total: u64, shards: usize) -> Vec<(u64, u64)> {
 ///
 /// Long-running callers (the `nvpim-service` daemon) should instead call
 /// [`prepare_campaign`] with a shared cache and
-/// [`PreparedCampaign::run_chunked_resumable`] for checkpoints, progress,
+/// [`PreparedCampaign::run_shard`] for checkpoints, progress,
 /// cancellation and resume; this convenience wrapper is the one-shot path
 /// and produces byte-identical reports.
 ///
@@ -1880,12 +1799,7 @@ pub fn run_campaign_on(
     backend: &dyn ExecutionBackend,
 ) -> Result<SweepReport, SweepError> {
     let mut cache = ScheduleCache::new();
-    prepare_campaign(plan, &mut cache)?.run_chunked_resumable(
-        backend,
-        Duration::MAX,
-        Tallies::new(),
-        |_| CampaignControl::Continue,
-    )
+    prepare_campaign(plan, &mut cache)?.run_whole(backend)
 }
 
 #[cfg(test)]
@@ -2017,8 +1931,8 @@ mod tests {
             for cadence in CADENCES {
                 let mut done = 0u64;
                 let mut events = 0u64;
-                let report = prepared
-                    .run_chunked_resumable(backend, cadence, Tallies::new(), |cp| {
+                let tallies = prepared
+                    .run_shard(backend, 0, total, cadence, |cp| {
                         // Each checkpoint extends the previous one's prefix
                         // by exactly the trials it carries.
                         assert!(cp.progress.trials_done > done, "{cadence:?}");
@@ -2038,6 +1952,7 @@ mod tests {
                     })
                     .unwrap();
                 assert_eq!(done, total, "the last checkpoint carries the whole range");
+                let report = prepared.report_from_tallies(&tallies).unwrap();
                 assert_eq!(report.to_json(), baseline, "{backend:?} at {cadence:?}");
                 if cadence == Duration::from_millis(u64::MAX) {
                     assert_eq!(events, 1, "only the final checkpoint");
@@ -2150,28 +2065,6 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn resume_rejects_tallies_that_are_not_a_prefix() {
-        let plan = SweepPlan::quick();
-        let mut cache = ScheduleCache::new();
-        let prepared = prepare_campaign(&plan, &mut cache).unwrap();
-        let backend = &SlicedBackend;
-        // Four trials straddling the first point boundary: as many trials
-        // as the prefix 0..4, but split across two points.
-        let spp = plan.seeds_per_point;
-        let middle = prepared
-            .run_shard(backend, spp - 2, spp + 2, Duration::ZERO, |_| {
-                CampaignControl::Continue
-            })
-            .unwrap();
-        assert!(matches!(
-            prepared.run_chunked_resumable(backend, Duration::ZERO, middle, |_| {
-                CampaignControl::Continue
-            }),
-            Err(SweepError::BadCheckpoint(_))
-        ));
-    }
-
     /// Peak resident set size of this process, in kB.
     fn peak_rss_kb() -> u64 {
         std::fs::read_to_string("/proc/self/status")
@@ -2207,15 +2100,21 @@ mod tests {
         }] {
             let mut chunks = 0;
             let err = prepared
-                .run_chunked_resumable(&SlicedBackend, Duration::ZERO, resume, |cp| {
-                    chunks += 1;
-                    assert!(cp.new_tallies.iter().count() <= 2);
-                    if chunks == 3 {
-                        CampaignControl::Cancel
-                    } else {
-                        CampaignControl::Continue
-                    }
-                })
+                .run_shard(
+                    &SlicedBackend,
+                    resume.trials(),
+                    prepared.trial_count(),
+                    Duration::ZERO,
+                    |cp| {
+                        chunks += 1;
+                        assert!(cp.new_tallies.iter().count() <= 2);
+                        if chunks == 3 {
+                            CampaignControl::Cancel
+                        } else {
+                            CampaignControl::Continue
+                        }
+                    },
+                )
                 .unwrap_err();
             assert_eq!(err, SweepError::Cancelled);
         }
@@ -2233,10 +2132,16 @@ mod tests {
         // while a second exists only if the caller collects before the
         // helpers finish the run.
         let err = prepared
-            .run_chunked_resumable(&ScalarBackend, Duration::ZERO, Tallies::new(), |cp| {
-                seen.push(cp.progress.trials_done);
-                CampaignControl::Cancel
-            })
+            .run_shard(
+                &ScalarBackend,
+                0,
+                prepared.trial_count(),
+                Duration::ZERO,
+                |cp| {
+                    seen.push(cp.progress.trials_done);
+                    CampaignControl::Cancel
+                },
+            )
             .unwrap_err();
         assert_eq!(err, SweepError::Cancelled);
         // No checkpoint follows the one that cancelled.

@@ -442,6 +442,19 @@ impl SweepPlan {
         }
     }
 
+    /// The plan a name stands for — the one table of named plans the
+    /// protocol's `"plan": "NAME"` shorthand and `nvpim-cli` share:
+    /// `quick`, `paper_scale` and `accuracy_quick`. `None` for any other
+    /// name.
+    pub fn named(name: &str) -> Option<Self> {
+        match name {
+            "quick" => Some(Self::quick()),
+            "paper_scale" => Some(Self::paper_scale()),
+            "accuracy_quick" => Some(Self::accuracy_quick()),
+            _ => None,
+        }
+    }
+
     /// Number of campaign points (workload × technology × protection × rate).
     pub fn point_count(&self) -> usize {
         self.workloads.len()
@@ -522,6 +535,20 @@ impl SweepPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn named_plans_resolve_to_their_constructors() {
+        for (name, plan) in [
+            ("quick", SweepPlan::quick()),
+            ("paper_scale", SweepPlan::paper_scale()),
+            ("accuracy_quick", SweepPlan::accuracy_quick()),
+        ] {
+            let named = SweepPlan::named(name).unwrap_or_else(|| panic!("{name} resolves"));
+            assert_eq!(named.content_digest(), plan.content_digest(), "{name}");
+        }
+        assert!(SweepPlan::named("paper-scale").is_none());
+        assert!(SweepPlan::named("").is_none());
+    }
 
     #[test]
     fn counts_are_the_cartesian_product() {

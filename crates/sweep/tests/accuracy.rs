@@ -16,7 +16,8 @@ use nvpim_core::config::{GateStyle, ProtectionScheme};
 use nvpim_sim::technology::Technology;
 use nvpim_sweep::{
     prepare_campaign, run_campaign, run_campaign_on, CampaignControl, CampaignKind, EstimatorMode,
-    ProtectionConfig, ScalarBackend, ScheduleCache, SweepError, SweepPlan, SweepWorkload, Tallies,
+    ProtectionConfig, ScalarBackend, ScheduleCache, SlicedBackend, SweepError, SweepPlan,
+    SweepWorkload,
 };
 use nvpim_workloads::Benchmark;
 
@@ -65,11 +66,13 @@ fn accuracy_reports_are_byte_identical_across_backends_chunks_and_runs() {
 
     for cadence in [Duration::ZERO, Duration::from_millis(7)] {
         let mut cache = ScheduleCache::new();
-        let checkpointed = prepare_campaign(&plan, &mut cache)
-            .unwrap()
-            .run_chunked(cadence, |_| CampaignControl::Continue)
-            .unwrap()
-            .to_json();
+        let prepared = prepare_campaign(&plan, &mut cache).unwrap();
+        let tallies = prepared
+            .run_shard(&SlicedBackend, 0, prepared.trial_count(), cadence, |_| {
+                CampaignControl::Continue
+            })
+            .unwrap();
+        let checkpointed = prepared.report_from_tallies(&tallies).unwrap().to_json();
         assert_eq!(
             baseline_json, checkpointed,
             "checkpoint cadence {cadence:?} must agree"
@@ -96,11 +99,16 @@ fn accuracy_reports_match_the_scalar_oracle_for_every_scheme() {
     for plan in [plan, full_batch] {
         let prepared = prepare_campaign(&plan, &mut ScheduleCache::new()).unwrap();
         let sliced = prepared.run().unwrap();
-        let scalar = prepared
-            .run_chunked_resumable(&ScalarBackend, Duration::MAX, Tallies::new(), |_| {
-                CampaignControl::Continue
-            })
+        let tallies = prepared
+            .run_shard(
+                &ScalarBackend,
+                0,
+                prepared.trial_count(),
+                Duration::MAX,
+                |_| CampaignControl::Continue,
+            )
             .unwrap();
+        let scalar = prepared.report_from_tallies(&tallies).unwrap();
         assert_eq!(
             sliced.to_json(),
             scalar.to_json(),

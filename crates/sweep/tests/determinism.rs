@@ -14,7 +14,7 @@ use std::time::Duration;
 
 use nvpim_sweep::{
     prepare_campaign, run_campaign, run_campaign_on, CampaignControl, ScalarBackend, ScheduleCache,
-    SweepPlan,
+    SlicedBackend, SweepPlan,
 };
 
 /// Checkpoint cadences: one checkpoint per prefix advance, the daemon
@@ -30,15 +30,16 @@ const CADENCES: [Duration; 3] = [
 fn run_checkpointed_json(plan: &SweepPlan, cadence: Duration) -> String {
     let mut cache = ScheduleCache::new();
     let mut done = 0;
-    let report = prepare_campaign(plan, &mut cache)
-        .unwrap()
-        .run_chunked(cadence, |progress| {
+    let prepared = prepare_campaign(plan, &mut cache).unwrap();
+    let tallies = prepared
+        .run_shard(&SlicedBackend, 0, plan.trial_count(), cadence, |cp| {
+            let progress = cp.progress;
             assert!(progress.trials_done > done, "progress must advance");
             done = progress.trials_done;
             CampaignControl::Continue
         })
-        .unwrap()
-        .to_json();
+        .unwrap();
+    let report = prepared.report_from_tallies(&tallies).unwrap().to_json();
     assert_eq!(done, plan.trial_count(), "the last checkpoint is the total");
     report
 }

@@ -13,8 +13,8 @@ use std::time::{Duration, Instant};
 
 use nvpim_sweep::{
     prepare_campaign_with_telemetry, run_campaign_on, CampaignControl, EstimatorMode,
-    ExecutionBackend, Phase, ScalarBackend, ScheduleCache, SlicedBackend, SweepPlan, Tallies,
-    Telemetry, TelemetryCounter, TelemetrySnapshot,
+    ExecutionBackend, Phase, ScalarBackend, ScheduleCache, SlicedBackend, SweepPlan, Telemetry,
+    TelemetryCounter, TelemetrySnapshot,
 };
 
 /// The campaign path and its scalar reference oracle.
@@ -28,12 +28,16 @@ fn run_with_sink(
     telemetry: Telemetry,
 ) -> (String, TelemetrySnapshot) {
     let mut cache = ScheduleCache::new();
-    let report = prepare_campaign_with_telemetry(plan, &mut cache, telemetry.clone())
-        .expect("plan prepares")
-        .run_chunked_resumable(backend, Duration::MAX, Tallies::new(), |_| {
+    let prepared = prepare_campaign_with_telemetry(plan, &mut cache, telemetry.clone())
+        .expect("plan prepares");
+    let tallies = prepared
+        .run_shard(backend, 0, plan.trial_count(), Duration::MAX, |_| {
             CampaignControl::Continue
         })
         .expect("campaign runs");
+    let report = prepared
+        .report_from_tallies(&tallies)
+        .expect("tallies cover the campaign");
     (report.to_json(), telemetry.snapshot())
 }
 
