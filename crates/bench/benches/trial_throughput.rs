@@ -345,10 +345,11 @@ fn emit_json_and_guard() {
             failed = true;
         }
         // The accuracy campaign runs whole inferences per trial, so its
-        // floor is orders of magnitude below the kernel-trial floors —
-        // but an accidental per-trial recompile or precompute loss would
-        // still crater it well past this gate.
-        let accuracy_floor = env_f64("NVPIM_BENCH_MIN_ACCURACY_TPS", 20.0);
+        // floor is orders of magnitude below the kernel-trial floors. It
+        // sits at half the median of ten quick runs (327 trials/s on a
+        // 2-vCPU VM): a per-trial recompile, a precompute loss or a
+        // recompute that rescans the schedule again trips it.
+        let accuracy_floor = env_f64("NVPIM_BENCH_MIN_ACCURACY_TPS", 160.0);
         if accuracy_tps < accuracy_floor {
             eprintln!(
                 "PERF GUARD FAILED: accuracy-campaign throughput {accuracy_tps:.1} trials/s \

@@ -56,7 +56,7 @@
 //! zero CLI changes.
 
 use nvpim::service::client::{request, Client};
-use nvpim::service::coordinator::{run_fleet, FleetConfig};
+use nvpim::service::coordinator::{jittered_backoff, run_fleet, FleetConfig};
 use nvpim::service::flags::{has_flag, value_of};
 use nvpim::sweep::{prepare_campaign_with_telemetry, ScheduleCache};
 use nvpim::telemetry::{Counter, Phase, Telemetry};
@@ -164,7 +164,7 @@ impl Conn {
                 Ok(value) => return value,
                 Err(failure) if tries < self.retries => {
                     tries += 1;
-                    let delay = jittered_backoff(self.backoff_ms, tries)
+                    let delay = jittered_backoff(self.backoff_ms, tries - 1)
                         .max(failure.min_delay.unwrap_or_default());
                     eprintln!(
                         "nvpim-cli: {what} failed ({}); retry {tries}/{} in {}ms",
@@ -212,25 +212,6 @@ fn overloaded_retry(response: &Value) -> Option<AttemptError> {
         err: std::io::Error::other(format!("server overloaded; retry in ~{hint_ms}ms")),
         min_delay: Some(std::time::Duration::from_millis(hint_ms)),
     })
-}
-
-/// Exponential backoff with jitter: the delay for retry `attempt` is drawn
-/// uniformly from `[base·2^(attempt-1) / 2, base·2^(attempt-1)]` so
-/// colliding clients de-synchronize. Uses a SystemTime-seeded xorshift —
-/// no RNG dependency, and the CLI's determinism guarantees only cover
-/// report bytes, not retry timing.
-fn jittered_backoff(base_ms: u64, attempt: u32) -> std::time::Duration {
-    let ceiling = base_ms.saturating_mul(1u64 << attempt.saturating_sub(1).min(16));
-    let mut x = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| u64::from(d.subsec_nanos()) | 1)
-        .unwrap_or(1);
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    let floor = ceiling / 2;
-    let span = ceiling - floor + 1;
-    std::time::Duration::from_millis((floor + x % span).max(1))
 }
 
 fn connect(args: &[String]) -> Client {

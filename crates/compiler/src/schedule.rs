@@ -125,6 +125,14 @@ impl RowSchedule {
         self.level_profile.len()
     }
 
+    /// The gates of each logic level, in execution order: one slice per
+    /// level, each level's gates in schedule order. [`map_netlist`]
+    /// assigns levels in non-decreasing gate order, so every level is one
+    /// contiguous run of [`Self::gates`].
+    pub fn levels(&self) -> impl Iterator<Item = &[ScheduledGate]> {
+        self.gates.chunk_by(|a, b| a.level == b.level)
+    }
+
     /// Number of primary output bits.
     pub fn output_bits(&self) -> usize {
         self.output_cols.len()

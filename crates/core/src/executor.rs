@@ -85,7 +85,7 @@ impl From<ArrayError> for ProtectedExecError {
 }
 
 /// Outcome of one protected run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ProtectedRunReport {
     /// Primary output values read back from the array.
     pub outputs: Vec<bool>,

@@ -160,131 +160,117 @@ impl SchemeRuntime for EcimScheme {
         let mut errors_detected = 0u64;
         let mut uncorrectable = 0u64;
 
-        reset_parity(array, row, scratch, ping_base, pong_base)?;
+        for level in schedule.levels() {
+            reset_parity(array, row, scratch, ping_base, pong_base)?;
+            for sg in level {
+                let gate = &netlist.gates[sg.index];
+                exec.materialize_inputs(netlist, sg, array, row, inputs, scratch)?;
 
-        let mut current_level = schedule.gates.first().map(|g| g.level).unwrap_or(0);
-
-        for sg in &schedule.gates {
-            let gate = &netlist.gates[sg.index];
-            if sg.level != current_level {
-                flush_chunk(
-                    array,
-                    row,
-                    &mut checker,
-                    scratch,
-                    ping_base,
-                    pong_base,
-                    &mut errors_detected,
-                    &mut corrections_written_back,
-                    &mut uncorrectable,
-                )?;
-                reset_parity(array, row, scratch, ping_base, pong_base)?;
-                current_level = sg.level;
-            }
-            exec.materialize_inputs(netlist, sg, array, row, inputs, scratch)?;
-
-            let is_constant = matches!(sg.op, LogicOp::Zero | LogicOp::One);
-            if is_constant || !scratch.used_nets[gate.output] {
-                exec.execute_plain_gate(sg, array, row, &[], &mut scratch.out_cols)?;
-                continue;
-            }
-
-            // Codeword position of this gate output within the current chunk.
-            let position = scratch.chunk_cols.len();
-
-            // Parity bits this codeword position participates in.
-            let mask = code.parity_update_mask(position.min(k - 1));
-
-            // Execute the gate, producing one *independent* redundant copy
-            // r_i per touched parity bit (Fig. 6: each XOR processes its own
-            // r input, so a single error in any r corrupts only one parity
-            // bit). Multi-output designs drive all copies from the same gate
-            // in one step; single-output designs use explicit copy
-            // operations.
-            match config.gate_style {
-                GateStyle::MultiOutput => {
-                    scratch.extra_cols.clear();
-                    scratch
-                        .extra_cols
-                        .extend(mask.iter_ones().map(|bit| r_base + bit));
-                    let touched = scratch.extra_cols.len() as u64;
-                    exec.execute_plain_gate(
-                        sg,
-                        array,
-                        row,
-                        &scratch.extra_cols,
-                        &mut scratch.out_cols,
-                    )?;
-                    metadata_gate_ops += touched;
-                }
-                GateStyle::SingleOutput => {
+                let is_constant = matches!(sg.op, LogicOp::Zero | LogicOp::One);
+                if is_constant || !scratch.used_nets[gate.output] {
                     exec.execute_plain_gate(sg, array, row, &[], &mut scratch.out_cols)?;
-                    // Each r_i is produced by re-executing the gate into its
-                    // own cell (a separate single-output operation), so an
-                    // error in the primary output never leaks into the parity
-                    // metadata and vice versa.
-                    for bit in mask.iter_ones() {
-                        let kind = match sg.op {
-                            LogicOp::Nor => GateKind::NOR2,
-                            LogicOp::Thr => GateKind::THR,
-                            LogicOp::Copy => GateKind::Copy,
-                            LogicOp::Zero | LogicOp::One => unreachable!("constants handled above"),
-                        };
-                        array.execute_gate_with(kind, row, &sg.input_cols, &[r_base + bit])?;
-                        metadata_gate_ops += 1;
+                    continue;
+                }
+
+                // Codeword position of this gate output within the current chunk.
+                let position = scratch.chunk_cols.len();
+
+                // Parity bits this codeword position participates in.
+                let mask = code.parity_update_mask(position.min(k - 1));
+
+                // Execute the gate, producing one *independent* redundant copy
+                // r_i per touched parity bit (Fig. 6: each XOR processes its own
+                // r input, so a single error in any r corrupts only one parity
+                // bit). Multi-output designs drive all copies from the same gate
+                // in one step; single-output designs use explicit copy
+                // operations.
+                match config.gate_style {
+                    GateStyle::MultiOutput => {
+                        scratch.extra_cols.clear();
+                        scratch
+                            .extra_cols
+                            .extend(mask.iter_ones().map(|bit| r_base + bit));
+                        let touched = scratch.extra_cols.len() as u64;
+                        exec.execute_plain_gate(
+                            sg,
+                            array,
+                            row,
+                            &scratch.extra_cols,
+                            &mut scratch.out_cols,
+                        )?;
+                        metadata_gate_ops += touched;
+                    }
+                    GateStyle::SingleOutput => {
+                        exec.execute_plain_gate(sg, array, row, &[], &mut scratch.out_cols)?;
+                        // Each r_i is produced by re-executing the gate into its
+                        // own cell (a separate single-output operation), so an
+                        // error in the primary output never leaks into the parity
+                        // metadata and vice versa.
+                        for bit in mask.iter_ones() {
+                            let kind = match sg.op {
+                                LogicOp::Nor => GateKind::NOR2,
+                                LogicOp::Thr => GateKind::THR,
+                                LogicOp::Copy => GateKind::Copy,
+                                LogicOp::Zero | LogicOp::One => {
+                                    unreachable!("constants handled above")
+                                }
+                            };
+                            array.execute_gate_with(kind, row, &sg.input_cols, &[r_base + bit])?;
+                            metadata_gate_ops += 1;
+                        }
                     }
                 }
-            }
 
-            // Fold each r_i into its parity bit with the in-memory two-step
-            // XOR (NOR22 then THR).
-            for bit in mask.iter_ones() {
-                let r_cell = r_base + bit;
-                let src = if scratch.parity_in_pong[bit] {
-                    pong_base + bit
-                } else {
-                    ping_base + bit
-                };
-                let dst = if scratch.parity_in_pong[bit] {
-                    ping_base + bit
-                } else {
-                    pong_base + bit
-                };
-                // s1 = s2 = NOR(p, r); p' = THR(p, r, s1, s2) = p XOR r —
-                // the fused two-step XOR primitive (identical fault sites
-                // and cost accounting to the two separate gate calls).
-                array.execute_xor2_step(row, src, r_cell, work_s1, work_s2, dst)?;
-                scratch.parity_in_pong[bit] = !scratch.parity_in_pong[bit];
-                metadata_gate_ops += 2;
-            }
+                // Fold each r_i into its parity bit with the in-memory two-step
+                // XOR (NOR22 then THR).
+                for bit in mask.iter_ones() {
+                    let r_cell = r_base + bit;
+                    let src = if scratch.parity_in_pong[bit] {
+                        pong_base + bit
+                    } else {
+                        ping_base + bit
+                    };
+                    let dst = if scratch.parity_in_pong[bit] {
+                        ping_base + bit
+                    } else {
+                        pong_base + bit
+                    };
+                    // s1 = s2 = NOR(p, r); p' = THR(p, r, s1, s2) = p XOR r —
+                    // the fused two-step XOR primitive (identical fault sites
+                    // and cost accounting to the two separate gate calls).
+                    array.execute_xor2_step(row, src, r_cell, work_s1, work_s2, dst)?;
+                    scratch.parity_in_pong[bit] = !scratch.parity_in_pong[bit];
+                    metadata_gate_ops += 2;
+                }
 
-            scratch.chunk_cols.push(sg.output_cols[0]);
-            if scratch.chunk_cols.len() == k {
-                flush_chunk(
-                    array,
-                    row,
-                    &mut checker,
-                    scratch,
-                    ping_base,
-                    pong_base,
-                    &mut errors_detected,
-                    &mut corrections_written_back,
-                    &mut uncorrectable,
-                )?;
-                reset_parity(array, row, scratch, ping_base, pong_base)?;
+                scratch.chunk_cols.push(sg.output_cols[0]);
+                if scratch.chunk_cols.len() == k {
+                    flush_chunk(
+                        array,
+                        row,
+                        &mut checker,
+                        scratch,
+                        ping_base,
+                        pong_base,
+                        &mut errors_detected,
+                        &mut corrections_written_back,
+                        &mut uncorrectable,
+                    )?;
+                    reset_parity(array, row, scratch, ping_base, pong_base)?;
+                }
             }
+            flush_chunk(
+                array,
+                row,
+                &mut checker,
+                scratch,
+                ping_base,
+                pong_base,
+                &mut errors_detected,
+                &mut corrections_written_back,
+                &mut uncorrectable,
+            )?;
         }
-        flush_chunk(
-            array,
-            row,
-            &mut checker,
-            scratch,
-            ping_base,
-            pong_base,
-            &mut errors_detected,
-            &mut corrections_written_back,
-            &mut uncorrectable,
-        )?;
 
         Ok(ProtectedRunReport {
             outputs: exec.read_outputs(netlist, schedule, array, row, inputs)?,
@@ -327,109 +313,97 @@ impl SchemeRuntime for EcimScheme {
         let mut checker = EcimChecker::new(code);
         let mut report = SlicedRunReport::new();
 
-        sliced_reset_parity(array, row, scratch, ping_base, pong_base);
+        for level in schedule.levels() {
+            sliced_reset_parity(array, row, scratch, ping_base, pong_base);
+            for sg in level {
+                let gate = &netlist.gates[sg.index];
+                exec.materialize_inputs(netlist, sg, array, row, inputs, scratch);
 
-        let mut current_level = schedule.gates.first().map(|g| g.level).unwrap_or(0);
-
-        for sg in &schedule.gates {
-            let gate = &netlist.gates[sg.index];
-            if sg.level != current_level {
-                sliced_flush_chunk(
-                    array,
-                    row,
-                    &mut checker,
-                    scratch,
-                    ping_base,
-                    pong_base,
-                    &mut report,
-                );
-                sliced_reset_parity(array, row, scratch, ping_base, pong_base);
-                current_level = sg.level;
-            }
-            exec.materialize_inputs(netlist, sg, array, row, inputs, scratch);
-
-            let is_constant = matches!(sg.op, LogicOp::Zero | LogicOp::One);
-            if is_constant || !scratch.used_nets[gate.output] {
-                exec.execute_plain_gate(sg, array, row, &[], &mut scratch.out_cols);
-                continue;
-            }
-
-            let position = scratch.chunk_cols.len();
-            let mask = code.parity_update_mask(position.min(k - 1));
-
-            match config.gate_style {
-                GateStyle::MultiOutput => {
-                    scratch.extra_cols.clear();
-                    scratch
-                        .extra_cols
-                        .extend(mask.iter_ones().map(|bit| r_base + bit));
-                    let touched = scratch.extra_cols.len() as u64;
-                    exec.execute_plain_gate(
-                        sg,
-                        array,
-                        row,
-                        &scratch.extra_cols,
-                        &mut scratch.out_cols,
-                    );
-                    report.metadata_gate_ops += touched;
-                }
-                GateStyle::SingleOutput => {
+                let is_constant = matches!(sg.op, LogicOp::Zero | LogicOp::One);
+                if is_constant || !scratch.used_nets[gate.output] {
                     exec.execute_plain_gate(sg, array, row, &[], &mut scratch.out_cols);
-                    for bit in mask.iter_ones() {
-                        let dst = r_base + bit;
-                        match sg.op {
-                            LogicOp::Nor => array.gate_nor(row, &sg.input_cols, &[dst]),
-                            LogicOp::Thr => array.gate_thr(row, &sg.input_cols, dst),
-                            LogicOp::Copy => array.gate_copy(row, sg.input_cols[0], dst),
-                            LogicOp::Zero | LogicOp::One => unreachable!("constants handled above"),
+                    continue;
+                }
+
+                let position = scratch.chunk_cols.len();
+                let mask = code.parity_update_mask(position.min(k - 1));
+
+                match config.gate_style {
+                    GateStyle::MultiOutput => {
+                        scratch.extra_cols.clear();
+                        scratch
+                            .extra_cols
+                            .extend(mask.iter_ones().map(|bit| r_base + bit));
+                        let touched = scratch.extra_cols.len() as u64;
+                        exec.execute_plain_gate(
+                            sg,
+                            array,
+                            row,
+                            &scratch.extra_cols,
+                            &mut scratch.out_cols,
+                        );
+                        report.metadata_gate_ops += touched;
+                    }
+                    GateStyle::SingleOutput => {
+                        exec.execute_plain_gate(sg, array, row, &[], &mut scratch.out_cols);
+                        for bit in mask.iter_ones() {
+                            let dst = r_base + bit;
+                            match sg.op {
+                                LogicOp::Nor => array.gate_nor(row, &sg.input_cols, &[dst]),
+                                LogicOp::Thr => array.gate_thr(row, &sg.input_cols, dst),
+                                LogicOp::Copy => array.gate_copy(row, sg.input_cols[0], dst),
+                                LogicOp::Zero | LogicOp::One => {
+                                    unreachable!("constants handled above")
+                                }
+                            }
+                            report.metadata_gate_ops += 1;
                         }
-                        report.metadata_gate_ops += 1;
                     }
                 }
-            }
 
-            // Fold each r_i into its parity bit (two-step XOR, fault
-            // decisions in the scalar order s1, s2, dst).
-            for bit in mask.iter_ones() {
-                let r_cell = r_base + bit;
-                let src = if scratch.parity_in_pong[bit] {
-                    pong_base + bit
-                } else {
-                    ping_base + bit
-                };
-                let dst = if scratch.parity_in_pong[bit] {
-                    ping_base + bit
-                } else {
-                    pong_base + bit
-                };
-                array.gate_xor2(row, src, r_cell, work_s1, work_s2, dst);
-                scratch.parity_in_pong[bit] = !scratch.parity_in_pong[bit];
-                report.metadata_gate_ops += 2;
-            }
+                // Fold each r_i into its parity bit (two-step XOR, fault
+                // decisions in the scalar order s1, s2, dst).
+                for bit in mask.iter_ones() {
+                    let r_cell = r_base + bit;
+                    let src = if scratch.parity_in_pong[bit] {
+                        pong_base + bit
+                    } else {
+                        ping_base + bit
+                    };
+                    let dst = if scratch.parity_in_pong[bit] {
+                        ping_base + bit
+                    } else {
+                        pong_base + bit
+                    };
+                    array.gate_xor2(row, src, r_cell, work_s1, work_s2, dst);
+                    scratch.parity_in_pong[bit] = !scratch.parity_in_pong[bit];
+                    report.metadata_gate_ops += 2;
+                }
 
-            scratch.chunk_cols.push(sg.output_cols[0]);
-            if scratch.chunk_cols.len() == k {
-                sliced_flush_chunk(
-                    array,
-                    row,
-                    &mut checker,
-                    scratch,
-                    ping_base,
-                    pong_base,
-                    &mut report,
-                );
-                sliced_reset_parity(array, row, scratch, ping_base, pong_base);
+                scratch.chunk_cols.push(sg.output_cols[0]);
+                if scratch.chunk_cols.len() == k {
+                    sliced_flush_chunk(
+                        array,
+                        row,
+                        &mut checker,
+                        scratch,
+                        ping_base,
+                        pong_base,
+                        &mut report,
+                    );
+                    sliced_reset_parity(array, row, scratch, ping_base, pong_base);
+                }
             }
+            sliced_flush_chunk(
+                array,
+                row,
+                &mut checker,
+                scratch,
+                ping_base,
+                pong_base,
+                &mut report,
+            );
         }
-        sliced_flush_chunk(
-            array,
-            row,
-            &mut checker,
-            scratch,
-            ping_base,
-            pong_base,
-            &mut report,
-        );
 
         exec.read_outputs(netlist, schedule, array, row, inputs, scratch);
         report.checks = checker.checks();

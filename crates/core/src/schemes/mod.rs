@@ -7,7 +7,9 @@
 //! scheme is writing one such file and appending its static to
 //! [`crate::scheme::registry`]; no executor, engine, service or CLI code
 //! changes. [`parity_detect`] was added exactly that way and is the
-//! template to copy.
+//! template to copy. [`detect_recompute`] shows the other route: it runs
+//! ParityDetect's parity pipeline and supplies only its per-level mismatch
+//! handler.
 
 pub mod detect_recompute;
 pub mod ecim;

@@ -16,6 +16,13 @@
 //! so ParityDetect converts silent corruptions into detected ones at a
 //! fraction of ECiM's metadata footprint (1 running parity bit vs `n − k`).
 //!
+//! The pipeline itself — fold, per-level check, lane-parallel twin — lives
+//! here as `run_parity_scalar` and `run_parity_sliced`, which take the
+//! per-level mismatch handler as an argument. ParityDetect's handler
+//! counts a retry; DetectRecompute (`detect_recompute.rs`) passes a
+//! recompute handler and runs the very same functions, so the two schemes
+//! share their detection machinery by construction rather than by copy.
+//!
 //! This scheme landed **after** the scheme-as-plugin redesign, through the
 //! plugin path only: one file plus one registry line, with zero edits to
 //! the executors, the sweep engine, the service protocol or the CLIs. Use
@@ -32,7 +39,7 @@
 //! ```
 
 use nvpim_compiler::netlist::{LogicOp, Netlist};
-use nvpim_compiler::schedule::RowSchedule;
+use nvpim_compiler::schedule::{RowSchedule, ScheduledGate};
 use nvpim_sim::array::PimArray;
 use nvpim_sim::gates::GateKind;
 use nvpim_sim::sliced::SlicedPimArray;
@@ -206,98 +213,22 @@ impl SchemeRuntime for ParityDetectScheme {
         inputs: &[bool],
         scratch: &mut ExecScratch,
     ) -> Result<ProtectedRunReport, ProtectedExecError> {
-        let config = exec.config();
-        assert!(
-            config.metadata_columns() >= METADATA_COLUMNS,
-            "ParityDetect metadata region too small"
-        );
-        scratch.parity_in_pong.clear();
-        scratch.parity_in_pong.resize(1, false);
-        scratch.chunk_cols.clear();
-
-        let mut checker = ParityDetectChecker::new();
-        let mut metadata_gate_ops = 0u64;
-        let mut errors_detected = 0u64;
-        let mut retries = 0u64;
-
-        reset_parity(array, row, scratch)?;
-        let mut current_level = schedule.gates.first().map(|g| g.level).unwrap_or(0);
-
-        for sg in &schedule.gates {
-            let gate = &netlist.gates[sg.index];
-            if sg.level != current_level {
-                flush_level(
-                    array,
-                    row,
-                    &mut checker,
-                    scratch,
-                    &mut errors_detected,
-                    &mut retries,
-                )?;
-                reset_parity(array, row, scratch)?;
-                current_level = sg.level;
-            }
-            exec.materialize_inputs(netlist, sg, array, row, inputs, scratch)?;
-
-            let is_constant = matches!(sg.op, LogicOp::Zero | LogicOp::One);
-            if is_constant || !scratch.used_nets[gate.output] {
-                exec.execute_plain_gate(sg, array, row, &[], &mut scratch.out_cols)?;
-                continue;
-            }
-
-            // Produce the redundant copy r (the gate's extra output for
-            // multi-output designs, a separate re-execution otherwise) …
-            match config.gate_style {
-                GateStyle::MultiOutput => {
-                    exec.execute_plain_gate(sg, array, row, &[R_CELL], &mut scratch.out_cols)?;
-                    metadata_gate_ops += 1;
-                }
-                GateStyle::SingleOutput => {
-                    exec.execute_plain_gate(sg, array, row, &[], &mut scratch.out_cols)?;
-                    let kind = match sg.op {
-                        LogicOp::Nor => GateKind::NOR2,
-                        LogicOp::Thr => GateKind::THR,
-                        LogicOp::Copy => GateKind::Copy,
-                        LogicOp::Zero | LogicOp::One => unreachable!("constants handled above"),
-                    };
-                    array.execute_gate_with(kind, row, &sg.input_cols, &[R_CELL])?;
-                    metadata_gate_ops += 1;
-                }
-            }
-
-            // … and fold it into the running parity cell (ping/pong
-            // two-step XOR, same primitive and fault sites as ECiM's).
-            let (src, dst) = if scratch.parity_in_pong[0] {
-                (PONG, PING)
-            } else {
-                (PING, PONG)
-            };
-            array.execute_xor2_step(row, src, R_CELL, WORK_S1, WORK_S2, dst)?;
-            scratch.parity_in_pong[0] = !scratch.parity_in_pong[0];
-            metadata_gate_ops += 2;
-
-            scratch.chunk_cols.push(sg.output_cols[0]);
-        }
-        flush_level(
+        run_parity_scalar(
+            exec,
+            netlist,
+            schedule,
             array,
             row,
-            &mut checker,
+            inputs,
             scratch,
-            &mut errors_detected,
-            &mut retries,
-        )?;
-
-        Ok(ProtectedRunReport {
-            outputs: exec.read_outputs(netlist, schedule, array, row, inputs)?,
-            checks: checker.checks(),
-            errors_detected,
-            corrections_written_back: 0,
-            // Detection-only: every detection is a would-be retry, surfaced
-            // through the uncorrectable counter so failures are never
-            // silent.
-            uncorrectable: retries,
-            metadata_gate_ops,
-        })
+            |_, _, _, report| {
+                // Detection-only: every detection is a would-be retry,
+                // surfaced through the uncorrectable counter so failures
+                // are never silent.
+                report.uncorrectable += 1;
+                Ok(())
+            },
+        )
     }
 
     fn run_sliced(
@@ -310,34 +241,177 @@ impl SchemeRuntime for ParityDetectScheme {
         inputs: &[u64],
         scratch: &mut SlicedExecScratch,
     ) -> Result<SlicedRunReport, ProtectedExecError> {
-        let config = exec.config();
-        assert!(
-            config.metadata_columns() >= METADATA_COLUMNS,
-            "ParityDetect metadata region too small"
-        );
-        scratch.parity_in_pong.clear();
-        scratch.parity_in_pong.resize(1, false);
+        run_parity_sliced(
+            exec,
+            netlist,
+            schedule,
+            array,
+            row,
+            inputs,
+            scratch,
+            |_, _, _, mut mismatch, report| {
+                while mismatch != 0 {
+                    let lane = mismatch.trailing_zeros() as usize;
+                    mismatch &= mismatch - 1;
+                    report.uncorrectable[lane] += 1;
+                }
+            },
+        )
+    }
+}
+
+/// Whether a scheduled gate's output is folded into the running parity
+/// (and so checked and, under DetectRecompute, recomputed): constants and
+/// dead nets run plain.
+pub(crate) fn is_protected(netlist: &Netlist, used_nets: &[bool], sg: &ScheduledGate) -> bool {
+    !matches!(sg.op, LogicOp::Zero | LogicOp::One) && used_nets[netlist.gates[sg.index].output]
+}
+
+/// The running-parity pipeline on the scalar oracle, shared by every
+/// scheme that folds its protected outputs into one parity cell. Per
+/// logic level: reset the parity cell, run the level's gates (each
+/// protected output produces a redundant copy `r` that the two-step XOR
+/// folds into the cell), then read the level's outputs and the cell back
+/// and check them. A mismatching level counts one detection and is handed
+/// to `on_mismatch` with the level's gates — the one step in which the
+/// parity schemes differ.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn run_parity_scalar(
+    exec: &ProtectedExecutor,
+    netlist: &Netlist,
+    schedule: &RowSchedule,
+    array: &mut PimArray,
+    row: usize,
+    inputs: &[bool],
+    scratch: &mut ExecScratch,
+    mut on_mismatch: impl FnMut(
+        &mut PimArray,
+        &[bool],
+        &[ScheduledGate],
+        &mut ProtectedRunReport,
+    ) -> Result<(), ProtectedExecError>,
+) -> Result<ProtectedRunReport, ProtectedExecError> {
+    let config = exec.config();
+    assert!(
+        config.metadata_columns() >= METADATA_COLUMNS,
+        "parity pipeline metadata region too small"
+    );
+    scratch.parity_in_pong.clear();
+    scratch.parity_in_pong.resize(1, false);
+    scratch.chunk_cols.clear();
+
+    let mut checker = ParityDetectChecker::new();
+    let mut report = ProtectedRunReport::default();
+
+    for level in schedule.levels() {
+        array.preset_cells(row, PING..PONG + 1, false)?;
+        scratch.parity_in_pong[0] = false;
+        for sg in level {
+            exec.materialize_inputs(netlist, sg, array, row, inputs, scratch)?;
+
+            if !is_protected(netlist, &scratch.used_nets, sg) {
+                exec.execute_plain_gate(sg, array, row, &[], &mut scratch.out_cols)?;
+                continue;
+            }
+
+            // Produce the redundant copy r (the gate's extra output for
+            // multi-output designs, a separate re-execution otherwise) …
+            match config.gate_style {
+                GateStyle::MultiOutput => {
+                    exec.execute_plain_gate(sg, array, row, &[R_CELL], &mut scratch.out_cols)?;
+                }
+                GateStyle::SingleOutput => {
+                    exec.execute_plain_gate(sg, array, row, &[], &mut scratch.out_cols)?;
+                    let kind = match sg.op {
+                        LogicOp::Nor => GateKind::NOR2,
+                        LogicOp::Thr => GateKind::THR,
+                        LogicOp::Copy => GateKind::Copy,
+                        LogicOp::Zero | LogicOp::One => unreachable!("constants handled above"),
+                    };
+                    array.execute_gate_with(kind, row, &sg.input_cols, &[R_CELL])?;
+                }
+            }
+
+            // … and fold it into the running parity cell (ping/pong
+            // two-step XOR, same primitive and fault sites as ECiM's).
+            let (src, dst) = if scratch.parity_in_pong[0] {
+                (PONG, PING)
+            } else {
+                (PING, PONG)
+            };
+            array.execute_xor2_step(row, src, R_CELL, WORK_S1, WORK_S2, dst)?;
+            scratch.parity_in_pong[0] = !scratch.parity_in_pong[0];
+            // The copy r plus the two XOR steps.
+            report.metadata_gate_ops += 3;
+
+            scratch.chunk_cols.push(sg.output_cols[0]);
+        }
+        if scratch.chunk_cols.is_empty() {
+            continue;
+        }
+        // Conventional memory read of the level outputs and the parity cell.
+        let parity_col = if scratch.parity_in_pong[0] {
+            PONG
+        } else {
+            PING
+        };
+        scratch.cols_b.clear();
+        scratch.cols_b.push(parity_col);
+        array.read_bits_into(row, &scratch.chunk_cols, &mut scratch.bits_a)?;
+        array.read_bits_into(row, &scratch.cols_b, &mut scratch.bits_b)?;
+        let data_parity = scratch.bits_a.iter_ones().count() % 2 == 1;
+        if checker.check_level(data_parity, scratch.bits_b.get(0)) {
+            report.errors_detected += 1;
+            on_mismatch(array, &scratch.used_nets, level, &mut report)?;
+        }
         scratch.chunk_cols.clear();
+    }
 
-        let mut checker = ParityDetectChecker::new();
-        let mut report = SlicedRunReport::new();
+    report.outputs = exec.read_outputs(netlist, schedule, array, row, inputs)?;
+    report.checks = checker.checks();
+    Ok(report)
+}
 
+/// Lane-parallel twin of [`run_parity_scalar`]: the same operations in the
+/// same order on 64 lanes at once. A level check yields the mask of
+/// mismatching lanes; each counts one detection, and `on_mismatch`
+/// receives the level's gates and that mask.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn run_parity_sliced(
+    exec: &SlicedExecutor,
+    netlist: &Netlist,
+    schedule: &RowSchedule,
+    array: &mut SlicedPimArray,
+    row: usize,
+    inputs: &[u64],
+    scratch: &mut SlicedExecScratch,
+    mut on_mismatch: impl FnMut(
+        &mut SlicedPimArray,
+        &[bool],
+        &[ScheduledGate],
+        u64,
+        &mut SlicedRunReport,
+    ),
+) -> Result<SlicedRunReport, ProtectedExecError> {
+    let config = exec.config();
+    assert!(
+        config.metadata_columns() >= METADATA_COLUMNS,
+        "parity pipeline metadata region too small"
+    );
+    scratch.parity_in_pong.clear();
+    scratch.parity_in_pong.resize(1, false);
+    scratch.chunk_cols.clear();
+
+    let mut checker = ParityDetectChecker::new();
+    let mut report = SlicedRunReport::new();
+
+    for level in schedule.levels() {
         array.preset_range(row, PING..PONG + 1, false);
         scratch.parity_in_pong[0] = false;
-        let mut current_level = schedule.gates.first().map(|g| g.level).unwrap_or(0);
-
-        for sg in &schedule.gates {
-            let gate = &netlist.gates[sg.index];
-            if sg.level != current_level {
-                sliced_flush_level(array, row, &mut checker, scratch, &mut report);
-                array.preset_range(row, PING..PONG + 1, false);
-                scratch.parity_in_pong[0] = false;
-                current_level = sg.level;
-            }
+        for sg in level {
             exec.materialize_inputs(netlist, sg, array, row, inputs, scratch);
 
-            let is_constant = matches!(sg.op, LogicOp::Zero | LogicOp::One);
-            if is_constant || !scratch.used_nets[gate.output] {
+            if !is_protected(netlist, &scratch.used_nets, sg) {
                 exec.execute_plain_gate(sg, array, row, &[], &mut scratch.out_cols);
                 continue;
             }
@@ -345,7 +419,6 @@ impl SchemeRuntime for ParityDetectScheme {
             match config.gate_style {
                 GateStyle::MultiOutput => {
                     exec.execute_plain_gate(sg, array, row, &[R_CELL], &mut scratch.out_cols);
-                    report.metadata_gate_ops += 1;
                 }
                 GateStyle::SingleOutput => {
                     exec.execute_plain_gate(sg, array, row, &[], &mut scratch.out_cols);
@@ -355,7 +428,6 @@ impl SchemeRuntime for ParityDetectScheme {
                         LogicOp::Copy => array.gate_copy(row, sg.input_cols[0], R_CELL),
                         LogicOp::Zero | LogicOp::One => unreachable!("constants handled above"),
                     }
-                    report.metadata_gate_ops += 1;
                 }
             }
 
@@ -366,85 +438,40 @@ impl SchemeRuntime for ParityDetectScheme {
             };
             array.gate_xor2(row, src, R_CELL, WORK_S1, WORK_S2, dst);
             scratch.parity_in_pong[0] = !scratch.parity_in_pong[0];
-            report.metadata_gate_ops += 2;
+            // The copy r plus the two XOR steps.
+            report.metadata_gate_ops += 3;
 
             scratch.chunk_cols.push(sg.output_cols[0]);
         }
-        sliced_flush_level(array, row, &mut checker, scratch, &mut report);
+        if scratch.chunk_cols.is_empty() {
+            continue;
+        }
+        let SlicedExecScratch {
+            chunk_cols,
+            parity_in_pong,
+            data_words,
+            used_nets,
+            ..
+        } = &mut *scratch;
+        data_words.clear();
+        data_words.extend(chunk_cols.iter().map(|&c| array.cell(row, c)));
+        let parity_col = if parity_in_pong[0] { PONG } else { PING };
+        let parity_word = array.cell(row, parity_col);
+        let valid = array.injector().valid_mask();
+        let mismatch = checker.check_level_lanes(data_words, parity_word, valid);
+        if mismatch != 0 {
+            let mut flagged = mismatch;
+            while flagged != 0 {
+                let lane = flagged.trailing_zeros() as usize;
+                flagged &= flagged - 1;
+                report.errors_detected[lane] += 1;
+            }
+            on_mismatch(array, used_nets, level, mismatch, &mut report);
+        }
+        chunk_cols.clear();
+    }
 
-        exec.read_outputs(netlist, schedule, array, row, inputs, scratch);
-        report.checks = checker.checks();
-        Ok(report)
-    }
-}
-
-fn reset_parity(
-    array: &mut PimArray,
-    row: usize,
-    scratch: &mut ExecScratch,
-) -> Result<(), ProtectedExecError> {
-    array.preset_cells(row, PING..PONG + 1, false)?;
-    scratch.parity_in_pong[0] = false;
-    Ok(())
-}
-
-fn flush_level(
-    array: &mut PimArray,
-    row: usize,
-    checker: &mut ParityDetectChecker,
-    scratch: &mut ExecScratch,
-    errors_detected: &mut u64,
-    retries: &mut u64,
-) -> Result<(), ProtectedExecError> {
-    if scratch.chunk_cols.is_empty() {
-        return Ok(());
-    }
-    // Conventional memory read of the level outputs and the parity cell.
-    let parity_col = if scratch.parity_in_pong[0] {
-        PONG
-    } else {
-        PING
-    };
-    scratch.cols_b.clear();
-    scratch.cols_b.push(parity_col);
-    array.read_bits_into(row, &scratch.chunk_cols, &mut scratch.bits_a)?;
-    array.read_bits_into(row, &scratch.cols_b, &mut scratch.bits_b)?;
-    let data_parity = scratch.bits_a.iter_ones().count() % 2 == 1;
-    if checker.check_level(data_parity, scratch.bits_b.get(0)) {
-        *errors_detected += 1;
-        *retries += 1;
-    }
-    scratch.chunk_cols.clear();
-    Ok(())
-}
-
-fn sliced_flush_level(
-    array: &mut SlicedPimArray,
-    row: usize,
-    checker: &mut ParityDetectChecker,
-    scratch: &mut SlicedExecScratch,
-    report: &mut SlicedRunReport,
-) {
-    if scratch.chunk_cols.is_empty() {
-        return;
-    }
-    let SlicedExecScratch {
-        chunk_cols,
-        parity_in_pong,
-        data_words,
-        ..
-    } = scratch;
-    data_words.clear();
-    data_words.extend(chunk_cols.iter().map(|&c| array.cell(row, c)));
-    let parity_col = if parity_in_pong[0] { PONG } else { PING };
-    let parity_word = array.cell(row, parity_col);
-    let valid = array.injector().valid_mask();
-    let mut mismatch = checker.check_level_lanes(data_words, parity_word, valid);
-    while mismatch != 0 {
-        let lane = mismatch.trailing_zeros() as usize;
-        mismatch &= mismatch - 1;
-        report.errors_detected[lane] += 1;
-        report.uncorrectable[lane] += 1;
-    }
-    chunk_cols.clear();
+    exec.read_outputs(netlist, schedule, array, row, inputs, scratch);
+    report.checks = checker.checks();
+    Ok(report)
 }

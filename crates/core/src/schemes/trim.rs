@@ -96,71 +96,65 @@ impl SchemeRuntime for TrimScheme {
         let mut errors_detected = 0u64;
 
         scratch.level_outputs.clear();
-        let mut current_level = schedule.gates.first().map(|g| g.level).unwrap_or(0);
 
-        for sg in &schedule.gates {
-            let gate = &netlist.gates[sg.index];
-            if sg.level != current_level {
-                flush_level(
-                    array,
-                    row,
-                    &mut checker,
-                    scratch,
-                    &mut errors_detected,
-                    &mut corrections_written_back,
-                )?;
-                current_level = sg.level;
-            }
-            exec.materialize_inputs(netlist, sg, array, row, inputs, scratch)?;
+        for level in schedule.levels() {
+            for sg in level {
+                let gate = &netlist.gates[sg.index];
+                exec.materialize_inputs(netlist, sg, array, row, inputs, scratch)?;
 
-            let is_constant = matches!(sg.op, LogicOp::Zero | LogicOp::One);
-            if is_constant || !scratch.used_nets[gate.output] {
-                exec.execute_plain_gate(sg, array, row, &[], &mut scratch.out_cols)?;
-                continue;
-            }
-
-            match config.gate_style {
-                GateStyle::MultiOutput => {
-                    // One 3-output gate produces the value and both copies.
+                let is_constant = matches!(sg.op, LogicOp::Zero | LogicOp::One);
+                if is_constant || !scratch.used_nets[gate.output] {
                     exec.execute_plain_gate(sg, array, row, &[], &mut scratch.out_cols)?;
-                    metadata_gate_ops += 2;
+                    continue;
                 }
-                GateStyle::SingleOutput => {
-                    // Three independent single-output gates, each reading its
-                    // own copy of the operands (separate partitions).
-                    for copy in 0..3 {
-                        let inputs_for_copy =
-                            &sg.input_cols_per_copy[copy.min(sg.input_cols_per_copy.len() - 1)];
-                        let kind = match sg.op {
-                            LogicOp::Nor => GateKind::NOR2,
-                            LogicOp::Thr => GateKind::THR,
-                            LogicOp::Copy => GateKind::Copy,
-                            LogicOp::Zero | LogicOp::One => unreachable!("constants handled above"),
-                        };
-                        array.execute_gate_with(
-                            kind,
-                            row,
-                            inputs_for_copy,
-                            &[sg.output_cols[copy]],
-                        )?;
-                        if copy > 0 {
-                            metadata_gate_ops += 1;
+
+                match config.gate_style {
+                    GateStyle::MultiOutput => {
+                        // One 3-output gate produces the value and both copies.
+                        exec.execute_plain_gate(sg, array, row, &[], &mut scratch.out_cols)?;
+                        metadata_gate_ops += 2;
+                    }
+                    GateStyle::SingleOutput => {
+                        // Three independent single-output gates, each reading its
+                        // own copy of the operands (separate partitions).
+                        for copy in 0..3 {
+                            let inputs_for_copy =
+                                &sg.input_cols_per_copy[copy.min(sg.input_cols_per_copy.len() - 1)];
+                            let kind = match sg.op {
+                                LogicOp::Nor => GateKind::NOR2,
+                                LogicOp::Thr => GateKind::THR,
+                                LogicOp::Copy => GateKind::Copy,
+                                LogicOp::Zero | LogicOp::One => {
+                                    unreachable!("constants handled above")
+                                }
+                            };
+                            array.execute_gate_with(
+                                kind,
+                                row,
+                                inputs_for_copy,
+                                &[sg.output_cols[copy]],
+                            )?;
+                            if copy > 0 {
+                                metadata_gate_ops += 1;
+                            }
                         }
                     }
                 }
+                scratch.level_outputs.push([
+                    sg.output_cols[0],
+                    sg.output_cols[1],
+                    sg.output_cols[2],
+                ]);
             }
-            scratch
-                .level_outputs
-                .push([sg.output_cols[0], sg.output_cols[1], sg.output_cols[2]]);
+            flush_level(
+                array,
+                row,
+                &mut checker,
+                scratch,
+                &mut errors_detected,
+                &mut corrections_written_back,
+            )?;
         }
-        flush_level(
-            array,
-            row,
-            &mut checker,
-            scratch,
-            &mut errors_detected,
-            &mut corrections_written_back,
-        )?;
 
         Ok(ProtectedRunReport {
             outputs: exec.read_outputs(netlist, schedule, array, row, inputs)?,
@@ -187,49 +181,50 @@ impl SchemeRuntime for TrimScheme {
         let mut report = SlicedRunReport::new();
 
         scratch.level_outputs.clear();
-        let mut current_level = schedule.gates.first().map(|g| g.level).unwrap_or(0);
 
-        for sg in &schedule.gates {
-            let gate = &netlist.gates[sg.index];
-            if sg.level != current_level {
-                sliced_flush_level(array, row, &mut checker, scratch, &mut report);
-                current_level = sg.level;
-            }
-            exec.materialize_inputs(netlist, sg, array, row, inputs, scratch);
+        for level in schedule.levels() {
+            for sg in level {
+                let gate = &netlist.gates[sg.index];
+                exec.materialize_inputs(netlist, sg, array, row, inputs, scratch);
 
-            let is_constant = matches!(sg.op, LogicOp::Zero | LogicOp::One);
-            if is_constant || !scratch.used_nets[gate.output] {
-                exec.execute_plain_gate(sg, array, row, &[], &mut scratch.out_cols);
-                continue;
-            }
-
-            match config.gate_style {
-                GateStyle::MultiOutput => {
+                let is_constant = matches!(sg.op, LogicOp::Zero | LogicOp::One);
+                if is_constant || !scratch.used_nets[gate.output] {
                     exec.execute_plain_gate(sg, array, row, &[], &mut scratch.out_cols);
-                    report.metadata_gate_ops += 2;
+                    continue;
                 }
-                GateStyle::SingleOutput => {
-                    for copy in 0..3 {
-                        let inputs_for_copy =
-                            &sg.input_cols_per_copy[copy.min(sg.input_cols_per_copy.len() - 1)];
-                        let dst = sg.output_cols[copy];
-                        match sg.op {
-                            LogicOp::Nor => array.gate_nor(row, inputs_for_copy, &[dst]),
-                            LogicOp::Thr => array.gate_thr(row, inputs_for_copy, dst),
-                            LogicOp::Copy => array.gate_copy(row, inputs_for_copy[0], dst),
-                            LogicOp::Zero | LogicOp::One => unreachable!("constants handled above"),
-                        }
-                        if copy > 0 {
-                            report.metadata_gate_ops += 1;
+
+                match config.gate_style {
+                    GateStyle::MultiOutput => {
+                        exec.execute_plain_gate(sg, array, row, &[], &mut scratch.out_cols);
+                        report.metadata_gate_ops += 2;
+                    }
+                    GateStyle::SingleOutput => {
+                        for copy in 0..3 {
+                            let inputs_for_copy =
+                                &sg.input_cols_per_copy[copy.min(sg.input_cols_per_copy.len() - 1)];
+                            let dst = sg.output_cols[copy];
+                            match sg.op {
+                                LogicOp::Nor => array.gate_nor(row, inputs_for_copy, &[dst]),
+                                LogicOp::Thr => array.gate_thr(row, inputs_for_copy, dst),
+                                LogicOp::Copy => array.gate_copy(row, inputs_for_copy[0], dst),
+                                LogicOp::Zero | LogicOp::One => {
+                                    unreachable!("constants handled above")
+                                }
+                            }
+                            if copy > 0 {
+                                report.metadata_gate_ops += 1;
+                            }
                         }
                     }
                 }
+                scratch.level_outputs.push([
+                    sg.output_cols[0],
+                    sg.output_cols[1],
+                    sg.output_cols[2],
+                ]);
             }
-            scratch
-                .level_outputs
-                .push([sg.output_cols[0], sg.output_cols[1], sg.output_cols[2]]);
+            sliced_flush_level(array, row, &mut checker, scratch, &mut report);
         }
-        sliced_flush_level(array, row, &mut checker, scratch, &mut report);
 
         exec.read_outputs(netlist, schedule, array, row, inputs, scratch);
         report.checks = checker.checks();

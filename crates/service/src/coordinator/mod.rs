@@ -196,11 +196,14 @@ pub struct FleetOutcome {
     pub stats: FleetStats,
 }
 
-/// Jittered exponential backoff before re-trying a shard: the ceiling
-/// doubles per attempt (capped at 5 s) and the delay lands uniformly in
+/// Jittered exponential backoff before retry `attempt` (0-based) — of a
+/// shard here, of a connection in `nvpim-cli`: the ceiling is
+/// `base_ms · 2^attempt` (capped at 5 s) and the delay lands uniformly in
 /// `[ceiling/2, ceiling]` so simultaneous failures don't retry in
-/// lockstep.
-fn jittered_backoff(base_ms: u64, attempt: u32) -> Duration {
+/// lockstep. The jitter comes from a SystemTime-seeded xorshift: retry
+/// timing is outside every determinism guarantee, which covers report
+/// bytes only.
+pub fn jittered_backoff(base_ms: u64, attempt: u32) -> Duration {
     let ceiling = base_ms
         .max(1)
         .saturating_mul(1 << attempt.min(6))

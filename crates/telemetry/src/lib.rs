@@ -3,7 +3,7 @@
 //! The crate provides four pieces, all dependency-free (the only imports
 //! are the workspace's offline serde stubs, used for JSON event lines):
 //!
-//! * **Metrics primitives** ([`Histogram`], [`AtomicHistogram`]):
+//! * **Metrics primitives** ([`Histogram`]):
 //!   log₂-bucketed latency histograms with deterministic p50/p95/p99 and
 //!   associative cross-thread merging.
 //! * **A phase/counter taxonomy** ([`Phase`], [`Counter`]): the closed set
@@ -29,9 +29,7 @@ mod phase;
 
 pub use events::EventLog;
 pub use export::render_prometheus;
-pub use metrics::{
-    bucket_index, bucket_upper_bound, AtomicHistogram, Histogram, HISTOGRAM_BUCKETS,
-};
+pub use metrics::{bucket_index, bucket_upper_bound, Histogram, HISTOGRAM_BUCKETS};
 pub use phase::{Counter, Phase, COUNTER_COUNT, PHASE_COUNT};
 
 use std::collections::BTreeMap;

@@ -8,8 +8,6 @@
 //! result), and quantiles resolve to deterministic bucket upper bounds
 //! rather than interpolated estimates.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
 /// Number of histogram buckets: bucket 0 holds exactly the value `0`, and
 /// bucket `k >= 1` holds the half-open range `[2^(k-1), 2^k)` (the final
 /// bucket, `k = 64`, is closed at `u64::MAX`).
@@ -142,72 +140,6 @@ impl Histogram {
     }
 }
 
-/// A shared, thread-safe histogram: the fold target per-thread
-/// [`Histogram`]s and individual observations land in.
-///
-/// All counters are relaxed atomics — the histogram is monotone telemetry,
-/// not a synchronization primitive, and a snapshot taken mid-fold is merely
-/// slightly stale, never corrupt.
-#[derive(Debug)]
-pub struct AtomicHistogram {
-    buckets: [AtomicU64; HISTOGRAM_BUCKETS],
-    count: AtomicU64,
-    sum: AtomicU64,
-}
-
-impl Default for AtomicHistogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl AtomicHistogram {
-    /// Creates an empty shared histogram.
-    #[must_use]
-    pub fn new() -> Self {
-        Self {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-        }
-    }
-
-    /// Records one observation directly into the shared buckets.
-    pub fn record(&self, value: u64) {
-        self.buckets[bucket_index(value)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(value, Ordering::Relaxed);
-    }
-
-    /// Folds a per-thread histogram into the shared buckets.
-    pub fn merge_from(&self, local: &Histogram) {
-        for (shared, &count) in self.buckets.iter().zip(local.buckets.iter()) {
-            if count != 0 {
-                shared.fetch_add(count, Ordering::Relaxed);
-            }
-        }
-        self.count.fetch_add(local.count, Ordering::Relaxed);
-        // Saturate rather than wrap if a caller records astronomically
-        // large sums; telemetry must never panic the hot path.
-        self.sum.fetch_add(
-            u64::try_from(local.sum).unwrap_or(u64::MAX),
-            Ordering::Relaxed,
-        );
-    }
-
-    /// Takes a point-in-time plain copy for quantile math and export.
-    #[must_use]
-    pub fn snapshot(&self) -> Histogram {
-        let mut out = Histogram::new();
-        for (plain, shared) in out.buckets.iter_mut().zip(self.buckets.iter()) {
-            *plain = shared.load(Ordering::Relaxed);
-        }
-        out.count = self.count.load(Ordering::Relaxed);
-        out.sum = u128::from(self.sum.load(Ordering::Relaxed));
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -285,24 +217,6 @@ mod tests {
         for q in [0.5, 0.95, 0.99] {
             assert_eq!(left.quantile(q), a.quantile(q));
         }
-    }
-
-    #[test]
-    fn atomic_histogram_matches_plain_fold() {
-        let shared = AtomicHistogram::new();
-        let mut plain = Histogram::new();
-        let mut local = Histogram::new();
-        for v in [0u64, 1, 5, 1024, 65_535] {
-            local.record(v);
-            plain.record(v);
-        }
-        shared.merge_from(&local);
-        shared.record(3);
-        plain.record(3);
-        let snap = shared.snapshot();
-        assert_eq!(snap.buckets(), plain.buckets());
-        assert_eq!(snap.count(), plain.count());
-        assert_eq!(snap.sum(), plain.sum());
     }
 
     #[test]
