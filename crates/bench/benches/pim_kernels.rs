@@ -5,7 +5,7 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 use nvpim_compiler::builder::CircuitBuilder;
 use nvpim_compiler::layout::RowLayout;
 use nvpim_compiler::schedule::map_netlist;
-use nvpim_sim::array::{GateOp, PimArray};
+use nvpim_sim::array::PimArray;
 use nvpim_sim::gates::GateKind;
 use nvpim_sim::technology::Technology;
 
@@ -19,11 +19,13 @@ fn bench_gate_execution(c: &mut Criterion) {
                 let mut array = PimArray::new(tech, 1, 16);
                 array.poke(0, 0, true).unwrap();
                 array.poke(0, 1, false).unwrap();
-                let nor = GateOp::new(GateKind::NOR22, 0, vec![0, 1], vec![2, 3]);
-                let thr = GateOp::new(GateKind::THR, 0, vec![0, 1, 2, 3], vec![4]);
                 b.iter(|| {
-                    array.execute_gate(black_box(&nor)).unwrap();
-                    array.execute_gate(black_box(&thr)).unwrap()
+                    array
+                        .execute_gate_with(GateKind::NOR22, 0, black_box(&[0, 1]), &[2, 3])
+                        .unwrap();
+                    array
+                        .execute_gate_with(GateKind::THR, 0, black_box(&[0, 1, 2, 3]), &[4])
+                        .unwrap()
                 })
             },
         );

@@ -29,7 +29,8 @@
 //! with absolute trials/sec for all series, so the perf trajectory
 //! is tracked *in-repo* — the committed file is the previous baseline and
 //! CI uploads the fresh one as an artifact. Set `NVPIM_BENCH_QUICK=1` to
-//! cut sample counts for smoke runs, and `NVPIM_BENCH_GUARD=1` to turn
+//! cut sample counts for smoke runs (the file's `mode` field reads `quick`
+//! or `full`, so runs of different sizes are never compared blind), and `NVPIM_BENCH_GUARD=1` to turn
 //! the run into a perf gate: the process exits non-zero when the sliced
 //! path drops below `NVPIM_BENCH_MIN_RATIO`× the scalar oracle
 //! (default 2.0 — conservative against CI noise; the measured ratio is
@@ -244,6 +245,7 @@ fn emit_json_and_guard() {
         concat!(
             "{{\n",
             "  \"bench\": \"trial_throughput\",\n",
+            "  \"mode\": \"{mode}\",\n",
             "  \"point\": {{\n",
             "    \"workload\": \"mac8x4\",\n",
             "    \"protection\": \"ECiM/m-o\",\n",
@@ -283,6 +285,7 @@ fn emit_json_and_guard() {
             "inference on the defect-bearing ReRAM crossbar)\"\n",
             "}}\n"
         ),
+        mode = if quick_mode() { "quick" } else { "full" },
         tech = harness.config().technology,
         n = harness.executor().code().n(),
         k = harness.executor().code().k(),

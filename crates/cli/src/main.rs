@@ -15,8 +15,7 @@
 //!                   [--kind error|accuracy] [--stuck-at DENSITY]
 //!                   [--timings]                                    # no daemon
 //! nvpim-cli run     --fleet HOST:PORT[,HOST:PORT...]               # sharded
-//!                   [--shards N] [--heartbeat-ms N]
-//!                   [--max-reassignments N] (--plan ... | --quick | ...)
+//!                   [--shards N] (--plan ... | --quick | ...)
 //!                   [--stats-out PATH] [--metrics-out PATH]
 //! nvpim-cli schemes [--json]        # the protection-scheme registry
 //! ```
@@ -36,7 +35,9 @@
 //! resubmitting.
 //!
 //! `run --fleet` shards the campaign across several daemons through the
-//! fleet coordinator (see `docs/robustness.md`); the merged report on
+//! fleet coordinator (see `docs/robustness.md`), whose heartbeat deadline,
+//! connect timeout and retry budget are fixed, so the shared connection
+//! flags do not apply to it; the merged report on
 //! stdout is byte-identical to a local `run` of the same plan even when
 //! workers die, stall, or drain mid-campaign. `--stats-out` writes the
 //! fleet stats (per-worker accounting, evictions) as JSON and
@@ -408,15 +409,6 @@ fn cmd_run(args: &[String]) {
     // bytes — so the same stdout contract holds. `--timings` is a
     // local-run flag.
     if let Some(fleet) = value_of(args, "--fleet") {
-        let numeric = |flag: &str, default: u64| -> u64 {
-            value_of(args, flag)
-                .map(|t| {
-                    t.parse()
-                        .unwrap_or_else(|_| die(format!("{flag} expects a number")))
-                })
-                .unwrap_or(default)
-        };
-        let defaults = FleetConfig::default();
         let cfg = FleetConfig {
             workers: fleet
                 .split(',')
@@ -424,14 +416,12 @@ fn cmd_run(args: &[String]) {
                 .filter(|s| !s.is_empty())
                 .map(str::to_string)
                 .collect(),
-            shards: numeric("--shards", defaults.shards as u64) as usize,
-            heartbeat_timeout_ms: numeric("--heartbeat-ms", defaults.heartbeat_timeout_ms),
-            connect_timeout_ms: numeric("--connect-timeout-ms", defaults.connect_timeout_ms),
-            max_shard_reassignments: numeric(
-                "--max-reassignments",
-                u64::from(defaults.max_shard_reassignments),
-            ) as u32,
-            retry_backoff_ms: numeric("--retry-backoff-ms", defaults.retry_backoff_ms),
+            shards: value_of(args, "--shards")
+                .map(|t| {
+                    t.parse()
+                        .unwrap_or_else(|_| die("--shards expects a number"))
+                })
+                .unwrap_or(0),
         };
         let telemetry = Telemetry::new();
         let outcome = run_fleet(&plan, &cfg, &telemetry).unwrap_or_else(|e| die(e));

@@ -11,8 +11,8 @@
 //!    the PiM-native NOR / THR / copy gate library ([`netlist`]);
 //! 3. **Binary instruction translation** — [`schedule::map_netlist`] assigns
 //!    physical row columns with a greedy scratch allocator (area reclaims,
-//!    spills) and [`program::execute_schedule`] drives the resulting
-//!    operations on a simulated array for functional validation.
+//!    spills). The resulting [`schedule::RowSchedule`] runs as in-array gate
+//!    operations through `nvpim-core`'s executors.
 //!
 //! # Examples
 //!
@@ -44,12 +44,10 @@ pub mod alloc;
 pub mod builder;
 pub mod layout;
 pub mod netlist;
-pub mod program;
 pub mod schedule;
 
 pub use alloc::{ReclaimEvent, ScratchAllocator};
 pub use builder::{CircuitBuilder, Word};
 pub use layout::RowLayout;
 pub use netlist::{Gate, LogicOp, NetId, Netlist, NetlistStats};
-pub use program::{execute_schedule, ExecError};
 pub use schedule::{map_netlist, LevelProfile, MapError, RowSchedule, ScheduledGate};

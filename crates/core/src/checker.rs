@@ -13,23 +13,7 @@
 
 use nvpim_ecc::gf2::BitVec;
 use nvpim_ecc::hamming::{DecodeOutcome, HammingCode};
-use nvpim_ecc::redundancy::{majority_vote_words, VoteOutcome};
 use serde::{Deserialize, Serialize};
-
-/// Result of one Checker invocation on a logic level's data.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CheckResult {
-    /// The (possibly corrected) data bits for this level.
-    pub corrected_data: BitVec,
-    /// Whether an error was detected.
-    pub error_detected: bool,
-    /// Positions (within this level's data bits) that were corrected and
-    /// must be written back to the array.
-    pub corrected_positions: Vec<usize>,
-    /// Whether the error pattern exceeded the scheme's correction capability
-    /// (detected but not correctable).
-    pub uncorrectable: bool,
-}
 
 /// Outcome of one lean (allocation-free) ECiM level decode; see
 /// [`EcimChecker::decode_level`].
@@ -61,7 +45,6 @@ pub struct EcimChecker<'a> {
     code: &'a HammingCode,
     cost: CheckerCostModel,
     checks: u64,
-    corrections: u64,
     /// Reusable codeword assembly buffer for [`Self::decode_level`].
     codeword: BitVec,
 }
@@ -74,21 +57,21 @@ impl<'a> EcimChecker<'a> {
             code,
             cost,
             checks: 0,
-            corrections: 0,
             codeword: BitVec::default(),
         }
     }
 
-    /// Lean logic-level decode: assembles `[data | padding | parity]` into
-    /// an internal reusable buffer, decodes, and reports just what the
-    /// executor needs to act (at most one write-back position for a
-    /// single-error code). The steady state allocates nothing — this is
-    /// the Monte Carlo hot path; [`Self::check_level`] is the
-    /// full-information variant.
+    /// Logic-level decode: `data` holds the level's gate outputs (at most
+    /// `k` bits; shorter vectors are implicitly zero-padded, matching unused
+    /// codeword positions), `parity` the in-memory running parity bits.
+    /// Assembles `[data | padding | parity]` into an internal reusable
+    /// buffer, decodes, and reports just what the executor needs to act (at
+    /// most one write-back position for a single-error code). The steady
+    /// state allocates nothing.
     ///
     /// # Panics
     ///
-    /// As [`Self::check_level`].
+    /// Panics if `data` exceeds `k` bits or `parity` is not `n − k` bits.
     pub fn decode_level(&mut self, data: &BitVec, parity: &BitVec) -> LevelDecode {
         assert!(
             data.len() <= self.code.k(),
@@ -108,7 +91,6 @@ impl<'a> EcimChecker<'a> {
         match self.code.decode(&mut self.codeword) {
             DecodeOutcome::Clean => LevelDecode::Clean,
             DecodeOutcome::Corrected { position } => {
-                self.corrections += 1;
                 if position < data.len() {
                     LevelDecode::CorrectedData { position }
                 } else {
@@ -186,13 +168,9 @@ impl<'a> EcimChecker<'a> {
             }
             let outcome = match self.code.position_for_syndrome(value) {
                 Some(position) if position < data_words.len() => {
-                    self.corrections += 1;
                     LevelDecode::CorrectedData { position }
                 }
-                Some(_) => {
-                    self.corrections += 1;
-                    LevelDecode::CorrectedMeta
-                }
+                Some(_) => LevelDecode::CorrectedMeta,
                 None => LevelDecode::Uncorrectable,
             };
             on_lane(lane, outcome);
@@ -213,71 +191,6 @@ impl<'a> EcimChecker<'a> {
     pub fn checks(&self) -> u64 {
         self.checks
     }
-
-    /// Number of corrections performed.
-    pub fn corrections(&self) -> u64 {
-        self.corrections
-    }
-
-    /// Checks one logic level: `data` holds the level's gate outputs (at most
-    /// `k` bits; shorter vectors are implicitly zero-padded, matching unused
-    /// codeword positions), `parity` the in-memory running parity bits.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data` exceeds `k` bits or `parity` is not `n − k` bits.
-    pub fn check_level(&mut self, data: &BitVec, parity: &BitVec) -> CheckResult {
-        assert!(
-            data.len() <= self.code.k(),
-            "level data ({}) exceeds code dimension k = {}",
-            data.len(),
-            self.code.k()
-        );
-        assert_eq!(
-            parity.len(),
-            self.code.parity_bits(),
-            "parity width must match the code"
-        );
-        self.checks += 1;
-        // Assemble `[data | zero padding | parity]` word-parallel; unused
-        // codeword positions are implicitly zero.
-        let mut codeword = BitVec::zeros(self.code.n());
-        codeword.or_range(0, data);
-        codeword.or_range(self.code.k(), parity);
-        let outcome = self.code.decode(&mut codeword);
-        let corrected_full = self.code.extract_data(&codeword);
-        let corrected_data = corrected_full.slice(0..data.len());
-        match outcome {
-            DecodeOutcome::Clean => CheckResult {
-                corrected_data,
-                error_detected: false,
-                corrected_positions: vec![],
-                uncorrectable: false,
-            },
-            DecodeOutcome::Corrected { position } => {
-                self.corrections += 1;
-                let corrected_positions = if position < data.len() {
-                    vec![position]
-                } else {
-                    // Error in an unused data position or a parity bit: no
-                    // data write-back needed.
-                    vec![]
-                };
-                CheckResult {
-                    corrected_data,
-                    error_detected: true,
-                    corrected_positions,
-                    uncorrectable: false,
-                }
-            }
-            DecodeOutcome::Uncorrectable => CheckResult {
-                corrected_data,
-                error_detected: true,
-                corrected_positions: vec![],
-                uncorrectable: true,
-            },
-        }
-    }
 }
 
 /// The TRiM Checker: per-bit majority voting over three copies.
@@ -285,7 +198,6 @@ impl<'a> EcimChecker<'a> {
 pub struct TrimChecker {
     cost: CheckerCostModel,
     checks: u64,
-    corrections: u64,
 }
 
 impl TrimChecker {
@@ -294,7 +206,6 @@ impl TrimChecker {
         Self {
             cost: CheckerCostModel::for_majority(level_bits),
             checks: 0,
-            corrections: 0,
         }
     }
 
@@ -308,15 +219,14 @@ impl TrimChecker {
         self.checks
     }
 
-    /// Number of corrections performed.
-    pub fn corrections(&self) -> u64 {
-        self.corrections
-    }
-
-    /// Lean majority vote into a caller-owned buffer: `voted` receives the
+    /// Majority vote into a caller-owned buffer: `voted` receives the
     /// bitwise majority; returns whether any copy dissented (an error was
-    /// detected). Allocation-free — the TRiM hot path; the caller derives
-    /// write-back positions by diffing each copy against `voted`.
+    /// detected). Allocation-free; the caller derives write-back positions
+    /// by diffing each copy against `voted`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the copies differ in length.
     pub fn vote_level_into(
         &mut self,
         primary: &BitVec,
@@ -325,11 +235,7 @@ impl TrimChecker {
         voted: &mut BitVec,
     ) -> bool {
         self.checks += 1;
-        let dissent = nvpim_ecc::redundancy::tmr_vote_into(primary, copy1, copy2, voted);
-        if dissent && primary != voted {
-            self.corrections += 1;
-        }
-        dissent
+        nvpim_ecc::redundancy::tmr_vote_into(primary, copy1, copy2, voted)
     }
 
     /// Lane-parallel majority vote for the sliced backend: `a[g]`, `b[g]`
@@ -358,41 +264,12 @@ impl TrimChecker {
         voted.clear();
         voted.reserve(a.len());
         let mut dissent = 0u64;
-        let mut primary_diff = 0u64;
         for g in 0..a.len() {
             let v = nvpim_ecc::gf2::lanes::majority3(a[g], b[g], c[g]);
             dissent |= (a[g] ^ v) | (b[g] ^ v) | (c[g] ^ v);
-            primary_diff |= a[g] ^ v;
             voted.push(v);
         }
-        dissent &= valid;
-        // Scalar accounting: one correction per dissenting check whose
-        // primary copy changed — here, per such lane.
-        self.corrections += u64::from((primary_diff & dissent).count_ones());
-        dissent
-    }
-
-    /// Majority-votes the three copies of a logic level's outputs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the copies differ in length.
-    pub fn check_level(&mut self, primary: &BitVec, copy1: &BitVec, copy2: &BitVec) -> CheckResult {
-        self.checks += 1;
-        let outcome = majority_vote_words(&[primary, copy1, copy2])
-            .expect("three equal-length copies always produce a majority");
-        let voted = outcome.value().clone();
-        let corrected_positions: Vec<usize> = primary.xor(&voted).iter_ones().collect();
-        let error_detected = matches!(outcome, VoteOutcome::Majority { .. });
-        if !corrected_positions.is_empty() {
-            self.corrections += 1;
-        }
-        CheckResult {
-            corrected_data: voted,
-            error_detected,
-            corrected_positions,
-            uncorrectable: false,
-        }
+        dissent & valid
     }
 }
 
@@ -464,6 +341,7 @@ impl CheckerCostModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nvpim_sim::fault::splitmix64;
 
     fn bv(bits: &[u8]) -> BitVec {
         bits.iter().map(|&b| b == 1).collect()
@@ -475,11 +353,8 @@ mod tests {
         let mut checker = EcimChecker::new(&code);
         let data = bv(&[1, 0, 1, 1]);
         let parity = code.parity_of(&data);
-        let result = checker.check_level(&data, &parity);
-        assert!(!result.error_detected);
-        assert_eq!(result.corrected_data, data);
+        assert_eq!(checker.decode_level(&data, &parity), LevelDecode::Clean);
         assert_eq!(checker.checks(), 1);
-        assert_eq!(checker.corrections(), 0);
     }
 
     #[test]
@@ -490,12 +365,17 @@ mod tests {
         let parity = code.parity_of(&clean);
         let mut corrupted = clean.clone();
         corrupted.flip(2);
-        let result = checker.check_level(&corrupted, &parity);
-        assert!(result.error_detected);
-        assert!(!result.uncorrectable);
-        assert_eq!(result.corrected_data, clean);
-        assert_eq!(result.corrected_positions, vec![2]);
-        assert_eq!(checker.corrections(), 1);
+        assert_eq!(
+            checker.decode_level(&corrupted, &parity),
+            LevelDecode::CorrectedData { position: 2 }
+        );
+        // Writing the flagged position back restores the clean level.
+        corrupted.flip(2);
+        assert_eq!(corrupted, clean);
+        assert_eq!(
+            checker.decode_level(&corrupted, &parity),
+            LevelDecode::Clean
+        );
     }
 
     #[test]
@@ -505,10 +385,10 @@ mod tests {
         let data = bv(&[1, 1, 0, 0]);
         let mut parity = code.parity_of(&data);
         parity.flip(1);
-        let result = checker.check_level(&data, &parity);
-        assert!(result.error_detected);
-        assert!(result.corrected_positions.is_empty());
-        assert_eq!(result.corrected_data, data);
+        assert_eq!(
+            checker.decode_level(&data, &parity),
+            LevelDecode::CorrectedMeta
+        );
     }
 
     #[test]
@@ -519,15 +399,15 @@ mod tests {
         let mut data = BitVec::zeros(10);
         data.set(3, true);
         data.set(7, true);
-        let mut full = data.clone();
-        full = full.concat(&BitVec::zeros(code.k() - 10));
+        let full = data.concat(&BitVec::zeros(code.k() - 10));
         let parity = code.parity_of(&full);
+        assert_eq!(checker.decode_level(&data, &parity), LevelDecode::Clean);
         let mut corrupted = data.clone();
         corrupted.flip(5);
-        let result = checker.check_level(&corrupted, &parity);
-        assert!(result.error_detected);
-        assert_eq!(result.corrected_data, data);
-        assert_eq!(result.corrected_positions, vec![5]);
+        assert_eq!(
+            checker.decode_level(&corrupted, &parity),
+            LevelDecode::CorrectedData { position: 5 }
+        );
     }
 
     #[test]
@@ -536,15 +416,15 @@ mod tests {
         let good = bv(&[1, 0, 1, 1, 0, 0, 1, 0]);
         let mut bad = good.clone();
         bad.flip(4);
-        let result = checker.check_level(&bad, &good, &good);
-        assert!(result.error_detected);
-        assert_eq!(result.corrected_data, good);
-        assert_eq!(result.corrected_positions, vec![4]);
-        assert_eq!(checker.corrections(), 1);
+        let mut voted = BitVec::default();
+        assert!(checker.vote_level_into(&bad, &good, &good, &mut voted));
+        assert_eq!(voted, good);
+        // The primary copy differs from the vote at the one write-back
+        // position.
+        assert_eq!(bad.diff_ones(&voted).collect::<Vec<_>>(), vec![4]);
 
-        let clean = checker.check_level(&good, &good, &good);
-        assert!(!clean.error_detected);
-        assert!(clean.corrected_positions.is_empty());
+        assert!(!checker.vote_level_into(&good, &good, &good, &mut voted));
+        assert_eq!(voted, good);
         assert_eq!(checker.checks(), 2);
     }
 
@@ -554,11 +434,142 @@ mod tests {
         let good = bv(&[0, 1, 1, 0]);
         let mut bad_copy = good.clone();
         bad_copy.flip(0);
-        let result = checker.check_level(&good, &bad_copy, &good);
-        assert!(result.error_detected);
+        let mut voted = BitVec::default();
+        assert!(checker.vote_level_into(&good, &bad_copy, &good, &mut voted));
+        assert_eq!(voted, good);
         // The primary copy was already correct: nothing to write back.
-        assert!(result.corrected_positions.is_empty());
-        assert_eq!(result.corrected_data, good);
+        assert_eq!(good.diff_ones(&voted).count(), 0);
+    }
+
+    /// A deterministic bit stream for the lane-equivalence tests.
+    struct Bits(u64);
+
+    impl Bits {
+        fn word(&mut self) -> u64 {
+            self.0 = splitmix64(self.0);
+            self.0
+        }
+
+        /// A word with each bit set with probability 1/8.
+        fn sparse(&mut self) -> u64 {
+            self.word() & self.word() & self.word()
+        }
+    }
+
+    /// Bit `lane` of each word, as a `BitVec`.
+    fn lane_bits(words: &[u64], lane: usize) -> BitVec {
+        words.iter().map(|w| (w >> lane) & 1 == 1).collect()
+    }
+
+    #[test]
+    fn lane_decode_matches_the_scalar_decode_in_every_lane() {
+        // A full-length code (every syndrome names a position) and a
+        // shortened one (some syndromes are uncorrectable); levels shorter
+        // than k leave unused data positions, so every LevelDecode arm
+        // shows up. Lanes carry clean encodings plus sparse flips in the
+        // data and parity planes (0, 1 or several errors per lane).
+        let codes = [
+            HammingCode::new_standard(4),
+            HammingCode::with_data_bits(8).expect("shortened code"),
+        ];
+        let mut bits = Bits(0xC0DE_1EE7);
+        let mut seen = [false; 4];
+        for code in &codes {
+            for data_len in [code.k(), code.k() - 3] {
+                for _ in 0..40 {
+                    let mut data_words: Vec<u64> = (0..data_len).map(|_| bits.word()).collect();
+                    let mut parity_words = vec![0u64; code.parity_bits()];
+                    for lane in 0..64 {
+                        let data = lane_bits(&data_words, lane)
+                            .concat(&BitVec::zeros(code.k() - data_len));
+                        for (i, bit) in code.parity_of(&data).iter().enumerate() {
+                            parity_words[i] |= u64::from(bit) << lane;
+                        }
+                    }
+                    for word in data_words.iter_mut().chain(parity_words.iter_mut()) {
+                        *word ^= bits.sparse() & bits.sparse();
+                    }
+                    let valid = bits.word() | bits.word();
+
+                    let mut lanes = EcimChecker::new(code);
+                    let mut got = Vec::new();
+                    lanes.decode_level_lanes(
+                        &data_words,
+                        &parity_words,
+                        valid,
+                        &mut Vec::new(),
+                        |lane, outcome| got.push((lane, outcome)),
+                    );
+                    assert_eq!(lanes.checks(), 1, "one check per invocation");
+
+                    let mut scalar = EcimChecker::new(code);
+                    let want: Vec<(usize, LevelDecode)> = (0..64)
+                        .filter(|&lane| (valid >> lane) & 1 == 1)
+                        .map(|lane| {
+                            let data = lane_bits(&data_words, lane);
+                            let parity = lane_bits(&parity_words, lane);
+                            (lane, scalar.decode_level(&data, &parity))
+                        })
+                        .filter(|&(_, outcome)| outcome != LevelDecode::Clean)
+                        .collect();
+                    assert_eq!(got, want, "k = {}, data_len = {data_len}", code.k());
+                    for (_, outcome) in got {
+                        seen[match outcome {
+                            LevelDecode::Clean => 0,
+                            LevelDecode::CorrectedData { .. } => 1,
+                            LevelDecode::CorrectedMeta => 2,
+                            LevelDecode::Uncorrectable => 3,
+                        }] = true;
+                    }
+                }
+            }
+        }
+        assert_eq!(seen, [false, true, true, true], "every non-clean outcome");
+    }
+
+    #[test]
+    fn lane_vote_matches_the_scalar_vote_in_every_lane() {
+        let mut bits = Bits(0x07E1_A4E5);
+        let mut dissenting_lanes = 0u32;
+        for gates in [1usize, 7, 64, 130] {
+            for _ in 0..20 {
+                let truth: Vec<u64> = (0..gates).map(|_| bits.word()).collect();
+                let mut copy = || -> Vec<u64> {
+                    truth
+                        .iter()
+                        .map(|&w| w ^ (bits.sparse() & bits.sparse()))
+                        .collect()
+                };
+                let (a, b, c) = (copy(), copy(), copy());
+                let valid = bits.word() | bits.word();
+
+                let mut lanes = TrimChecker::new(gates);
+                let mut voted = Vec::new();
+                let dissent = lanes.vote_level_lanes(&a, &b, &c, valid, &mut voted);
+                assert_eq!(lanes.checks(), 1, "one check per invocation");
+                assert_eq!(dissent & !valid, 0, "only valid lanes dissent");
+
+                let mut scalar = TrimChecker::new(gates);
+                let mut scalar_voted = BitVec::default();
+                for lane in 0..64 {
+                    let lane_dissent = scalar.vote_level_into(
+                        &lane_bits(&a, lane),
+                        &lane_bits(&b, lane),
+                        &lane_bits(&c, lane),
+                        &mut scalar_voted,
+                    );
+                    assert_eq!(scalar_voted, lane_bits(&voted, lane), "lane {lane}");
+                    if (valid >> lane) & 1 == 1 {
+                        assert_eq!((dissent >> lane) & 1 == 1, lane_dissent, "lane {lane}");
+                    }
+                }
+                dissenting_lanes += dissent.count_ones();
+            }
+        }
+        assert!(
+            dissenting_lanes > 0,
+            "the flips must make some lanes dissent"
+        );
     }
 
     #[test]

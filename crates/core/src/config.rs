@@ -1,7 +1,6 @@
 //! Design-point configuration for protected PiM execution (§IV-B and §IV-F).
 
 use nvpim_compiler::layout::RowLayout;
-use nvpim_ecc::design_space::Granularity;
 use nvpim_ecc::hamming::HammingCode;
 use nvpim_sim::technology::Technology;
 use serde::{Deserialize, Serialize, Value};
@@ -179,9 +178,6 @@ pub struct DesignConfig {
     pub gate_style: GateStyle,
     /// PiM technology.
     pub technology: Technology,
-    /// Error-check granularity (the proposed designs use
-    /// [`Granularity::LogicLevel`]).
-    pub check_granularity: Granularity,
     /// Hamming code parity bits `r` (the code is `Hamming(2^r − 1, 2^r − 1 − r)`;
     /// the paper uses `r = 8`, i.e. Hamming(255, 247)).
     pub hamming_r: usize,
@@ -193,10 +189,6 @@ pub struct DesignConfig {
     pub hamming_k: usize,
     /// Columns per PiM array row (256 in the paper).
     pub array_columns: usize,
-    /// Rows per PiM array (256 in the paper).
-    pub array_rows: usize,
-    /// Maximum number of arrays in the fleet (16 in the paper).
-    pub max_arrays: usize,
     /// Number of independent parity blocks per side (left/right) available
     /// for pipelining ECiM parity updates (§IV-C).
     pub parity_blocks_per_side: usize,
@@ -212,12 +204,9 @@ impl DesignConfig {
             scheme: ProtectionScheme::Unprotected,
             gate_style: GateStyle::MultiOutput,
             technology,
-            check_granularity: Granularity::LogicLevel,
             hamming_r: 8,
             hamming_k: 0,
             array_columns: 256,
-            array_rows: 256,
-            max_arrays: 16,
             parity_blocks_per_side: 4,
             reclaim_parallelism: 16,
         }
@@ -253,12 +242,6 @@ impl DesignConfig {
     /// Returns a copy using single-output gates.
     pub fn with_single_output_gates(mut self) -> Self {
         self.gate_style = GateStyle::SingleOutput;
-        self
-    }
-
-    /// Returns a copy using the given check granularity.
-    pub fn with_check_granularity(mut self, granularity: Granularity) -> Self {
-        self.check_granularity = granularity;
         self
     }
 
@@ -359,12 +342,9 @@ mod tests {
     fn default_configuration_matches_paper_setup() {
         let c = DesignConfig::ecim(Technology::SttMram);
         assert_eq!(c.array_columns, 256);
-        assert_eq!(c.array_rows, 256);
-        assert_eq!(c.max_arrays, 16);
         assert_eq!(c.hamming_r, 8);
         assert_eq!(c.data_bits(), 247);
         assert_eq!(c.parity_bits(), 8);
-        assert_eq!(c.check_granularity, Granularity::LogicLevel);
     }
 
     #[test]

@@ -22,8 +22,8 @@
 //!
 //! The Monte Carlo sweep runs this executor millions of times, so the
 //! steady state must not allocate: gate operations go through
-//! [`PimArray::execute_gate_with`] with column slices (no per-gate `GateOp`
-//! construction), and all per-run working memory lives in a caller-owned
+//! [`PimArray::execute_gate_with`] with column slices (no per-gate
+//! allocation), and all per-run working memory lives in a caller-owned
 //! [`ExecScratch`] that [`ProtectedExecutor::run_with_scratch`] reuses
 //! across trials. [`ProtectedExecutor::run`] is the convenience wrapper
 //! that allocates a fresh scratch per call.
@@ -257,25 +257,6 @@ impl ProtectedExecutor {
             .scheme
             .runtime()
             .run_scalar(self, netlist, schedule, array, row, inputs, scratch)
-    }
-
-    /// Convenience wrapper: compiles `netlist` for this design's layout and
-    /// runs it on a fresh standard array, returning the report.
-    ///
-    /// # Errors
-    ///
-    /// Propagates mapping and execution errors as `ProtectedExecError`
-    /// (mapping failures surface as [`ProtectedExecError::ArrayTooSmall`]).
-    pub fn compile_and_run(
-        &self,
-        netlist: &Netlist,
-        array: &mut PimArray,
-        row: usize,
-        inputs: &[bool],
-    ) -> Result<ProtectedRunReport, ProtectedExecError> {
-        let schedule = nvpim_compiler::schedule::map_netlist(netlist, self.config.row_layout())
-            .map_err(|_| ProtectedExecError::ArrayTooSmall)?;
-        self.run(netlist, &schedule, array, row, inputs)
     }
 
     // ------------------------------------------------------------------

@@ -64,7 +64,7 @@ pub mod sep;
 pub mod sliced;
 pub mod system;
 
-pub use checker::{CheckResult, CheckerCostModel, EcimChecker, TrimChecker};
+pub use checker::{CheckerCostModel, EcimChecker, TrimChecker};
 pub use config::{DesignConfig, GateStyle, ProtectionScheme};
 pub use executor::{ExecScratch, ProtectedExecError, ProtectedExecutor, ProtectedRunReport};
 pub use scheme::{registry as scheme_registry, CostEnv, SchemeCapabilities, SchemeRuntime};

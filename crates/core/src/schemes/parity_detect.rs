@@ -92,7 +92,7 @@ impl ParityDetectChecker {
     /// Checks one level: `data_parity` is the XOR-reduction of the level's
     /// read-back data bits, `stored_parity` the running parity cell.
     /// Returns whether a mismatch (an odd-weight error) was detected.
-    pub fn check_level(&mut self, data_parity: bool, stored_parity: bool) -> bool {
+    pub fn detect_level(&mut self, data_parity: bool, stored_parity: bool) -> bool {
         self.checks += 1;
         let mismatch = data_parity != stored_parity;
         if mismatch {
@@ -104,10 +104,10 @@ impl ParityDetectChecker {
     /// Lane-parallel level check for the sliced backend: `data_words`
     /// holds each data cell's lane word, `parity_word` the running parity
     /// cell's. Returns the mask of valid lanes whose parity mismatched —
-    /// per lane, exactly the boolean [`Self::check_level`] returns for
+    /// per lane, exactly the boolean [`Self::detect_level`] returns for
     /// that lane's bits. Counts one check (the Checker block decodes all
     /// lanes in one invocation, mirroring the scalar accounting).
-    pub fn check_level_lanes(&mut self, data_words: &[u64], parity_word: u64, valid: u64) -> u64 {
+    pub fn detect_level_lanes(&mut self, data_words: &[u64], parity_word: u64, valid: u64) -> u64 {
         self.checks += 1;
         let mut acc = parity_word;
         for &word in data_words {
@@ -360,7 +360,7 @@ pub(crate) fn run_parity_scalar(
         array.read_bits_into(row, &scratch.chunk_cols, &mut scratch.bits_a)?;
         array.read_bits_into(row, &scratch.cols_b, &mut scratch.bits_b)?;
         let data_parity = scratch.bits_a.iter_ones().count() % 2 == 1;
-        if checker.check_level(data_parity, scratch.bits_b.get(0)) {
+        if checker.detect_level(data_parity, scratch.bits_b.get(0)) {
             report.errors_detected += 1;
             on_mismatch(array, &scratch.used_nets, level, &mut report)?;
         }
@@ -458,7 +458,7 @@ pub(crate) fn run_parity_sliced(
         let parity_col = if parity_in_pong[0] { PONG } else { PING };
         let parity_word = array.cell(row, parity_col);
         let valid = array.injector().valid_mask();
-        let mismatch = checker.check_level_lanes(data_words, parity_word, valid);
+        let mismatch = checker.detect_level_lanes(data_words, parity_word, valid);
         if mismatch != 0 {
             let mut flagged = mismatch;
             while flagged != 0 {

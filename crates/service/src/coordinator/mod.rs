@@ -44,8 +44,24 @@ use nvpim_sweep::{
 };
 use nvpim_telemetry::{Counter, Telemetry};
 
-/// Fleet topology and failure-handling knobs.
-#[derive(Debug, Clone)]
+/// Heartbeat deadline: a worker that streams no chunk (or answers no
+/// ping) for this long is considered stalled. Workers stream chunks at
+/// their own checkpoint cadence (`nvpim-serviced --checkpoint-ms`, default
+/// 250 ms, which the daemon caps below 1 s), so the deadline must
+/// comfortably exceed that cap plus the longest single task: a shorter one
+/// would evict healthy workers.
+const HEARTBEAT_TIMEOUT: Duration = Duration::from_millis(2_000);
+/// TCP connect timeout per worker.
+const CONNECT_TIMEOUT: Duration = Duration::from_millis(1_000);
+/// Per-shard re-assignment budget before the fleet gives up.
+const MAX_SHARD_REASSIGNMENTS: u32 = 8;
+/// Base for the jittered exponential backoff between re-assignments of the
+/// same shard.
+const RETRY_BACKOFF_MS: u64 = 50;
+
+/// Fleet topology: which workers serve the campaign, cut into how many
+/// shards.
+#[derive(Debug, Clone, Default)]
 pub struct FleetConfig {
     /// Worker daemon addresses (`host:port`).
     pub workers: Vec<String>,
@@ -53,32 +69,6 @@ pub struct FleetConfig {
     /// workers gives finer-grained re-assignment (less lost work per
     /// failure) at the cost of more protocol round-trips.
     pub shards: usize,
-    /// Heartbeat deadline: a worker that streams no chunk (or answers no
-    /// ping) for this long is considered stalled. Workers stream chunks at
-    /// their own checkpoint cadence (`nvpim-serviced --checkpoint-ms`,
-    /// default 250 ms, which the daemon caps below 1 s), so this must
-    /// comfortably exceed that cadence plus the longest single task.
-    pub heartbeat_timeout_ms: u64,
-    /// TCP connect timeout per worker.
-    pub connect_timeout_ms: u64,
-    /// Per-shard re-assignment budget before the fleet gives up.
-    pub max_shard_reassignments: u32,
-    /// Base for the jittered exponential backoff between re-assignments
-    /// of the same shard.
-    pub retry_backoff_ms: u64,
-}
-
-impl Default for FleetConfig {
-    fn default() -> Self {
-        Self {
-            workers: Vec::new(),
-            shards: 0,
-            heartbeat_timeout_ms: 2_000,
-            connect_timeout_ms: 1_000,
-            max_shard_reassignments: 8,
-            retry_backoff_ms: 50,
-        }
-    }
 }
 
 /// Errors raised by [`run_fleet`].
@@ -263,7 +253,7 @@ pub fn run_fleet(
             .map(|addr| {
                 let board = &board;
                 let plan_json = &plan_json;
-                scope.spawn(move || worker_loop(addr, plan_json, cfg, board, telemetry))
+                scope.spawn(move || worker_loop(addr, plan_json, board, telemetry))
             })
             .collect();
         handles
@@ -320,18 +310,8 @@ pub fn run_fleet(
 
 /// One worker agent: claims shards off the board and drives them on a
 /// single daemon until the work runs out or the worker stops cooperating.
-fn worker_loop(
-    addr: &str,
-    plan_json: &Value,
-    cfg: &FleetConfig,
-    board: &Board,
-    telemetry: &Telemetry,
-) -> WorkerStats {
-    let mut link = WorkerLink::new(
-        addr,
-        Duration::from_millis(cfg.connect_timeout_ms),
-        Duration::from_millis(cfg.heartbeat_timeout_ms),
-    );
+fn worker_loop(addr: &str, plan_json: &Value, board: &Board, telemetry: &Telemetry) -> WorkerStats {
+    let mut link = WorkerLink::new(addr, CONNECT_TIMEOUT, HEARTBEAT_TIMEOUT);
     let mut stats = WorkerStats::new(addr);
     let mut busy = Duration::ZERO;
     loop {
@@ -385,7 +365,7 @@ fn worker_loop(
                 let why = "heartbeat deadline missed".to_string();
                 (
                     attempts + 1,
-                    jittered_backoff(cfg.retry_backoff_ms, attempts),
+                    jittered_backoff(RETRY_BACKOFF_MS, attempts),
                     why,
                 )
             }
@@ -394,7 +374,7 @@ fn worker_loop(
                 let why = "worker disconnected".to_string();
                 (
                     attempts + 1,
-                    jittered_backoff(cfg.retry_backoff_ms, attempts),
+                    jittered_backoff(RETRY_BACKOFF_MS, attempts),
                     why,
                 )
             }
@@ -403,14 +383,14 @@ fn worker_loop(
             // pool.
             AttemptEnd::Rejected(why) => (
                 attempts + 1,
-                jittered_backoff(cfg.retry_backoff_ms, attempts),
+                jittered_backoff(RETRY_BACKOFF_MS, attempts),
                 why,
             ),
         };
         if board.requeue(
             spec.index,
             next_attempts,
-            cfg.max_shard_reassignments,
+            MAX_SHARD_REASSIGNMENTS,
             backoff,
             &why,
         ) {
@@ -466,7 +446,6 @@ mod tests {
         let cfg = FleetConfig {
             workers: vec![addr_a, addr_b],
             shards: 4,
-            ..FleetConfig::default()
         };
         let outcome = run_fleet(&plan, &cfg, &Telemetry::disabled()).expect("fleet runs");
         assert_eq!(
@@ -505,7 +484,6 @@ mod tests {
         let cfg = FleetConfig {
             workers: vec![addr_live, addr_drain.clone()],
             shards: 2,
-            ..FleetConfig::default()
         };
         let outcome = run_fleet(&plan, &cfg, &Telemetry::disabled()).expect("fleet survives");
         assert_eq!(outcome.report.to_json(), baseline.to_json());
@@ -534,7 +512,6 @@ mod tests {
         let cfg = FleetConfig {
             workers: vec![addr_live, addr_dead],
             shards: 3,
-            ..FleetConfig::default()
         };
         let outcome = run_fleet(&plan, &cfg, &telemetry).expect("fleet survives one death");
         assert_eq!(outcome.report.to_json(), baseline.to_json());

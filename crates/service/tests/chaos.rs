@@ -789,9 +789,6 @@ fn fleet_survives_sigkill_and_sigstop_with_byte_identical_reports() {
         let cfg = FleetConfig {
             workers: daemons.iter().map(|(_, addr)| addr.clone()).collect(),
             shards: 9,
-            heartbeat_timeout_ms: 2_000,
-            retry_backoff_ms: 10,
-            ..FleetConfig::default()
         };
         let telemetry = Telemetry::new();
         let (fleet_result, chaos) = std::thread::scope(|scope| {

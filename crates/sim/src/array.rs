@@ -10,38 +10,10 @@
 //! communication competes with.
 
 use nvpim_ecc::gf2::BitVec;
-use serde::{Deserialize, Serialize};
 
 use crate::fault::{FaultInjector, FaultSite};
 use crate::gates::GateKind;
-use crate::partition::PartitionConfig;
-use crate::stats::ArrayStats;
-use crate::technology::{Technology, TechnologyParams};
-
-/// A single in-array gate operation: inputs and outputs are columns of `row`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct GateOp {
-    /// The gate to execute.
-    pub kind: GateKind,
-    /// Row in which the gate fires.
-    pub row: usize,
-    /// Input cell columns.
-    pub inputs: Vec<usize>,
-    /// Output cell columns (all receive the same value for multi-output NOR).
-    pub outputs: Vec<usize>,
-}
-
-impl GateOp {
-    /// Convenience constructor.
-    pub fn new(kind: GateKind, row: usize, inputs: Vec<usize>, outputs: Vec<usize>) -> Self {
-        Self {
-            kind,
-            row,
-            inputs,
-            outputs,
-        }
-    }
-}
+use crate::technology::Technology;
 
 /// Errors raised by array operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -60,11 +32,6 @@ pub enum ArrayError {
         /// Outputs supplied.
         got: usize,
     },
-    /// Two concurrent gate operations overlap in a partition.
-    PartitionConflict {
-        /// The partition where the conflict occurred.
-        partition: usize,
-    },
 }
 
 impl std::fmt::Display for ArrayError {
@@ -75,12 +42,6 @@ impl std::fmt::Display for ArrayError {
             }
             ArrayError::OutputArityMismatch { expected, got } => {
                 write!(f, "gate drives {expected} outputs but {got} were supplied")
-            }
-            ArrayError::PartitionConflict { partition } => {
-                write!(
-                    f,
-                    "concurrent gate operations overlap in partition {partition}"
-                )
             }
         }
     }
@@ -98,14 +59,11 @@ impl std::error::Error for ArrayError {}
 #[derive(Debug, Clone)]
 pub struct PimArray {
     technology: Technology,
-    params: TechnologyParams,
     rows: usize,
     cols: usize,
     words_per_row: usize,
     /// Packed logic values of the cells, row-major.
     words: Vec<u64>,
-    partitions: PartitionConfig,
-    stats: ArrayStats,
     injector: FaultInjector,
 }
 
@@ -116,13 +74,10 @@ impl PimArray {
         let words_per_row = cols.div_ceil(64);
         Self {
             technology,
-            params: technology.parameters(),
             rows,
             cols,
             words_per_row,
             words: vec![0; rows * words_per_row],
-            partitions: PartitionConfig::single(cols),
-            stats: ArrayStats::default(),
             injector: FaultInjector::disabled(),
         }
     }
@@ -135,17 +90,6 @@ impl PimArray {
     /// Replaces the fault injector.
     pub fn with_fault_injector(mut self, injector: FaultInjector) -> Self {
         self.injector = injector;
-        self
-    }
-
-    /// Replaces the partition configuration.
-    pub fn with_partitions(mut self, partitions: PartitionConfig) -> Self {
-        assert_eq!(
-            partitions.total_columns(),
-            self.cols,
-            "partition configuration must cover every column"
-        );
-        self.partitions = partitions;
         self
     }
 
@@ -162,26 +106,6 @@ impl PimArray {
     /// The array's technology.
     pub fn technology(&self) -> Technology {
         self.technology
-    }
-
-    /// The technology parameters in use.
-    pub fn params(&self) -> &TechnologyParams {
-        &self.params
-    }
-
-    /// The partition configuration.
-    pub fn partitions(&self) -> &PartitionConfig {
-        &self.partitions
-    }
-
-    /// Accumulated operation statistics.
-    pub fn stats(&self) -> &ArrayStats {
-        &self.stats
-    }
-
-    /// Resets the statistics counters (cell contents are untouched).
-    pub fn reset_stats(&mut self) {
-        self.stats = ArrayStats::default();
     }
 
     /// Access to the fault injector (e.g. to read the fault log).
@@ -214,14 +138,13 @@ impl PimArray {
     }
 
     /// Reads a cell's logic value *without* going through the array interface
-    /// (no sensing cost) — used internally by gate execution and by tests.
+    /// (no read fault) — used internally by gate execution and by tests.
     pub fn peek(&self, row: usize, col: usize) -> Result<bool, ArrayError> {
         let (word, mask) = self.locate(row, col)?;
         Ok(self.words[word] & mask != 0)
     }
 
-    /// Writes a cell's logic value without cost accounting or fault
-    /// injection. Used to initialize test fixtures and load input data that
+    /// Writes a cell's logic value without fault injection. Used to initialize test fixtures and load input data that
     /// is assumed already resident (the paper's inputs live in the array).
     pub fn poke(&mut self, row: usize, col: usize, value: bool) -> Result<(), ArrayError> {
         let (word, mask) = self.locate(row, col)?;
@@ -229,7 +152,7 @@ impl PimArray {
         Ok(())
     }
 
-    /// Loads a whole row of logic values without cost accounting — a
+    /// Loads a whole row of logic values without fault injection — a
     /// word-level copy, not a per-bit loop.
     ///
     /// # Panics
@@ -260,24 +183,19 @@ impl PimArray {
         Ok(self.row_words(a)? == self.row_words(b)?)
     }
 
-    /// Reads a cell through the read path (sense amplifier): costs read
-    /// energy/latency and is subject to read-disturb faults.
+    /// Reads a cell through the read path (sense amplifier), subject to
+    /// read faults.
     pub fn read_cell(&mut self, row: usize, col: usize) -> Result<bool, ArrayError> {
         let (word, mask) = self.locate(row, col)?;
         let value = self.words[word] & mask != 0;
-        let sensed = self.injector.apply(FaultSite::Read, row, col, value);
-        self.stats.record_read(1);
-        Ok(sensed)
+        Ok(self.injector.apply(FaultSite::Read, row, col, value))
     }
 
-    /// Writes a cell through the write path: costs write energy/latency and
-    /// is subject to write faults.
+    /// Writes a cell through the write path, subject to write faults.
     pub fn write_cell(&mut self, row: usize, col: usize, value: bool) -> Result<(), ArrayError> {
         let (word, mask) = self.locate(row, col)?;
         let stored = self.injector.apply(FaultSite::Write, row, col, value);
         self.store(word, mask, stored);
-        self.stats
-            .record_write(1, self.params.write_energy(1), self.params.gate_delay_ns());
         Ok(())
     }
 
@@ -320,15 +238,12 @@ impl PimArray {
         if !cols.len().is_multiple_of(64) {
             out.set_word(cols.len() / 64, acc);
         }
-        self.stats.record_read(cols.len());
         Ok(())
     }
 
     /// Presets a contiguous range of columns in `row` to `value` as one
     /// row-parallel write transaction (the partition-parallel preset the
-    /// paper's metadata pipeline and area-reclaim paths use). Energy is
-    /// identical to per-cell writes (`write_energy` is linear in bits);
-    /// latency is one write step for the whole range.
+    /// paper's metadata pipeline and area-reclaim paths use).
     ///
     /// When the write-fault rate is zero this is a pure word-mask
     /// operation; otherwise each cell passes through the fault injector
@@ -345,7 +260,6 @@ impl PimArray {
         // Validate both endpoints up front.
         let (first_word, _) = self.locate(row, cols.start)?;
         let (last_word, _) = self.locate(row, cols.end - 1)?;
-        let count = cols.len();
         // Permanent defects force the per-cell path too: a stuck cell must
         // keep its pinned value through a preset (per-cell applies at a
         // zero write rate consume no RNG, so transient-only trials keep the
@@ -370,11 +284,6 @@ impl PimArray {
                 }
             }
         }
-        self.stats.record_write(
-            count,
-            self.params.write_energy(count),
-            self.params.gate_delay_ns(),
-        );
         Ok(())
     }
 
@@ -382,8 +291,8 @@ impl PimArray {
     /// Checker's write-and-read-back loop guarantees the intended value
     /// lands, so no transient write fault applies and no RNG state is
     /// consumed — but a permanent stuck-at defect still pins the cell (no
-    /// amount of rewriting fixes broken hardware). Costs one ordinary
-    /// write. This is the write-back primitive of recompute-style schemes.
+    /// amount of rewriting fixes broken hardware). This is the write-back
+    /// primitive of recompute-style schemes.
     pub fn write_verified(
         &mut self,
         row: usize,
@@ -393,8 +302,6 @@ impl PimArray {
         let (word, mask) = self.locate(row, col)?;
         let stored = self.injector.stuck_value(row, col).unwrap_or(value);
         self.store(word, mask, stored);
-        self.stats
-            .record_write(1, self.params.write_energy(1), self.params.gate_delay_ns());
         Ok(())
     }
 
@@ -414,34 +321,18 @@ impl PimArray {
                 .apply(FaultSite::Write, row, col, values.get(i));
             self.store(word, mask, stored);
         }
-        self.stats.record_write(
-            cols.len(),
-            self.params.write_energy(cols.len()),
-            self.params.gate_delay_ns(),
-        );
         Ok(())
     }
 
-    /// Executes one in-array gate operation, returning the value the output
-    /// cells ended up holding (after any injected fault).
+    /// Executes one in-array gate operation in `row`, returning the value the
+    /// output cells ended up holding (after any injected fault). Inputs and
+    /// outputs are column slices, so a run allocates nothing per gate.
     ///
     /// # Errors
     ///
     /// Returns [`ArrayError::OutputArityMismatch`] if the number of output
     /// columns disagrees with the gate kind, or [`ArrayError::OutOfBounds`]
     /// for invalid cell coordinates.
-    pub fn execute_gate(&mut self, op: &GateOp) -> Result<bool, ArrayError> {
-        self.execute_gate_with(op.kind, op.row, &op.inputs, &op.outputs)
-    }
-
-    /// Executes one in-array gate operation given as raw parts. This is the
-    /// allocation-free hot path behind [`Self::execute_gate`]: executors can
-    /// pass column slices (or stack arrays) directly instead of assembling a
-    /// [`GateOp`] with owned `Vec`s per operation.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::execute_gate`].
     pub fn execute_gate_with(
         &mut self,
         kind: GateKind,
@@ -486,7 +377,6 @@ impl PimArray {
                 first_output_value = value;
             }
         }
-        self.record_gate_cost(kind, outputs.len());
         Ok(first_output_value)
     }
 
@@ -495,8 +385,8 @@ impl PimArray {
     /// `dst = THR(a, b, s1, s2) = a XOR b`.
     ///
     /// Semantically identical to two [`Self::execute_gate_with`] calls —
-    /// same fault-injection sites in the same order (s1, s2, then dst),
-    /// same cost accounting — but without re-sensing `s1`/`s2` for the THR
+    /// same fault-injection sites in the same order (s1, s2, then dst) —
+    /// but without re-sensing `s1`/`s2` for the THR
     /// step, since their post-fault values are already in hand. This is
     /// ECiM's parity-fold primitive and dominates the Monte Carlo gate-op
     /// count, hence the dedicated path.
@@ -519,7 +409,6 @@ impl PimArray {
         let (s2_word, s2_mask) = self.locate(row, s2_col)?;
         let s2 = self.injector.apply(FaultSite::GateOutput, row, s2_col, nor);
         self.store(s2_word, s2_mask, s2);
-        self.record_gate_cost(GateKind::NOR22, 2);
         // Step 2: THR over (a, b, s1, s2).
         let zeros = u32::from(!a) + u32::from(!b) + u32::from(!s1) + u32::from(!s2);
         let thr = zeros >= 3;
@@ -528,57 +417,18 @@ impl PimArray {
             .injector
             .apply(FaultSite::GateOutput, row, dst_col, thr);
         self.store(dst_word, dst_mask, out);
-        self.record_gate_cost(GateKind::THR, 1);
         Ok(out)
     }
 
-    fn record_gate_cost(&mut self, kind: GateKind, output_count: usize) {
-        let (energy, is_thr) = match kind {
-            GateKind::Nor { outputs } => (self.params.nor_energy(outputs as usize), false),
-            GateKind::Not | GateKind::Copy => (self.params.nor_energy(1), false),
-            GateKind::Thr { .. } => (self.params.thr_energy(), true),
-            GateKind::Preset { .. } => (self.params.write_energy(output_count), false),
-        };
-        self.stats
-            .record_gate(is_thr, energy, self.params.gate_delay_ns());
-    }
-
-    /// Executes a batch of gate operations that fire *simultaneously*
-    /// (same time step, different rows and/or different partitions),
-    /// enforcing the partition rule: no more than one gate operation may be
-    /// in progress in one partition of one row at a time (§IV-C).
-    ///
-    /// Returns the output value of each operation, in order.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ArrayError::PartitionConflict`] if two operations in the
-    /// same row touch the same partition, plus any per-operation error.
-    pub fn execute_simultaneous(&mut self, ops: &[GateOp]) -> Result<Vec<bool>, ArrayError> {
-        self.partitions.validate_concurrent(ops)?;
-        let mut results = Vec::with_capacity(ops.len());
-        for op in ops {
-            results.push(self.execute_gate(op)?);
-        }
-        // A simultaneous batch advances logical time by a single gate delay;
-        // the per-op accounting above accumulated serial latency, so adjust.
-        if ops.len() > 1 {
-            self.stats
-                .absorb_parallel_latency(ops.len() - 1, self.params.gate_delay_ns());
-        }
-        self.injector.advance_step();
-        Ok(results)
-    }
-
-    /// Returns a whole row's logic values (no cost; debugging/validation).
+    /// Returns a whole row's logic values (no read fault; debugging/validation).
     /// A word-level copy of the packed row.
     pub fn snapshot_row(&self, row: usize) -> Result<BitVec, ArrayError> {
         Ok(BitVec::from_words(self.row_words(row)?.to_vec(), self.cols))
     }
 
     /// Resets the array in place for a fresh Monte Carlo trial: every cell
-    /// back to logic 0 (one memset over the packed words), statistics
-    /// cleared, and the fault injector re-seeded with `rates`/`seed`.
+    /// back to logic 0 (one memset over the packed words) and the fault
+    /// injector re-seeded with `rates`/`seed`.
     ///
     /// Steady-state trial loops call this instead of allocating a new array;
     /// a reset array is observationally identical to a freshly constructed
@@ -591,12 +441,8 @@ impl PimArray {
         rates: crate::fault::ErrorRates,
         seed: u64,
     ) {
-        if self.technology != technology {
-            self.technology = technology;
-            self.params = technology.parameters();
-        }
+        self.technology = technology;
         self.words.fill(0);
-        self.stats = ArrayStats::default();
         self.injector.reset(rates, seed);
     }
 }
@@ -639,8 +485,9 @@ mod tests {
         ] {
             a.poke(0, 0, x).unwrap();
             a.poke(0, 1, y).unwrap();
-            let op = GateOp::new(GateKind::NOR2, 0, vec![0, 1], vec![2]);
-            let out = a.execute_gate(&op).unwrap();
+            let out = a
+                .execute_gate_with(GateKind::NOR2, 0, &[0, 1], &[2])
+                .unwrap();
             assert_eq!(out, expected);
             assert_eq!(a.peek(0, 2).unwrap(), expected);
         }
@@ -651,8 +498,9 @@ mod tests {
         let mut a = PimArray::new(Technology::SotSheMram, 1, 8);
         a.poke(0, 0, false).unwrap();
         a.poke(0, 1, false).unwrap();
-        let op = GateOp::new(GateKind::NOR22, 0, vec![0, 1], vec![3, 6]);
-        assert!(a.execute_gate(&op).unwrap());
+        assert!(a
+            .execute_gate_with(GateKind::NOR22, 0, &[0, 1], &[3, 6])
+            .unwrap());
         assert!(a.peek(0, 3).unwrap());
         assert!(a.peek(0, 6).unwrap());
     }
@@ -660,9 +508,8 @@ mod tests {
     #[test]
     fn output_arity_mismatch_detected() {
         let mut a = PimArray::new(Technology::SttMram, 1, 8);
-        let op = GateOp::new(GateKind::NOR22, 0, vec![0, 1], vec![2]);
         assert_eq!(
-            a.execute_gate(&op),
+            a.execute_gate_with(GateKind::NOR22, 0, &[0, 1], &[2]),
             Err(ArrayError::OutputArityMismatch {
                 expected: 2,
                 got: 1
@@ -678,42 +525,15 @@ mod tests {
                 a.poke(0, 0, x).unwrap();
                 a.poke(0, 1, y).unwrap();
                 // s1 = s2 = NOR22(a, b) into cols 2 and 3
-                a.execute_gate(&GateOp::new(GateKind::NOR22, 0, vec![0, 1], vec![2, 3]))
+                a.execute_gate_with(GateKind::NOR22, 0, &[0, 1], &[2, 3])
                     .unwrap();
                 // out = THR(a, b, s1, s2) into col 4
                 let out = a
-                    .execute_gate(&GateOp::new(GateKind::THR, 0, vec![0, 1, 2, 3], vec![4]))
+                    .execute_gate_with(GateKind::THR, 0, &[0, 1, 2, 3], &[4])
                     .unwrap();
                 assert_eq!(out, x ^ y, "({x}, {y})");
             }
         }
-    }
-
-    #[test]
-    fn gate_energy_and_counts_accumulate() {
-        let mut a = PimArray::new(Technology::SttMram, 1, 8);
-        a.execute_gate(&GateOp::new(GateKind::NOR2, 0, vec![0, 1], vec![2]))
-            .unwrap();
-        a.execute_gate(&GateOp::new(GateKind::THR, 0, vec![0, 1, 2, 2], vec![3]))
-            .unwrap();
-        let p = Technology::SttMram.parameters();
-        let stats = a.stats();
-        assert_eq!(stats.gate_ops, 2);
-        assert_eq!(stats.thr_ops, 1);
-        assert!((stats.energy_fj - (p.nor_energy(1) + p.thr_energy())).abs() < 1e-9);
-        assert!(stats.latency_ns >= 2.0 * p.gate_delay_ns());
-    }
-
-    #[test]
-    fn reads_and_writes_are_metered() {
-        let mut a = PimArray::new(Technology::ReRam, 2, 16);
-        let cols: Vec<usize> = (0..8).collect();
-        a.write_bits(0, &cols, &BitVec::from_u64(0xA5, 8)).unwrap();
-        let read = a.read_bits(0, &cols).unwrap();
-        assert_eq!(read.to_u64(), 0xA5);
-        assert_eq!(a.stats().bits_written, 8);
-        assert_eq!(a.stats().bits_read, 8);
-        assert!(a.stats().energy_fj > 0.0);
     }
 
     #[test]
@@ -744,24 +564,12 @@ mod tests {
         a.poke(0, 0, false).unwrap();
         a.poke(0, 1, false).unwrap();
         let out = a
-            .execute_gate(&GateOp::new(GateKind::NOR2, 0, vec![0, 1], vec![2]))
+            .execute_gate_with(GateKind::NOR2, 0, &[0, 1], &[2])
             .unwrap();
         assert!(
             !out,
             "NOR(0,0)=1 must be flipped to 0 by the injected fault"
         );
-    }
-
-    #[test]
-    fn simultaneous_ops_in_different_rows_advance_time_once() {
-        let mut a = PimArray::new(Technology::SttMram, 4, 8);
-        let ops: Vec<GateOp> = (0..4)
-            .map(|r| GateOp::new(GateKind::NOR2, r, vec![0, 1], vec![2]))
-            .collect();
-        a.execute_simultaneous(&ops).unwrap();
-        let delay = Technology::SttMram.parameters().gate_delay_ns();
-        assert!((a.stats().latency_ns - delay).abs() < 1e-9);
-        assert_eq!(a.stats().gate_ops, 4);
     }
 
     #[test]
@@ -785,6 +593,10 @@ mod tests {
         a.poke(2, 199, !pattern.get(199)).unwrap();
         assert!(!a.rows_equal(0, 2).unwrap());
         assert!(a.row_words(3).is_err());
+        // A Checker-style transfer: one multi-cell write, read back intact.
+        let cols: Vec<usize> = (0..8).collect();
+        a.write_bits(1, &cols, &BitVec::from_u64(0xA5, 8)).unwrap();
+        assert_eq!(a.read_bits(1, &cols).unwrap().to_u64(), 0xA5);
     }
 
     #[test]
@@ -802,10 +614,6 @@ mod tests {
             b.write_cell(0, col, false).unwrap();
         }
         assert_eq!(a.snapshot_row(0).unwrap(), b.snapshot_row(0).unwrap());
-        // Same bit count and energy; one transaction instead of 94.
-        assert_eq!(a.stats().bits_written, b.stats().bits_written);
-        assert!((a.stats().energy_fj - b.stats().energy_fj).abs() < 1e-9);
-        assert!(a.stats().latency_ns < b.stats().latency_ns);
     }
 
     #[test]
@@ -846,11 +654,6 @@ mod tests {
                 assert_eq!(
                     fused.snapshot_row(0).unwrap(),
                     generic.snapshot_row(0).unwrap()
-                );
-                assert_eq!(fused.stats().gate_ops, generic.stats().gate_ops);
-                assert!(
-                    (fused.stats().energy_fj - generic.stats().energy_fj).abs() < 1e-12,
-                    "fused XOR must cost exactly what the two gates cost"
                 );
             }
         }
@@ -952,8 +755,8 @@ mod tests {
         reused
             .execute_gate_with(GateKind::NOR2, 1, &[0, 1], &[2])
             .unwrap();
-        // Reset must match a freshly built array in contents, stats and
-        // fault stream — including a switch to another technology.
+        // Reset must match a freshly built array in contents and fault
+        // stream — including a switch to another technology.
         reused.reset_for_trial(Technology::ReRam, rates, 42);
         let mut fresh = PimArray::new(Technology::ReRam, 4, 64)
             .with_fault_injector(FaultInjector::new(rates, 42));
@@ -964,8 +767,6 @@ mod tests {
                 fresh.snapshot_row(row).unwrap()
             );
         }
-        assert_eq!(reused.stats().gate_ops, 0);
-        assert_eq!(reused.stats().bits_written, 0);
         for i in 0..200 {
             assert_eq!(
                 reused

@@ -6,8 +6,7 @@
 //! Regardless of physical origin (thermal noise, retention failure, TMR-ratio
 //! variation, oxygen-vacancy diffusion, …), these manifest as single bit
 //! flips, uniformly distributed across the array during row-parallel
-//! computation. Optional spatial and temporal correlation knobs model the
-//! correlated-error discussion of §IV-E.
+//! computation.
 
 use rand::RngCore;
 use rand::SeedableRng;
@@ -151,20 +150,6 @@ pub fn stuck_at_state(defect_seed: u64, threshold: u64, row: usize, col: usize) 
     }
 }
 
-/// Correlation model for injected errors (§IV-E).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
-pub struct CorrelationModel {
-    /// When a fault fires, also flip up to this many *spatially adjacent*
-    /// outputs in the same row (0 = independent errors).
-    pub spatial_burst: usize,
-    /// When a fault fires, multiply the fault probability of the next
-    /// `temporal_window` operations in the same row by `temporal_factor`
-    /// (models back-to-back errors).
-    pub temporal_window: usize,
-    /// Multiplier applied during a temporal burst window.
-    pub temporal_factor: f64,
-}
-
 /// A single injected fault, for logging and analysis.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct InjectedFault {
@@ -174,8 +159,6 @@ pub struct InjectedFault {
     pub row: usize,
     /// Array column.
     pub col: usize,
-    /// Simulation step at which it was injected.
-    pub step: u64,
 }
 
 /// Pending skip-ahead state for one fault site: `remaining` clean
@@ -200,10 +183,7 @@ struct PendingSkip {
 #[derive(Debug, Clone)]
 pub struct FaultInjector {
     rates: ErrorRates,
-    correlation: CorrelationModel,
     rng: ChaCha8Rng,
-    step: u64,
-    temporal_boost_remaining: usize,
     log: Vec<InjectedFault>,
     /// Skip-ahead state per [`FaultSite`] (indexed by `site_index`).
     skips: [Option<PendingSkip>; 4],
@@ -223,10 +203,7 @@ impl FaultInjector {
     pub fn new(rates: ErrorRates, seed: u64) -> Self {
         Self {
             rates,
-            correlation: CorrelationModel::default(),
             rng: ChaCha8Rng::seed_from_u64(seed),
-            step: 0,
-            temporal_boost_remaining: 0,
             log: Vec::new(),
             skips: [None; 4],
             decisions: [0; 4],
@@ -240,21 +217,12 @@ impl FaultInjector {
         Self::new(ErrorRates::NONE, 0)
     }
 
-    /// Sets the correlation model.
-    pub fn with_correlation(mut self, correlation: CorrelationModel) -> Self {
-        self.correlation = correlation;
-        self
-    }
-
     /// Re-seeds the injector in place for a fresh trial: new rates, a fresh
-    /// RNG stream, cleared log (keeping its allocation), step 0, and no
-    /// pending skip state. Equivalent to `FaultInjector::new(rates, seed)`
-    /// with the same correlation model.
+    /// RNG stream, cleared log (keeping its allocation) and no pending skip
+    /// state. Equivalent to `FaultInjector::new(rates, seed)`.
     pub fn reset(&mut self, rates: ErrorRates, seed: u64) {
         self.rates = rates;
         self.rng = ChaCha8Rng::seed_from_u64(seed);
-        self.step = 0;
-        self.temporal_boost_remaining = 0;
         self.log.clear();
         self.skips = [None; 4];
         self.decisions = [0; 4];
@@ -282,36 +250,13 @@ impl FaultInjector {
         &self.rates
     }
 
-    /// Advances the logical time step (one per array-level operation batch).
-    pub fn advance_step(&mut self) {
-        self.step += 1;
-        self.temporal_boost_remaining = self.temporal_boost_remaining.saturating_sub(1);
-    }
-
-    /// Current logical step.
-    pub fn step(&self) -> u64 {
-        self.step
-    }
-
     /// Decides whether a bit produced at (`row`, `col`) by `site` is flipped,
     /// returning the possibly-corrupted value.
     pub fn apply(&mut self, site: FaultSite, row: usize, col: usize, value: bool) -> bool {
         self.decisions[Self::site_index(site)] += 1;
-        let mut p = self.rates.for_site(site);
-        if self.temporal_boost_remaining > 0 {
-            p = (p * self.correlation.temporal_factor).min(1.0);
-        }
-        let faulted = self.skip_decide(Self::site_index(site), p);
+        let faulted = self.skip_decide(Self::site_index(site), self.rates.for_site(site));
         if faulted {
-            self.log.push(InjectedFault {
-                site,
-                row,
-                col,
-                step: self.step,
-            });
-            if self.correlation.temporal_window > 0 {
-                self.temporal_boost_remaining = self.correlation.temporal_window;
-            }
+            self.log.push(InjectedFault { site, row, col });
         }
         let produced = if faulted { !value } else { value };
         // Permanent defects override whatever a *storing* operation tried
@@ -341,9 +286,8 @@ impl FaultInjector {
     /// Skip-ahead decision for one operation at probability `p`.
     ///
     /// The pending counter for a site is valid only for the probability it
-    /// was sampled under; when `p` changes (e.g. a temporal-correlation
-    /// boost window opens or closes) the counter is *discarded* and a fresh
-    /// `Geometric(p)` skip is sampled. This is unbiased, not an
+    /// was sampled under; when `p` changes the counter is *discarded* and a
+    /// fresh `Geometric(p)` skip is sampled. This is unbiased, not an
     /// approximation: a pending skip sampled at the old rate says only that
     /// no fault has fired yet, and the geometric distribution is memoryless
     /// — conditioned on "no fault so far", the number of further clean
@@ -463,10 +407,8 @@ impl FaultInjector {
     }
 
     /// The number of clean upcoming decisions at `site` before the next
-    /// fault fires (`Some(0)` = the very next decision faults,
-    /// `Some(u64::MAX)` = never), or `None` when the question has no
-    /// precomputed answer (an open temporal-boost window, whose effective
-    /// rate differs from the site's base rate).
+    /// fault fires (`0` = the very next decision faults, `u64::MAX` =
+    /// never).
     ///
     /// Priming is stream-preserving: if the site's first skip has not been
     /// sampled yet, this consumes exactly the RNG draw the first
@@ -475,23 +417,23 @@ impl FaultInjector {
     /// blind. This is the scalar half of the analytic zero-fault fast path:
     /// when the returned index is at or beyond the trial's whole decision
     /// window, the trial is settled clean without simulating a gate.
-    pub fn next_fault_in(&mut self, site: FaultSite) -> Option<u64> {
-        if self.temporal_boost_remaining > 0 {
-            return None;
-        }
+    pub fn next_fault_in(&mut self, site: FaultSite) -> u64 {
         let p = self.rates.for_site(site);
         if p <= 0.0 {
-            return Some(u64::MAX);
+            return u64::MAX;
         }
         if p >= 1.0 {
-            return Some(0);
+            return 0;
         }
         let idx = Self::site_index(site);
-        if !matches!(self.skips[idx], Some(s) if s.p == p) {
-            let remaining = Self::sample_geometric(&mut self.rng, p);
-            self.skips[idx] = Some(PendingSkip { p, remaining });
+        match self.skips[idx] {
+            Some(s) if s.p == p => s.remaining,
+            _ => {
+                let remaining = Self::sample_geometric(&mut self.rng, p);
+                self.skips[idx] = Some(PendingSkip { p, remaining });
+                remaining
+            }
         }
-        self.skips[idx].map(|s| s.remaining)
     }
 
     /// Replaces the site's pending skip with one conditioned on a fault
@@ -513,12 +455,7 @@ impl FaultInjector {
     /// Forces a fault at the given location (used by directed tests and the
     /// SEP-guarantee analysis, which enumerates error sites exhaustively).
     pub fn force(&mut self, site: FaultSite, row: usize, col: usize) {
-        self.log.push(InjectedFault {
-            site,
-            row,
-            col,
-            step: self.step,
-        });
+        self.log.push(InjectedFault { site, row, col });
     }
 
     /// Log of all injected faults so far.
@@ -531,7 +468,7 @@ impl FaultInjector {
         self.log.len()
     }
 
-    /// Clears the fault log (keeps rates, correlation and RNG state).
+    /// Clears the fault log (keeps rates and RNG state).
     pub fn clear_log(&mut self) {
         self.log.clear();
     }
@@ -599,7 +536,7 @@ mod tests {
     #[test]
     fn same_seed_yields_the_identical_fault_sequence() {
         // Not just the same flip decisions: the logged fault sequence
-        // (site, row, col, step) must be identical event for event, across
+        // (site, row, col) must be identical event for event, across
         // a mixed-site operation stream.
         let run = |seed| {
             let mut inj = FaultInjector::new(ErrorRates::uniform(0.02), seed);
@@ -611,9 +548,6 @@ mod tests {
                     _ => FaultSite::Retention,
                 };
                 inj.apply(site, i % 7, i % 253, i % 2 == 0);
-                if i % 5 == 0 {
-                    inj.advance_step();
-                }
             }
             inj.log().to_vec()
         };
@@ -621,32 +555,6 @@ mod tests {
         assert!(!first.is_empty(), "this regime must inject faults");
         assert_eq!(first, run(99), "same seed => identical fault log");
         assert_ne!(first, run(100), "different seed => different log");
-    }
-
-    #[test]
-    fn temporal_correlation_boosts_following_operations() {
-        let correlated = CorrelationModel {
-            spatial_burst: 0,
-            temporal_window: 50,
-            temporal_factor: 20.0,
-        };
-        let count_faults = |corr: Option<CorrelationModel>| {
-            let mut inj = FaultInjector::new(ErrorRates::uniform(0.01), 3);
-            if let Some(c) = corr {
-                inj = inj.with_correlation(c);
-            }
-            for i in 0..5_000 {
-                inj.apply(FaultSite::GateOutput, 0, i, false);
-                inj.advance_step();
-            }
-            inj.fault_count()
-        };
-        let base = count_faults(None);
-        let boosted = count_faults(Some(correlated));
-        assert!(
-            boosted > base * 2,
-            "temporal correlation should raise the fault count ({base} vs {boosted})"
-        );
     }
 
     #[test]
@@ -812,11 +720,7 @@ mod tests {
         };
         let run = |peek: bool| {
             let mut inj = FaultInjector::new(rates, 0xBEEF);
-            let next = if peek {
-                inj.next_fault_in(FaultSite::GateOutput)
-            } else {
-                None
-            };
+            let next = peek.then(|| inj.next_fault_in(FaultSite::GateOutput));
             let decisions: Vec<bool> = (0..2_000)
                 .map(|i| inj.apply(FaultSite::GateOutput, 0, i % 13, false))
                 .collect();
@@ -833,9 +737,9 @@ mod tests {
         );
         // Degenerate regimes answer without touching the RNG.
         let mut zero = FaultInjector::new(ErrorRates::NONE, 1);
-        assert_eq!(zero.next_fault_in(FaultSite::GateOutput), Some(u64::MAX));
+        assert_eq!(zero.next_fault_in(FaultSite::GateOutput), u64::MAX);
         let mut certain = FaultInjector::new(ErrorRates::uniform(1.0), 1);
-        assert_eq!(certain.next_fault_in(FaultSite::GateOutput), Some(0));
+        assert_eq!(certain.next_fault_in(FaultSite::GateOutput), 0);
     }
 
     #[test]

@@ -12,17 +12,17 @@
 //!   encodings,
 //! * [`gates`] — in-array NOR / multi-output NOR / THR gate semantics and
 //!   the 2-step / 3-step XOR constructions of Table I,
-//! * [`array`] — a functional array simulator with per-operation energy and
-//!   latency accounting and fault injection,
-//! * [`partition`] — logic-line-switch partitioning and the "one gate per
-//!   partition" concurrency rule,
+//! * [`array`] — a functional array simulator with fault injection (the
+//!   scalar oracle the lane engine is checked against),
 //! * [`fault`] — the direct-soft-error model of §II-C,
 //! * [`sliced`] — the transposed, bit-sliced batch backend (one trial per
 //!   `u64` lane) with lane-masked fault injection,
 //! * [`electrical`] — the Appendix's bias-window / noise-margin analysis for
 //!   multi-output gates (Fig. 9),
-//! * [`periphery`] — the NVSim-substitute peripheral cost model,
-//! * [`stats`] — operation / energy / latency counters.
+//! * [`periphery`] — the NVSim-substitute peripheral cost model.
+//!
+//! Time and energy figures are not metered here: they come from the
+//! schedule-level cost model in `nvpim-core` (`system::evaluate_schedule`).
 //!
 //! # Examples
 //!
@@ -30,7 +30,7 @@
 //! array:
 //!
 //! ```
-//! use nvpim_sim::array::{GateOp, PimArray};
+//! use nvpim_sim::array::PimArray;
 //! use nvpim_sim::gates::GateKind;
 //! use nvpim_sim::technology::Technology;
 //!
@@ -40,9 +40,9 @@
 //! array.poke(0, 1, false)?; // b = 0
 //!
 //! // Step 1: s1 = s2 = NOR22(a, b)
-//! array.execute_gate(&GateOp::new(GateKind::NOR22, 0, vec![0, 1], vec![2, 3]))?;
+//! array.execute_gate_with(GateKind::NOR22, 0, &[0, 1], &[2, 3])?;
 //! // Step 2: out = THR(a, b, s1, s2)
-//! let out = array.execute_gate(&GateOp::new(GateKind::THR, 0, vec![0, 1, 2, 3], vec![4]))?;
+//! let out = array.execute_gate_with(GateKind::THR, 0, &[0, 1, 2, 3], &[4])?;
 //! assert_eq!(out, true ^ false);
 //! # Ok(())
 //! # }
@@ -55,18 +55,14 @@ pub mod array;
 pub mod electrical;
 pub mod fault;
 pub mod gates;
-pub mod partition;
 pub mod periphery;
 pub mod sliced;
-pub mod stats;
 pub mod technology;
 
-pub use array::{ArrayError, GateOp, PimArray};
+pub use array::{ArrayError, PimArray};
 pub use electrical::{ElectricalModel, OutputPlacement};
 pub use fault::{ErrorRates, FaultInjector, FaultSite};
 pub use gates::GateKind;
-pub use partition::PartitionConfig;
 pub use periphery::PeripheryModel;
 pub use sliced::{SlicedFaultInjector, SlicedPimArray, LANES};
-pub use stats::ArrayStats;
 pub use technology::{ResistanceState, Technology, TechnologyParams};

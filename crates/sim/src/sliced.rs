@@ -291,7 +291,6 @@ impl SlicedFaultInjector {
                     site: FaultSite::GateOutput,
                     row,
                     col,
-                    step: 0,
                 });
             }
             return self.valid;
@@ -311,7 +310,6 @@ impl SlicedFaultInjector {
                     site: FaultSite::GateOutput,
                     row,
                     col,
-                    step: 0,
                 });
                 // Scalar resample: after a fault at decision `e` with a
                 // fresh geometric skip `s`, the next fault lands at
@@ -331,10 +329,7 @@ impl SlicedFaultInjector {
 /// `u64` whose bit *k* is the cell's logic value in trial *k*.
 ///
 /// The op surface mirrors what `ProtectedExecutor` drives on the scalar
-/// array — gate execution, presets, metadata writes, cell reads — minus
-/// energy/latency accounting (trial outcomes never consume
-/// [`ArrayStats`](crate::stats::ArrayStats), so the sliced hot path skips
-/// the bookkeeping entirely). Bounds are validated by the executor before a
+/// array — gate execution, presets, metadata writes, cell reads. Bounds are validated by the executor before a
 /// run; out-of-range cells panic via slice indexing.
 #[derive(Debug, Clone)]
 pub struct SlicedPimArray {
@@ -870,7 +865,7 @@ mod tests {
             .iter()
             .map(|&s| {
                 let mut scalar = FaultInjector::new(gate_rates(0.01), s);
-                scalar.next_fault_in(FaultSite::GateOutput).unwrap()
+                scalar.next_fault_in(FaultSite::GateOutput)
             })
             .min()
             .unwrap();

@@ -602,17 +602,15 @@ pub fn run_trial(
             // the draw `apply` would have consumed lazily, so slow-path
             // trials that fall through remain byte-identical.
             let span = telemetry.span_start();
-            if let Some(next) = array
+            let next = array
                 .fault_injector_mut()
-                .next_fault_in(FaultSite::GateOutput)
-            {
-                if next >= window {
-                    let outcome = clean.outcome.clone();
-                    telemetry.span_end(Phase::AnalyticCleanSettle, span);
-                    telemetry.add(TelemetryCounter::CleanSettledTrials, 1);
-                    telemetry.add(TelemetryCounter::TrialsExecuted, 1);
-                    return outcome;
-                }
+                .next_fault_in(FaultSite::GateOutput);
+            if next >= window {
+                let outcome = clean.outcome.clone();
+                telemetry.span_end(Phase::AnalyticCleanSettle, span);
+                telemetry.add(TelemetryCounter::CleanSettledTrials, 1);
+                telemetry.add(TelemetryCounter::TrialsExecuted, 1);
+                return outcome;
             }
         }
     }
