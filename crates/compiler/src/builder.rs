@@ -202,13 +202,6 @@ impl CircuitBuilder {
     // Arithmetic
     // ------------------------------------------------------------------
 
-    /// Half adder: returns `(sum, carry)`.
-    pub fn half_adder(&mut self, a: NetId, b: NetId) -> (NetId, NetId) {
-        let sum = self.xor(a, b);
-        let carry = self.and(a, b);
-        (sum, carry)
-    }
-
     /// Full adder: returns `(sum, carry_out)`.
     pub fn full_adder(&mut self, a: NetId, b: NetId, cin: NetId) -> (NetId, NetId) {
         let ab = self.xor(a, b);

@@ -110,11 +110,6 @@ impl RowSchedule {
         self.reclaims.len()
     }
 
-    /// Total cells recycled across all reclaim events.
-    pub fn reclaimed_cells(&self) -> usize {
-        self.reclaims.iter().map(|r| r.cells_freed).sum()
-    }
-
     /// Number of gate operations (excluding constants).
     pub fn gate_op_count(&self) -> usize {
         self.level_profile.iter().map(LevelProfile::total_ops).sum()

@@ -43,7 +43,6 @@ pub enum LevelDecode {
 #[derive(Debug, Clone)]
 pub struct EcimChecker<'a> {
     code: &'a HammingCode,
-    cost: CheckerCostModel,
     checks: u64,
     /// Reusable codeword assembly buffer for [`Self::decode_level`].
     codeword: BitVec,
@@ -52,10 +51,8 @@ pub struct EcimChecker<'a> {
 impl<'a> EcimChecker<'a> {
     /// Builds a checker for the given Hamming code.
     pub fn new(code: &'a HammingCode) -> Self {
-        let cost = CheckerCostModel::for_hamming(code);
         Self {
             code,
-            cost,
             checks: 0,
             codeword: BitVec::default(),
         }
@@ -177,16 +174,6 @@ impl<'a> EcimChecker<'a> {
         }
     }
 
-    /// The Hamming code this checker decodes.
-    pub fn code(&self) -> &HammingCode {
-        self.code
-    }
-
-    /// The cost model of this checker instance.
-    pub fn cost(&self) -> &CheckerCostModel {
-        &self.cost
-    }
-
     /// Number of checks performed.
     pub fn checks(&self) -> u64 {
         self.checks
@@ -196,22 +183,13 @@ impl<'a> EcimChecker<'a> {
 /// The TRiM Checker: per-bit majority voting over three copies.
 #[derive(Debug, Clone, Default)]
 pub struct TrimChecker {
-    cost: CheckerCostModel,
     checks: u64,
 }
 
 impl TrimChecker {
-    /// Builds a TRiM checker sized for `level_bits` outputs per check.
-    pub fn new(level_bits: usize) -> Self {
-        Self {
-            cost: CheckerCostModel::for_majority(level_bits),
-            checks: 0,
-        }
-    }
-
-    /// The cost model of this checker instance.
-    pub fn cost(&self) -> &CheckerCostModel {
-        &self.cost
+    /// Builds a TRiM checker that has made no checks yet.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Number of checks performed.
@@ -285,12 +263,6 @@ pub struct CheckerCostModel {
     pub latency_per_check_ns: f64,
     /// Estimated silicon area (µm²), ~0.8 µm² per NAND2 at 45 nm.
     pub area_um2: f64,
-}
-
-impl Default for CheckerCostModel {
-    fn default() -> Self {
-        Self::for_majority(256)
-    }
 }
 
 /// Energy of one NAND2-equivalent toggling at 45 nm (fJ).
@@ -412,7 +384,7 @@ mod tests {
 
     #[test]
     fn trim_checker_votes_out_single_copy_errors() {
-        let mut checker = TrimChecker::new(8);
+        let mut checker = TrimChecker::new();
         let good = bv(&[1, 0, 1, 1, 0, 0, 1, 0]);
         let mut bad = good.clone();
         bad.flip(4);
@@ -430,7 +402,7 @@ mod tests {
 
     #[test]
     fn trim_checker_corrects_errors_in_redundant_copies_without_writeback() {
-        let mut checker = TrimChecker::new(4);
+        let mut checker = TrimChecker::new();
         let good = bv(&[0, 1, 1, 0]);
         let mut bad_copy = good.clone();
         bad_copy.flip(0);
@@ -543,13 +515,13 @@ mod tests {
                 let (a, b, c) = (copy(), copy(), copy());
                 let valid = bits.word() | bits.word();
 
-                let mut lanes = TrimChecker::new(gates);
+                let mut lanes = TrimChecker::new();
                 let mut voted = Vec::new();
                 let dissent = lanes.vote_level_lanes(&a, &b, &c, valid, &mut voted);
                 assert_eq!(lanes.checks(), 1, "one check per invocation");
                 assert_eq!(dissent & !valid, 0, "only valid lanes dissent");
 
-                let mut scalar = TrimChecker::new(gates);
+                let mut scalar = TrimChecker::new();
                 let mut scalar_voted = BitVec::default();
                 for lane in 0..64 {
                     let lane_dissent = scalar.vote_level_into(

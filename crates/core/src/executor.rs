@@ -312,7 +312,7 @@ impl ProtectedExecutor {
         let mut outputs = Vec::with_capacity(schedule.output_cols.len());
         for (i, col) in schedule.output_cols.iter().enumerate() {
             match col {
-                Some(c) => outputs.push(array.read_cell(row, *c)?),
+                Some(c) => outputs.push(array.peek(row, *c)?),
                 None => {
                     let net = netlist.outputs[i];
                     let pos = netlist

@@ -90,7 +90,7 @@ impl SchemeRuntime for TrimScheme {
         scratch: &mut ExecScratch,
     ) -> Result<ProtectedRunReport, ProtectedExecError> {
         let config = exec.config();
-        let mut checker = TrimChecker::new(config.data_bits());
+        let mut checker = TrimChecker::new();
         let mut metadata_gate_ops = 0u64;
         let mut corrections_written_back = 0u64;
         let mut errors_detected = 0u64;
@@ -177,7 +177,7 @@ impl SchemeRuntime for TrimScheme {
         scratch: &mut SlicedExecScratch,
     ) -> Result<SlicedRunReport, ProtectedExecError> {
         let config = exec.config();
-        let mut checker = TrimChecker::new(config.data_bits());
+        let mut checker = TrimChecker::new();
         let mut report = SlicedRunReport::new();
 
         scratch.level_outputs.clear();

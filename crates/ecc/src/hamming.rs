@@ -335,11 +335,6 @@ impl HammingCode {
         codeword.slice(0..self.k)
     }
 
-    /// Minimum Hamming distance of the code (3 for any Hamming code).
-    pub fn min_distance(&self) -> usize {
-        3
-    }
-
     /// Number of errors the code can correct per codeword.
     pub fn correctable_errors(&self) -> usize {
         1

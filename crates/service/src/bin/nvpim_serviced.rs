@@ -3,7 +3,7 @@
 //! ```text
 //! nvpim-serviced [--addr HOST:PORT] [--workers N] [--queue-capacity N] [--checkpoint-ms N]
 //!                [--log-json PATH] [--state-dir DIR]
-//!                [--max-job-retries N] [--retry-backoff-ms N] [--journal-fsync-every N]
+//!                [--max-job-retries N] [--retry-backoff-ms N]
 //!                [--shutdown-grace-ms N] [--max-trials-per-job N]
 //! ```
 //!
@@ -45,16 +45,16 @@ fn main() {
             "nvpim-serviced [--addr HOST:PORT] [--workers N] [--queue-capacity N] \
              [--checkpoint-ms N] [--log-json PATH] \
              [--state-dir DIR] [--max-job-retries N] [--retry-backoff-ms N] \
-             [--journal-fsync-every N] [--shutdown-grace-ms N] [--max-trials-per-job N]\n\n  \
+             [--shutdown-grace-ms N] [--max-trials-per-job N]\n\n  \
              --checkpoint-ms N       checkpoint a running campaign (journal record, progress,\n                          \
              cancel/drain check, run_shard frame) at most every N ms;\n                          \
              the crash-loss window; 0 = every completed task; must be\n                          \
              below 1000 (default 250)\n  \
              --log-json PATH         append one NDJSON event per job transition/checkpoint to PATH\n  \
-             --state-dir DIR         durable journal + report store; recover jobs on restart\n  \
+             --state-dir DIR         durable journal (fsync'd per record) + report store;\n                          \
+             recover jobs on restart\n  \
              --max-job-retries N     re-run a panicking campaign up to N times (default 2)\n  \
              --retry-backoff-ms N    base delay before a retry, doubled each attempt (default 50)\n  \
-             --journal-fsync-every N fsync the journal every N records; 0 = never (default 1)\n  \
              --max-trials-per-job N  reject plans (and shard ranges) over N trials with\n                          \
              `plan_too_large` (default 10000000000)\n  \
              --shutdown-grace-ms N   shutdown drains: running jobs stop at their next checkpoint,\n                          \
@@ -97,11 +97,6 @@ fn main() {
             &args,
             "--retry-backoff-ms",
             defaults.retry_backoff_ms as usize,
-        ) as u64,
-        journal_fsync_records: numeric_arg(
-            &args,
-            "--journal-fsync-every",
-            defaults.journal_fsync_records as usize,
         ) as u64,
         shutdown_grace_ms: numeric_arg(
             &args,

@@ -2,7 +2,7 @@
 //!
 //! Every job-state transition the daemon performs is first appended to an
 //! NDJSON journal file (`jobs.journal` under `--state-dir`) — one JSON
-//! object per line, fsync'd every `fsync_every` records. On startup the
+//! object per line, fsync'd as it is appended. On startup the
 //! daemon [replays](replay) the journal to reconstruct its job table:
 //! terminal jobs are restored as queryable records, and in-flight jobs are
 //! re-queued with the per-point tallies of their checkpointed chunks
@@ -213,17 +213,13 @@ impl JournalRecord {
 
 /// Append-only writer for the job journal.
 ///
-/// `fsync_every = n` syncs the file to disk after every `n`-th appended
-/// record (`1` = sync every record, the durable default; `0` = never sync
-/// explicitly, leaving flush timing to the OS). Records, bytes and fsyncs
-/// are counted into the telemetry sink attached with
-/// [`Journal::with_telemetry`].
+/// Every appended record is synced to disk before [`Journal::append`]
+/// returns. Records, bytes and fsyncs are counted into the telemetry sink
+/// attached with [`Journal::with_telemetry`].
 #[derive(Debug)]
 pub struct Journal {
     file: File,
     path: PathBuf,
-    fsync_every: u64,
-    appended_since_sync: u64,
     telemetry: Telemetry,
 }
 
@@ -235,7 +231,7 @@ impl Journal {
     /// and [`replay`] (which stops at the first unparseable line, the
     /// torn-tail assumption) would then discard every record from the tear
     /// onward on the *next* restart.
-    pub fn open(path: impl Into<PathBuf>, fsync_every: u64) -> io::Result<Self> {
+    pub fn open(path: impl Into<PathBuf>) -> io::Result<Self> {
         let path = path.into();
         if let Some(parent) = path.parent() {
             std::fs::create_dir_all(parent)?;
@@ -252,8 +248,6 @@ impl Journal {
         Ok(Self {
             file,
             path,
-            fsync_every,
-            appended_since_sync: 0,
             telemetry: Telemetry::disabled(),
         })
     }
@@ -270,24 +264,14 @@ impl Journal {
         &self.path
     }
 
-    /// Appends one record (as one NDJSON line), honoring the fsync policy.
+    /// Appends one record (as one NDJSON line) and syncs it to disk.
     pub fn append(&mut self, record: &JournalRecord) -> io::Result<()> {
         let mut line = record.to_line();
         line.push('\n');
         self.file.write_all(line.as_bytes())?;
         self.telemetry.add(Counter::JournalRecords, 1);
         self.telemetry.add(Counter::JournalBytes, line.len() as u64);
-        self.appended_since_sync += 1;
-        if self.fsync_every > 0 && self.appended_since_sync >= self.fsync_every {
-            self.sync()?;
-        }
-        Ok(())
-    }
-
-    /// Forces buffered records to stable storage.
-    pub fn sync(&mut self) -> io::Result<()> {
         self.file.sync_all()?;
-        self.appended_since_sync = 0;
         self.telemetry.add(Counter::JournalFsyncs, 1);
         Ok(())
     }
@@ -530,7 +514,7 @@ mod tests {
         let path = dir.join(JOURNAL_FILE);
         let _ = std::fs::remove_file(&path);
         {
-            let mut journal = Journal::open(&path, 1).unwrap();
+            let mut journal = Journal::open(&path).unwrap();
             for record in [
                 JournalRecord::Submit {
                     job: 1,
@@ -696,7 +680,7 @@ mod tests {
         let path = dir.join(JOURNAL_FILE);
         let _ = std::fs::remove_file(&path);
         {
-            let mut journal = Journal::open(&path, 1).unwrap();
+            let mut journal = Journal::open(&path).unwrap();
             journal
                 .append(&JournalRecord::Submit {
                     job: 1,
@@ -714,7 +698,7 @@ mod tests {
         // Reopening must drop the torn tail; the next record then lands on
         // its own line instead of fusing with the partial one.
         {
-            let mut journal = Journal::open(&path, 1).unwrap();
+            let mut journal = Journal::open(&path).unwrap();
             journal.append(&JournalRecord::Done { job: 1 }).unwrap();
         }
         let replay = replay(&path).unwrap();

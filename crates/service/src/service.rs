@@ -82,10 +82,6 @@ pub struct ServiceConfig {
     /// Base delay between retry attempts; attempt `n` waits
     /// `retry_backoff_ms << (n - 1)` (exponential backoff).
     pub retry_backoff_ms: u64,
-    /// Journal fsync cadence: sync to stable storage after every N
-    /// appended records (`1` = every record, the durable default; `0` =
-    /// leave flush timing to the OS).
-    pub journal_fsync_records: u64,
     /// Test seam: the execution backend every campaign this service runs
     /// on. `None` (the default) runs [`SlicedBackend`]; tests substitute
     /// the [`ScalarBackend`](nvpim_sweep::ScalarBackend) oracle or
@@ -116,7 +112,6 @@ impl Default for ServiceConfig {
             state_dir: None,
             max_job_retries: 2,
             retry_backoff_ms: 50,
-            journal_fsync_records: 1,
             execution_backend: None,
             shutdown_grace_ms: DEFAULT_SHUTDOWN_GRACE_MS,
         }
@@ -448,7 +443,7 @@ impl ServiceHandle {
                         eprintln!("nvpim-serviced: journal replay failed: {err}");
                     })
                     .ok();
-                let journal = Journal::open(&journal_path, cfg.journal_fsync_records)
+                let journal = Journal::open(&journal_path)
                     .map_err(|err| {
                         eprintln!(
                             "nvpim-serviced: cannot open journal {journal_path:?} \
@@ -1641,7 +1636,7 @@ mod tests {
             .unwrap();
         assert_eq!(straddle.trials(), 4);
         {
-            let mut journal = journal::Journal::open(dir.join(journal::JOURNAL_FILE), 0).unwrap();
+            let mut journal = journal::Journal::open(dir.join(journal::JOURNAL_FILE)).unwrap();
             for record in [
                 JournalRecord::Submit {
                     job: 1,

@@ -123,7 +123,7 @@ fn resume_from_checkpoint_is_byte_identical_across_backends_and_estimators() {
             let dir = state_dir(&format!("resume-{i}-{j}"));
             {
                 let mut journal =
-                    Journal::open(dir.join(JOURNAL_FILE), 1).expect("open crafted journal");
+                    Journal::open(dir.join(JOURNAL_FILE)).expect("open crafted journal");
                 journal.append(&submit_record(&plan, 1)).expect("submit");
                 journal
                     .append(&JournalRecord::Start { job: 1 })
@@ -197,7 +197,7 @@ fn accuracy_job_resumes_from_checkpoint_byte_identically() {
 
     let dir = state_dir("accuracy-resume");
     {
-        let mut journal = Journal::open(dir.join(JOURNAL_FILE), 1).expect("open crafted journal");
+        let mut journal = Journal::open(dir.join(JOURNAL_FILE)).expect("open crafted journal");
         journal
             .append(&JournalRecord::Submit {
                 job: 1,
@@ -435,7 +435,7 @@ fn torn_journal_tail_recovers_and_survives_a_second_restart() {
     let clean = run_campaign(&plan).expect("clean run").to_json();
     let dir = state_dir("torn-tail");
     {
-        let mut journal = Journal::open(dir.join(JOURNAL_FILE), 1).expect("open journal");
+        let mut journal = Journal::open(dir.join(JOURNAL_FILE)).expect("open journal");
         journal.append(&submit_record(&plan, 1)).expect("submit");
     }
     // Crash mid-append: a partial chunk record with no trailing newline.
@@ -483,7 +483,7 @@ fn duplicate_terminal_transitions_keep_the_first() {
     let plan = tiny_plan(0xd0d0);
     let dir = state_dir("dup-terminal");
     {
-        let mut journal = Journal::open(dir.join(JOURNAL_FILE), 1).expect("open journal");
+        let mut journal = Journal::open(dir.join(JOURNAL_FILE)).expect("open journal");
         journal.append(&submit_record(&plan, 1)).expect("submit");
         journal
             .append(&JournalRecord::Start { job: 1 })
@@ -524,7 +524,7 @@ fn corrupt_store_entry_recomputes_byte_identical_report() {
     let digest = plan.content_digest();
     let dir = state_dir("corrupt-store");
     {
-        let mut journal = Journal::open(dir.join(JOURNAL_FILE), 1).expect("open journal");
+        let mut journal = Journal::open(dir.join(JOURNAL_FILE)).expect("open journal");
         journal.append(&submit_record(&plan, 1)).expect("submit");
         journal
             .append(&JournalRecord::Start { job: 1 })
@@ -622,7 +622,7 @@ fn sigkill_and_restart_recovers_byte_identical_report() {
     assert_eq!(accepted.get("ok").and_then(Value::as_bool), Some(true));
     let job = accepted.get("job").and_then(Value::as_u64).expect("job id");
     // The acceptance response means the submit record is journaled and
-    // fsync'd (fsync_every defaults to 1) — SIGKILL now, wherever the
+    // fsync'd — SIGKILL now, wherever the
     // campaign happens to be.
     child.kill().expect("SIGKILL the daemon");
     let _ = child.wait();
@@ -1027,7 +1027,7 @@ fn poison_plan_is_refused_and_a_journaled_one_fails_instead_of_crash_looping() {
     assert!(poison.validate().is_ok(), "the plan itself is well-formed");
     let dir = state_dir("poison");
     {
-        let mut journal = Journal::open(dir.join(JOURNAL_FILE), 1).expect("open journal");
+        let mut journal = Journal::open(dir.join(JOURNAL_FILE)).expect("open journal");
         journal
             .append(&JournalRecord::Submit {
                 job: 1,
@@ -1171,7 +1171,6 @@ fn journal_cost(plan: &SweepPlan, checkpoint_ms: u64) -> (usize, Vec<usize>) {
     let service = ServiceHandle::start(ServiceConfig {
         workers: 1,
         checkpoint_ms,
-        journal_fsync_records: 0,
         state_dir: Some(dir.clone()),
         ..ServiceConfig::default()
     });

@@ -8,10 +8,13 @@
 //! resistance states. Reads and writes go through the array interface (one
 //! row-interface transaction at a time), which is what the paper's Checker
 //! communication competes with.
+//!
+//! Faults follow [`crate::fault`]: gate outputs may flip, stuck-at defects
+//! pin every store, and reads sense the stored value exactly.
 
 use nvpim_ecc::gf2::BitVec;
 
-use crate::fault::{FaultInjector, FaultSite};
+use crate::fault::FaultInjector;
 use crate::gates::GateKind;
 use crate::technology::Technology;
 
@@ -137,8 +140,8 @@ impl PimArray {
         }
     }
 
-    /// Reads a cell's logic value *without* going through the array interface
-    /// (no read fault) — used internally by gate execution and by tests.
+    /// Reads a cell's logic value: the one read primitive, used by gate
+    /// execution, the Checker's transfers and output read-back alike.
     pub fn peek(&self, row: usize, col: usize) -> Result<bool, ArrayError> {
         let (word, mask) = self.locate(row, col)?;
         Ok(self.words[word] & mask != 0)
@@ -183,18 +186,12 @@ impl PimArray {
         Ok(self.row_words(a)? == self.row_words(b)?)
     }
 
-    /// Reads a cell through the read path (sense amplifier), subject to
-    /// read faults.
-    pub fn read_cell(&mut self, row: usize, col: usize) -> Result<bool, ArrayError> {
-        let (word, mask) = self.locate(row, col)?;
-        let value = self.words[word] & mask != 0;
-        Ok(self.injector.apply(FaultSite::Read, row, col, value))
-    }
-
-    /// Writes a cell through the write path, subject to write faults.
+    /// Writes a cell: the one store primitive (data loads, Checker
+    /// write-backs). A store takes no transient fault decision and consumes
+    /// no RNG state, but a permanent stuck-at defect still pins the cell.
     pub fn write_cell(&mut self, row: usize, col: usize, value: bool) -> Result<(), ArrayError> {
         let (word, mask) = self.locate(row, col)?;
-        let stored = self.injector.apply(FaultSite::Write, row, col, value);
+        let stored = self.injector.pin(row, col, value);
         self.store(word, mask, stored);
         Ok(())
     }
@@ -217,19 +214,9 @@ impl PimArray {
     ) -> Result<(), ArrayError> {
         out.clear_resize(cols.len());
         // Accumulate sensed bits 64 at a time instead of per-bit set calls.
-        // With a zero read-fault rate the injector is bypassed entirely
-        // (consulting it would neither flip bits nor consume RNG state).
-        let faulty_reads = self.injector.rates().for_site(FaultSite::Read) > 0.0;
         let mut acc = 0u64;
         for (i, &col) in cols.iter().enumerate() {
-            let (word, mask) = self.locate(row, col)?;
-            let stored = self.words[word] & mask != 0;
-            let sensed = if faulty_reads {
-                self.injector.apply(FaultSite::Read, row, col, stored)
-            } else {
-                stored
-            };
-            acc |= u64::from(sensed) << (i % 64);
+            acc |= u64::from(self.peek(row, col)?) << (i % 64);
             if i % 64 == 63 {
                 out.set_word(i / 64, acc);
                 acc = 0;
@@ -245,9 +232,9 @@ impl PimArray {
     /// row-parallel write transaction (the partition-parallel preset the
     /// paper's metadata pipeline and area-reclaim paths use).
     ///
-    /// When the write-fault rate is zero this is a pure word-mask
-    /// operation; otherwise each cell passes through the fault injector
-    /// like an ordinary write.
+    /// A pure word-mask operation, unless the trial has stuck-at defects:
+    /// then each cell is stored like [`Self::write_cell`], so stuck cells
+    /// keep their pinned values.
     pub fn preset_cells(
         &mut self,
         row: usize,
@@ -260,15 +247,9 @@ impl PimArray {
         // Validate both endpoints up front.
         let (first_word, _) = self.locate(row, cols.start)?;
         let (last_word, _) = self.locate(row, cols.end - 1)?;
-        // Permanent defects force the per-cell path too: a stuck cell must
-        // keep its pinned value through a preset (per-cell applies at a
-        // zero write rate consume no RNG, so transient-only trials keep the
-        // word-mask fast path and its byte-identical stream).
-        if self.injector.rates().for_site(FaultSite::Write) > 0.0 || self.injector.has_defects() {
+        if self.injector.has_defects() {
             for col in cols {
-                let (word, mask) = self.locate(row, col)?;
-                let stored = self.injector.apply(FaultSite::Write, row, col, value);
-                self.store(word, mask, stored);
+                self.write_cell(row, col, value)?;
             }
         } else {
             let start_bit = cols.start % 64;
@@ -287,24 +268,6 @@ impl PimArray {
         Ok(())
     }
 
-    /// Writes a cell through the *verified periphery* write path: the
-    /// Checker's write-and-read-back loop guarantees the intended value
-    /// lands, so no transient write fault applies and no RNG state is
-    /// consumed — but a permanent stuck-at defect still pins the cell (no
-    /// amount of rewriting fixes broken hardware). This is the write-back
-    /// primitive of recompute-style schemes.
-    pub fn write_verified(
-        &mut self,
-        row: usize,
-        col: usize,
-        value: bool,
-    ) -> Result<(), ArrayError> {
-        let (word, mask) = self.locate(row, col)?;
-        let stored = self.injector.stuck_value(row, col).unwrap_or(value);
-        self.store(word, mask, stored);
-        Ok(())
-    }
-
     /// Writes `values.len()` cells of a row through the interface as one
     /// transaction (what a Checker correction write-back uses).
     pub fn write_bits(
@@ -315,11 +278,7 @@ impl PimArray {
     ) -> Result<(), ArrayError> {
         assert_eq!(cols.len(), values.len(), "column/value count mismatch");
         for (i, &col) in cols.iter().enumerate() {
-            let (word, mask) = self.locate(row, col)?;
-            let stored = self
-                .injector
-                .apply(FaultSite::Write, row, col, values.get(i));
-            self.store(word, mask, stored);
+            self.write_cell(row, col, values.get(i))?;
         }
         Ok(())
     }
@@ -371,7 +330,7 @@ impl PimArray {
         for (i, &col) in outputs.iter().enumerate() {
             let (word, mask) = self.locate(row, col)?;
             self.store(word, mask, preset);
-            let value = self.injector.apply(FaultSite::GateOutput, row, col, ideal);
+            let value = self.injector.apply_gate(row, col, ideal);
             self.store(word, mask, value);
             if i == 0 {
                 first_output_value = value;
@@ -404,23 +363,21 @@ impl PimArray {
         // Step 1: NOR22 into the working cells.
         let nor = !(a | b);
         let (s1_word, s1_mask) = self.locate(row, s1_col)?;
-        let s1 = self.injector.apply(FaultSite::GateOutput, row, s1_col, nor);
+        let s1 = self.injector.apply_gate(row, s1_col, nor);
         self.store(s1_word, s1_mask, s1);
         let (s2_word, s2_mask) = self.locate(row, s2_col)?;
-        let s2 = self.injector.apply(FaultSite::GateOutput, row, s2_col, nor);
+        let s2 = self.injector.apply_gate(row, s2_col, nor);
         self.store(s2_word, s2_mask, s2);
         // Step 2: THR over (a, b, s1, s2).
         let zeros = u32::from(!a) + u32::from(!b) + u32::from(!s1) + u32::from(!s2);
         let thr = zeros >= 3;
         let (dst_word, dst_mask) = self.locate(row, dst_col)?;
-        let out = self
-            .injector
-            .apply(FaultSite::GateOutput, row, dst_col, thr);
+        let out = self.injector.apply_gate(row, dst_col, thr);
         self.store(dst_word, dst_mask, out);
         Ok(out)
     }
 
-    /// Returns a whole row's logic values (no read fault; debugging/validation).
+    /// Returns a whole row's logic values (debugging/validation).
     /// A word-level copy of the packed row.
     pub fn snapshot_row(&self, row: usize) -> Result<BitVec, ArrayError> {
         Ok(BitVec::from_words(self.row_words(row)?.to_vec(), self.cols))
@@ -537,21 +494,6 @@ mod tests {
     }
 
     #[test]
-    fn write_faults_corrupt_stored_value() {
-        let mut a =
-            PimArray::new(Technology::SttMram, 1, 4).with_fault_injector(FaultInjector::new(
-                ErrorRates {
-                    write: 1.0,
-                    ..ErrorRates::NONE
-                },
-                9,
-            ));
-        a.write_cell(0, 0, true).unwrap();
-        assert!(!a.peek(0, 0).unwrap());
-        assert_eq!(a.fault_injector().fault_count(), 1);
-    }
-
-    #[test]
     fn gate_faults_flip_output() {
         let mut a =
             PimArray::new(Technology::SttMram, 1, 4).with_fault_injector(FaultInjector::new(
@@ -614,22 +556,6 @@ mod tests {
             b.write_cell(0, col, false).unwrap();
         }
         assert_eq!(a.snapshot_row(0).unwrap(), b.snapshot_row(0).unwrap());
-    }
-
-    #[test]
-    fn preset_cells_passes_through_the_fault_injector() {
-        let mut a =
-            PimArray::new(Technology::SttMram, 1, 64).with_fault_injector(FaultInjector::new(
-                ErrorRates {
-                    write: 1.0,
-                    ..ErrorRates::NONE
-                },
-                3,
-            ));
-        a.preset_cells(0, 0..64, false).unwrap();
-        // write rate 1.0 flips every preset: all cells end up 1.
-        assert_eq!(a.snapshot_row(0).unwrap().count_ones(), 64);
-        assert_eq!(a.fault_injector().fault_count(), 64);
     }
 
     #[test]
@@ -704,11 +630,11 @@ mod tests {
         let mut checked_defect = false;
         for col in 0..128 {
             let stuck = a.fault_injector().stuck_value(0, col);
-            a.write_cell(0, col, true).unwrap();
-            assert_eq!(a.peek(0, col).unwrap(), stuck.unwrap_or(true), "col {col}");
-            // The verified periphery path also cannot repair broken cells.
-            a.write_verified(0, col, false).unwrap();
-            assert_eq!(a.peek(0, col).unwrap(), stuck.unwrap_or(false), "col {col}");
+            // Rewriting cannot repair broken cells, whichever value lands.
+            for value in [true, false] {
+                a.write_cell(0, col, value).unwrap();
+                assert_eq!(a.peek(0, col).unwrap(), stuck.unwrap_or(value), "col {col}");
+            }
             checked_defect |= stuck.is_some();
         }
         assert!(

@@ -91,12 +91,6 @@ impl ElectricalModel {
         }
     }
 
-    /// Builds the model from explicit parameters (e.g. the "Today's MTJ"
-    /// parameter set of the CRAM literature).
-    pub fn with_params(params: TechnologyParams) -> Self {
-        Self { params }
-    }
-
     /// The underlying parameters.
     pub fn params(&self) -> &TechnologyParams {
         &self.params

@@ -7,42 +7,33 @@
 //! variation, oxygen-vacancy diffusion, …), these manifest as single bit
 //! flips, uniformly distributed across the array during row-parallel
 //! computation.
+//!
+//! The simulator draws that model as transient flips of gate outputs —
+//! every value a row-parallel computation leaves in the array is a gate
+//! output — plus permanent stuck-at defects that pin every store. This one
+//! fault space is shared by both injectors: [`FaultInjector`] (the scalar
+//! oracle) and [`SlicedFaultInjector`](crate::sliced::SlicedFaultInjector)
+//! (the lane engine every campaign runs on). Writes, presets and Checker
+//! write-backs take no transient decision and reads sense the stored value,
+//! so a gate decision is the only consumer of a trial's RNG stream.
 
 use rand::RngCore;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
-/// The kind of operation a fault can strike.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum FaultSite {
-    /// Output of an in-array Boolean gate operation (a *logic* error).
-    GateOutput,
-    /// A cell being written through the normal write path.
-    Write,
-    /// A cell being read (sensing error).
-    Read,
-    /// A cell at rest (retention / storage error).
-    Retention,
-}
-
-/// Per-operation bit-flip probabilities, plus the permanent-defect density.
+/// Per-operation gate-output flip probability, plus the permanent-defect
+/// density.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ErrorRates {
     /// Probability that a gate operation produces a flipped output bit.
     pub gate: f64,
-    /// Probability that a write stores the flipped value.
-    pub write: f64,
-    /// Probability that a read senses the flipped value.
-    pub read: f64,
-    /// Probability (per cell, per check interval) of a retention flip.
-    pub retention: f64,
     /// Probability that any given cell is a permanent stuck-at defect
-    /// (SA0 or SA1 with equal probability). Unlike the transient rates
-    /// above this is a per-*cell* density, not a per-operation one: the
-    /// defect map is fixed for the whole trial and derived by hashing
-    /// `(row, col)` against the trial's defect seed, so it consumes no
-    /// RNG stream state (see [`stuck_at_state`]).
+    /// (SA0 or SA1 with equal probability). Unlike the gate rate this is a
+    /// per-*cell* density, not a per-operation one: the defect map is fixed
+    /// for the whole trial and derived by hashing `(row, col)` against the
+    /// trial's defect seed, so it consumes no RNG stream state (see
+    /// [`stuck_at_state`]).
     pub stuck_at: f64,
 }
 
@@ -50,39 +41,13 @@ impl ErrorRates {
     /// No faults at all (functional-validation mode).
     pub const NONE: ErrorRates = ErrorRates {
         gate: 0.0,
-        write: 0.0,
-        read: 0.0,
-        retention: 0.0,
         stuck_at: 0.0,
     };
-
-    /// A uniform single-error regime: the same probability on every
-    /// *transient* site (permanent stuck-at defects stay disabled — they
-    /// are a device property, not an operation error).
-    pub fn uniform(p: f64) -> Self {
-        Self {
-            gate: p,
-            write: p,
-            read: p,
-            retention: p,
-            stuck_at: 0.0,
-        }
-    }
 
     /// Returns a copy with the given permanent stuck-at cell density.
     pub fn with_stuck_at(mut self, density: f64) -> Self {
         self.stuck_at = density;
         self
-    }
-
-    /// Rate for a given fault site.
-    pub fn for_site(&self, site: FaultSite) -> f64 {
-        match site {
-            FaultSite::GateOutput => self.gate,
-            FaultSite::Write => self.write,
-            FaultSite::Read => self.read,
-            FaultSite::Retention => self.retention,
-        }
     }
 }
 
@@ -150,30 +115,21 @@ pub fn stuck_at_state(defect_seed: u64, threshold: u64, row: usize, col: usize) 
     }
 }
 
-/// A single injected fault, for logging and analysis.
+/// A single injected gate-output fault, for logging and analysis.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct InjectedFault {
-    /// Where the fault struck.
-    pub site: FaultSite,
     /// Array row.
     pub row: usize,
     /// Array column.
     pub col: usize,
 }
 
-/// Pending skip-ahead state for one fault site: `remaining` clean
-/// operations will pass (at probability `p` each) before the next fault.
-#[derive(Debug, Clone, Copy)]
-struct PendingSkip {
-    p: f64,
-    remaining: u64,
-}
-
 /// A deterministic, seedable fault injector.
 ///
-/// The injector is consulted by the array on every gate output, write and
-/// read; it decides whether the produced bit is flipped, and keeps a log of
-/// every injected fault so tests and experiments can verify coverage claims.
+/// The array consults the injector on every gate output, which it may
+/// flip, and on every store, which a stuck-at defect may pin. The injector
+/// keeps a log of every injected fault so tests and experiments can verify
+/// coverage claims.
 ///
 /// Decisions use geometric skip-ahead sampling: one RNG draw per *injected
 /// fault* picks the index of the next faulting operation, and the
@@ -185,13 +141,13 @@ pub struct FaultInjector {
     rates: ErrorRates,
     rng: ChaCha8Rng,
     log: Vec<InjectedFault>,
-    /// Skip-ahead state per [`FaultSite`] (indexed by `site_index`).
-    skips: [Option<PendingSkip>; 4],
-    /// Fault decisions made per [`FaultSite`] (indexed by `site_index`).
-    /// Counted at every rate — including zero — so
-    /// a fault-free probe run measures exactly how many decisions a real
-    /// trial at the same design point will face per site.
-    decisions: [u64; 4],
+    /// Clean gate decisions left before the next fault; `None` until the
+    /// first gate decision (or a peek) samples it.
+    skip: Option<u64>,
+    /// Gate-output fault decisions made. Counted at every rate — including
+    /// zero — so a fault-free probe run measures exactly how many decisions
+    /// a real trial at the same design point will face.
+    decisions: u64,
     /// Hash threshold of the permanent stuck-at defect map (0 = no defects).
     stuck_threshold: u64,
     /// Seed of the trial's defect map (see [`stuck_defect_seed`]).
@@ -205,8 +161,8 @@ impl FaultInjector {
             rates,
             rng: ChaCha8Rng::seed_from_u64(seed),
             log: Vec::new(),
-            skips: [None; 4],
-            decisions: [0; 4],
+            skip: None,
+            decisions: 0,
             stuck_threshold: stuck_threshold(rates.stuck_at),
             defect_seed: stuck_defect_seed(seed),
         }
@@ -224,16 +180,15 @@ impl FaultInjector {
         self.rates = rates;
         self.rng = ChaCha8Rng::seed_from_u64(seed);
         self.log.clear();
-        self.skips = [None; 4];
-        self.decisions = [0; 4];
+        self.skip = None;
+        self.decisions = 0;
         self.stuck_threshold = stuck_threshold(rates.stuck_at);
         self.defect_seed = stuck_defect_seed(seed);
     }
 
     /// Whether this trial's defect map contains any stuck-at cells in
-    /// principle (`rates.stuck_at > 0`). Array fast paths that bypass
-    /// per-cell injector consultation at zero transient rates must take
-    /// the per-cell path when this holds.
+    /// principle (`rates.stuck_at > 0`). Array fast paths that store whole
+    /// words must take the per-cell path when this holds.
     pub fn has_defects(&self) -> bool {
         self.stuck_threshold != 0
     }
@@ -245,85 +200,53 @@ impl FaultInjector {
         stuck_at_state(self.defect_seed, self.stuck_threshold, row, col)
     }
 
-    /// The configured error rates.
-    pub fn rates(&self) -> &ErrorRates {
-        &self.rates
-    }
-
-    /// Decides whether a bit produced at (`row`, `col`) by `site` is flipped,
-    /// returning the possibly-corrupted value.
-    pub fn apply(&mut self, site: FaultSite, row: usize, col: usize, value: bool) -> bool {
-        self.decisions[Self::site_index(site)] += 1;
-        let faulted = self.skip_decide(Self::site_index(site), self.rates.for_site(site));
+    /// One gate-output decision: whether the bit a gate produces at
+    /// (`row`, `col`) is flipped, returning the value the output cell ends
+    /// up holding. A stuck-at defect then pins the cell whatever the gate
+    /// produced; the transient decision still runs first (and consumes
+    /// exactly its usual RNG state), so enabling stuck-at never perturbs
+    /// the transient fault stream.
+    pub fn apply_gate(&mut self, row: usize, col: usize, value: bool) -> bool {
+        self.decisions += 1;
+        let faulted = self.skip_decide();
         if faulted {
-            self.log.push(InjectedFault { site, row, col });
+            self.log.push(InjectedFault { row, col });
         }
-        let produced = if faulted { !value } else { value };
-        // Permanent defects override whatever a *storing* operation tried
-        // to leave in the cell — the transient decision above still runs
-        // first (and consumes exactly its usual RNG state), so enabling
-        // stuck-at never perturbs the transient fault stream. Reads report
-        // the stored value faithfully (the stuck value was pinned when the
-        // cell was last written), so sensing sites are not overridden.
-        if self.stuck_threshold != 0 && matches!(site, FaultSite::GateOutput | FaultSite::Write) {
-            if let Some(stuck) = self.stuck_value(row, col) {
-                return stuck;
-            }
-        }
-        produced
+        self.pin(row, col, value ^ faulted)
     }
 
+    /// The value a store of `value` to (`row`, `col`) leaves in the cell:
+    /// `value` itself, unless a stuck-at defect pins the cell — no amount
+    /// of rewriting fixes broken hardware. Stores take no transient
+    /// decision and consume no RNG.
     #[inline]
-    fn site_index(site: FaultSite) -> usize {
-        match site {
-            FaultSite::GateOutput => 0,
-            FaultSite::Write => 1,
-            FaultSite::Read => 2,
-            FaultSite::Retention => 3,
-        }
+    pub fn pin(&self, row: usize, col: usize, value: bool) -> bool {
+        self.stuck_value(row, col).unwrap_or(value)
     }
 
-    /// Skip-ahead decision for one operation at probability `p`.
+    /// Skip-ahead decision for one gate operation at the gate rate `p`.
     ///
-    /// The pending counter for a site is valid only for the probability it
-    /// was sampled under; when `p` changes the counter is *discarded* and a
-    /// fresh `Geometric(p)` skip is sampled. This is unbiased, not an
-    /// approximation: a pending skip sampled at the old rate says only that
-    /// no fault has fired yet, and the geometric distribution is memoryless
-    /// — conditioned on "no fault so far", the number of further clean
-    /// operations at the *new* per-op rate `p` is distributed exactly
-    /// `Geometric(p)`, which is precisely what the resample draws. So every
-    /// operation faults with exactly its own per-op probability, whatever
-    /// rate the operations around it ran at (the alternating-rate
-    /// statistical test below asserts this). Carrying the residual count
-    /// across the change would instead keep the *old* rate's tail for the
-    /// remainder of the skip — that is the biased option.
-    ///
-    /// Operations at `p == 0` pass through without consuming skip state —
-    /// by the same memorylessness, pausing and resuming a counter preserves
-    /// the Bernoulli(p) marginal exactly.
+    /// The rate is fixed between resets, so one pending counter serves the
+    /// whole trial. Operations at `p == 0` consume no skip state, and at
+    /// `p >= 1` every operation faults without touching the RNG.
     #[inline]
-    fn skip_decide(&mut self, site_idx: usize, p: f64) -> bool {
+    fn skip_decide(&mut self) -> bool {
+        let p = self.rates.gate;
         if p <= 0.0 {
             return false;
         }
         if p >= 1.0 {
-            self.skips[site_idx] = None;
             return true;
         }
-        let needs_sample = !matches!(self.skips[site_idx], Some(s) if s.p == p);
-        if needs_sample {
-            let remaining = Self::sample_geometric(&mut self.rng, p);
-            self.skips[site_idx] = Some(PendingSkip { p, remaining });
-        }
-        let pending = self.skips[site_idx]
-            .as_mut()
-            .expect("skip state just ensured");
-        if pending.remaining == 0 {
-            pending.remaining = Self::sample_geometric(&mut self.rng, p);
+        let remaining = match self.skip {
+            Some(remaining) => remaining,
+            None => Self::sample_geometric(&mut self.rng, p),
+        };
+        if remaining == 0 {
+            self.skip = Some(Self::sample_geometric(&mut self.rng, p));
             true
         } else {
-            pending.remaining -= 1;
+            self.skip = Some(remaining - 1);
             false
         }
     }
@@ -397,65 +320,57 @@ impl FaultInjector {
         -f64::exp_m1(window as f64 * (-p).ln_1p())
     }
 
-    /// Fault decisions made so far at `site` (at any rate — zero-rate
-    /// decisions count too). A fault-free probe trial thus
-    /// measures the decision window a real trial of the same design point
-    /// spans, which is what the analytic zero-fault fast path and the
-    /// stratified estimator condition on.
-    pub fn decision_count(&self, site: FaultSite) -> u64 {
-        self.decisions[Self::site_index(site)]
+    /// Gate-output fault decisions made so far (at any rate — zero-rate
+    /// decisions count too). A fault-free probe trial thus measures the
+    /// decision window a real trial of the same design point spans, which
+    /// is what the analytic zero-fault fast path and the stratified
+    /// estimator condition on.
+    pub fn decision_count(&self) -> u64 {
+        self.decisions
     }
 
-    /// The number of clean upcoming decisions at `site` before the next
-    /// fault fires (`0` = the very next decision faults, `u64::MAX` =
-    /// never).
+    /// The number of clean upcoming gate decisions before the next fault
+    /// fires (`0` = the very next decision faults, `u64::MAX` = never).
     ///
-    /// Priming is stream-preserving: if the site's first skip has not been
-    /// sampled yet, this consumes exactly the RNG draw the first
-    /// [`Self::apply`] at this site would have consumed, so peeking and
-    /// then executing yields the identical fault pattern as executing
-    /// blind. This is the scalar half of the analytic zero-fault fast path:
-    /// when the returned index is at or beyond the trial's whole decision
+    /// Priming is stream-preserving: if the first skip has not been sampled
+    /// yet, this consumes exactly the RNG draw the first
+    /// [`Self::apply_gate`] would have consumed, so peeking and then
+    /// executing yields the identical fault pattern as executing blind.
+    /// This is the scalar half of the analytic zero-fault fast path: when
+    /// the returned index is at or beyond the trial's whole decision
     /// window, the trial is settled clean without simulating a gate.
-    pub fn next_fault_in(&mut self, site: FaultSite) -> u64 {
-        let p = self.rates.for_site(site);
+    pub fn next_fault_in(&mut self) -> u64 {
+        let p = self.rates.gate;
         if p <= 0.0 {
             return u64::MAX;
         }
         if p >= 1.0 {
             return 0;
         }
-        let idx = Self::site_index(site);
-        match self.skips[idx] {
-            Some(s) if s.p == p => s.remaining,
-            _ => {
-                let remaining = Self::sample_geometric(&mut self.rng, p);
-                self.skips[idx] = Some(PendingSkip { p, remaining });
-                remaining
-            }
-        }
+        *self
+            .skip
+            .get_or_insert_with(|| Self::sample_geometric(&mut self.rng, p))
     }
 
-    /// Replaces the site's pending skip with one conditioned on a fault
-    /// firing within the next `window` decisions (see
+    /// Replaces the pending skip with one conditioned on a fault firing
+    /// within the next `window` gate decisions (see
     /// [`Self::sample_truncated_geometric`]). Decisions after that first
     /// fault resample unconditionally, which together yields exactly the
     /// law of a fault sequence conditioned on "≥ 1 fault in the window" —
     /// the sampled stratum of the stratified estimator. No-op in regimes
     /// where conditioning is meaningless (`p ≤ 0`, `p ≥ 1`, empty window).
-    pub fn condition_first_fault(&mut self, site: FaultSite, window: u64) {
-        let p = self.rates.for_site(site);
+    pub fn condition_first_fault(&mut self, window: u64) {
+        let p = self.rates.gate;
         if window == 0 || p <= 0.0 || p >= 1.0 {
             return;
         }
-        let remaining = Self::sample_truncated_geometric(&mut self.rng, p, window);
-        self.skips[Self::site_index(site)] = Some(PendingSkip { p, remaining });
+        self.skip = Some(Self::sample_truncated_geometric(&mut self.rng, p, window));
     }
 
     /// Forces a fault at the given location (used by directed tests and the
     /// SEP-guarantee analysis, which enumerates error sites exhaustively).
-    pub fn force(&mut self, site: FaultSite, row: usize, col: usize) {
-        self.log.push(InjectedFault { site, row, col });
+    pub fn force(&mut self, row: usize, col: usize) {
+        self.log.push(InjectedFault { row, col });
     }
 
     /// Log of all injected faults so far.
@@ -467,11 +382,6 @@ impl FaultInjector {
     pub fn fault_count(&self) -> usize {
         self.log.len()
     }
-
-    /// Clears the fault log (keeps rates and RNG state).
-    pub fn clear_log(&mut self) {
-        self.log.clear();
-    }
 }
 
 #[cfg(test)]
@@ -482,19 +392,27 @@ mod tests {
     fn disabled_injector_never_flips() {
         let mut inj = FaultInjector::disabled();
         for i in 0..1000 {
-            assert!(inj.apply(FaultSite::GateOutput, 0, i, true));
-            assert!(!inj.apply(FaultSite::Write, 0, i, false));
+            assert!(inj.apply_gate(0, i, true));
+            assert!(!inj.pin(0, i, false));
         }
         assert_eq!(inj.fault_count(), 0);
     }
 
     #[test]
     fn always_faulty_injector_always_flips() {
-        let mut inj = FaultInjector::new(ErrorRates::uniform(1.0), 1);
-        assert!(!inj.apply(FaultSite::GateOutput, 0, 0, true));
-        assert!(inj.apply(FaultSite::Write, 1, 2, false));
+        let mut inj = FaultInjector::new(
+            ErrorRates {
+                gate: 1.0,
+                ..ErrorRates::NONE
+            },
+            1,
+        );
+        assert!(!inj.apply_gate(0, 0, true));
+        assert!(inj.apply_gate(1, 2, false));
+        // Stores take no transient decision, even at rate 1.
+        assert!(inj.pin(1, 3, true));
         assert_eq!(inj.fault_count(), 2);
-        assert_eq!(inj.log()[0].site, FaultSite::GateOutput);
+        assert_eq!(inj.log()[0], InjectedFault { row: 0, col: 0 });
         assert_eq!(inj.log()[1].row, 1);
     }
 
@@ -509,24 +427,30 @@ mod tests {
         );
         let n = 20_000;
         for i in 0..n {
-            inj.apply(FaultSite::GateOutput, 0, i, false);
+            inj.apply_gate(0, i, false);
         }
         let rate = inj.fault_count() as f64 / n as f64;
         assert!((rate - 0.1).abs() < 0.01, "observed rate {rate}");
-        // Write path should have zero faults.
-        inj.clear_log();
+        // Stores add no faults.
+        let faults = inj.fault_count();
         for i in 0..n {
-            inj.apply(FaultSite::Write, 0, i, false);
+            assert!(!inj.pin(0, i, false));
         }
-        assert_eq!(inj.fault_count(), 0);
+        assert_eq!(inj.fault_count(), faults);
     }
 
     #[test]
     fn deterministic_for_same_seed() {
         let run = |seed| {
-            let mut inj = FaultInjector::new(ErrorRates::uniform(0.05), seed);
+            let mut inj = FaultInjector::new(
+                ErrorRates {
+                    gate: 0.05,
+                    ..ErrorRates::NONE
+                },
+                seed,
+            );
             (0..500)
-                .map(|i| inj.apply(FaultSite::GateOutput, 0, i, false))
+                .map(|i| inj.apply_gate(0, i, false))
                 .collect::<Vec<_>>()
         };
         assert_eq!(run(7), run(7));
@@ -536,18 +460,21 @@ mod tests {
     #[test]
     fn same_seed_yields_the_identical_fault_sequence() {
         // Not just the same flip decisions: the logged fault sequence
-        // (site, row, col) must be identical event for event, across
-        // a mixed-site operation stream.
+        // (row, col) must be identical event for event, across a stream of
+        // gate decisions interleaved with stores.
+        let rates = ErrorRates {
+            gate: 0.02,
+            ..ErrorRates::NONE
+        }
+        .with_stuck_at(0.01);
         let run = |seed| {
-            let mut inj = FaultInjector::new(ErrorRates::uniform(0.02), seed);
+            let mut inj = FaultInjector::new(rates, seed);
             for i in 0..2_000usize {
-                let site = match i % 4 {
-                    0 => FaultSite::GateOutput,
-                    1 => FaultSite::Write,
-                    2 => FaultSite::Read,
-                    _ => FaultSite::Retention,
-                };
-                inj.apply(site, i % 7, i % 253, i % 2 == 0);
+                if i % 2 == 0 {
+                    inj.apply_gate(i % 7, i % 253, i % 4 == 0);
+                } else {
+                    inj.pin(i % 7, i % 253, i % 3 == 0);
+                }
             }
             inj.log().to_vec()
         };
@@ -560,7 +487,7 @@ mod tests {
     #[test]
     fn forced_faults_are_logged() {
         let mut inj = FaultInjector::disabled();
-        inj.force(FaultSite::Retention, 3, 200);
+        inj.force(3, 200);
         assert_eq!(inj.fault_count(), 1);
         assert_eq!(inj.log()[0].col, 200);
     }
@@ -584,7 +511,7 @@ mod tests {
             };
             let mut inj = FaultInjector::new(rates, 0xFA57);
             for i in 0..n {
-                inj.apply(FaultSite::GateOutput, 0, i % 251, false);
+                inj.apply_gate(0, i % 251, false);
             }
             let skip_rate = inj.fault_count() as f64 / n as f64;
             let mut rng = ChaCha8Rng::seed_from_u64(0xFA57);
@@ -598,56 +525,6 @@ mod tests {
                 "per-op rate {bernoulli_rate} vs p={p} (±{tolerance})"
             );
         }
-    }
-
-    #[test]
-    fn skip_sampling_stays_unbiased_across_an_alternating_rate_stream() {
-        // The discard-and-resample behavior on a rate change must leave
-        // every operation faulting at exactly its own rate. Drive the skip
-        // decider with blocks that alternate between two rates — each rate
-        // change lands mid-skip essentially always — and check each rate's
-        // empirical marginal against its own 4σ binomial interval, plus the
-        // pooled stream against the blended rate.
-        let (p_lo, p_hi) = (2e-3, 2e-2);
-        let block = 500usize;
-        let blocks = 4_000usize;
-        let mut inj = FaultInjector::new(
-            ErrorRates {
-                gate: p_lo,
-                ..ErrorRates::NONE
-            },
-            0x00A1_7E41,
-        );
-        let (mut n_lo, mut k_lo, mut n_hi, mut k_hi) = (0u64, 0u64, 0u64, 0u64);
-        for b in 0..blocks {
-            let hi = b % 2 == 1;
-            let p = if hi { p_hi } else { p_lo };
-            for _ in 0..block {
-                let faulted = inj.skip_decide(0, p);
-                if hi {
-                    n_hi += 1;
-                    k_hi += u64::from(faulted);
-                } else {
-                    n_lo += 1;
-                    k_lo += u64::from(faulted);
-                }
-            }
-        }
-        for (label, p, n, k) in [("lo", p_lo, n_lo, k_lo), ("hi", p_hi, n_hi, k_hi)] {
-            let rate = k as f64 / n as f64;
-            let tolerance = 4.0 * (p * (1.0 - p) / n as f64).sqrt();
-            assert!(
-                (rate - p).abs() < tolerance,
-                "{label}-rate marginal {rate} vs p={p} (±{tolerance})"
-            );
-        }
-        let blended = (p_lo + p_hi) / 2.0;
-        let pooled = (k_lo + k_hi) as f64 / (n_lo + n_hi) as f64;
-        let tol = 4.0 * (blended * (1.0 - blended) / (n_lo + n_hi) as f64).sqrt();
-        assert!(
-            (pooled - blended).abs() < tol,
-            "pooled marginal {pooled} vs blended {blended} (±{tol})"
-        );
     }
 
     #[test]
@@ -667,7 +544,7 @@ mod tests {
         };
         let mut inj = FaultInjector::new(rates, 0x5AB);
         for i in 0..10_000 {
-            inj.apply(FaultSite::GateOutput, 0, i % 251, false);
+            inj.apply_gate(0, i % 251, false);
         }
         assert_eq!(inj.fault_count(), 0, "p = f64::MIN_POSITIVE is ~never");
     }
@@ -720,9 +597,9 @@ mod tests {
         };
         let run = |peek: bool| {
             let mut inj = FaultInjector::new(rates, 0xBEEF);
-            let next = peek.then(|| inj.next_fault_in(FaultSite::GateOutput));
+            let next = peek.then(|| inj.next_fault_in());
             let decisions: Vec<bool> = (0..2_000)
-                .map(|i| inj.apply(FaultSite::GateOutput, 0, i % 13, false))
+                .map(|i| inj.apply_gate(0, i % 13, false))
                 .collect();
             (next, decisions)
         };
@@ -737,9 +614,15 @@ mod tests {
         );
         // Degenerate regimes answer without touching the RNG.
         let mut zero = FaultInjector::new(ErrorRates::NONE, 1);
-        assert_eq!(zero.next_fault_in(FaultSite::GateOutput), u64::MAX);
-        let mut certain = FaultInjector::new(ErrorRates::uniform(1.0), 1);
-        assert_eq!(certain.next_fault_in(FaultSite::GateOutput), 0);
+        assert_eq!(zero.next_fault_in(), u64::MAX);
+        let mut certain = FaultInjector::new(
+            ErrorRates {
+                gate: 1.0,
+                ..ErrorRates::NONE
+            },
+            1,
+        );
+        assert_eq!(certain.next_fault_in(), 0);
     }
 
     #[test]
@@ -751,29 +634,26 @@ mod tests {
         let window = 500u64;
         for seed in 0..200 {
             let mut inj = FaultInjector::new(rates, seed);
-            inj.condition_first_fault(FaultSite::GateOutput, window);
+            inj.condition_first_fault(window);
             let mut fired = false;
             for i in 0..window {
-                if inj.apply(FaultSite::GateOutput, 0, i as usize % 251, false) {
+                if inj.apply_gate(0, i as usize % 251, false) {
                     fired = true;
                     break;
                 }
             }
             assert!(fired, "seed {seed}: conditioned trial must fault in-window");
         }
-        assert_eq!(
-            FaultInjector::new(rates, 9).decision_count(FaultSite::GateOutput),
-            0
-        );
+        assert_eq!(FaultInjector::new(rates, 9).decision_count(), 0);
         let mut counted = FaultInjector::new(ErrorRates::NONE, 9);
         for i in 0..37 {
-            counted.apply(FaultSite::GateOutput, 0, i, false);
+            counted.apply_gate(0, i, false);
         }
-        counted.apply(FaultSite::Write, 0, 0, false);
-        assert_eq!(counted.decision_count(FaultSite::GateOutput), 37);
-        assert_eq!(counted.decision_count(FaultSite::Write), 1);
+        // A store is not a decision.
+        counted.pin(0, 0, false);
+        assert_eq!(counted.decision_count(), 37);
         counted.reset(ErrorRates::NONE, 9);
-        assert_eq!(counted.decision_count(FaultSite::GateOutput), 0);
+        assert_eq!(counted.decision_count(), 0);
     }
 
     #[test]
@@ -784,7 +664,7 @@ mod tests {
         };
         let run = |inj: &mut FaultInjector| {
             (0..5_000)
-                .map(|i| inj.apply(FaultSite::GateOutput, 0, i % 61, false))
+                .map(|i| inj.apply_gate(0, i % 61, false))
                 .collect::<Vec<_>>()
         };
         let mut fresh = FaultInjector::new(rates, 77);
@@ -842,7 +722,7 @@ mod tests {
         let run = |rates: ErrorRates| {
             let mut inj = FaultInjector::new(rates, 0x57CC);
             (0..3_000)
-                .map(|i| inj.apply(FaultSite::GateOutput, i % 5, i % 191, false))
+                .map(|i| inj.apply_gate(i % 5, i % 191, false))
                 .collect::<Vec<_>>()
         };
         let plain = run(transient);
@@ -862,14 +742,10 @@ mod tests {
             }
         }
         assert!(overridden > 0, "some stores must actually be overridden");
-        // Reads are never overridden: the stored value already reflects the
-        // defect, so a healthy transient read stream passes through.
-        let mut reader = FaultInjector::new(ErrorRates::NONE.with_stuck_at(1.0), 3);
-        assert!(reader.apply(FaultSite::Read, 0, 0, true));
-        assert!(!reader.apply(FaultSite::Read, 0, 0, false));
-        // But every store lands on a defect at density 1.0.
-        let pinned = reader.apply(FaultSite::Write, 0, 0, true);
-        assert_eq!(reader.apply(FaultSite::Write, 0, 0, !pinned), pinned);
+        // Every store lands on a defect at density 1.0.
+        let all_stuck = FaultInjector::new(ErrorRates::NONE.with_stuck_at(1.0), 3);
+        let pinned = all_stuck.pin(0, 0, true);
+        assert_eq!(all_stuck.pin(0, 0, !pinned), pinned);
     }
 
     #[test]
@@ -886,9 +762,9 @@ mod tests {
     }
 
     #[test]
-    fn skip_state_survives_interleaved_zero_rate_sites() {
-        // Ops at p == 0 (e.g. writes in a gate-only regime) must not consume
-        // or invalidate the gate site's pending skip counter.
+    fn interleaved_stores_neither_consume_nor_perturb_the_gate_stream() {
+        // Stores (writes, presets, write-backs) must not consume or
+        // invalidate the pending gate skip counter.
         let rates = ErrorRates {
             gate: 0.02,
             ..ErrorRates::NONE
@@ -896,15 +772,15 @@ mod tests {
         let gates_only = {
             let mut inj = FaultInjector::new(rates, 5);
             (0..4_000)
-                .map(|i| inj.apply(FaultSite::GateOutput, 0, i % 17, false))
+                .map(|i| inj.apply_gate(0, i % 17, false))
                 .collect::<Vec<_>>()
         };
         let interleaved = {
             let mut inj = FaultInjector::new(rates, 5);
             (0..4_000)
                 .map(|i| {
-                    inj.apply(FaultSite::Write, 0, i % 17, true);
-                    inj.apply(FaultSite::GateOutput, 0, i % 17, false)
+                    assert!(inj.pin(0, i % 17, true));
+                    inj.apply_gate(0, i % 17, false)
                 })
                 .collect::<Vec<_>>()
         };

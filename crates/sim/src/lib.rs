@@ -14,7 +14,8 @@
 //!   the 2-step / 3-step XOR constructions of Table I,
 //! * [`array`] — a functional array simulator with fault injection (the
 //!   scalar oracle the lane engine is checked against),
-//! * [`fault`] — the direct-soft-error model of §II-C,
+//! * [`fault`] — the direct-soft-error model of §II-C: gate-output flips
+//!   plus stuck-at defects, the one fault space both injectors draw,
 //! * [`sliced`] — the transposed, bit-sliced batch backend (one trial per
 //!   `u64` lane) with lane-masked fault injection,
 //! * [`electrical`] — the Appendix's bias-window / noise-margin analysis for
@@ -61,7 +62,7 @@ pub mod technology;
 
 pub use array::{ArrayError, PimArray};
 pub use electrical::{ElectricalModel, OutputPlacement};
-pub use fault::{ErrorRates, FaultInjector, FaultSite};
+pub use fault::{ErrorRates, FaultInjector};
 pub use gates::GateKind;
 pub use periphery::PeripheryModel;
 pub use sliced::{SlicedFaultInjector, SlicedPimArray, LANES};

@@ -30,8 +30,7 @@ use rand_chacha::ChaCha8Rng;
 use nvpim_ecc::gf2::lanes::{self, at_least_three_zeros};
 
 use crate::fault::{
-    stuck_at_state, stuck_defect_seed, stuck_threshold, ErrorRates, FaultInjector, FaultSite,
-    InjectedFault,
+    stuck_at_state, stuck_defect_seed, stuck_threshold, ErrorRates, FaultInjector, InjectedFault,
 };
 
 /// Number of Monte Carlo trials a sliced batch advances per word operation.
@@ -40,11 +39,11 @@ pub const LANES: usize = lanes::LANES;
 /// Lane-masked fault injector: per-lane geometric skip sampling merged into
 /// per-operation 64-bit flip masks.
 ///
-/// Only *gate-output* faults are modeled, because that is the regime the
-/// sweep engine runs (write/read/retention rates of zero consume neither
-/// RNG state nor skip counters in the scalar injector, so omitting them
-/// changes nothing). [`SlicedFaultInjector::supports`] states exactly
-/// that condition, and [`SlicedFaultInjector::reset`] asserts it.
+/// It draws the same fault space as the scalar
+/// [`FaultInjector`] (see [`crate::fault`]): gate-output flips at one rate
+/// plus stuck-at defects that pin every store. A fault model that grows
+/// beyond that grows in both injectors, or the oracle no longer checks
+/// what campaigns run.
 #[derive(Debug, Clone, Default)]
 pub struct SlicedFaultInjector {
     gate_rate: f64,
@@ -82,17 +81,12 @@ impl SlicedFaultInjector {
         }
     }
 
-    /// Whether `rates` fall in the regime the sliced backend reproduces
-    /// exactly: gate-output faults only (any rate in `[0, 1]`), everything
-    /// else zero. Permanent stuck-at defects are supported at any density —
-    /// the per-lane defect maps are stateless hashes, so the lane streams
-    /// stay bit-identical to their scalar counterparts.
+    /// Whether `rates` are probabilities: a gate rate and a stuck-at
+    /// density in `[0, 1]`. The per-lane defect maps are stateless hashes,
+    /// so the lane streams stay bit-identical to their scalar counterparts
+    /// at any density.
     pub fn supports(rates: &ErrorRates) -> bool {
-        rates.write == 0.0
-            && rates.read == 0.0
-            && rates.retention == 0.0
-            && (0.0..=1.0).contains(&rates.gate)
-            && (0.0..=1.0).contains(&rates.stuck_at)
+        (0.0..=1.0).contains(&rates.gate) && (0.0..=1.0).contains(&rates.stuck_at)
     }
 
     /// Re-arms the injector for a fresh batch: one lane per seed, each
@@ -107,7 +101,7 @@ impl SlicedFaultInjector {
     pub fn reset(&mut self, rates: ErrorRates, seeds: &[u64]) {
         assert!(
             Self::supports(&rates),
-            "sliced fault injection supports gate-only error rates, got {rates:?}"
+            "error rates must lie in [0, 1], got {rates:?}"
         );
         assert!(
             (1..=LANES).contains(&seeds.len()),
@@ -134,8 +128,8 @@ impl SlicedFaultInjector {
         for &seed in seeds {
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
             // The scalar injector samples its first skip lazily at the
-            // first gate decision; with gate decisions as the only RNG
-            // consumers, sampling it here yields the identical stream.
+            // first gate decision; gate decisions are the only RNG
+            // consumers, so sampling it here yields the identical stream.
             let next = if self.always || self.gate_rate <= 0.0 {
                 u64::MAX
             } else {
@@ -204,7 +198,7 @@ impl SlicedFaultInjector {
     /// Gate-output fault decisions the batch made since the last reset,
     /// each one a decision in every lane. In a fault-free batch it equals
     /// what a scalar injector running any one lane's trial alone reports
-    /// as [`FaultInjector::decision_count`] for [`FaultSite::GateOutput`].
+    /// as [`FaultInjector::decision_count`].
     pub fn decision_count(&self) -> u64 {
         self.event_index
     }
@@ -287,11 +281,7 @@ impl SlicedFaultInjector {
         self.event_index += 1;
         if self.always {
             for lane in 0..self.lane_count {
-                self.logs[lane].push(InjectedFault {
-                    site: FaultSite::GateOutput,
-                    row,
-                    col,
-                });
+                self.logs[lane].push(InjectedFault { row, col });
             }
             return self.valid;
         }
@@ -306,11 +296,7 @@ impl SlicedFaultInjector {
             let mut next = self.next_event[lane];
             if next == e {
                 mask |= 1u64 << lane;
-                self.logs[lane].push(InjectedFault {
-                    site: FaultSite::GateOutput,
-                    row,
-                    col,
-                });
+                self.logs[lane].push(InjectedFault { row, col });
                 // Scalar resample: after a fault at decision `e` with a
                 // fresh geometric skip `s`, the next fault lands at
                 // decision `e + s + 1`.
@@ -394,17 +380,15 @@ impl SlicedPimArray {
 
     /// Applies the cell's per-lane stuck-at masks to a word about to be
     /// stored — the lane-parallel twin of the scalar injector's
-    /// post-decision override at storing sites.
+    /// [`FaultInjector::pin`].
     #[inline]
     fn pin_defects(&self, row: usize, col: usize, word: u64) -> u64 {
         let (sa0, sa1) = self.injector.stuck_masks(row, col);
         (word & !sa0) | sa1
     }
 
-    /// Writes per-lane values through the write path. With the supported
-    /// gate-only fault regime the write path is fault-free, so this is a
-    /// plain store — exactly what the scalar write path reduces to at a
-    /// zero write-fault rate — pinned by any stuck-at defects.
+    /// Writes per-lane values: a plain store pinned by any stuck-at
+    /// defects, exactly as the scalar `write_cell`.
     #[inline]
     pub fn write_lanes(&mut self, row: usize, col: usize, values: u64) {
         let stored = self.pin_defects(row, col, values);
@@ -422,7 +406,7 @@ impl SlicedPimArray {
     /// keep their stored bits. The per-lane write-back of a correction or a
     /// recompute: a reliable store with no transient fault decision
     /// (consumes no RNG), but stuck cells still pin the written lanes, as
-    /// in the scalar array's `write_cell` and `write_verified` — rewriting
+    /// in the scalar array's `write_cell` — rewriting
     /// cannot repair broken hardware.
     #[inline]
     pub fn write_masked_lanes(&mut self, row: usize, col: usize, values: u64, lanes: u64) {
@@ -572,7 +556,7 @@ mod tests {
                 let mask = sliced.gate_flip_mask(row, col);
                 for (lane, scalar) in scalars.iter_mut().enumerate() {
                     // `apply` on a `false` bit returns `true` iff flipped.
-                    let flipped = scalar.apply(FaultSite::GateOutput, row, col, false);
+                    let flipped = scalar.apply_gate(row, col, false);
                     assert_eq!(
                         (mask >> lane) & 1 == 1,
                         flipped,
@@ -643,16 +627,20 @@ mod tests {
     fn unsupported_rate_regimes_are_rejected() {
         assert!(SlicedFaultInjector::supports(&gate_rates(1e-4)));
         assert!(SlicedFaultInjector::supports(&ErrorRates::NONE));
-        assert!(!SlicedFaultInjector::supports(&ErrorRates::uniform(1e-4)));
-        assert!(!SlicedFaultInjector::supports(&ErrorRates {
-            write: 0.1,
-            ..ErrorRates::NONE
-        }));
+        assert!(SlicedFaultInjector::supports(
+            &gate_rates(1.0).with_stuck_at(1.0)
+        ));
+        assert!(!SlicedFaultInjector::supports(&gate_rates(1.5)));
+        assert!(!SlicedFaultInjector::supports(&gate_rates(-0.1)));
+        assert!(!SlicedFaultInjector::supports(&gate_rates(f64::NAN)));
+        assert!(!SlicedFaultInjector::supports(
+            &ErrorRates::NONE.with_stuck_at(2.0)
+        ));
         let mut inj = SlicedFaultInjector::new();
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            inj.reset(ErrorRates::uniform(0.5), &[1, 2]);
+            inj.reset(gate_rates(1.5), &[1, 2]);
         }));
-        assert!(result.is_err(), "mixed-site rates must be refused");
+        assert!(result.is_err(), "a rate above 1 must be refused");
     }
 
     /// Drives the same operation program through one sliced array and 64
@@ -789,7 +777,7 @@ mod tests {
                 scalar.execute_xor2_step(0, 2, 3, 8, 9, 10).unwrap();
                 scalar.preset_cells(0, 12..20, round % 2 == 0).unwrap();
                 if (written >> lane) & 1 == 1 {
-                    scalar.write_verified(0, 11, round % 2 == 0).unwrap();
+                    scalar.write_cell(0, 11, round % 2 == 0).unwrap();
                 }
                 scalar
                     .execute_gate_with(GateKind::NOR2, 0, &[10, 6], &[2])
@@ -865,7 +853,7 @@ mod tests {
             .iter()
             .map(|&s| {
                 let mut scalar = FaultInjector::new(gate_rates(0.01), s);
-                scalar.next_fault_in(FaultSite::GateOutput)
+                scalar.next_fault_in()
             })
             .min()
             .unwrap();

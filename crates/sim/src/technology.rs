@@ -251,11 +251,6 @@ impl TechnologyParams {
         self.nor_energy_fj * n_outputs.max(1) as f64
     }
 
-    /// Energy (fJ) of a THR gate operation.
-    pub fn thr_energy(&self) -> f64 {
-        self.thr_energy_fj
-    }
-
     /// Energy (fJ) of writing `bits` cells.
     pub fn write_energy(&self, bits: usize) -> f64 {
         self.write_energy_fj * bits as f64

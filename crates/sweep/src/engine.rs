@@ -28,7 +28,7 @@ use nvpim_core::executor::{ExecScratch, ProtectedExecutor};
 use nvpim_core::sliced::{SlicedExecScratch, SlicedExecutor};
 use nvpim_core::system::{evaluate_schedule, WorkloadShape};
 use nvpim_sim::array::PimArray;
-use nvpim_sim::fault::{ErrorRates, FaultInjector, FaultSite};
+use nvpim_sim::fault::{ErrorRates, FaultInjector};
 use nvpim_sim::sliced::{SlicedPimArray, LANES};
 use nvpim_telemetry::{Counter as TelemetryCounter, LocalTelemetry, Phase, Telemetry};
 use nvpim_workloads::mnist::{self, MnistAccuracyBaseline, MnistAccuracyModel, SyntheticMnist};
@@ -588,9 +588,7 @@ pub fn run_trial(
             // window (a truncated-geometric redraw); the trial then runs in
             // full and its counters describe the at-least-one-fault stratum.
             let span = telemetry.span_start();
-            array
-                .fault_injector_mut()
-                .condition_first_fault(FaultSite::GateOutput, window);
+            array.fault_injector_mut().condition_first_fault(window);
             telemetry.span_end(Phase::EstimatorRedraw, span);
             telemetry.add(TelemetryCounter::EstimatorRedraws, 1);
         } else if window > 0 {
@@ -602,9 +600,7 @@ pub fn run_trial(
             // the draw `apply` would have consumed lazily, so slow-path
             // trials that fall through remain byte-identical.
             let span = telemetry.span_start();
-            let next = array
-                .fault_injector_mut()
-                .next_fault_in(FaultSite::GateOutput);
+            let next = array.fault_injector_mut().next_fault_in();
             if next >= window {
                 let outcome = clean.outcome.clone();
                 telemetry.span_end(Phase::AnalyticCleanSettle, span);

@@ -17,7 +17,7 @@
 
 use nvpim_core::config::{GateStyle, ProtectionScheme};
 use nvpim_sim::array::PimArray;
-use nvpim_sim::fault::{ErrorRates, FaultInjector, FaultSite};
+use nvpim_sim::fault::{ErrorRates, FaultInjector};
 use nvpim_sim::technology::Technology;
 use nvpim_sweep::{
     run_campaign, EstimatorMode, ProtectionConfig, SweepPlan, SweepWorkload, Telemetry,
@@ -163,7 +163,7 @@ fn scalar_clean_decisions(harness: &TrialHarness) -> u64 {
         .executor()
         .run(netlist, &harness.kernel().schedule, &mut array, 0, &inputs)
         .expect("clean scalar trial runs");
-    array.fault_injector().decision_count(FaultSite::GateOutput)
+    array.fault_injector().decision_count()
 }
 
 #[test]

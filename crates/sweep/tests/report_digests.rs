@@ -7,7 +7,7 @@
 //! says why in `CHANGES.md`.
 
 use nvpim_sweep::digest::{sha256, to_hex};
-use nvpim_sweep::{run_campaign, EstimatorMode, SweepPlan};
+use nvpim_sweep::{run_campaign, EstimatorMode, ProtectionConfig, SweepPlan};
 
 fn report_digest(plan: &SweepPlan) -> String {
     let report = run_campaign(plan).expect("named plans run");
@@ -18,6 +18,12 @@ fn report_digest(plan: &SweepPlan) -> String {
 fn named_plan_reports_keep_their_bytes() {
     let mut stratified_quick = SweepPlan::quick();
     stratified_quick.estimator = EstimatorMode::Stratified;
+    // Error campaigns with stuck-at defects on every registered scheme:
+    // the store path (gate outputs, presets and write-backs pinned by the
+    // defect map) on all five schemes.
+    let mut stuck_registry_quick = SweepPlan::quick();
+    stuck_registry_quick.protections = ProtectionConfig::registry_sweep();
+    stuck_registry_quick.stuck_at_rate = 1e-3;
     let cases = [
         (
             "quick",
@@ -38,6 +44,11 @@ fn named_plan_reports_keep_their_bytes() {
             "quick, stratified",
             stratified_quick,
             "7413383d6bd1a456badc10d98a932ccbc5d5e1d229a31fcb3f83ec82566ad132",
+        ),
+        (
+            "quick, every scheme, stuck-at 1e-3",
+            stuck_registry_quick,
+            "70ca8e9b3d7ba97b0d2f42e8e4c85d5872160295bbc53827be555c347ad830f1",
         ),
     ];
     for (name, plan, want) in cases {
