@@ -245,13 +245,6 @@ impl DesignConfig {
         self
     }
 
-    /// Returns a copy using a `Hamming(2^r − 1, ...)` code with the given `r`.
-    pub fn with_hamming_r(mut self, r: usize) -> Self {
-        self.hamming_r = r;
-        self.hamming_k = 0;
-        self
-    }
-
     /// Returns a copy using a shortened Hamming code with exactly `k` data
     /// bits and the minimum covering number of parity bits (e.g. `k = 64`
     /// gives Hamming(71, 64)).
@@ -369,7 +362,7 @@ mod tests {
     fn builder_style_modifiers() {
         let c = DesignConfig::trim(Technology::SotSheMram)
             .with_single_output_gates()
-            .with_hamming_r(4);
+            .with_hamming_data_bits(11);
         assert_eq!(c.gate_style, GateStyle::SingleOutput);
         assert_eq!(c.data_bits(), 11);
         assert_eq!(c.label(), "TRiM/s-o/SOT-MRAM");

@@ -32,7 +32,7 @@
 use std::fmt;
 
 use crate::error::EccError;
-use crate::gf2::{BitMatrix, BitVec};
+use crate::gf2::BitVec;
 use crate::gf2m::{poly_mul_gf2, Gf2m};
 
 /// A binary primitive BCH code over GF(2^m) with design error-correction
@@ -223,21 +223,6 @@ impl BchCode {
     pub fn parity_update_mask(&self, j: usize) -> &BitVec {
         assert!(j < self.k, "data bit {j} out of range {}", self.k);
         &self.update_masks[j]
-    }
-
-    /// The non-identity part of the systematic generator matrix
-    /// (`(n−k) × k`), analogous to the Hamming `A` matrix.
-    pub fn a_matrix(&self) -> BitMatrix {
-        let mut a = BitMatrix::zeros(self.parity_bits(), self.k);
-        for j in 0..self.k {
-            let mask = &self.update_masks[j];
-            for i in 0..self.parity_bits() {
-                if mask.get(i) {
-                    a.set(i, j, true);
-                }
-            }
-        }
-        a
     }
 
     /// Encodes `data` into a systematic codeword laid out `[data | parity]`.

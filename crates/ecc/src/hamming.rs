@@ -184,11 +184,6 @@ impl HammingCode {
         self.n - self.k
     }
 
-    /// The `A` submatrix (`(n−k) × k`) from Equation 1 of the paper.
-    pub fn a_matrix(&self) -> &BitMatrix {
-        &self.a
-    }
-
     /// The generator matrix `G = [I_k | Aᵀ]` (`k × n`).
     pub fn generator_matrix(&self) -> BitMatrix {
         BitMatrix::identity(self.k).hconcat(&self.a.transpose())

@@ -3,9 +3,11 @@
 //! ```text
 //! nvpim-serviced [--addr HOST:PORT] [--workers N] [--queue-capacity N] [--checkpoint-ms N]
 //!                [--log-json PATH] [--state-dir DIR]
-//!                [--max-job-retries N] [--retry-backoff-ms N]
 //!                [--shutdown-grace-ms N] [--max-trials-per-job N]
 //! ```
+//!
+//! Every flag takes a value; an unknown flag, or one without its value,
+//! exits with status 2 before anything starts.
 //!
 //! Binds the address (default `127.0.0.1:7171`; use port `0` for an
 //! OS-assigned port), prints `nvpim-serviced listening on <addr>`, and
@@ -23,6 +25,18 @@
 
 use nvpim_service::flags::value_of;
 use nvpim_service::service::{ServiceConfig, ServiceHandle};
+
+/// Every flag the daemon takes, each followed by its value.
+const FLAGS: [&str; 8] = [
+    "--addr",
+    "--workers",
+    "--queue-capacity",
+    "--checkpoint-ms",
+    "--log-json",
+    "--state-dir",
+    "--shutdown-grace-ms",
+    "--max-trials-per-job",
+];
 
 /// Cadences at or above this are refused: half the fleet's default 2 s
 /// heartbeat deadline, since `shard_chunk` frames double as heartbeats.
@@ -44,8 +58,7 @@ fn main() {
         println!(
             "nvpim-serviced [--addr HOST:PORT] [--workers N] [--queue-capacity N] \
              [--checkpoint-ms N] [--log-json PATH] \
-             [--state-dir DIR] [--max-job-retries N] [--retry-backoff-ms N] \
-             [--shutdown-grace-ms N] [--max-trials-per-job N]\n\n  \
+             [--state-dir DIR] [--shutdown-grace-ms N] [--max-trials-per-job N]\n\n  \
              --checkpoint-ms N       checkpoint a running campaign (journal record, progress,\n                          \
              cancel/drain check, run_shard frame) at most every N ms;\n                          \
              the crash-loss window; 0 = every completed task; must be\n                          \
@@ -53,8 +66,6 @@ fn main() {
              --log-json PATH         append one NDJSON event per job transition/checkpoint to PATH\n  \
              --state-dir DIR         durable journal (fsync'd per record) + report store;\n                          \
              recover jobs on restart\n  \
-             --max-job-retries N     re-run a panicking campaign up to N times (default 2)\n  \
-             --retry-backoff-ms N    base delay before a retry, doubled each attempt (default 50)\n  \
              --max-trials-per-job N  reject plans (and shard ranges) over N trials with\n                          \
              `plan_too_large` (default 10000000000)\n  \
              --shutdown-grace-ms N   shutdown drains: running jobs stop at their next checkpoint,\n                          \
@@ -63,6 +74,17 @@ fn main() {
              end cancelled (default 5000)"
         );
         return;
+    }
+    let mut rest = args.iter();
+    while let Some(flag) = rest.next() {
+        if !FLAGS.contains(&flag.as_str()) {
+            eprintln!("nvpim-serviced: unknown flag `{flag}` (see --help)");
+            std::process::exit(2);
+        }
+        if rest.next().is_none() {
+            eprintln!("nvpim-serviced: {flag} expects a value");
+            std::process::exit(2);
+        }
     }
     let addr = value_of(&args, "--addr").unwrap_or_else(|| "127.0.0.1:7171".to_string());
     let defaults = ServiceConfig::default();
@@ -88,16 +110,6 @@ fn main() {
         ) as u64,
         log_json,
         state_dir,
-        max_job_retries: numeric_arg(
-            &args,
-            "--max-job-retries",
-            defaults.max_job_retries as usize,
-        ) as u32,
-        retry_backoff_ms: numeric_arg(
-            &args,
-            "--retry-backoff-ms",
-            defaults.retry_backoff_ms as usize,
-        ) as u64,
         shutdown_grace_ms: numeric_arg(
             &args,
             "--shutdown-grace-ms",

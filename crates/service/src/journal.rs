@@ -16,7 +16,6 @@
 //! | `rec`       | extra fields                                          |
 //! |-------------|-------------------------------------------------------|
 //! | `submit`    | `job`, `digest`, `priority`, `trials_total`, `plan_json` |
-//! | `start`     | `job`                                                 |
 //! | `chunk`     | `job`, `trials_done` (cumulative), `tallies` (array)  |
 //! | `done`      | `job`                                                 |
 //! | `failed`    | `job`, `error`                                        |
@@ -34,8 +33,9 @@
 //! can only be torn at its tail, so everything before the tear is trusted
 //! and the torn tail is dropped. A line that is JSON but not a record this
 //! version understands — such as a `chunk` record written before tallies
-//! replaced per-trial `outcomes` arrays — is discarded on its own and
-//! replay continues.
+//! replaced per-trial `outcomes` arrays, or the `start` record older
+//! daemons wrote when a worker picked a job up — is discarded on its own
+//! and replay continues.
 
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
@@ -64,11 +64,6 @@ pub enum JournalRecord {
         trials_total: u64,
         /// The plan's canonical JSON (replayed to re-prepare the campaign).
         plan_json: String,
-    },
-    /// A worker picked the job up.
-    Start {
-        /// Job id.
-        job: u64,
     },
     /// A checkpoint: the contiguous completed prefix advanced; `tallies`
     /// sum the results of the trials since the previous checkpoint and
@@ -117,10 +112,6 @@ impl JournalRecord {
                 ("priority".into(), Value::UInt(*priority)),
                 ("trials_total".into(), Value::UInt(*trials_total)),
                 ("plan_json".into(), Value::Str(plan_json.clone())),
-            ]),
-            JournalRecord::Start { job } => Value::Object(vec![
-                ("rec".into(), Value::Str("start".into())),
-                ("job".into(), Value::UInt(*job)),
             ]),
             JournalRecord::Chunk {
                 job,
@@ -183,9 +174,6 @@ impl JournalRecord {
                 priority: u64_field("priority")?,
                 trials_total: u64_field("trials_total")?,
                 plan_json: str_field("plan_json")?,
-            }),
-            "start" => Ok(JournalRecord::Start {
-                job: u64_field("job")?,
             }),
             "chunk" => Ok(JournalRecord::Chunk {
                 job: u64_field("job")?,
@@ -301,8 +289,6 @@ pub struct ReplayedJob {
     pub trials_total: u64,
     /// The plan's canonical JSON.
     pub plan_json: String,
-    /// Whether a `start` record was seen.
-    pub started: bool,
     /// Tallies merged from accepted `chunk` records: the trials before the
     /// job's resume cursor, `tallies.trials()`.
     pub tallies: Tallies,
@@ -409,20 +395,12 @@ fn apply(jobs: &mut ReplayedJobs, record: JournalRecord) -> bool {
                 priority,
                 trials_total,
                 plan_json,
-                started: false,
                 tallies: Tallies::new(),
                 terminal: None,
                 chunks_accepted: 0,
             });
             true
         }
-        JournalRecord::Start { job } => match jobs.get_mut(job) {
-            Some(j) => {
-                j.started = true;
-                true
-            }
-            None => false,
-        },
         JournalRecord::Chunk {
             job,
             trials_done,
@@ -488,7 +466,6 @@ mod tests {
                 trials_total: 12,
                 plan_json: "{\"workloads\":[\"full_adder_1b\"]}".into(),
             },
-            JournalRecord::Start { job: 3 },
             JournalRecord::Chunk {
                 job: 3,
                 trials_done: 2,
@@ -523,7 +500,6 @@ mod tests {
                     trials_total: 4,
                     plan_json: "{}".into(),
                 },
-                JournalRecord::Start { job: 1 },
                 JournalRecord::Chunk {
                     job: 1,
                     trials_done: 2,
@@ -542,12 +518,12 @@ mod tests {
             }
         }
         let replay = replay(&path).unwrap();
-        assert_eq!(replay.records_replayed, 5);
+        assert_eq!(replay.records_replayed, 4);
         assert_eq!(replay.records_discarded, 0);
         assert_eq!(replay.next_id, 3);
         assert_eq!(replay.jobs.len(), 2);
         let j1 = &replay.jobs[0];
-        assert!(j1.started && j1.terminal.is_none());
+        assert!(j1.terminal.is_none());
         assert_eq!(j1.tallies.trials(), 2);
         assert_eq!(replay.jobs[1].terminal, Some(ReplayedTerminal::Done));
         std::fs::remove_file(&path).unwrap();
@@ -566,14 +542,13 @@ mod tests {
     }
 
     /// Replay finds each record's job by id in constant time: replaying
-    /// 2N `submit`/`start`/`done` triples costs about twice N, not four
-    /// times. A ratio of medians of the replaying thread's CPU time (wall
+    /// 2N `submit`/`done` pairs costs about twice N, not four times. A ratio of medians of the replaying thread's CPU time (wall
     /// time where that is unavailable), so the bound holds on a slow or
     /// busy host. N is large enough that the scheduler's accounting,
     /// which can advance in ticks of several milliseconds, resolves it.
     #[test]
     fn replay_time_grows_linearly_with_the_journal() {
-        const N: u64 = 10_000;
+        const N: u64 = 15_000;
         let dir = std::env::temp_dir().join(format!("nvpim-journal-linear-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let write = |jobs: u64, name: &str| {
@@ -588,7 +563,6 @@ mod tests {
                         trials_total: 1,
                         plan_json: "{}".into(),
                     },
-                    JournalRecord::Start { job },
                     JournalRecord::Done { job },
                 ] {
                     text.push_str(&record.to_line());
@@ -606,7 +580,7 @@ mod tests {
                 (Some(start), Some(end)) => std::time::Duration::from_nanos(end - start),
                 _ => started.elapsed(),
             };
-            assert_eq!(replay.records_replayed, 3 * jobs);
+            assert_eq!(replay.records_replayed, 2 * jobs);
             elapsed
         };
         let (mut small_runs, mut large_runs) = (Vec::new(), Vec::new());
@@ -721,22 +695,23 @@ mod tests {
             trials_total: 4,
             plan_json: "{}".into(),
         };
-        // A journal written before tallies: chunk records carry per-trial
-        // `outcomes` arrays.
+        // A journal written by older daemons: a `start` record per picked-up
+        // job, and chunk records carrying per-trial `outcomes` arrays.
+        let legacy_start = r#"{"rec":"start","job":1}"#;
         let legacy_chunk = r#"{"rec":"chunk","job":1,"trials_done":1,"outcomes":[{"faults_injected":0,"checks":2,"errors_detected":0,"corrections_written_back":0,"uncorrectable":0,"wrong_output_bits":0,"exec_error":null}]}"#;
         let lines = [
             submit(1).to_line(),
-            JournalRecord::Start { job: 1 }.to_line(),
+            legacy_start.to_string(),
             legacy_chunk.to_string(),
             submit(2).to_line(),
             JournalRecord::Done { job: 2 }.to_line(),
         ];
         std::fs::write(&path, lines.join("\n") + "\n").unwrap();
         let replay = replay(&path).unwrap();
-        assert_eq!(replay.records_discarded, 1, "only the legacy chunk");
-        assert_eq!(replay.records_replayed, 4, "records after it still apply");
+        assert_eq!(replay.records_discarded, 2, "only the legacy records");
+        assert_eq!(replay.records_replayed, 3, "records after them still apply");
         let j1 = &replay.jobs[0];
-        assert!(j1.started && j1.terminal.is_none());
+        assert!(j1.terminal.is_none());
         assert!(j1.tallies.is_empty(), "job 1 recomputes from trial 0");
         assert_eq!(replay.jobs[1].terminal, Some(ReplayedTerminal::Done));
         std::fs::remove_file(&path).unwrap();

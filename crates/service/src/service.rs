@@ -57,11 +57,6 @@ pub struct ServiceConfig {
     /// queued/running jobs are never evicted. Bounds daemon memory under
     /// sustained traffic.
     pub max_tracked_jobs: usize,
-    /// Cap on cached reports in the content-addressed store (reports are
-    /// the dominant allocation); beyond it the oldest-inserted report is
-    /// evicted and its plan recomputes — byte-identically — on
-    /// resubmission.
-    pub max_cached_reports: usize,
     /// Opt-in structured NDJSON event log: when set, the service appends
     /// one event per job transition (and per checkpoint) to this file,
     /// each line carrying a `trace` id correlating a job's whole history.
@@ -74,14 +69,6 @@ pub struct ServiceConfig {
     /// from their last checkpoint — byte-identically, thanks to checkpoint
     /// invariance. `None` (the default) keeps all state in memory.
     pub state_dir: Option<std::path::PathBuf>,
-    /// Retry budget per job for *panicking* attempts: a task that panics
-    /// (a buggy scheme plugin, say) is contained by `catch_unwind` and the
-    /// job retried from its last checkpoint up to this many times before
-    /// failing terminally. Deterministic `SweepError`s never retry.
-    pub max_job_retries: u32,
-    /// Base delay between retry attempts; attempt `n` waits
-    /// `retry_backoff_ms << (n - 1)` (exponential backoff).
-    pub retry_backoff_ms: u64,
     /// Test seam: the execution backend every campaign this service runs
     /// on. `None` (the default) runs [`SlicedBackend`]; tests substitute
     /// the [`ScalarBackend`](nvpim_sweep::ScalarBackend) oracle or
@@ -107,11 +94,8 @@ impl Default for ServiceConfig {
             checkpoint_ms: DEFAULT_CHECKPOINT_MS,
             max_trials_per_job: DEFAULT_MAX_TRIALS_PER_JOB,
             max_tracked_jobs: 4096,
-            max_cached_reports: crate::store::DEFAULT_REPORT_CAPACITY,
             log_json: None,
             state_dir: None,
-            max_job_retries: 2,
-            retry_backoff_ms: 50,
             execution_backend: None,
             shutdown_grace_ms: DEFAULT_SHUTDOWN_GRACE_MS,
         }
@@ -202,8 +186,6 @@ pub struct ServiceStats {
     pub jobs_coalesced: u64,
     /// Submissions rejected by queue backpressure.
     pub jobs_rejected: u64,
-    /// Job attempts retried after a contained panic.
-    pub jobs_retried: u64,
     /// Jobs restored from the durable journal at startup (terminal and
     /// resumed in-flight jobs alike).
     pub recovered_jobs: u64,
@@ -423,20 +405,15 @@ impl ServiceHandle {
         });
         let telemetry = Telemetry::new();
         let (store, journal, replay) = match cfg.state_dir.as_deref() {
-            None => (
-                ReportStore::with_capacity(cfg.max_cached_reports),
-                None,
-                None,
-            ),
+            None => (ReportStore::new(), None, None),
             Some(dir) => {
-                let store = ReportStore::persistent(cfg.max_cached_reports, dir.join("reports"))
-                    .unwrap_or_else(|err| {
-                        eprintln!(
-                            "nvpim-serviced: cannot open report store under {dir:?} \
-                             ({err}); continuing without persistence"
-                        );
-                        ReportStore::with_capacity(cfg.max_cached_reports)
-                    });
+                let store = ReportStore::persistent(dir.join("reports")).unwrap_or_else(|err| {
+                    eprintln!(
+                        "nvpim-serviced: cannot open report store under {dir:?} \
+                         ({err}); continuing without persistence"
+                    );
+                    ReportStore::new()
+                });
                 let journal_path = dir.join(journal::JOURNAL_FILE);
                 let replay = journal::replay(&journal_path)
                     .map_err(|err| {
@@ -756,7 +733,6 @@ impl ServiceHandle {
             jobs_cancelled: t.counter(Counter::JobsCancelled),
             jobs_coalesced: t.counter(Counter::JobsCoalesced),
             jobs_rejected: t.counter(Counter::JobsRejected),
-            jobs_retried: t.counter(Counter::JobRetries),
             recovered_jobs: t.counter(Counter::RecoveredJobs),
             resumed_chunks: t.counter(Counter::ResumedChunks),
             journal_records_replayed: t.counter(Counter::JournalRecordsReplayed),
@@ -1158,55 +1134,14 @@ fn worker_loop(inner: &Inner) {
             "running",
             vec![("trials_total".to_string(), Value::UInt(core.trials_total))],
         );
-        inner.journal_append(&JournalRecord::Start { job: core.id });
-        run_job(inner, item);
-        remove_from_active(inner, &core);
-    }
-}
-
-/// Runs one job to a terminal state, containing panics: each attempt runs
-/// under `catch_unwind`, so a panicking trial (a buggy scheme plugin, say)
-/// poisons only this job — the worker survives and either retries the job
-/// from its last checkpoint (up to `max_job_retries`, with exponential
-/// backoff) or fails it terminally with the panic payload captured.
-fn run_job(inner: &Inner, item: WorkItem) {
-    let WorkItem { core, plan, resume } = item;
-    // The checkpoint outlives attempts: tallies accumulated (and
-    // journaled) by a panicking attempt are not recomputed by its retry.
-    let checkpoint: Mutex<Tallies> = Mutex::new(resume);
-    let mut attempt: u32 = 0;
-    loop {
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            run_attempt(inner, &core, &plan, &checkpoint)
-        }));
-        let payload = match outcome {
-            Ok(()) => return,
-            Err(payload) => payload,
-        };
-        let message = panic_message(payload.as_ref());
-        if attempt < inner.cfg.max_job_retries && !core.cancel_requested() {
-            attempt += 1;
-            inner.telemetry.add(Counter::JobRetries, 1);
-            inner.emit_event(
-                core.id,
-                &core.digest,
-                "retry",
-                vec![
-                    ("attempt".to_string(), Value::UInt(u64::from(attempt))),
-                    ("error".to_string(), Value::Str(message)),
-                ],
-            );
-            let backoff = inner
-                .cfg
-                .retry_backoff_ms
-                .saturating_mul(1u64 << (attempt - 1).min(16));
-            if backoff > 0 {
-                std::thread::sleep(Duration::from_millis(backoff));
-            }
-            continue;
+        // A trial is a pure function of (point, campaign seed, trial
+        // index), so a campaign that panicked would panic again: the job
+        // fails on its one attempt and the worker survives.
+        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| run_job(inner, item))) {
+            let message = panic_message(payload.as_ref());
+            fail_job(inner, &core, format!("campaign panicked: {message}"));
         }
-        fail_job(inner, &core, format!("campaign panicked: {message}"));
-        return;
+        remove_from_active(inner, &core);
     }
 }
 
@@ -1229,12 +1164,16 @@ fn fail_job(inner: &Inner, core: &JobCore, error: String) {
     core.fail(error);
 }
 
-/// One execution attempt: prepare through the shared schedule cache, run
-/// the trials after the shared checkpoint as one shard of the campaign
-/// (journaling every checkpoint), aggregate the checkpoint into the report,
-/// and drive the job to its terminal state. Panics propagate to
-/// [`run_job`].
-fn run_attempt(inner: &Inner, core: &Arc<JobCore>, plan: &SweepPlan, checkpoint: &Mutex<Tallies>) {
+/// Runs one job to its terminal state: prepare through the shared schedule
+/// cache, run the trials after the resumed prefix as one shard of the
+/// campaign (journaling every checkpoint) and aggregate the report. Runs
+/// under `catch_unwind` in [`worker_loop`], which fails the job on a panic.
+fn run_job(inner: &Inner, item: WorkItem) {
+    let WorkItem {
+        core,
+        plan,
+        resume: mut tallies,
+    } = item;
     // Compile through the process-wide shared cache; the lock is held
     // only for preparation, never while trials run. The campaign runs
     // with the service-wide telemetry sink attached, so every phase
@@ -1242,30 +1181,23 @@ fn run_attempt(inner: &Inner, core: &Arc<JobCore>, plan: &SweepPlan, checkpoint:
     // metrics.
     let prepared = {
         let mut cache = lock_unpoisoned(&inner.schedule_cache);
-        prepare_campaign_with_telemetry(plan, &mut cache, inner.telemetry.clone())
+        prepare_campaign_with_telemetry(&plan, &mut cache, inner.telemetry.clone())
     };
     let prepared = match prepared {
         Ok(prepared) => prepared,
-        Err(err) => return fail_job(inner, core, err.to_string()),
+        Err(err) => return fail_job(inner, &core, err.to_string()),
     };
     let total = prepared.trial_count();
-    // The checkpoint must tally exactly the first `resumed_trials` trials:
-    // the run below skips them, so tallies of any other trials would
-    // aggregate into a wrong report.
-    let (resumed_trials, is_prefix) = {
-        let resume = lock_unpoisoned(checkpoint);
-        let done = resume.trials();
-        (
-            done,
-            done <= total && resume.covers_range(0, done, plan.seeds_per_point),
-        )
-    };
-    if !is_prefix {
+    // The resumed tallies must cover exactly the first `resumed_trials`
+    // trials: the run below skips them, so tallies of any other trials
+    // would aggregate into a wrong report.
+    let resumed_trials = tallies.trials();
+    if resumed_trials > total || !tallies.covers_range(0, resumed_trials, plan.seeds_per_point) {
         let err = SweepError::BadCheckpoint(format!(
             "checkpoint tallies {resumed_trials} trials that are not a prefix of the \
              campaign's {total} trials"
         ));
-        return fail_job(inner, core, err.to_string());
+        return fail_job(inner, &core, err.to_string());
     }
     let run_started = std::time::Instant::now();
     let ran = prepared.run_shard(
@@ -1277,14 +1209,11 @@ fn run_attempt(inner: &Inner, core: &Arc<JobCore>, plan: &SweepPlan, checkpoint:
             // Journal records and job progress count the whole campaign.
             let trials_done = resumed_trials + chunk.progress.trials_done;
             inner.telemetry.add(Counter::JobCheckpoints, 1);
-            // Journal before merging into the in-memory checkpoint: a
-            // crash between the two merely recomputes one checkpoint.
             inner.journal_append(&JournalRecord::Chunk {
                 job: core.id,
                 trials_done,
                 tallies: chunk.new_tallies.clone(),
             });
-            lock_unpoisoned(checkpoint).merge(chunk.new_tallies);
             core.note_progress(trials_done);
             let new = chunk.new_tallies.total();
             let (correct, evaluated) = (new.correct_trials, new.evaluated_trials);
@@ -1311,7 +1240,10 @@ fn run_attempt(inner: &Inner, core: &Arc<JobCore>, plan: &SweepPlan, checkpoint:
             }
         },
     );
-    let outcome = ran.and_then(|_| prepared.report_from_tallies(&lock_unpoisoned(checkpoint)));
+    let outcome = ran.and_then(|shard| {
+        tallies.merge(&shard);
+        prepared.report_from_tallies(&tallies)
+    });
     let run_nanos = run_started.elapsed().as_nanos() as u64;
     inner.telemetry.add(Counter::ServiceBusyNanos, run_nanos);
     inner
@@ -1333,7 +1265,7 @@ fn run_attempt(inner: &Inner, core: &Arc<JobCore>, plan: &SweepPlan, checkpoint:
             // its report on disk.
             lock_unpoisoned(&inner.store).insert(core.digest.clone(), Arc::clone(&json));
             inner.telemetry.add(Counter::JobsCompleted, 1);
-            credit_labeled_trials(inner, plan, core.trials_total);
+            credit_labeled_trials(inner, &plan, core.trials_total);
             inner.journal_append(&JournalRecord::Done { job: core.id });
             inner.emit_event(
                 core.id,
@@ -1354,7 +1286,7 @@ fn run_attempt(inner: &Inner, core: &Arc<JobCore>, plan: &SweepPlan, checkpoint:
                 // Stopped by a drain, not a client: the job stays
                 // *in-flight* in the journal (no terminal record), so a
                 // restart over the same state dir resumes it from the
-                // checkpoint this attempt just journaled. Without a
+                // checkpoint this run just journaled. Without a
                 // journal it is cancelled below.
                 inner.emit_event(
                     core.id,
@@ -1374,7 +1306,7 @@ fn run_attempt(inner: &Inner, core: &Arc<JobCore>, plan: &SweepPlan, checkpoint:
             );
             core.mark_cancelled();
         }
-        Err(err) => fail_job(inner, core, err.to_string()),
+        Err(err) => fail_job(inner, &core, err.to_string()),
     }
 }
 
@@ -1645,7 +1577,6 @@ mod tests {
                     trials_total: plan.trial_count(),
                     plan_json: plan.canonical_json(),
                 },
-                JournalRecord::Start { job: 1 },
                 JournalRecord::Chunk {
                     job: 1,
                     trials_done: 4,

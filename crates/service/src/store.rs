@@ -83,13 +83,14 @@ impl ReportStore {
         self
     }
 
-    /// A store backed by a durable on-disk tier under `dir` (created if
-    /// absent). Memory capacity bounds only the RAM tier; inserts also
-    /// land on disk and memory misses fall through to disk.
-    pub fn persistent(capacity: usize, dir: impl Into<PathBuf>) -> io::Result<Self> {
+    /// A store with the default capacity backed by a durable on-disk tier
+    /// under `dir` (created if absent). Memory capacity bounds only the RAM
+    /// tier; inserts also land on disk and memory misses fall through to
+    /// disk.
+    pub fn persistent(dir: impl Into<PathBuf>) -> io::Result<Self> {
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
-        let mut store = Self::with_capacity(capacity);
+        let mut store = Self::new();
         store.dir = Some(dir);
         Ok(store)
     }
@@ -240,11 +241,11 @@ mod tests {
         let telemetry = Telemetry::new();
         let count = |counter| telemetry.snapshot().counter(counter);
         {
-            let mut store = ReportStore::persistent(4, &dir).unwrap();
+            let mut store = ReportStore::persistent(&dir).unwrap();
             store.insert(digest.clone(), Arc::clone(&report));
         }
         // A fresh handle over the same directory serves the bytes back.
-        let mut reopened = ReportStore::persistent(4, &dir)
+        let mut reopened = ReportStore::persistent(&dir)
             .unwrap()
             .with_telemetry(telemetry.clone());
         assert_eq!(
@@ -256,7 +257,7 @@ mod tests {
         // entry is discarded and the lookup misses.
         let path = dir.join(format!("{digest}.json"));
         fs::write(&path, "deadbeef\n{\"schema_version\":1}").unwrap();
-        let mut tampered = ReportStore::persistent(4, &dir)
+        let mut tampered = ReportStore::persistent(&dir)
             .unwrap()
             .with_telemetry(telemetry.clone());
         assert!(tampered.get(&digest).is_none());
@@ -264,7 +265,7 @@ mod tests {
         assert_eq!(count(Counter::ReportCacheMisses), 1);
         assert!(!path.exists(), "corrupt entry deleted");
         // Hostile digests never touch the filesystem.
-        let mut hostile = ReportStore::persistent(4, &dir).unwrap();
+        let mut hostile = ReportStore::persistent(&dir).unwrap();
         assert!(hostile.get("../../etc/passwd").is_none());
         fs::remove_dir_all(&dir).unwrap();
     }

@@ -8,9 +8,9 @@
 //!    (injected through the `ServiceConfig::execution_backend` seam); the
 //!    resumed report must be byte-identical to an uninterrupted run.
 //! 2. **Panic isolation** — a test-only panicking [`ExecutionBackend`]
-//!    injected through the `ServiceConfig::execution_backend` seam poisons
-//!    only its own job; retries resume from the last checkpoint and the
-//!    worker pool keeps serving healthy jobs.
+//!    injected through the `ServiceConfig::execution_backend` seam fails
+//!    only its own job, on its one attempt (a re-run of a pure function
+//!    would panic again), and the worker pool keeps serving healthy jobs.
 //! 3. **Journal/store corruption** — empty journals, torn tails, duplicate
 //!    terminal transitions and store files whose contents no longer match
 //!    their digest all degrade to recomputation, never to wrong bytes.
@@ -36,9 +36,9 @@ use nvpim_service::journal::JOURNAL_FILE;
 use nvpim_service::service::{ServiceConfig, ServiceHandle};
 use nvpim_service::{Journal, JournalRecord, ServiceError};
 use nvpim_sweep::{
-    prepare_campaign, run_campaign, run_campaign_on, CampaignControl, EstimatorMode,
-    ExecutionBackend, PointContext, PointTally, ScalarBackend, ScheduleCache, SlicedBackend,
-    SweepPlan, SweepWorkload, Tallies, TrialArena,
+    prepare_campaign, prepare_campaign_with_telemetry, run_campaign, run_campaign_on,
+    CampaignControl, EstimatorMode, ExecutionBackend, PointContext, PointTally, ScalarBackend,
+    ScheduleCache, SlicedBackend, SweepPlan, SweepWorkload, Tallies, TrialArena,
 };
 use nvpim_telemetry::{Counter, Telemetry};
 use serde::Value;
@@ -125,9 +125,6 @@ fn resume_from_checkpoint_is_byte_identical_across_backends_and_estimators() {
                 let mut journal =
                     Journal::open(dir.join(JOURNAL_FILE)).expect("open crafted journal");
                 journal.append(&submit_record(&plan, 1)).expect("submit");
-                journal
-                    .append(&JournalRecord::Start { job: 1 })
-                    .expect("start");
                 for (i, tallies) in captured.into_iter().enumerate() {
                     journal
                         .append(&JournalRecord::Chunk {
@@ -158,7 +155,7 @@ fn resume_from_checkpoint_is_byte_identical_across_backends_and_estimators() {
             let stats = service.stats();
             assert_eq!(stats.recovered_jobs, 1);
             assert_eq!(stats.resumed_chunks, 2);
-            assert_eq!(stats.journal_records_replayed, 4);
+            assert_eq!(stats.journal_records_replayed, 3);
             assert_eq!(
                 stats.trials_executed, 10,
                 "only the 10 unfinished trials recompute; 8 resume from the journal"
@@ -207,9 +204,6 @@ fn accuracy_job_resumes_from_checkpoint_byte_identically() {
                 plan_json: plan.canonical_json(),
             })
             .expect("submit");
-        journal
-            .append(&JournalRecord::Start { job: 1 })
-            .expect("start");
         for (i, tallies) in captured.into_iter().enumerate() {
             journal
                 .append(&JournalRecord::Chunk {
@@ -318,36 +312,68 @@ impl ExecutionBackend for PanicAfterN {
     }
 }
 
-/// Tentpole assertion 2a: a single injected panic is contained, the job is
-/// retried from its last checkpoint, and the final report is byte-identical
-/// to a clean run — the panic costs one retry, not correctness.
+/// Tentpole assertion 2a: a single injected panic is contained and fails
+/// its job on the first attempt — a trial is a pure function of its inputs,
+/// so the job is never re-run (no second prepare) — and a restart over the
+/// same state dir restores the job as failed without executing a trial.
 #[test]
-fn injected_panic_retries_from_checkpoint_and_stays_byte_identical() {
+fn injected_panic_fails_its_job_on_the_first_attempt() {
     const POISON: u64 = 0xdead_0001;
     let plan = tiny_plan(POISON);
-    let clean = run_campaign(&plan).expect("clean run").to_json();
+    // The schedule-cache lookups of exactly one prepare of this plan.
+    let one_prepare = Telemetry::new();
+    prepare_campaign_with_telemetry(&plan, &mut ScheduleCache::new(), one_prepare.clone())
+        .expect("prepare");
+    let one_prepare = one_prepare.snapshot();
+    let dir = state_dir("panic-once");
     let service = ServiceHandle::start(ServiceConfig {
         workers: 1,
         checkpoint_ms: 0,
-        max_job_retries: 2,
-        retry_backoff_ms: 1,
+        state_dir: Some(dir.clone()),
         execution_backend: Some(PanicAfterN::leaked(POISON, 5, true)),
         ..ServiceConfig::default()
     });
     let outcome = service.submit(plan, 0).expect("submit");
-    let report = service
-        .wait(outcome.job, Some(Duration::from_secs(120)))
-        .expect("job survives one injected panic via retry");
-    assert_eq!(report.as_str(), clean);
+    match service.wait(outcome.job, Some(Duration::from_secs(120))) {
+        Err(ServiceError::JobFailed(msg)) => assert!(
+            msg.starts_with("campaign panicked: injected chaos panic"),
+            "failure carries the panic payload, got: {msg}"
+        ),
+        other => panic!("expected JobFailed, got {other:?}"),
+    }
     let stats = service.stats();
-    assert_eq!(stats.jobs_retried, 1);
-    assert_eq!(stats.jobs_completed, 1);
-    assert_eq!(stats.jobs_failed, 0);
+    assert_eq!(stats.jobs_failed, 1);
+    assert_eq!(stats.jobs_completed, 0);
+    assert_eq!(
+        (stats.schedule_cache_compiles, stats.schedule_cache_hits),
+        (
+            one_prepare.counter(Counter::ScheduleCompiles),
+            one_prepare.counter(Counter::ScheduleCacheHits)
+        ),
+        "the campaign was prepared once"
+    );
     service.shutdown();
+
+    let service = ServiceHandle::start(ServiceConfig {
+        workers: 1,
+        state_dir: Some(dir.clone()),
+        ..ServiceConfig::default()
+    });
+    let status = service.status(outcome.job).expect("status");
+    assert_eq!(status.state, "failed");
+    assert!(status
+        .error
+        .as_deref()
+        .is_some_and(|e| e.starts_with("campaign panicked")));
+    let stats = service.stats();
+    assert_eq!(stats.recovered_jobs, 1);
+    assert_eq!(stats.trials_executed, 0, "a failed job does not re-run");
+    service.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Tentpole assertion 2b: a persistently panicking campaign exhausts its
-/// retry budget and fails *terminally and alone* — concurrent healthy jobs
+/// Tentpole assertion 2b: a persistently panicking campaign fails
+/// *terminally and alone* — concurrent healthy jobs
 /// complete with correct bytes, and the pool keeps serving afterwards.
 #[test]
 fn persistent_panic_fails_only_its_own_job_and_pool_survives() {
@@ -358,8 +384,6 @@ fn persistent_panic_fails_only_its_own_job_and_pool_survives() {
     let service = ServiceHandle::start(ServiceConfig {
         workers: 2,
         checkpoint_ms: 0,
-        max_job_retries: 1,
-        retry_backoff_ms: 1,
         execution_backend: Some(PanicAfterN::leaked(POISON, 0, false)),
         ..ServiceConfig::default()
     });
@@ -398,7 +422,6 @@ fn persistent_panic_fails_only_its_own_job_and_pool_survives() {
     let stats = service.stats();
     assert_eq!(stats.jobs_failed, 1);
     assert_eq!(stats.jobs_completed, 3);
-    assert_eq!(stats.jobs_retried, 1, "one retry, then the budget is spent");
     service.shutdown();
 }
 
@@ -486,9 +509,6 @@ fn duplicate_terminal_transitions_keep_the_first() {
         let mut journal = Journal::open(dir.join(JOURNAL_FILE)).expect("open journal");
         journal.append(&submit_record(&plan, 1)).expect("submit");
         journal
-            .append(&JournalRecord::Start { job: 1 })
-            .expect("start");
-        journal
             .append(&JournalRecord::Failed {
                 job: 1,
                 error: "first terminal wins".into(),
@@ -526,9 +546,6 @@ fn corrupt_store_entry_recomputes_byte_identical_report() {
     {
         let mut journal = Journal::open(dir.join(JOURNAL_FILE)).expect("open journal");
         journal.append(&submit_record(&plan, 1)).expect("submit");
-        journal
-            .append(&JournalRecord::Start { job: 1 })
-            .expect("start");
         journal
             .append(&JournalRecord::Done { job: 1 })
             .expect("done");
@@ -1037,9 +1054,6 @@ fn poison_plan_is_refused_and_a_journaled_one_fails_instead_of_crash_looping() {
                 plan_json: poison.canonical_json(),
             })
             .expect("submit");
-        journal
-            .append(&JournalRecord::Start { job: 1 })
-            .expect("start");
     }
     for restart in 0..2 {
         let (mut child, addr) = spawn_daemon_process(&dir);

@@ -6,9 +6,10 @@
 //! poison the worker pool (a subsequent well-formed submission still runs
 //! to completion).
 
+use std::io::Read;
 use std::net::TcpListener;
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use nvpim_service::client::{request, Client};
 use nvpim_service::service::{ServiceConfig, ServiceHandle};
@@ -921,4 +922,56 @@ fn daemon_refuses_a_checkpoint_cadence_of_a_second_or_more() {
         let stderr = String::from_utf8_lossy(&output.stderr);
         assert!(stderr.contains("--checkpoint-ms"), "{stderr}");
     }
+}
+
+/// `nvpim-serviced` refuses a flag it does not know (a misspelling, or a
+/// flag older builds took) and a flag missing its value, instead of
+/// starting a daemon configured otherwise than asked. A daemon that starts
+/// serving anyway is killed after 5 s and fails the test.
+#[test]
+fn daemon_refuses_unknown_flags_and_flags_without_a_value() {
+    let tmp = std::env::temp_dir().join(format!("nvpim-unknown-flag-{}", std::process::id()));
+    let tmp = tmp.to_str().expect("utf-8 temp path");
+    // The retry budget flag older daemons took, spelled in two pieces so
+    // that only this refusal names it.
+    let retries = concat!("--max-job", "-retries");
+    for (args, flag) in [
+        (vec![retries, "2"], retries),
+        (vec!["--journal-fsync-every", "0"], "--journal-fsync-every"),
+        (vec!["--state_dir", tmp], "--state_dir"),
+        (vec!["--state-dir"], "--state-dir"),
+    ] {
+        let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_nvpim-serviced"))
+            .args(["--addr", "127.0.0.1:0"])
+            .args(&args)
+            .stdout(std::process::Stdio::null())
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .expect("spawn nvpim-serviced");
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let status = loop {
+            if let Some(status) = child.try_wait().expect("poll nvpim-serviced") {
+                break status;
+            }
+            if Instant::now() >= deadline {
+                let _ = child.kill();
+                let _ = child.wait();
+                panic!("nvpim-serviced {args:?} was still running after 5 s");
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        };
+        let mut stderr = String::new();
+        child
+            .stderr
+            .take()
+            .expect("piped stderr")
+            .read_to_string(&mut stderr)
+            .expect("read stderr");
+        assert_eq!(status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(flag), "{args:?}: {stderr}");
+    }
+    assert!(
+        !std::path::Path::new(tmp).exists(),
+        "a refused daemon creates no state"
+    );
 }

@@ -367,12 +367,6 @@ impl FaultInjector {
         self.skip = Some(Self::sample_truncated_geometric(&mut self.rng, p, window));
     }
 
-    /// Forces a fault at the given location (used by directed tests and the
-    /// SEP-guarantee analysis, which enumerates error sites exhaustively).
-    pub fn force(&mut self, row: usize, col: usize) {
-        self.log.push(InjectedFault { row, col });
-    }
-
     /// Log of all injected faults so far.
     pub fn log(&self) -> &[InjectedFault] {
         &self.log
@@ -482,14 +476,6 @@ mod tests {
         assert!(!first.is_empty(), "this regime must inject faults");
         assert_eq!(first, run(99), "same seed => identical fault log");
         assert_ne!(first, run(100), "different seed => different log");
-    }
-
-    #[test]
-    fn forced_faults_are_logged() {
-        let mut inj = FaultInjector::disabled();
-        inj.force(3, 200);
-        assert_eq!(inj.fault_count(), 1);
-        assert_eq!(inj.log()[0].col, 200);
     }
 
     #[test]

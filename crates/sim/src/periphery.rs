@@ -22,8 +22,6 @@ pub struct PeripheryModel {
     pub write_driver_energy_per_bit_fj: f64,
     /// Row/column decode + predecode energy per interface transaction (fJ).
     pub decode_energy_per_access_fj: f64,
-    /// Control-line (WL/BSL) driver energy per in-array gate operation (fJ).
-    pub driver_energy_per_gate_fj: f64,
     /// Latency of one interface read transaction (ns).
     pub read_latency_ns: f64,
     /// Latency of one interface write transaction (ns).
@@ -51,7 +49,6 @@ impl PeripheryModel {
             sense_energy_per_bit_fj: sense,
             write_driver_energy_per_bit_fj: 0.4,
             decode_energy_per_access_fj: 6.0,
-            driver_energy_per_gate_fj: 0.6,
             read_latency_ns: read_lat,
             write_latency_ns: write_lat,
             interface_width_bits: 256,
@@ -83,11 +80,6 @@ impl PeripheryModel {
     pub fn write_latency(&self, bits: usize) -> f64 {
         bits.div_ceil(self.interface_width_bits).max(1) as f64 * self.write_latency_ns
     }
-
-    /// Control-line driver energy for `gates` in-array gate operations.
-    pub fn gate_drive_energy(&self, gates: u64) -> f64 {
-        self.driver_energy_per_gate_fj * gates as f64
-    }
 }
 
 #[cfg(test)]
@@ -108,7 +100,6 @@ mod tests {
         let p = PeripheryModel::for_technology(Technology::ReRam);
         assert!(p.read_energy(256) > p.read_energy(8));
         assert!(p.write_energy(256) > p.write_energy(8));
-        assert!(p.gate_drive_energy(100) > p.gate_drive_energy(10));
     }
 
     #[test]

@@ -81,15 +81,6 @@ impl Technology {
         }
     }
 
-    /// Maps a logic value to the resistance state that encodes it.
-    pub fn resistance_for(self, logic: bool) -> ResistanceState {
-        if self.logic_value(ResistanceState::Low) == logic {
-            ResistanceState::Low
-        } else {
-            ResistanceState::High
-        }
-    }
-
     /// Number of dummy inputs `D` added to NOR gates so that NOR and THR
     /// share a bias-voltage window (Appendix): 4 for STT, 5 for SOT/SHE,
     /// 2 for ReRAM.
@@ -229,12 +220,6 @@ impl TechnologyParams {
         }
     }
 
-    /// Tunneling magnetoresistance ratio `TMR = (R_high − R_low)/R_low`,
-    /// meaningful for the MRAM variants (also used by the electrical model).
-    pub fn tmr_ratio(&self) -> f64 {
-        (self.r_high_kohm - self.r_low_kohm) / self.r_low_kohm
-    }
-
     /// Resistance (kΩ) of a cell in the given state.
     pub fn resistance(&self, state: ResistanceState) -> f64 {
         match state {
@@ -276,15 +261,6 @@ mod tests {
     }
 
     #[test]
-    fn resistance_for_roundtrip() {
-        for tech in Technology::ALL {
-            for logic in [false, true] {
-                assert_eq!(tech.logic_value(tech.resistance_for(logic)), logic);
-            }
-        }
-    }
-
-    #[test]
     fn table3_values_transcribed() {
         let stt = TechnologyParams::for_technology(Technology::SttMram);
         assert_eq!(stt.r_low_kohm, 3.15);
@@ -303,13 +279,6 @@ mod tests {
         assert_eq!(reram.v_on, Some(-1.5));
         assert_eq!(reram.t_switch_ns, 1.3);
         assert_eq!(reram.write_energy_fj, 23.8);
-    }
-
-    #[test]
-    fn tmr_ratio_positive() {
-        for tech in Technology::ALL {
-            assert!(tech.parameters().tmr_ratio() > 0.0);
-        }
     }
 
     #[test]

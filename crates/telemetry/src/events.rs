@@ -69,12 +69,6 @@ impl EventLog {
             let _ = writer.flush();
         }
     }
-
-    /// Number of events emitted so far.
-    #[must_use]
-    pub fn events_emitted(&self) -> u64 {
-        self.seq.load(Ordering::Relaxed)
-    }
 }
 
 #[cfg(test)]
@@ -94,7 +88,6 @@ mod tests {
             vec![("queue_depth".to_string(), Value::UInt(3))],
         );
         log.emit("running", "job-1-deadbeef", Vec::new());
-        assert_eq!(log.events_emitted(), 2);
 
         let contents = std::fs::read_to_string(&path).expect("read log");
         let lines: Vec<&str> = contents.lines().collect();

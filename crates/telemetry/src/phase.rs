@@ -117,8 +117,6 @@ pub enum Counter {
     JobsCoalesced,
     /// Submissions rejected by queue backpressure.
     JobsRejected,
-    /// Job attempts retried after a contained panic.
-    JobRetries,
     /// Accepted submissions whose plan requested the stratified estimator.
     EstimatorJobs,
     /// Accepted submissions whose plan runs the accuracy campaign kind.
@@ -173,7 +171,7 @@ pub enum Counter {
 }
 
 /// Number of counters in the taxonomy (array sizes derive from this).
-pub const COUNTER_COUNT: usize = 34;
+pub const COUNTER_COUNT: usize = 33;
 
 impl Counter {
     /// Every counter, in stable exposition order. Counters sharing a
@@ -191,7 +189,6 @@ impl Counter {
         Counter::JobsCancelled,
         Counter::JobsCoalesced,
         Counter::JobsRejected,
-        Counter::JobRetries,
         Counter::EstimatorJobs,
         Counter::AccuracyJobs,
         Counter::ServiceTrialsExecuted,
@@ -231,7 +228,6 @@ impl Counter {
             Counter::JobsCancelled => "jobs_cancelled",
             Counter::JobsCoalesced => "jobs_coalesced",
             Counter::JobsRejected => "jobs_rejected",
-            Counter::JobRetries => "job_retries",
             Counter::EstimatorJobs => "estimator_jobs",
             Counter::AccuracyJobs => "accuracy_jobs",
             Counter::ServiceTrialsExecuted => "service_trials_executed",
@@ -299,7 +295,6 @@ impl Counter {
             Counter::JobsCancelled => "Jobs cancelled.",
             Counter::JobsCoalesced => "Submissions attached to an identical in-flight job.",
             Counter::JobsRejected => "Submissions rejected by queue backpressure.",
-            Counter::JobRetries => "Job attempts retried after a contained panic.",
             Counter::EstimatorJobs => "Submissions requesting the stratified estimator.",
             Counter::AccuracyJobs => "Submissions running the inference-accuracy campaign kind.",
             Counter::ServiceTrialsExecuted => {
